@@ -28,7 +28,6 @@ from .norms import (
     DerivativeNormProfile,
     build_profile,
     coefficient_bound_audit,
-    compositions,
     derivative_l2_norm,
     fit_class_r,
     m_j,

@@ -194,6 +194,25 @@ def _build_base(series: FourierSeries, m: int, engine: str):
     raise ValueError(f"unknown engine {engine!r} (expected 'diagonal' or 'alias')")
 
 
+def _augment(
+    series: FourierSeries, base: InterpolantPoly, z0: PolyPoint
+) -> AugmentedInterpolant:
+    """Add the grid-vanishing correction to ``base`` so it matches series(z0)."""
+    if z0.dim != series.dim:
+        raise ValueError("z0 dimension mismatch")
+    if not z0.on_torus():
+        raise ValueError("z0 must lie on the torus (|z0_p| = 1)")
+    denom = sum(zp**base.m for zp in z0.z) - series.dim
+    if abs(denom) < DEGENERATE_Z0_TOL * series.dim:
+        return AugmentedInterpolant(
+            base=base, z0=z0, correction=0j, degenerate_z0=True
+        )
+    residual = eval_laurent(series, z0) - base.eval(z0)
+    return AugmentedInterpolant(
+        base=base, z0=z0, correction=residual / denom, degenerate_z0=False
+    )
+
+
 def augmented_interpolant(
     series: FourierSeries,
     m: int,
@@ -206,20 +225,8 @@ def augmented_interpolant(
     the value equals series(z0) exactly unless z0 is degenerate (denominator
     below ``DEGENERATE_Z0_TOL * n``), in which case the plain fold is kept.
     """
-    if z0.dim != series.dim:
-        raise ValueError("z0 dimension mismatch")
-    if not z0.on_torus():
-        raise ValueError("z0 must lie on the torus (|z0_p| = 1)")
     base, _ = _build_base(series, m, engine)
-    denom = sum(zp**m for zp in z0.z) - series.dim
-    if abs(denom) < DEGENERATE_Z0_TOL * series.dim:
-        return AugmentedInterpolant(
-            base=base, z0=z0, correction=0j, degenerate_z0=True
-        )
-    residual = eval_laurent(series, z0) - base.eval(z0)
-    return AugmentedInterpolant(
-        base=base, z0=z0, correction=residual / denom, degenerate_z0=False
-    )
+    return _augment(series, base, z0)
 
 
 @dataclass(frozen=True)
@@ -253,7 +260,7 @@ def interpolation_audit(
 ) -> InterpolationAudit:
     """Compare the augmented interpolant against the series on the full grid."""
     base, uncovered = _build_base(series, m, engine)
-    aug = augmented_interpolant(series, m, z0, engine=engine)
+    aug = _augment(series, base, z0)
     nodes = grid_array(series.dim, m, cap=cap)
     f_vals = eval_batch(series, nodes)
     l_vals = aug.eval_batch(nodes)

@@ -7,6 +7,26 @@ k_p^{2 alpha_p} = 1 when k_p = alpha_p = 0.  The order-j constant M_j is the
 max of these norms over |alpha| = j: the tightest constant that bounds every
 order-j derivative, which makes every downstream inequality as strong as
 possible.  Everything is kept as ln M_j; -inf marks a vanishing norm.
+
+The max is always reached at a pure direction alpha = j e_p, so
+
+    M_j = max_p ||d_p^j f||,   ||d_p^j f||^2 = sum_{k_p != 0} |k_p|^{2j} |c_k|^2.
+
+Proof: for j >= 1 and a mode that survives alpha (k_p != 0 wherever
+alpha_p > 0), weighted AM-GM with weights alpha_p / j gives
+
+    prod_p |k_p|^{2 alpha_p} <= sum_{p: alpha_p > 0} (alpha_p / j) |k_p|^{2j}
+
+(Hardy, Littlewood and Polya, *Inequalities*, section 2.5).  Multiply by
+|c_k|^2 and sum over the surviving modes.  Every p with alpha_p > 0 has
+k_p != 0 on those modes, so each inner sum only grows when it runs over all
+modes with k_p != 0.  Hence ||d^alpha f||^2 <= sum_p (alpha_p / j)
+||d_p^j f||^2 <= max_p ||d_p^j f||^2, since the weights sum to 1.  For
+j = 0 the only alpha is 0 and the norm is ||f||.
+
+So one profile costs n log-sum-exps over at most K modes per order, O(n J K)
+for j = 0..J, instead of one norm per composition of j into n parts,
+O(sum_j C(j+n-1, n-1) K).
 """
 
 from __future__ import annotations
@@ -19,19 +39,6 @@ import numpy as np
 
 from .logspace import NEG_INF, log_sum_exp
 from .series import FourierSeries
-
-
-def compositions(total: int, parts: int):
-    """Yield all tuples of ``parts`` nonnegative integers summing to ``total``.
-
-    Lexicographic order; there are C(total + parts - 1, parts - 1) of them.
-    """
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in compositions(total - head, parts - 1):
-            yield (head,) + rest
 
 
 @dataclass(frozen=True)
@@ -93,21 +100,41 @@ def derivative_l2_norm(series: FourierSeries, alpha) -> float:
     return 0.5 * log_sum_exp(terms)
 
 
+def _pure_direction_ln_m(series: FourierSeries, orders) -> list[float]:
+    """ln M_j for each j in ``orders``, as the max over p of ln||d_p^j f||.
+
+    Works one order at a time, so every temporary holds at most K values.
+    """
+    ln_c = series._log_abs_values
+    directions = []
+    for p in range(series.dim):
+        k_p = series._exponents[:, p]
+        keep = k_p != 0
+        directions.append((np.log(np.abs(k_p[keep]).astype(float)), 2.0 * ln_c[keep]))
+    out = []
+    for j in orders:
+        if j == 0:
+            out.append(0.5 * log_sum_exp(2.0 * ln_c))
+            continue
+        best = NEG_INF
+        for ln_k, two_ln_c in directions:
+            best = max(best, 0.5 * log_sum_exp((2.0 * j) * ln_k + two_ln_c))
+        out.append(best)
+    return out
+
+
 def m_j(series: FourierSeries, j: int) -> float:
     """ln M_j: max over all alpha with |alpha| = j of the derivative L2 norm."""
     if j < 0:
         raise ValueError("j must be >= 0")
-    best = NEG_INF
-    for alpha in compositions(j, series.dim):
-        best = max(best, derivative_l2_norm(series, alpha))
-    return best
+    return _pure_direction_ln_m(series, (j,))[0]
 
 
 def build_profile(series: FourierSeries, j_max: int) -> DerivativeNormProfile:
     """Cache ln M_j for j = 0..j_max."""
     if j_max < 0:
         raise ValueError("j_max must be >= 0")
-    vals = tuple(m_j(series, j) for j in range(j_max + 1))
+    vals = tuple(_pure_direction_ln_m(series, range(j_max + 1)))
     return DerivativeNormProfile(dim=series.dim, ln_m=vals, j_max=j_max)
 
 

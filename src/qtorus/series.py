@@ -59,6 +59,7 @@ class FourierSeries:
     ``coeffs`` maps index tuples to complex coefficients; it is normalized on
     construction (integer tuples of length ``dim``, sorted keys, coefficients
     below :data:`PRUNE_THRESHOLD` pruned) and must not be mutated afterwards.
+    A NaN or infinite coefficient raises ``ValueError``.
     """
 
     dim: int
@@ -71,6 +72,8 @@ class FourierSeries:
         for raw_k, raw_c in self.coeffs.items():
             k = _as_index(raw_k, self.dim)
             c = complex(raw_c)
+            if not cmath.isfinite(c):
+                raise ValueError(f"coefficient at index {list(k)} is not finite: {c!r}")
             if abs(c) >= PRUNE_THRESHOLD:
                 clean[k] = c
         object.__setattr__(self, "coeffs", dict(sorted(clean.items())))

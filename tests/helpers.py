@@ -9,6 +9,21 @@ import numpy as np
 from qtorus import FourierSeries, PolyPoint, TorusPoint
 
 
+def compositions(total: int, parts: int):
+    """Yield all tuples of ``parts`` nonnegative integers summing to ``total``.
+
+    Lexicographic order; there are C(total + parts - 1, parts - 1) of them.
+    Enumerates every multi-index of order ``total``, the brute-force side of
+    the pure-direction identity for ln M_j.
+    """
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
 def random_series(rng, dim, max_modes=40, radius=10) -> FourierSeries:
     count = int(rng.integers(1, max_modes + 1))
     coeffs = {}

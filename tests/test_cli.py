@@ -47,6 +47,11 @@ class TestNorms:
         )
         assert main(["norms", "--input", str(coeffs), "--out", str(tmp_path / "o")]) == 2
 
+    def test_nan_coefficient_exits_2(self, tmp_path):
+        coeffs = tmp_path / "nan.jsonl"
+        coeffs.write_text('{"k": [1], "re": 1.0, "im": 0.0}\n{"k": [2], "re": NaN, "im": 0.0}\n')
+        assert main(["norms", "--input", str(coeffs), "--out", str(tmp_path / "o")]) == 2
+
     def test_missing_input_exits_2(self, tmp_path):
         assert main(["norms", "--out", str(tmp_path / "o")]) == 2
 

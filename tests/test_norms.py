@@ -2,19 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qtorus import (
     FourierSeries,
     build_profile,
     coefficient_bound_audit,
-    compositions,
     derivative_l2_norm,
     fit_class_r,
     m_j,
     shift_profile,
     write_profile_csv,
 )
-from helpers import random_series
+from helpers import compositions, random_series
 
 NEG = float("-inf")
 
@@ -92,6 +93,37 @@ class TestMj:
                     )
                 assert got == pytest.approx(brute)
                 assert got == pytest.approx(expected)
+
+
+@st.composite
+def sparse_series(draw):
+    n = draw(st.integers(1, 3))
+    component = st.one_of(st.just(0), st.integers(-6, 6))
+    indices = draw(st.lists(st.tuples(*[component] * n), max_size=8, unique=True))
+    part = st.floats(-100.0, 100.0)
+    return FourierSeries(n, {k: complex(draw(part), draw(part)) for k in indices})
+
+
+class TestPureDirectionIdentity:
+    @settings(deadline=None)
+    @given(sparse_series())
+    @example(FourierSeries(1, {}))
+    @example(FourierSeries(3, {}))
+    @example(FourierSeries(3, {(0, 0, 0): 2.0}))
+    @example(FourierSeries(2, {(1, 0): 1.0, (0, -3): 0.5j, (0, 0): 4.0}))
+    @example(FourierSeries(3, {(2, 0, 1): 1.0, (0, -1, 5): -2.0, (3, 3, 0): 1j}))
+    def test_profile_matches_bruteforce_max(self, s):
+        # M_j to a relative 1e-12, i.e. ln M_j to an absolute 1e-12.
+        j_max = 10
+        prof = build_profile(s, j_max)
+        for j in range(j_max + 1):
+            brute = max(derivative_l2_norm(s, a) for a in compositions(j, s.dim))
+            got = prof.ln_m[j]
+            if brute == NEG:
+                assert got == NEG
+            else:
+                assert abs(got - brute) <= 1e-12, (j, got, brute)
+            assert m_j(s, j) == got
 
 
 class TestBuildProfile:

@@ -175,6 +175,13 @@ class TestSeriesConstruction:
         with pytest.raises(ValueError):
             FourierSeries(1, {(1.5,): 1.0})
 
+    @pytest.mark.parametrize(
+        "c", [math.nan, math.inf, -math.inf, complex(1.0, math.nan), complex(0.0, -math.inf)]
+    )
+    def test_rejects_non_finite_coefficient(self, c):
+        with pytest.raises(ValueError, match="not finite"):
+            FourierSeries(1, {(0,): 1.0, (2,): c})
+
     def test_angles_normalized(self):
         p = TorusPoint((-math.pi, 3 * math.pi))
         assert all(0.0 <= t < 2 * math.pi for t in p.theta)
@@ -199,6 +206,12 @@ class TestCoefficientIO:
             '{"k": [1], "re": 1.0, "im": 0.0}\n{"k": [1], "re": 2.0, "im": 0.0}\n'
         )
         with pytest.raises(ValueError, match="duplicate index"):
+            read_coefficients(path)
+
+    def test_nan_coefficient_rejected(self, tmp_path):
+        path = tmp_path / "nan.jsonl"
+        path.write_text('{"k": [0], "re": 1.0, "im": 0.0}\n{"k": [1], "re": NaN, "im": 0.0}\n')
+        with pytest.raises(ValueError, match="not finite"):
             read_coefficients(path)
 
     def test_missing_field_rejected(self, tmp_path):
