@@ -32,7 +32,6 @@ from .norms import (
     fit_class_r,
     m_j,
     shift_profile,
-    write_profile_csv,
 )
 from .associated import (
     AssociatedTable,
@@ -49,6 +48,7 @@ from .associated import (
     log_tau,
     log_tau_shifted,
     t_m,
+    t_m_sequence,
     theta,
     witness,
 )

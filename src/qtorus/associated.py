@@ -15,22 +15,56 @@ whose minimizer lands exactly on j_max is flagged "saturated": its value is
 only an upper bound for tau (so a lower bound for the -ln quantities) and
 verdicts discount it.  A min over r whose argmin scan is unsaturated is exact
 despite truncation, because saturated entries can only pull the min down.
+
+One kernel, ``_legendre``, answers every min over j.  ln tau(r) =
+min_j (ln M_j - j x) with x = ln r is a discrete Legendre transform, and
+only vertices of the lower convex hull of the points (j, ln M_j) can
+minimize it: a point above the hull lies above a chord between two
+vertices p < j < q, so its term exceeds one of theirs for every x
+(Mandelbrojt's log-convex regularization; the linear-time Legendre
+transform of Lucet, Numer. Algorithms 16, 1997).  Vertex v minimizes for
+x between the slopes of the hull edges at v, so one ``searchsorted`` over
+the edge slopes finds it.  The hull costs O(J) and a grid of R values of
+ln r O(R log J) more, where a full scan costs O(R J).  The same holds for
+tau~ and the fold weights, whose terms differ by 3 x and start at j = 3.
+
+The results must equal the full scan bit for bit.  The float term
+fl(ln M_j - fl((j - c) x)), with c = 0 for tau and c = 3 for tau~ and the
+fold weights, is within u (|ln M_j| + 2 |(j - c) x|) of its exact value,
+u = 2^-53, so near a tie rounding can let a neighbour of the hull
+minimizer win.  So the kernel also evaluates every point whose exact
+term can come within delta of the minimum, for delta = 2^-40 times the
+largest |term|, far above any rounding: the hull vertices of every edge
+whose slope is within delta of x, and the points less than delta above
+those edges (collinear points included).  Every other point exceeds the
+minimum by more than delta: moving from a candidate vertex away from x
+crosses an edge whose slope differs from x by more than delta, and each
+such step adds at least that much, while a point above an edge adds its
+height.  Among the candidates the kernel keeps the smallest float term and
+the smallest j on ties, exactly as the scan does.  Usually the candidate
+set is the single vertex; on exact ties (factorial profiles at integer r,
+say) it holds the two or more tied points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .logspace import NEG_INF
 from .norms import DerivativeNormProfile, shift_profile
 
 LN_HALF = math.log(0.5)
 
 #: Relative margin used when rescaling into the normalization M_3 < 1/2.
 CLASS_MARGIN = 1e-6
+
+#: Candidate window of the tau kernel, relative to the largest |term| a query
+#: can reach.  Rounding moves a float term by at most 2^-52 of that bound, so
+#: the window is 2^12 times wider than any rounding it has to absorb.
+_SLACK = 2.0**-40
 
 
 class DegenerateProfileError(ValueError):
@@ -60,19 +94,85 @@ def _require_nondegenerate(profile: DerivativeNormProfile) -> None:
         raise DegenerateProfileError("degenerate profile: some ln M_j = -inf")
 
 
-def tau_minimizer(profile: DerivativeNormProfile, r: float) -> tuple[float, int]:
-    """(ln tau(r), argmin j) for the truncated inf over 0 <= j <= j_max."""
-    if r < 1.0:
-        raise ValueError("r must be >= 1")
-    ln_r = math.log(r)
-    best = math.inf
-    best_j = 0
-    for j, v in enumerate(profile.ln_m):
-        term = v - j * ln_r
-        if term < best:
-            best = term
-            best_j = j
-    return best, best_j
+def _lower_hull(a: list) -> tuple[list, list]:
+    """Vertices and edge slopes of the lower convex hull of the points (i, a[i]).
+
+    Monotone chain in O(len(a)): a vertex stays only where the computed slope
+    strictly increases across it, so collinear points are not vertices and
+    the returned slopes are strictly increasing.
+    """
+    hull = [0]
+    slopes: list = []
+    for q in range(1, len(a)):
+        while True:
+            p = hull[-1]
+            s = (a[q] - a[p]) / (q - p)
+            if not slopes or s > slopes[-1]:
+                break
+            hull.pop()
+            slopes.pop()
+        hull.append(q)
+        slopes.append(s)
+    return hull, slopes
+
+
+def _hull_argmin(a: np.ndarray, x: np.ndarray, off: int) -> np.ndarray:
+    """First argmin over i of the float term a[i] - (i - off) * x, for each x.
+
+    ``a`` is finite.  Candidates are the points within ``delta`` of the hull
+    on the edges whose slope lies within ``delta`` of x (see the module
+    docstring); usually that is the one hull vertex of x.
+    """
+    if a.size == 1 or x.size == 0:
+        return np.zeros(x.shape, dtype=np.int64)
+    hull_list, slopes_list = _lower_hull(a.tolist())
+    hull = np.asarray(hull_list, dtype=np.int64)
+    slopes = np.asarray(slopes_list, dtype=float)
+    scale = float(np.max(np.abs(a))) + (a.size + abs(off)) * float(np.max(np.abs(x))) + 1.0
+    delta = _SLACK * scale
+
+    i = np.arange(a.size)
+    edge = np.minimum(np.searchsorted(hull, i, side="right") - 1, hull.size - 2)
+    p, q = hull[edge], hull[edge + 1]
+    height = a - (a[p] + (i - p) / (q - p) * (a[q] - a[p]))
+    near = height <= delta
+    near[hull] = True
+    cand = np.flatnonzero(near)
+
+    lo = np.searchsorted(slopes, x - delta, side="left")
+    hi = np.searchsorted(slopes, x + delta, side="right")
+    first = np.searchsorted(cand, hull[lo], side="left")
+    count = np.searchsorted(cand, hull[hi], side="right") - first
+
+    seg = np.cumsum(count) - count
+    flat = cand[np.arange(int(count.sum())) - np.repeat(seg - first, count)]
+    xs = np.repeat(x, count)
+    terms = a[flat] - (flat - off) * xs
+    best = np.minimum.reduceat(terms, seg)
+    tied = terms == np.repeat(best, count)
+    return np.minimum.reduceat(np.where(tied, flat, a.size), seg)
+
+
+def _legendre(profile: DerivativeNormProfile, ln_r, start: int = 0, offset: int = 0):
+    """(values, argmin) of min_{start<=j<=j_max} (ln M_j - (j - offset) ln r).
+
+    One entry per value of ``ln_r``: the float term
+    ``ln_m[j] - (j - offset) * ln_r`` at the argmin j, where j is the
+    smallest index among equal float terms, bit for bit what a full scan
+    over j gives.  An ln M_j = -inf with j >= start
+    makes every term at that j -inf, so its first index is the argmin for
+    every r.
+    """
+    ln_m = profile.ln_m_array()
+    ln_r = np.asarray(ln_r, dtype=float)
+    tail = ln_m[start:]
+    vanishing = np.flatnonzero(tail == NEG_INF)
+    if vanishing.size:
+        arg = np.full(ln_r.shape, vanishing[0], dtype=np.int64)
+    else:
+        arg = _hull_argmin(tail, ln_r, offset - start)
+    arg = arg + start
+    return ln_m[arg] - (arg - offset) * ln_r, arg
 
 
 def log_tau(profile: DerivativeNormProfile, r: float) -> float:
@@ -81,7 +181,9 @@ def log_tau(profile: DerivativeNormProfile, r: float) -> float:
     An upper bound for the true inf over all j >= 0: truncation can only
     miss smaller terms.
     """
-    return tau_minimizer(profile, r)[0]
+    if r < 1.0:
+        raise ValueError("r must be >= 1")
+    return float(_legendre(profile, [math.log(r)])[0][0])
 
 
 def log_tau_shifted(profile: DerivativeNormProfile, r: float) -> float:
@@ -90,27 +192,10 @@ def log_tau_shifted(profile: DerivativeNormProfile, r: float) -> float:
         raise ValueError("shifted associated function needs j_max >= 3")
     if r < 1.0:
         raise ValueError("r must be >= 1")
-    ln_r = math.log(r)
-    return min(
-        profile.ln_m[s + 3] - s * ln_r for s in range(profile.j_max - 2)
-    )
+    return float(_legendre(profile, [math.log(r)], 3, 3)[0][0])
 
 
-def _tau_grid(profile: DerivativeNormProfile, ln_r: np.ndarray, chunk: int = 1 << 16):
-    """Vectorized (ln tau, argmin j) over a grid of ln r values."""
-    ln_m = profile.ln_m_array()
-    j = np.arange(profile.j_max + 1, dtype=float)
-    values = np.empty(ln_r.shape, dtype=float)
-    argmin = np.empty(ln_r.shape, dtype=np.int64)
-    for start in range(0, ln_r.size, chunk):
-        block = ln_r[start : start + chunk]
-        terms = ln_m[None, :] - block[:, None] * j[None, :]
-        argmin[start : start + chunk] = np.argmin(terms, axis=1)
-        values[start : start + chunk] = np.min(terms, axis=1)
-    return values, argmin
-
-
-def _fold_weights(profile: DerivativeNormProfile, r_max: int, chunk: int = 1 << 15):
+def _fold_weights(profile: DerivativeNormProfile, r_max: int):
     """Shared-term growth weights on the integer grid r = 1..r_max.
 
     Returns (w_full, w_shifted, sat_full, sat_shifted) where
@@ -118,44 +203,45 @@ def _fold_weights(profile: DerivativeNormProfile, r_max: int, chunk: int = 1 << 
         w_full(r)    = max_{0<=j<=J} ((j-3) ln r - ln M_j) = -ln(r^3 tau(r))
         w_shifted(r) = max_{3<=j<=J} ((j-3) ln r - ln M_j) = -ln(tau~(r))
 
-    Both maxima are taken over the same float terms, so
-    w_full >= w_shifted holds exactly in floating point; dividing by n*r and
-    taking prefix minima preserves the inequality, which keeps the chain
-    ln t_m >= ln theta(m) exact.  sat_* flags an argmax landing on j_max.
+    Each weight is the float term at the first argmax.  The full maximum
+    runs over a superset of the shifted one's float terms, so
+    w_full >= w_shifted; it is enforced all the same, because dividing by
+    n*r and taking prefix minima preserves it, which keeps the chain
+    ln t_m >= ln theta(m) exact.  On a tie w_full takes the shifted term:
+    the two can differ only in the sign of a zero at r = 1, which only the
+    negative weights j - 3 < 0 make negative.  sat_* flags an argmax
+    landing on j_max.
     """
     j_max = profile.j_max
     ln_m = profile.ln_m_array()
-    weights = np.arange(j_max + 1, dtype=float) - 3.0
-    w_full = np.empty(r_max, dtype=float)
-    w_shift = np.empty(r_max, dtype=float)
-    arg_full = np.empty(r_max, dtype=np.int64)
-    arg_shift = np.empty(r_max, dtype=np.int64)
-    r_all = np.arange(1, r_max + 1, dtype=float)
-    for start in range(0, r_max, chunk):
-        ln_r = np.log(r_all[start : start + chunk])
-        terms = weights[None, :] * ln_r[:, None] - ln_m[None, :]
-        w_full[start : start + len(ln_r)] = terms.max(axis=1)
-        arg_full[start : start + len(ln_r)] = terms.argmax(axis=1)
-        if j_max >= 3:
-            tail = terms[:, 3:]
-            w_shift[start : start + len(ln_r)] = tail.max(axis=1)
-            arg_shift[start : start + len(ln_r)] = tail.argmax(axis=1) + 3
-        else:
-            # No shifted sequence to minimize over; callers needing it
-            # (theta, witness) reject j_max < 3 before getting here.
-            w_shift[start : start + len(ln_r)] = -np.inf
-            arg_shift[start : start + len(ln_r)] = 0
+    ln_r = np.log(np.arange(1, r_max + 1, dtype=float))
+    _, arg_full = _legendre(profile, ln_r, 0, 3)
+    w_full = (arg_full - 3) * ln_r - ln_m[arg_full]
+    if j_max >= 3:
+        _, arg_shift = _legendre(profile, ln_r, 3, 3)
+        w_shift = (arg_shift - 3) * ln_r - ln_m[arg_shift]
+        w_full = np.where(w_shift >= w_full, w_shift, w_full)
+    else:
+        # No shifted sequence to minimize over; callers needing it
+        # (theta, witness) reject j_max < 3 before getting here.
+        w_shift = np.full(r_max, -np.inf)
+        arg_shift = np.zeros(r_max, dtype=np.int64)
     return w_full, w_shift, arg_full == j_max, arg_shift == j_max
+
+
+def t_m_sequence(profile: DerivativeNormProfile, m_max: int, n: int) -> np.ndarray:
+    """ln t_m for m = 1..m_max, from one pass over r = 1..m_max."""
+    if m_max < 1 or n < 1:
+        raise ValueError("m and n must be >= 1")
+    _require_nondegenerate(profile)
+    w_full, _, _, _ = _fold_weights(profile, m_max)
+    r = np.arange(1, m_max + 1, dtype=float)
+    return np.minimum.accumulate(w_full / (n * r))
 
 
 def t_m(profile: DerivativeNormProfile, m: int, n: int) -> float:
     """ln t_m = min over integer r in [1, m] of -ln(r^3 tau(r)) / (n r)."""
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be >= 1")
-    _require_nondegenerate(profile)
-    w_full, _, _, _ = _fold_weights(profile, m)
-    r = np.arange(1, m + 1, dtype=float)
-    return float(np.min(w_full / (n * r)))
+    return float(t_m_sequence(profile, m, n)[-1])
 
 
 def theta(profile: DerivativeNormProfile, m: int, n: int) -> float:
@@ -192,8 +278,11 @@ def build_table(profile: DerivativeNormProfile, r_grid) -> AssociatedTable:
         raise ValueError("r grid must be nonempty with r >= 1")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("r grid must be strictly increasing")
-    ln_tau = tuple(log_tau(profile, r) for r in grid)
-    ln_shift = tuple(log_tau_shifted(profile, r) for r in grid)
+    if profile.j_max < 3:
+        raise ValueError("shifted associated function needs j_max >= 3")
+    ln_r = [math.log(r) for r in grid]
+    ln_tau = tuple(_legendre(profile, ln_r)[0].tolist())
+    ln_shift = tuple(_legendre(profile, ln_r, 3, 3)[0].tolist())
     table = AssociatedTable(
         r_grid=grid,
         ln_tau=ln_tau,
@@ -219,15 +308,6 @@ def find_r0(table: AssociatedTable, tol: float = 1e-9) -> float:
             break
         threshold = r
     return threshold
-
-
-def write_tau_csv(table: AssociatedTable, path, header_lines=()) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("r,ln_tau,ln_tau_shifted\n")
-        for r, lt, ls in zip(table.r_grid, table.ln_tau, table.ln_tau_shifted):
-            fh.write(f"{repr(r)},{repr(lt)},{repr(ls)}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -452,22 +532,6 @@ def _classify_structural(
     return label, slope_d, fit_lin, fit_sqrt
 
 
-def write_witness_csv(series: WitnessSeries, path, header_lines=()) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("m,ln_t,ln_theta,d,theta_positive\n")
-        rows = zip(
-            series.m_grid,
-            series.ln_t,
-            series.ln_theta,
-            series.witness,
-            series.theta_positive,
-        )
-        for m, lt, lth, d, pos in rows:
-            fh.write(f"{m},{repr(lt)},{repr(lth)},{repr(d)},{1 if pos else 0}\n")
-
-
 # ---------------------------------------------------------------------------
 # Integral criterion diagnostic
 # ---------------------------------------------------------------------------
@@ -519,7 +583,7 @@ def carleman_diagnostic(
     n_points = max(2, int(math.ceil(points_per_decade * math.log10(r_max))) + 1)
     grid = np.logspace(0.0, math.log10(r_max), n_points)
     grid[0] = 1.0
-    ln_tau, arg = _tau_grid(profile, np.log(grid))
+    ln_tau, arg = _legendre(profile, np.log(grid))
     saturated = arg == profile.j_max
     neg = -ln_tau
     partial = _cumulative_trapezoid(neg / grid**2, grid)

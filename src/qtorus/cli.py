@@ -33,9 +33,8 @@ from .associated import (
     TrendConfig,
     build_table,
     carleman_diagnostic,
+    t_m_sequence,
     witness,
-    write_tau_csv,
-    write_witness_csv,
 )
 from .families import (
     FamilySpec,
@@ -45,8 +44,8 @@ from .families import (
     rescale_to_class,
 )
 from .interpolate import bound_audit, interpolation_audit
-from .norms import build_profile, write_profile_csv
-from .series import FourierSeries, GridCapError, PolyPoint, read_coefficients
+from .norms import build_profile
+from .series import FourierSeries, GridCapError, PolyPoint, grid_cap, read_coefficients
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -77,8 +76,20 @@ def _header_lines(args: argparse.Namespace) -> list[str]:
     return [f"{k}={echo[k]}" for k in sorted(echo)]
 
 
+def _finite_or_null(value):
+    """The payload with every NaN or infinite float replaced by None (JSON null)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False)
+    _atomic_write(path, text + "\n")
 
 
 def _write_csv(path: Path, header_lines, columns, rows) -> None:
@@ -180,13 +191,19 @@ def _load_profile(args: argparse.Namespace):
 
 def _parse_m_range(text: str) -> list[int]:
     lo, sep, hi = text.partition("..")
-    if not sep:
-        value = int(lo)
-        return [value]
-    a, b = int(lo), int(hi)
+    a = int(lo)
+    b = int(hi) if sep else a
     if a < 1 or b < a:
         raise ValueError(f"bad m range {text!r}")
+    _check_grid_cap("--m", b)
     return list(range(a, b + 1))
+
+
+def _check_grid_cap(flag: str, size: int) -> None:
+    """Refuse a grid of ``size`` points past the grid cap before building it."""
+    limit = grid_cap()
+    if size > limit:
+        raise GridCapError(f"{flag} needs a grid of {size} points, cap is {limit}")
 
 
 def _parse_z0(text: str | None, dim: int) -> PolyPoint:
@@ -207,31 +224,49 @@ def _parse_z0(text: str | None, dim: int) -> PolyPoint:
 # Commands
 # ---------------------------------------------------------------------------
 
+def _effective(profile, dim: int) -> dict:
+    """Parameters a run actually used, which the config echo may not show."""
+    return {"j_max": profile.j_max, "dim": dim}
+
+
 def cmd_norms(args: argparse.Namespace) -> int:
     profile, _ = _load_profile(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_profile_csv(profile, out / "profile.csv", header_lines=_header_lines(args))
+    _write_csv(
+        out / "profile.csv", _header_lines(args), ("j", "lnM"), enumerate(profile.ln_m)
+    )
     return 0
 
 
 def cmd_tau(args: argparse.Namespace) -> int:
+    _check_grid_cap("--rmax", args.rmax)
+    m_grid = _parse_m_range(args.m)
     profile, dim = _load_profile(args)
     n = dim
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     headers = _header_lines(args)
 
-    r_grid = list(range(1, args.rmax + 1))
-    table = build_table(profile, r_grid)
-    write_tau_csv(table, out / "tau_table.csv", header_lines=headers)
+    table = build_table(profile, range(1, args.rmax + 1))
+    _write_csv(
+        out / "tau_table.csv",
+        headers,
+        ("r", "ln_tau", "ln_tau_shifted"),
+        zip(table.r_grid, table.ln_tau, table.ln_tau_shifted),
+    )
 
-    m_grid = _parse_m_range(args.m)
     wit = witness(profile, n, m_grid, normalize=False)
-    write_witness_csv(wit, out / "witness_table.csv", header_lines=headers)
+    _write_csv(
+        out / "witness_table.csv",
+        headers,
+        ("m", "ln_t", "ln_theta", "d", "theta_positive"),
+        zip(wit.m_grid, wit.ln_t, wit.ln_theta, wit.witness, wit.theta_positive),
+    )
 
     summary = {
         "config": _config_echo(args),
+        "effective": _effective(profile, dim),
         "r0_estimate": table.r0_estimate,
         "saturated_argmin_count": sum(wit.argmin_saturated),
         "chain_violations": wit.chain_violations,
@@ -248,6 +283,7 @@ def _fit_payload(fit) -> dict | None:
 
 
 def cmd_verdict(args: argparse.Namespace) -> int:
+    m_grid = _parse_m_range(args.m)
     profile, dim = _load_profile(args)
     n = dim
     out = Path(args.out)
@@ -262,15 +298,15 @@ def cmd_verdict(args: argparse.Namespace) -> int:
         saturation_fraction=DEFAULT_TREND.saturation_fraction,
     )
     report = carleman_diagnostic(profile, args.rmax, config=config)
-    m_grid = _parse_m_range(args.m)
     wit = witness(profile, n, m_grid, config=config)
 
     payload = {
         "config": _config_echo(args),
+        "effective": _effective(profile, dim),
         "carleman": {
             "verdict": report.verdict,
             "saturated_fraction": report.saturated_fraction,
-            "saturation_flag": report.saturated_fraction > 0.5,
+            "saturation_flag": report.saturated_fraction > config.saturation_fraction,
             "last_decade_increment": report.last_decade_increment,
             "fit_linear": _fit_payload(report.fit_linear),
             "fit_sqrt": _fit_payload(report.fit_sqrt),
@@ -307,23 +343,25 @@ def cmd_verdict(args: argparse.Namespace) -> int:
 
 
 def cmd_interp(args: argparse.Namespace) -> int:
+    m_grid = _parse_m_range(args.m)
     series = _load_series(args)
     n = series.dim
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     headers = _header_lines(args)
 
+    rescale = None
     if args.tm:
         # D(t_m) sampling presumes the normalization M_3 < 1/2 (otherwise
         # t_m <= 1 and the annulus is empty), so rescale into it first.
-        from .associated import t_m as t_m_fn
-
         rescaled = rescale_to_class(series)
         series = rescaled.series
+        rescale = {"scale": rescaled.scale, "normalized": rescaled.normalized}
         profile = build_profile(series, args.jmax)
+        ln_t = t_m_sequence(profile, m_grid[-1], n)
 
         def t_for(m: int) -> float:
-            return math.exp(t_m_fn(profile, m, n))
+            return math.exp(ln_t[m - 1])
 
     else:
         profile = build_profile(series, args.jmax)
@@ -334,7 +372,7 @@ def cmd_interp(args: argparse.Namespace) -> int:
     z0 = _parse_z0(args.z0, n)
     reports = []
     sup_rows = []
-    for m in _parse_m_range(args.m):
+    for m in m_grid:
         audit = interpolation_audit(series, m, z0, engine=args.engine)
         t_val = t_for(m)
         bounds = bound_audit(
@@ -373,7 +411,11 @@ def cmd_interp(args: argparse.Namespace) -> int:
 
     _write_json(
         out / "interp_report.json",
-        {"config": _config_echo(args), "per_m": reports},
+        {
+            "config": _config_echo(args),
+            "effective": {**_effective(profile, n), "rescale": rescale},
+            "per_m": reports,
+        },
     )
     _write_csv(out / "interp_sup.csv", headers, ("m", "sup_augmented"), sup_rows)
     return 0

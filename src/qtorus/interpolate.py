@@ -31,7 +31,7 @@ import numpy as np
 
 from .logspace import log_sum_exp
 from .norms import DerivativeNormProfile
-from .associated import log_tau
+from .associated import _legendre
 from .series import (
     FourierSeries,
     PolyPoint,
@@ -348,7 +348,7 @@ def bound_audit(
     corr_max = float(np.max(np.abs(corr_vals)))
 
     ln_t = math.log(t)
-    ln_tau_r = [log_tau(profile, r) for r in range(1, m + 1)]
+    ln_tau_r = _legendre(profile, [math.log(r) for r in range(1, m + 1)])[0].tolist()
     ln_rhs_growth = log_sum_exp(
         [0.0]
         + [math.log(r) + ln_tau_r[r - 1] + n * r * ln_t for r in range(1, m + 1)]

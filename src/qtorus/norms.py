@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -235,12 +234,3 @@ def coefficient_bound_audit(
             )
     return CoefficientBoundReport(j=j, n_checked=checked, violations=tuple(violations))
 
-
-def write_profile_csv(profile: DerivativeNormProfile, path, header_lines=()) -> None:
-    """CSV export with columns j, lnM_j (-inf serialized as ``-inf``)."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("j,lnM\n")
-        for j, v in enumerate(profile.ln_m):
-            fh.write(f"{j},{'-inf' if v == NEG_INF else repr(v)}\n")

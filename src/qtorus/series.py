@@ -233,7 +233,8 @@ def eval_batch(series: FourierSeries, points: np.ndarray) -> np.ndarray:
     return powers.prod(axis=2) @ series._values
 
 
-def _resolve_grid_cap(cap: int | None) -> int:
+def grid_cap(cap: int | None = None) -> int:
+    """The grid-point cap: ``cap`` if given, else QTORUS_GRID_CAP, else 10^6."""
     if cap is not None:
         return int(cap)
     return int(os.environ.get(GRID_CAP_ENV, DEFAULT_GRID_CAP))
@@ -249,7 +250,7 @@ def grid_points(n: int, m: int, cap: int | None = None) -> list[PolyPoint]:
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
     count = m ** n
-    limit = _resolve_grid_cap(cap)
+    limit = grid_cap(cap)
     if count > limit:
         raise GridCapError(f"grid needs {count} points, cap is {limit}")
     points = []

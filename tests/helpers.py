@@ -62,3 +62,43 @@ def supporting_line_profile(weight, r_max, j_max, dim=1):
         float(np.max((j - 3) * np.log(rs) - w)) for j in range(j_max + 1)
     )
     return DerivativeNormProfile(dim=dim, ln_m=ln_m, j_max=j_max)
+
+
+def dense_log_tau(profile, ln_r, start=0):
+    """(values, argmin) of min_{start<=j<=j_max} (ln M_j - (j - start) ln r) by a full scan.
+
+    The O(R J) scan the associated-function kernel replaced: start = 0 gives
+    ln tau, start = 3 gives ln tau~.  The argmin is the smallest j among equal
+    terms and the value is the term at that j.
+    """
+    ln_m = profile.ln_m_array()[start:]
+    s = np.arange(ln_m.size, dtype=float)
+    terms = ln_m[None, :] - np.asarray(ln_r, dtype=float)[:, None] * s[None, :]
+    arg = np.argmin(terms, axis=1)
+    return terms[np.arange(arg.size), arg], arg + start
+
+
+def dense_fold_weights(profile, r_max):
+    """(w_full, w_shifted, sat_full, sat_shifted) on r = 1..r_max by a full scan.
+
+    w_full(r) = max_{0<=j<=J} ((j-3) ln r - ln M_j) and w_shifted takes the
+    max over j >= 3 of the same float terms; each value is the term at the
+    first argmax, and sat_* flags an argmax at j_max.  Where both maxima are
+    equal w_full takes the shifted term: the two differ at most in the sign
+    of a zero, which only the negative weights j - 3 < 0 can make negative.
+    """
+    j_max = profile.j_max
+    ln_m = profile.ln_m_array()
+    ln_r = np.log(np.arange(1, r_max + 1, dtype=float))
+    terms = (np.arange(j_max + 1, dtype=float) - 3.0)[None, :] * ln_r[:, None] - ln_m[None, :]
+    rows = np.arange(r_max)
+    arg_full = terms.argmax(axis=1)
+    w_full = terms[rows, arg_full]
+    if j_max >= 3:
+        arg_shift = terms[:, 3:].argmax(axis=1) + 3
+        w_shift = terms[rows, arg_shift]
+        w_full = np.where(w_shift >= w_full, w_shift, w_full)
+    else:
+        arg_shift = np.zeros(r_max, dtype=np.int64)
+        w_shift = np.full(r_max, -np.inf)
+    return w_full, w_shift, arg_full == j_max, arg_shift == j_max

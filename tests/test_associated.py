@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qtorus import (
     DegenerateProfileError,
@@ -18,11 +20,13 @@ from qtorus import (
     log_tau_shifted,
     shift_profile,
     t_m,
+    t_m_sequence,
     theta,
     witness,
 )
+from qtorus.associated import _fold_weights, _legendre
 from qtorus.logspace import NEG_INF
-from helpers import supporting_line_profile
+from helpers import dense_fold_weights, dense_log_tau, supporting_line_profile
 
 
 def constant_profile(j_max, value=0.0, dim=1):
@@ -122,6 +126,13 @@ class TestTm:
         prof = build_profile(FourierSeries(1, {(0,): 1.0}), 6)
         with pytest.raises(DegenerateProfileError):
             t_m(prof, 4, 1)
+
+    def test_sequence_is_t_m_for_every_m(self):
+        prof = factorial_profile(60, s=1.5)
+        seq = t_m_sequence(prof, 80, 2)
+        assert seq.shape == (80,)
+        for m in (1, 2, 17, 80):
+            assert seq[m - 1] == t_m(prof, m, 2)
 
     def test_nonincreasing_in_m_exact(self):
         for prof in (
@@ -302,6 +313,88 @@ class TestCarleman:
     def test_r_max_validated(self):
         with pytest.raises(ValueError):
             carleman_diagnostic(factorial_profile(10), 1.5)
+
+
+def bits(values):
+    """IEEE bit patterns, so -0.0 != 0.0 and equality is exact."""
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@st.composite
+def kernel_cases(draw):
+    """(profile, r_max): non-convex, collinear-tie and factorial-like ln M_j, J <= 300."""
+    j_max = draw(st.integers(0, 300))
+    kind = draw(st.sampled_from(("random", "collinear", "lattice", "factorial")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    j = np.arange(j_max + 1, dtype=float)
+    if kind == "random":
+        ln_m = rng.normal(size=j_max + 1) * draw(st.sampled_from((1.0, 50.0, 1e4)))
+    elif kind == "collinear":
+        # c + j ln k: every term ties exactly at r = k, and k = 1 is a constant profile.
+        ln_m = draw(st.integers(-3, 3)) + j * math.log(draw(st.integers(1, 40)))
+    elif kind == "lattice":
+        # Partial sums of ln of integers: exact slope ties at integer r.
+        ln_m = np.cumsum(np.log(rng.integers(1, 30, size=j_max + 1).astype(float)))
+    else:
+        s = draw(st.sampled_from((1.0, 1.5, 2.0)))
+        ln_m = np.array([s * math.lgamma(k + 1) for k in range(j_max + 1)])
+    for k in draw(st.lists(st.integers(0, j_max), max_size=2)):
+        ln_m[k] = NEG_INF
+    profile = DerivativeNormProfile(dim=1, ln_m=tuple(ln_m.tolist()), j_max=j_max)
+    return profile, draw(st.integers(2, 400))
+
+
+class TestLegendreKernel:
+    """The hull kernel against the dense O(R J) scan, bit for bit."""
+
+    # Fully saturated profiles leave carleman_diagnostic's fits empty.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_cases())
+    @example((constant_profile(200), 400))
+    @example((factorial_profile(300), 400))
+    @example((constant_profile(2), 50))
+    def test_matches_dense_scan(self, case):
+        prof, r_max = case
+        j_max = prof.j_max
+        grid = range(1, r_max + 1)
+        math_ln_r = [math.log(r) for r in grid]
+        np_ln_r = np.log(np.arange(1.0, r_max + 1))
+        for start in (0, 3) if j_max >= 3 else (0,):
+            for ln_r in (math_ln_r, np_ln_r):
+                got, got_arg = _legendre(prof, ln_r, start, start)
+                want, want_arg = dense_log_tau(prof, ln_r, start)
+                assert np.array_equal(bits(got), bits(want))
+                assert np.array_equal(got_arg, want_arg)
+
+        want_tau, _ = dense_log_tau(prof, math_ln_r)
+        for r in (1, 2, r_max):
+            assert bits(log_tau(prof, r)) == bits(want_tau[r - 1])
+        if j_max >= 3:
+            want_shift, _ = dense_log_tau(prof, math_ln_r, 3)
+            for r in (1, 2, r_max):
+                assert bits(log_tau_shifted(prof, r)) == bits(want_shift[r - 1])
+            table = build_table(prof, grid)
+            assert np.array_equal(bits(table.ln_tau), bits(want_tau))
+            assert np.array_equal(bits(table.ln_tau_shifted), bits(want_shift))
+        else:
+            with pytest.raises(ValueError):
+                log_tau_shifted(prof, 2.0)
+            with pytest.raises(ValueError):
+                build_table(prof, grid)
+
+        for got, want in zip(_fold_weights(prof, r_max), dense_fold_weights(prof, r_max)):
+            assert np.array_equal(bits(got), bits(want))
+
+        if prof.is_degenerate():
+            assert log_tau(prof, 2.0) == NEG_INF
+            with pytest.raises(DegenerateProfileError):
+                t_m(prof, 3, 1)
+            return
+        report = carleman_diagnostic(prof, r_max)
+        want_grid, want_arg = dense_log_tau(prof, np.log(np.array(report.r_grid)))
+        assert np.array_equal(bits(report.neg_ln_tau), bits(-want_grid))
+        assert report.saturated == tuple(want_arg == j_max)
 
 
 class TestLemma:

@@ -12,6 +12,15 @@ def read_data_rows(path):
     return [ln for ln in lines if ln and not ln.startswith("#")]
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def read_strict_json(path):
+    """Parse a JSON artifact, refusing NaN, Infinity and -Infinity."""
+    return json.loads(Path(path).read_text(), parse_constant=_reject_constant)
+
+
 class TestNorms:
     def test_family_row_count(self, tmp_path):
         out = tmp_path / "out"
@@ -39,6 +48,14 @@ class TestNorms:
         for row in read_data_rows(out / "profile.csv")[1:]:
             j, ln_m = row.split(",")
             assert float(ln_m) == pytest.approx(int(j) * math.log(2), abs=1e-12)
+
+    def test_vanishing_norms_written_as_neg_inf(self, tmp_path):
+        coeffs = tmp_path / "const.jsonl"
+        coeffs.write_text('{"k": [0], "re": 1.0, "im": 0.0}\n')
+        out = tmp_path / "out"
+        code = main(["norms", "--input", str(coeffs), "--Jmax", "2", "--out", str(out)])
+        assert code == 0
+        assert read_data_rows(out / "profile.csv") == ["j,lnM", "0,0.0", "1,-inf", "2,-inf"]
 
     def test_duplicate_index_exits_2(self, tmp_path):
         coeffs = tmp_path / "dup.jsonl"
@@ -94,6 +111,35 @@ class TestTau:
         summary = json.loads((out / "tau_summary.json").read_text())
         assert math.isfinite(summary["r0_estimate"])
         assert summary["chain_violations"] == 0
+        # The echo keeps the --Jmax default; the profile family set J = 80.
+        assert summary["config"]["jmax"] == 24
+        assert summary["effective"] == {"j_max": 80, "dim": 1}
+
+    def test_infinite_r0_written_as_null(self, tmp_path):
+        out = tmp_path / "out"
+        args = ["--family", "profile:rule=factorial:s=1:Jmax=30", "--rmax", "2"]
+        assert main(["tau", *args, "--m", "2..4", "--out", str(out)]) == 0
+        assert read_strict_json(out / "tau_summary.json")["r0_estimate"] is None
+
+    def test_rmax_past_grid_cap_exits_4_and_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("QTORUS_GRID_CAP", "100")
+        out = tmp_path / "out"
+        code = main(
+            ["tau", "--family", "profile:rule=factorial:s=1:Jmax=30", "--rmax", "1000",
+             "--out", str(out)]
+        )
+        assert code == 4
+        assert not out.exists()
+
+    def test_m_range_past_grid_cap_exits_4(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("QTORUS_GRID_CAP", "100")
+        out = tmp_path / "out"
+        code = main(
+            ["verdict", "--family", "profile:rule=factorial:s=1:Jmax=30", "--m", "2..101",
+             "--out", str(out)]
+        )
+        assert code == 4
+        assert not out.exists()
 
     def test_degenerate_profile_exits_3(self, tmp_path):
         coeffs = tmp_path / "const.jsonl"
@@ -147,6 +193,18 @@ class TestVerdict:
         verdict = json.loads((out / "verdict.json").read_text())
         assert verdict["overall"] == "inconclusive"
         assert verdict["carleman"]["saturation_flag"] is True
+        assert verdict["effective"] == {"j_max": 200, "dim": 1}
+
+    def test_undefined_slope_written_as_null(self, tmp_path):
+        # Three m values leave too few points for the witness slope (NaN).
+        out = tmp_path / "out"
+        code = main(
+            ["verdict", "--family", "profile:rule=constant:Jmax=10", "--m", "2..4",
+             "--out", str(out)]
+        )
+        assert code == 0
+        verdict = read_strict_json(out / "verdict.json")
+        assert verdict["witness"]["slope_d_vs_log_m"] is None
 
 
 class TestInterp:
@@ -168,6 +226,7 @@ class TestInterp:
         assert code == 0
         report = json.loads((out / "interp_report.json").read_text())
         assert len(report["per_m"]) == 7
+        assert report["effective"] == {"j_max": 24, "dim": 1, "rescale": None}
         for entry in report["per_m"]:
             assert entry["grid_ok"] is True
             assert entry["max_grid_error"] < entry["tolerance"]
@@ -263,3 +322,6 @@ class TestInterp:
         report = json.loads((out / "interp_report.json").read_text())
         for entry in report["per_m"]:
             assert entry["t"] > 1.0
+        rescale = report["effective"]["rescale"]
+        assert rescale["normalized"] is True
+        assert 0.0 < rescale["scale"] < 1.0

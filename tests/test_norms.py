@@ -13,7 +13,6 @@ from qtorus import (
     fit_class_r,
     m_j,
     shift_profile,
-    write_profile_csv,
 )
 from helpers import compositions, random_series
 
@@ -218,16 +217,3 @@ class TestFitClassR:
         prof = build_profile(FourierSeries(1, {(1,): 1.0}), 4)
         with pytest.raises(ValueError):
             fit_class_r(prof, [0.0, 0.0])
-
-
-class TestProfileCsv:
-    def test_format_and_neg_inf(self, tmp_path):
-        prof = build_profile(FourierSeries(1, {(0,): 1.0}), 2)
-        path = tmp_path / "profile.csv"
-        write_profile_csv(prof, path, header_lines=["origin=test"])
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# origin=test"
-        assert lines[1] == "j,lnM"
-        assert lines[2] == "0,0.0"
-        assert lines[3] == "1,-inf"
-        assert len(lines) == 5
