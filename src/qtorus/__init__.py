@@ -16,9 +16,7 @@ from .series import (
     TorusPoint,
     eval_batch,
     eval_laurent,
-    eval_torus,
     grid_array,
-    grid_points,
     read_coefficients,
     truncate,
     write_coefficients,
@@ -62,7 +60,6 @@ from .interpolate import (
     augmented_interpolant,
     bound_audit,
     diagonal_fold,
-    eval_diagonal_poly,
     interpolation_audit,
     sample_annulus,
 )

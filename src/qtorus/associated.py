@@ -61,6 +61,9 @@ LN_HALF = math.log(0.5)
 #: Relative margin used when rescaling into the normalization M_3 < 1/2.
 CLASS_MARGIN = 1e-6
 
+#: Fewest unsaturated grid points a growth-model fit is made from.
+MIN_FIT_POINTS = 8
+
 #: Candidate window of the tau kernel, relative to the largest |term| a query
 #: can reach.  Rounding moves a float term by at most 2^-52 of that bound, so
 #: the window is 2^12 times wider than any rounding it has to absorb.
@@ -510,7 +513,7 @@ def _classify_structural(
     # normalization shift land in the intercept, so transients cannot flip
     # the fit the way they bend ln t_m itself at desk scale.
     keep = ~sat_full
-    if int(np.sum(keep)) >= 8:
+    if int(np.sum(keep)) >= MIN_FIT_POINTS:
         neg_ln_tau = w_full[keep] + 3.0 * np.log(r[keep])
         fit_lin, fit_sqrt, best = _pick_growth_model(
             r[keep], neg_ln_tau, config.fit_margin
@@ -545,15 +548,16 @@ class CarlemanReport:
     truncation artifact -ln tau ~ j_max ln r; they are excluded from the fits
     and a saturated fraction beyond the configured cutoff forces the verdict
     to "inconclusive".  Trend verdicts therefore require j_max comfortably
-    above the tau minimizer at r_max.
+    above the tau minimizer at r_max.  Fewer than ``MIN_FIT_POINTS``
+    unsaturated points leave both fits None.
     """
 
     r_grid: tuple
     neg_ln_tau: tuple
     saturated: tuple
     partial_integral: tuple
-    fit_linear: TrendFit
-    fit_sqrt: TrendFit
+    fit_linear: TrendFit | None
+    fit_sqrt: TrendFit | None
     saturated_fraction: float
     last_decade_increment: float
     verdict: str
@@ -593,11 +597,13 @@ def carleman_diagnostic(
     last_decade = float(partial[-1] - partial[min(cut, len(partial) - 1)])
 
     keep = ~saturated
-    fit_lin, fit_sqrt, best = _pick_growth_model(
-        grid[keep], neg[keep], config.fit_margin
-    )
+    fit_lin = fit_sqrt = best = None
+    if int(np.sum(keep)) >= MIN_FIT_POINTS:
+        fit_lin, fit_sqrt, best = _pick_growth_model(
+            grid[keep], neg[keep], config.fit_margin
+        )
 
-    if sat_fraction > config.saturation_fraction or int(np.sum(keep)) < 8:
+    if sat_fraction > config.saturation_fraction:
         verdict = "inconclusive"
     elif best == "linear":
         verdict = "quasianalytic-trend"

@@ -413,7 +413,12 @@ def cmd_interp(args: argparse.Namespace) -> int:
         out / "interp_report.json",
         {
             "config": _config_echo(args),
-            "effective": {**_effective(profile, n), "rescale": rescale},
+            "effective": {
+                **_effective(profile, n),
+                "n_modes": series.n_modes,
+                "support_radius": series.support_radius(),
+                "rescale": rescale,
+            },
             "per_m": reports,
         },
     )

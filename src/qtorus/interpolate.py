@@ -117,11 +117,6 @@ def diagonal_fold(series: FourierSeries, m: int) -> FoldResult:
     )
 
 
-def eval_diagonal_poly(fold: FoldResult, p: PolyPoint) -> complex:
-    """Evaluate the folded polynomial, each distinct monomial counted once."""
-    return eval_laurent(fold.series(), p)
-
-
 def alias_fold(series: FourierSeries, m: int) -> FourierSeries:
     """Residue fold: exponents rho in {0..m-1}^n, A_rho = sum_{k=rho mod m} c_k.
 
@@ -175,13 +170,21 @@ class AugmentedInterpolant:
         return self.z0.dim
 
     def eval(self, p: PolyPoint) -> complex:
-        factor = sum(zp**self.m for zp in p.z) - self.dim
-        return self.base.eval(p) + factor * self.correction
+        return complex(self.eval_batch(np.array([p.z], dtype=complex))[0])
 
     def eval_batch(self, points: np.ndarray) -> np.ndarray:
+        base_vals, corr_vals = self._parts(points)
+        return base_vals + corr_vals
+
+    def _parts(self, points: np.ndarray):
+        """(fold values, correction values) at each point."""
         z = np.asarray(points, dtype=complex)
-        factor = (z**self.m).sum(axis=1) - self.dim
-        return self.base.eval_batch(z) + factor * self.correction
+        return self.base.eval_batch(z), _grid_factor(z, self.m) * self.correction
+
+
+def _grid_factor(z: np.ndarray, m: int) -> np.ndarray:
+    """z_1^m + ... + z_n^m - n per row of an (N, n) array: zero on the m-grid."""
+    return (z**m).sum(axis=1) - z.shape[1]
 
 
 def _build_base(series: FourierSeries, m: int, engine: str):
@@ -202,7 +205,7 @@ def _augment(
         raise ValueError("z0 dimension mismatch")
     if not z0.on_torus():
         raise ValueError("z0 must lie on the torus (|z0_p| = 1)")
-    denom = sum(zp**base.m for zp in z0.z) - series.dim
+    denom = complex(_grid_factor(np.array([z0.z], dtype=complex), base.m)[0])
     if abs(denom) < DEGENERATE_Z0_TOL * series.dim:
         return AugmentedInterpolant(
             base=base, z0=z0, correction=0j, degenerate_z0=True
@@ -338,9 +341,7 @@ def bound_audit(
     rng = np.random.default_rng(seed)
     points = sample_annulus(SamplingAnnulus(dim=n, t=t), n_samples, rng)
 
-    base_vals = aug.base.eval_batch(points)
-    factor = (points**m).sum(axis=1) - n
-    corr_vals = factor * aug.correction
+    base_vals, corr_vals = aug._parts(points)
     lhs = base_vals + corr_vals
 
     lhs_max = float(np.max(np.abs(lhs)))

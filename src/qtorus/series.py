@@ -13,7 +13,6 @@ shared values are safe under unrestricted concurrent reads.
 from __future__ import annotations
 
 import cmath
-import itertools
 import json
 import math
 import os
@@ -34,6 +33,9 @@ DEFAULT_GRID_CAP = 10**6
 
 #: Environment variable overriding the grid-point cap.
 GRID_CAP_ENV = "QTORUS_GRID_CAP"
+
+#: Complex elements in one :func:`eval_batch` working block (points x modes).
+EVAL_BLOCK = 2**18
 
 
 class GridCapError(RuntimeError):
@@ -117,6 +119,14 @@ class FourierSeries:
         return np.array(list(self.coeffs.keys()), dtype=np.int64)
 
     @cached_property
+    def _exponent_tables(self) -> tuple:
+        """Per dimension p: (distinct k_p ascending, index of each mode's k_p)."""
+        return tuple(
+            np.unique(self._exponents[:, p], return_inverse=True)
+            for p in range(self.dim)
+        )
+
+    @cached_property
     def _values(self) -> np.ndarray:
         return np.array(list(self.coeffs.values()), dtype=complex)
 
@@ -183,54 +193,37 @@ class SamplingAnnulus:
             raise ValueError("t must be > 1")
 
 
-def eval_torus(series: FourierSeries, p: TorusPoint) -> complex:
-    """Evaluate sum_k c_k e^{i k.theta} over the finite support."""
-    if p.dim != series.dim:
-        raise ValueError(f"point dim {p.dim} != series dim {series.dim}")
-    total = 0j
-    for k, c in series.coeffs.items():
-        phase = sum(kp * tp for kp, tp in zip(k, p.theta))
-        total += c * cmath.exp(1j * phase)
-    return total
-
-
 def eval_laurent(series: FourierSeries, p: PolyPoint) -> complex:
-    """Evaluate sum_k c_k z_1^{k_1} ... z_n^{k_n}.
-
-    Agrees with :func:`eval_torus` when every |z_p| = 1.
-    """
-    if p.dim != series.dim:
-        raise ValueError(f"point dim {p.dim} != series dim {series.dim}")
-    total = 0j
-    for k, c in series.coeffs.items():
-        term = c
-        for kp, zp in zip(k, p.z):
-            term *= zp ** kp
-        total += term
-    return total
+    """sum_k c_k z_1^{k_1} ... z_n^{k_n} at one point: a one-row :func:`eval_batch`."""
+    return complex(eval_batch(series, np.array([p.z], dtype=complex))[0])
 
 
 def eval_batch(series: FourierSeries, points: np.ndarray) -> np.ndarray:
-    """Vectorized Laurent evaluation at many points.
+    """Laurent values at the rows of an (N, dim) array of nonzero components.
 
-    Parameters
-    ----------
-    points : ndarray of shape (N, dim), complex
-        Evaluation points; every component must be nonzero.
-
-    Returns
-    -------
-    ndarray of shape (N,), complex
+    Every evaluation in qtorus comes here.  Points go in chunks of
+    ``EVAL_BLOCK // n_modes`` rows (at least one), so a working array holds
+    at most max(:data:`EVAL_BLOCK`, n_modes) complex elements.  Per chunk,
+    each z_p is raised once to the distinct exponents of dimension p, every
+    mode gathers its factor from that table, the factors multiply in p
+    order, and one matvec with the coefficients sums the modes.
     """
     z = np.asarray(points, dtype=complex)
     if z.ndim != 2 or z.shape[1] != series.dim:
         raise ValueError(f"points must have shape (N, {series.dim})")
     if np.any(z == 0):
         raise ValueError("components must be nonzero")
+    out = np.zeros(z.shape[0], dtype=complex)
     if not series.coeffs:
-        return np.zeros(z.shape[0], dtype=complex)
-    powers = z[:, None, :] ** series._exponents[None, :, :]
-    return powers.prod(axis=2) @ series._values
+        return out
+    rows = max(1, EVAL_BLOCK // series.n_modes)
+    for start in range(0, z.shape[0], rows):
+        chunk = z[start : start + rows]
+        block = 1.0
+        for p, (distinct, inverse) in enumerate(series._exponent_tables):
+            block = block * (chunk[:, p, None] ** distinct)[:, inverse]
+        out[start : start + rows] = block @ series._values
+    return out
 
 
 def grid_cap(cap: int | None = None) -> int:
@@ -240,12 +233,12 @@ def grid_cap(cap: int | None = None) -> int:
     return int(os.environ.get(GRID_CAP_ENV, DEFAULT_GRID_CAP))
 
 
-def grid_points(n: int, m: int, cap: int | None = None) -> list[PolyPoint]:
+def grid_array(n: int, m: int, cap: int | None = None) -> np.ndarray:
     """The m^n interpolation nodes (e^{2 pi i l_1/m}, ..., e^{2 pi i l_n/m}).
 
-    Indices l run over 1 <= l_p <= m in lexicographic order.  Refuses with
-    :class:`GridCapError` when m^n exceeds the cap (default 10^6, overridable
-    via the QTORUS_GRID_CAP environment variable or the ``cap`` argument).
+    Rows of an (m^n, n) array, indices 1 <= l_p <= m in lexicographic order.
+    Refuses with :class:`GridCapError` when m^n exceeds the cap (default
+    10^6, overridable via QTORUS_GRID_CAP or the ``cap`` argument).
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
@@ -253,16 +246,8 @@ def grid_points(n: int, m: int, cap: int | None = None) -> list[PolyPoint]:
     limit = grid_cap(cap)
     if count > limit:
         raise GridCapError(f"grid needs {count} points, cap is {limit}")
-    points = []
-    for l in itertools.product(range(1, m + 1), repeat=n):
-        points.append(PolyPoint(tuple(cmath.exp(TWO_PI * 1j * lp / m) for lp in l)))
-    return points
-
-
-def grid_array(n: int, m: int, cap: int | None = None) -> np.ndarray:
-    """Same nodes as :func:`grid_points`, as an (m^n, n) complex array."""
-    pts = grid_points(n, m, cap=cap)
-    return np.array([p.z for p in pts], dtype=complex)
+    roots = np.array([cmath.exp(TWO_PI * 1j * l / m) for l in range(1, m + 1)])
+    return roots[np.indices((m,) * n).reshape(n, count).T]
 
 
 def truncate(series: FourierSeries, radius: int) -> FourierSeries:

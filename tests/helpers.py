@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import cmath
+import itertools
 import math
 
 import numpy as np
 
 from qtorus import FourierSeries, PolyPoint, TorusPoint
+from qtorus.series import TWO_PI
 
 
 def compositions(total: int, parts: int):
@@ -38,7 +41,11 @@ def random_torus_point(rng, dim) -> PolyPoint:
 
 
 def brute_eval(series: FourierSeries, z) -> complex:
-    """Direct complex-arithmetic evaluation, independent of the library path."""
+    """sum_k c_k z_1^{k_1} ... z_n^{k_n}, one Python term at a time.
+
+    The brute-force oracle for ``eval_batch`` and ``eval_laurent``: scalar
+    complex arithmetic, no power tables, no chunks.
+    """
     total = 0j
     for k, c in series.coeffs.items():
         term = c
@@ -46,6 +53,37 @@ def brute_eval(series: FourierSeries, z) -> complex:
             term *= zp ** kp
         total += term
     return total
+
+
+def brute_eval_scale(series: FourierSeries, z) -> float:
+    """sum_k |c_k| |z_1|^{k_1} ... |z_n|^{k_n}: the size of the terms brute_eval adds."""
+    return sum(
+        abs(c) * math.prod(abs(zp) ** kp for kp, zp in zip(k, z))
+        for k, c in series.coeffs.items()
+    )
+
+
+def torus_eval(series: FourierSeries, theta) -> complex:
+    """sum_k c_k e^{i k.theta} at the torus point with angles ``theta``."""
+    total = 0j
+    for k, c in series.coeffs.items():
+        total += c * cmath.exp(1j * sum(kp * tp for kp, tp in zip(k, theta)))
+    return total
+
+
+def grid_nodes(n: int, m: int) -> np.ndarray:
+    """The m^n roots-of-unity nodes, one cmath.exp per component.
+
+    Rows follow itertools.product over 1 <= l_p <= m (lexicographic order);
+    ``grid_array`` must match it bit for bit.
+    """
+    return np.array(
+        [
+            [cmath.exp(TWO_PI * 1j * lp / m) for lp in l]
+            for l in itertools.product(range(1, m + 1), repeat=n)
+        ],
+        dtype=complex,
+    ).reshape(m**n, n)
 
 
 def supporting_line_profile(weight, r_max, j_max, dim=1):

@@ -314,6 +314,15 @@ class TestCarleman:
         with pytest.raises(ValueError):
             carleman_diagnostic(factorial_profile(10), 1.5)
 
+    def test_fully_saturated_grid_fits_nothing(self):
+        # ln M_j - j ln r is smallest at j = j_max for every r >= 1, so no
+        # grid point is left to fit; the fits are None, not NaN-rmse zeros.
+        prof = DerivativeNormProfile(dim=1, ln_m=(2.0, 1.0, 0.0), j_max=2)
+        report = carleman_diagnostic(prof, 50)
+        assert all(report.saturated)
+        assert report.fit_linear is None and report.fit_sqrt is None
+        assert report.verdict == "inconclusive"
+
 
 def bits(values):
     """IEEE bit patterns, so -0.0 != 0.0 and equality is exact."""
@@ -347,8 +356,6 @@ def kernel_cases(draw):
 class TestLegendreKernel:
     """The hull kernel against the dense O(R J) scan, bit for bit."""
 
-    # Fully saturated profiles leave carleman_diagnostic's fits empty.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @settings(max_examples=150, deadline=None)
     @given(kernel_cases())
     @example((constant_profile(200), 400))

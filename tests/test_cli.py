@@ -226,7 +226,9 @@ class TestInterp:
         assert code == 0
         report = json.loads((out / "interp_report.json").read_text())
         assert len(report["per_m"]) == 7
-        assert report["effective"] == {"j_max": 24, "dim": 1, "rescale": None}
+        assert report["effective"] == {
+            "j_max": 24, "dim": 1, "n_modes": 41, "support_radius": 20, "rescale": None
+        }
         for entry in report["per_m"]:
             assert entry["grid_ok"] is True
             assert entry["max_grid_error"] < entry["tolerance"]
@@ -325,3 +327,20 @@ class TestInterp:
         rescale = report["effective"]["rescale"]
         assert rescale["normalized"] is True
         assert 0.0 < rescale["scale"] < 1.0
+
+    def test_effective_describes_the_rescaled_series(self, tmp_path):
+        # Under --tm the series is scaled by ~1/200, which takes the k = 2
+        # coefficient below the 1e-300 pruning threshold: the evaluated
+        # series has one mode of radius 1, not the two modes of the input.
+        coeffs = tmp_path / "f.jsonl"
+        coeffs.write_text(
+            '{"k": [1], "re": 100.0, "im": 0.0}\n{"k": [2], "re": 1.5e-300, "im": 0.0}\n'
+        )
+        common = ["interp", "--input", str(coeffs), "--m", "2..3", "--samples", "8"]
+        assert main([*common, "--out", str(tmp_path / "t")]) == 0
+        assert main([*common, "--tm", "--out", str(tmp_path / "tm")]) == 0
+        fixed = json.loads((tmp_path / "t" / "interp_report.json").read_text())
+        scaled = json.loads((tmp_path / "tm" / "interp_report.json").read_text())
+        assert (fixed["effective"]["n_modes"], fixed["effective"]["support_radius"]) == (2, 2)
+        assert (scaled["effective"]["n_modes"], scaled["effective"]["support_radius"]) == (1, 1)
+        assert scaled["effective"]["rescale"]["scale"] < 1e-2

@@ -1,8 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import qtorus.series as series_module
 from qtorus import (
     FourierSeries,
     GridCapError,
@@ -10,34 +14,43 @@ from qtorus import (
     TorusPoint,
     eval_batch,
     eval_laurent,
-    eval_torus,
     grid_array,
-    grid_points,
     read_coefficients,
     truncate,
     write_coefficients,
 )
-from helpers import brute_eval, random_series, random_torus_point
+from helpers import (
+    brute_eval,
+    brute_eval_scale,
+    grid_nodes,
+    random_series,
+    random_torus_point,
+    torus_eval,
+)
+
+
+def eval_at_angles(series, theta):
+    return eval_laurent(series, TorusPoint(theta).point())
 
 
 class TestEvalTorus:
     def test_constant_mode(self):
         s = FourierSeries(1, {(0,): 1.0})
-        assert eval_torus(s, TorusPoint((1.7,))) == pytest.approx(1.0 + 0j)
+        assert eval_at_angles(s, (1.7,)) == pytest.approx(1.0 + 0j)
 
     def test_single_mode_quarter_turn(self):
         s = FourierSeries(1, {(1,): 1.0})
-        assert eval_torus(s, TorusPoint((math.pi / 2,))) == pytest.approx(1j)
+        assert eval_at_angles(s, (math.pi / 2,)) == pytest.approx(1j)
 
     def test_two_dim_phase_cancellation(self):
         s = FourierSeries(2, {(1, -2): 2.0})
-        got = eval_torus(s, TorusPoint((math.pi, math.pi / 2)))
+        got = eval_at_angles(s, (math.pi, math.pi / 2))
         assert got == pytest.approx(2.0 + 0j)
 
     def test_dimension_mismatch(self):
         s = FourierSeries(2, {(1, 0): 1.0})
         with pytest.raises(ValueError):
-            eval_torus(s, TorusPoint((0.5,)))
+            eval_at_angles(s, (0.5,))
 
 
 class TestEvalLaurent:
@@ -64,7 +77,7 @@ class TestEvalLaurent:
             dim = int(rng.integers(1, 4))
             s = random_series(rng, dim, max_modes=50)
             p = TorusPoint(tuple(rng.uniform(0, 2 * math.pi, size=dim)))
-            a = eval_torus(s, p)
+            a = torus_eval(s, p.theta)
             b = eval_laurent(s, p.point())
             scale = 1.0 + abs(a)
             assert abs(a - b) / scale < 1e-12
@@ -82,6 +95,33 @@ class TestEvalLaurent:
             assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(rhs))
 
 
+@st.composite
+def eval_cases(draw):
+    """(series, points, block): a sparse series with negative exponents,
+    points on or off the torus, and a working block small enough that the
+    points span at least two chunks."""
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    radius = draw(st.sampled_from((2, 15, 130)))
+    n_modes = draw(st.integers(1, 40))
+    coeffs = {
+        tuple(int(x) for x in rng.integers(-radius, radius + 1, size=n)): complex(
+            *rng.normal(size=2)
+        )
+        for _ in range(n_modes)
+    }
+    series = FourierSeries(n, coeffs)
+    block = draw(st.integers(1, 64))
+    rows = max(1, block // max(series.n_modes, 1))
+    count = draw(st.integers(2 * rows, 2 * rows + 20))
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=(count, n))
+    if draw(st.booleans()):
+        moduli = np.ones((count, n))
+    else:
+        moduli = rng.uniform(0.5, 2.0, size=(count, n))
+    return series, moduli * np.exp(1j * phases), block
+
+
 class TestEvalBatch:
     def test_matches_pointwise(self):
         rng = np.random.default_rng(7)
@@ -93,54 +133,96 @@ class TestEvalBatch:
         for row, val in zip(pts, batch):
             assert abs(val - brute_eval(s, row)) < 1e-11 * (1 + abs(val))
 
+    @settings(max_examples=80, deadline=None)
+    @given(eval_cases())
+    @example((FourierSeries(2, {}), np.ones((3, 2), dtype=complex), 1))
+    @example((FourierSeries(1, {(-3,): 2.0, (0,): 1j, (4,): -1.0}), np.full((5, 1), 0.5 + 0j), 1))
+    def test_matches_brute_force(self, case):
+        series, points, block = case
+        with mock.patch.object(series_module, "EVAL_BLOCK", block):
+            got = eval_batch(series, points)
+        assert got.shape == (len(points),)
+        for row, val in zip(points, got):
+            scale = brute_eval_scale(series, row)
+            assert abs(val - brute_eval(series, row)) <= 1e-12 * scale
+
+    def test_chunk_boundaries_at_default_block(self):
+        # 1000 modes x 600 points spans three chunks of EVAL_BLOCK elements.
+        rng = np.random.default_rng(7)
+        s = random_series(rng, 2, max_modes=1000, radius=60)
+        s = s + FourierSeries(2, {(k, -k): 1.0 for k in range(-500, 500)})
+        pts = np.array([random_torus_point(rng, 2).z for _ in range(600)], dtype=complex)
+        rows = series_module.EVAL_BLOCK // s.n_modes
+        assert len(pts) > 2 * rows
+        batch = eval_batch(s, pts)
+        for i in (0, rows - 1, rows, 2 * rows - 1, 2 * rows, len(pts) - 1):
+            assert abs(batch[i] - brute_eval(s, pts[i])) <= 1e-12 * brute_eval_scale(s, pts[i])
+
     def test_empty_series(self):
         s = FourierSeries(1, {})
         assert np.all(eval_batch(s, np.ones((4, 1), dtype=complex)) == 0)
 
+    @pytest.mark.parametrize(
+        "points",
+        [
+            np.array([[1.0, 0.0]], dtype=complex),  # a zero component
+            np.ones(2, dtype=complex),  # not two-dimensional
+            np.ones((3, 1), dtype=complex),  # wrong dimension
+            np.ones((3, 3), dtype=complex),
+        ],
+    )
+    def test_rejects_bad_points(self, points):
+        s = FourierSeries(2, {(1, -1): 1.0})
+        with pytest.raises(ValueError):
+            eval_batch(s, points)
+
 
 class TestGridPoints:
+    """Roots-of-unity nodes from ``grid_array``."""
+
     def test_n1_m2(self):
-        pts = sorted(p.z[0].real for p in grid_points(1, 2))
-        assert pts == pytest.approx([-1.0, 1.0])
+        assert sorted(grid_array(1, 2)[:, 0].real) == pytest.approx([-1.0, 1.0])
 
     def test_n2_m1(self):
-        pts = grid_points(2, 1)
-        assert len(pts) == 1
-        assert pts[0].z == pytest.approx((1.0 + 0j, 1.0 + 0j))
+        nodes = grid_array(2, 1)
+        assert nodes.shape == (1, 2)
+        # l = m = 1 is e^{2 pi i}: 1 up to the rounding of 2 pi.
+        assert np.allclose(nodes, 1.0, rtol=0.0, atol=1e-15)
 
     def test_n2_m2_four_sign_points(self):
-        got = {
-            (round(p.z[0].real), round(p.z[1].real)) for p in grid_points(2, 2)
-        }
-        assert got == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
+        got = [(round(a.real), round(b.real)) for a, b in grid_array(2, 2)]
+        # Lexicographic in (l_1, l_2) with l_p = 1, 2: -1 before +1.
+        assert got == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
 
     def test_count_and_roots_of_unity(self):
         for n, m in [(1, 7), (2, 5), (3, 4)]:
-            pts = grid_points(n, m)
-            assert len(pts) == m**n
-            seen = set()
-            for p in pts:
-                key = tuple((round(z.real, 9), round(z.imag, 9)) for z in p.z)
-                assert key not in seen
-                seen.add(key)
-                for z in p.z:
-                    assert abs(z**m - 1.0) < 1e-12
+            nodes = grid_array(n, m)
+            assert nodes.shape == (m**n, n)
+            keys = {tuple((round(z.real, 9), round(z.imag, 9)) for z in row) for row in nodes}
+            assert len(keys) == m**n
+            assert np.max(np.abs(nodes**m - 1.0)) < 1e-12
 
     def test_cap_enforced(self):
         with pytest.raises(GridCapError):
-            grid_points(3, 8, cap=100)
+            grid_array(3, 8, cap=100)
+        assert grid_array(3, 8, cap=512).shape == (512, 3)
 
     def test_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("QTORUS_GRID_CAP", "10")
         with pytest.raises(GridCapError):
-            grid_points(2, 4)
+            grid_array(2, 4)
         monkeypatch.setenv("QTORUS_GRID_CAP", "16")
-        assert len(grid_points(2, 4)) == 16
+        assert len(grid_array(2, 4)) == 16
 
     def test_grid_array_order(self):
-        pts = grid_points(2, 3)
-        arr = grid_array(2, 3)
-        assert np.allclose(arr, np.array([p.z for p in pts]))
+        for n, max_m in ((1, 200), (2, 40), (3, 12)):
+            for m in range(1, max_m + 1):
+                assert grid_array(n, m).tobytes() == grid_nodes(n, m).tobytes(), (n, m)
+
+    def test_rejects_nonpositive_sizes(self):
+        for n, m in ((0, 3), (2, 0)):
+            with pytest.raises(ValueError):
+                grid_array(n, m)
 
 
 class TestTruncate:
