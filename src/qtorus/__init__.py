@@ -15,6 +15,7 @@ from .series import (
     SamplingAnnulus,
     TorusPoint,
     eval_batch,
+    eval_grid,
     eval_laurent,
     grid_array,
     read_coefficients,

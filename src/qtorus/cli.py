@@ -346,6 +346,7 @@ def cmd_interp(args: argparse.Namespace) -> int:
     m_grid = _parse_m_range(args.m)
     series = _load_series(args)
     n = series.dim
+    _check_grid_cap("--m", m_grid[-1] ** n)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     headers = _header_lines(args)
@@ -376,14 +377,7 @@ def cmd_interp(args: argparse.Namespace) -> int:
         audit = interpolation_audit(series, m, z0, engine=args.engine)
         t_val = t_for(m)
         bounds = bound_audit(
-            series,
-            profile,
-            m,
-            t_val,
-            z0,
-            n_samples=args.samples,
-            seed=args.seed,
-            engine=args.engine,
+            audit.interpolant, profile, t_val, n_samples=args.samples, seed=args.seed
         )
         reports.append(
             {
@@ -394,7 +388,7 @@ def cmd_interp(args: argparse.Namespace) -> int:
                 "z0_error": audit.z0_error,
                 "tolerance": audit.tolerance,
                 "grid_ok": audit.grid_ok,
-                "degenerate_z0": audit.degenerate_z0,
+                "degenerate_z0": audit.interpolant.degenerate_z0,
                 "uncovered_modes": [list(k) for k in audit.uncovered_modes],
                 "sup_augmented": bounds.lhs_max,
                 "empirical_cf": bounds.empirical_cf,

@@ -37,6 +37,7 @@ from .series import (
     PolyPoint,
     SamplingAnnulus,
     eval_batch,
+    eval_grid,
     eval_laurent,
     grid_array,
 )
@@ -82,37 +83,46 @@ def diagonal_fold(series: FourierSeries, m: int) -> FoldResult:
     Each slot (r, beta) sums c over target indices (b_p (r + m l_p))_p for
     l >= 0 componentwise; a target produced by several (r, beta, l) is
     counted once, at its first visit in (r, beta, l) order.
+
+    Each mode k is assigned directly, in O(K log K): it is reachable only
+    from r = |k_p| mod m (which must agree across p, so a zero component
+    forces r = 0), l_p = |k_p| // m and beta_p = sign(k_p).  A zero component
+    admits either sign; the first visit takes +1, and the 2^z - 1 other sign
+    choices on its z zero components are the skipped collisions.  Slot sums
+    and collisions follow the visit order: r, then beta in enumeration
+    order, then l lexicographic.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     n = series.dim
-    radius = series.support_radius()
     betas = _sign_vectors(n)
-    terms = {(r, beta): 0j for r in range(m) for beta in betas}
-    seen: set = set()
-    covered: set = set()
+    rank = {beta: i for i, beta in enumerate(betas)}
+    k = series._exponents
+    mag = np.abs(k)
+    r = mag[:, 0] % m
+    covered = np.flatnonzero(np.all(mag % m == r[:, None], axis=1))
+    k, r, l = k[covered], r[covered], mag[covered] // m
+    # Index of beta = sign(k) (+1 on zeros) in _sign_vectors order.
+    slot_beta = (k < 0) @ (1 << np.arange(n - 1, -1, -1))
+    order = np.lexsort((*l.T[::-1], slot_beta, r))
+    sums = np.zeros(m * len(betas), dtype=complex)
+    np.add.at(sums, (r * len(betas) + slot_beta)[order], series._values[covered][order])
+    slots = [(rr, beta) for rr in range(m) for beta in betas]
     collisions = []
-    for r in range(m):
-        max_l = (radius - r) // m if radius >= r else -1
-        if max_l < 0:
-            continue
-        for beta in betas:
-            for l in itertools.product(range(max_l + 1), repeat=n):
-                target = tuple(b * (r + m * lp) for b, lp in zip(beta, l))
-                c = series.coeffs.get(target)
-                if c is None:
-                    continue
-                if target in seen:
-                    collisions.append((r, beta, l))
-                    continue
-                seen.add(target)
-                covered.add(target)
-                terms[(r, beta)] += c
+    with_zero = np.any(k == 0, axis=1)
+    for kk, ll in zip(k[with_zero].tolist(), l[with_zero].tolist()):
+        zeros = [p for p, x in enumerate(kk) if x == 0]
+        beta = [-1 if x < 0 else 1 for x in kk]
+        for signs in itertools.islice(itertools.product((1, -1), repeat=len(zeros)), 1, None):
+            for p, b in zip(zeros, signs):
+                beta[p] = b
+            collisions.append((0, tuple(beta), tuple(ll)))
+    collisions.sort(key=lambda c: (rank[c[1]], c[2]))
     return FoldResult(
         m=m,
         dim=n,
-        terms=terms,
-        covered_modes=frozenset(covered),
+        terms=dict(zip(slots, sums.tolist())),
+        covered_modes=frozenset(map(tuple, k.tolist())),
         skipped_collisions=tuple(collisions),
     )
 
@@ -121,15 +131,15 @@ def alias_fold(series: FourierSeries, m: int) -> FourierSeries:
     """Residue fold: exponents rho in {0..m-1}^n, A_rho = sum_{k=rho mod m} c_k.
 
     The result agrees with the input series at every m-th roots-of-unity grid
-    point, for every dimension.
+    point, for every dimension.  Each residue sum adds its modes in index
+    order.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    folded: dict = {}
-    for k, c in series.coeffs.items():
-        rho = tuple(kp % m for kp in k)
-        folded[rho] = folded.get(rho, 0j) + c
-    return FourierSeries(series.dim, folded)
+    rho, slot = np.unique(series._exponents % m, axis=0, return_inverse=True)
+    sums = np.zeros(len(rho), dtype=complex)
+    np.add.at(sums, slot.reshape(-1), series._values)
+    return FourierSeries(series.dim, dict(zip(map(tuple, rho.tolist()), sums.tolist())))
 
 
 @dataclass(frozen=True)
@@ -236,17 +246,18 @@ def augmented_interpolant(
 class InterpolationAudit:
     """Max deviation of the augmented interpolant from the series.
 
-    ``tolerance`` is the alias-engine acceptance level 1e-9 * (1 + sum|c_k|);
-    ``grid_ok`` reports both errors against it.  ``uncovered_modes`` lists
-    the diagonal engine's unreachable indices (empty for alias).
+    ``interpolant`` is the augmented interpolant that was audited (its
+    ``m``, ``base.engine`` and ``degenerate_z0`` describe it), ready for
+    :func:`bound_audit`.  ``tolerance`` is the alias-engine acceptance level
+    1e-9 * (1 + sum|c_k|); ``grid_ok`` reports both errors against it.
+    ``uncovered_modes`` lists the diagonal engine's unreachable indices
+    (empty for alias).
     """
 
-    m: int
-    engine: str
+    interpolant: AugmentedInterpolant
     max_grid_error: float
     z0_error: float
     tolerance: float
-    degenerate_z0: bool
     uncovered_modes: tuple
 
     @property
@@ -261,22 +272,23 @@ def interpolation_audit(
     engine: str = "alias",
     cap: int | None = None,
 ) -> InterpolationAudit:
-    """Compare the augmented interpolant against the series on the full grid."""
+    """Compare the augmented interpolant against the series on the full grid.
+
+    Series and fold are evaluated on the grid by :func:`eval_grid`; the
+    correction's factor z_1^m + ... + z_n^m - n is taken at the
+    :func:`grid_array` nodes, so its rounding there is part of the error.
+    """
     base, uncovered = _build_base(series, m, engine)
     aug = _augment(series, base, z0)
     nodes = grid_array(series.dim, m, cap=cap)
-    f_vals = eval_batch(series, nodes)
-    l_vals = aug.eval_batch(nodes)
-    max_grid = float(np.max(np.abs(l_vals - f_vals))) if len(nodes) else 0.0
+    f_vals = eval_grid(series, m, cap=cap)
+    l_vals = eval_grid(base.base, m, cap=cap) + _grid_factor(nodes, m) * aug.correction
     z0_err = abs(aug.eval(z0) - eval_laurent(series, z0))
-    tol = 1e-9 * (1.0 + series.abs_sum())
     return InterpolationAudit(
-        m=m,
-        engine=engine,
-        max_grid_error=max_grid,
+        interpolant=aug,
+        max_grid_error=float(np.max(np.abs(l_vals - f_vals))),
         z0_error=float(z0_err),
-        tolerance=tol,
-        degenerate_z0=aug.degenerate_z0,
+        tolerance=1e-9 * (1.0 + series.abs_sum()),
         uncovered_modes=uncovered,
     )
 
@@ -319,29 +331,27 @@ class BoundAuditReport:
 
 
 def bound_audit(
-    series: FourierSeries,
+    interpolant: AugmentedInterpolant,
     profile: DerivativeNormProfile,
-    m: int,
     t: float,
-    z0: PolyPoint,
     n_samples: int = 256,
     seed: int = 7,
-    engine: str = "alias",
 ) -> BoundAuditReport:
     """Sample the polyannulus 1/t <= |z_p| <= t and audit the growth bounds.
 
-    The right-hand sides are evaluated by log-domain summation so large
-    t^{nr} factors cannot overflow; the sampling generator is seeded for
-    byte-reproducible reports.
+    ``interpolant`` is an augmented interpolant of the series whose profile
+    is given, from :func:`augmented_interpolant` or an
+    :class:`InterpolationAudit`.  The right-hand sides are evaluated by
+    log-domain summation so large t^{nr} factors cannot overflow; the
+    sampling generator is seeded for byte-reproducible reports.
     """
     if not t > 1.0:
         raise ValueError("t must be > 1")
-    n = series.dim
-    aug = augmented_interpolant(series, m, z0, engine=engine)
+    n, m = interpolant.dim, interpolant.m
     rng = np.random.default_rng(seed)
     points = sample_annulus(SamplingAnnulus(dim=n, t=t), n_samples, rng)
 
-    base_vals, corr_vals = aug._parts(points)
+    base_vals, corr_vals = interpolant._parts(points)
     lhs = base_vals + corr_vals
 
     lhs_max = float(np.max(np.abs(lhs)))
@@ -368,7 +378,7 @@ def bound_audit(
         m=m,
         dim=n,
         t=float(t),
-        engine=engine,
+        engine=interpolant.base.engine,
         seed=seed,
         n_samples=n_samples,
         lhs_max=lhs_max,
@@ -380,5 +390,5 @@ def bound_audit(
         empirical_cf=ratio(lhs_max, ln_rhs_growth),
         empirical_c1=ratio(base_max, ln_rhs_base),
         empirical_c2=ratio(corr_max, ln_rhs_correction),
-        degenerate_z0=aug.degenerate_z0,
+        degenerate_z0=interpolant.degenerate_z0,
     )

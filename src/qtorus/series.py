@@ -34,7 +34,8 @@ DEFAULT_GRID_CAP = 10**6
 #: Environment variable overriding the grid-point cap.
 GRID_CAP_ENV = "QTORUS_GRID_CAP"
 
-#: Complex elements in one :func:`eval_batch` working block (points x modes).
+#: Complex elements in one working block of :func:`eval_batch` (points x
+#: modes) and of :func:`eval_grid` (rows x grid points of one level).
 EVAL_BLOCK = 2**18
 
 
@@ -201,7 +202,8 @@ def eval_laurent(series: FourierSeries, p: PolyPoint) -> complex:
 def eval_batch(series: FourierSeries, points: np.ndarray) -> np.ndarray:
     """Laurent values at the rows of an (N, dim) array of nonzero components.
 
-    Every evaluation in qtorus comes here.  Points go in chunks of
+    The evaluator for arbitrary points; values on the roots-of-unity grid
+    come from :func:`eval_grid` instead.  Points go in chunks of
     ``EVAL_BLOCK // n_modes`` rows (at least one), so a working array holds
     at most max(:data:`EVAL_BLOCK`, n_modes) complex elements.  Per chunk,
     each z_p is raised once to the distinct exponents of dimension p, every
@@ -233,6 +235,22 @@ def grid_cap(cap: int | None = None) -> int:
     return int(os.environ.get(GRID_CAP_ENV, DEFAULT_GRID_CAP))
 
 
+def _grid_size(n: int, m: int, cap: int | None) -> int:
+    """m^n, refusing with :class:`GridCapError` when it exceeds the cap."""
+    if n < 1 or m < 1:
+        raise ValueError("n and m must be >= 1")
+    count = m ** n
+    limit = grid_cap(cap)
+    if count > limit:
+        raise GridCapError(f"grid needs {count} points, cap is {limit}")
+    return count
+
+
+def _roots(m: int) -> np.ndarray:
+    """e^{2 pi i r/m} for r = 0..m, one cmath.exp each."""
+    return np.array([cmath.exp(TWO_PI * 1j * r / m) for r in range(m + 1)])
+
+
 def grid_array(n: int, m: int, cap: int | None = None) -> np.ndarray:
     """The m^n interpolation nodes (e^{2 pi i l_1/m}, ..., e^{2 pi i l_n/m}).
 
@@ -240,14 +258,53 @@ def grid_array(n: int, m: int, cap: int | None = None) -> np.ndarray:
     Refuses with :class:`GridCapError` when m^n exceeds the cap (default
     10^6, overridable via QTORUS_GRID_CAP or the ``cap`` argument).
     """
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be >= 1")
-    count = m ** n
-    limit = grid_cap(cap)
-    if count > limit:
-        raise GridCapError(f"grid needs {count} points, cap is {limit}")
-    roots = np.array([cmath.exp(TWO_PI * 1j * l / m) for l in range(1, m + 1)])
-    return roots[np.indices((m,) * n).reshape(n, count).T]
+    count = _grid_size(n, m, cap)
+    return _roots(m)[1:][np.indices((m,) * n).reshape(n, count).T]
+
+
+def eval_grid(series: FourierSeries, m: int, cap: int | None = None) -> np.ndarray:
+    """Values at the ``grid_array(series.dim, m)`` nodes, in that order.
+
+    At the node with indices l, a mode's factor in dimension p is
+    w^{l_p k_p} = w^{(l_p k_p) mod m}, w = e^{2 pi i/m}, read from one table
+    of w^r, r = 0..m-1: integer arithmetic, no complex power.  The sum
+    factorises dimension by dimension (sum factorisation; Orszag,
+    J. Comput. Phys. 37, 1980) and is contracted from the last dimension to
+    the first.  After contracting dimension p, the rows that share a
+    residue prefix (k_1, ..., k_{p-1}) mod m are merged, so the level holds
+    at most m^(p-1) rows of m^(n-p+1) partial sums: at most m^n complex
+    elements.  Rows are contracted in blocks of at most
+    max(:data:`EVAL_BLOCK`, m^(n-p+1)) elements, so the working memory is
+    bounded by the n_modes input plus a few arrays of max(EVAL_BLOCK, m^n)
+    complex elements, whatever the number of modes.  Refuses with
+    :class:`GridCapError` exactly as :func:`grid_array` does.
+    """
+    count = _grid_size(series.dim, m, cap)
+    if not series.coeffs:
+        return np.zeros(count, dtype=complex)
+    roots = _roots(m)[:m]
+    l = np.arange(1, m + 1)
+    residues = series._exponents % m
+    order = np.lexsort(residues.T[::-1])
+    keys = residues[order]
+    sums = series._values[order][:, None]
+    for p in range(series.dim - 1, -1, -1):
+        # Sorted rows: each residue prefix keys[:, :p] is one contiguous group.
+        new_group = np.any(keys[1:, :p] != keys[:-1, :p], axis=1)
+        group = np.concatenate(([0], np.cumsum(new_group)))
+        width = m * sums.shape[1]
+        merged = np.zeros((group[-1] + 1, width), dtype=complex)
+        rows = max(1, EVAL_BLOCK // width)
+        for start in range(0, len(keys), rows):
+            stop = start + rows
+            factor = roots[(keys[start:stop, p, None] * l) % m]
+            block = (factor[:, :, None] * sums[start:stop, None, :]).reshape(-1, width)
+            g = group[start:stop]
+            heads = np.flatnonzero(np.concatenate(([True], g[1:] != g[:-1])))
+            merged[g[heads]] += np.add.reduceat(block, heads, axis=0)
+        keys = keys[np.concatenate(([True], new_group))]
+        sums = merged
+    return sums[0]
 
 
 def truncate(series: FourierSeries, radius: int) -> FourierSeries:

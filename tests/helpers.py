@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from qtorus import FourierSeries, PolyPoint, TorusPoint
+from qtorus import FoldResult, FourierSeries, PolyPoint, TorusPoint
 from qtorus.series import TWO_PI
 
 
@@ -84,6 +84,56 @@ def grid_nodes(n: int, m: int) -> np.ndarray:
         ],
         dtype=complex,
     ).reshape(m**n, n)
+
+
+def loop_diagonal_fold(series: FourierSeries, m: int) -> FoldResult:
+    """The diagonal fold by visiting every slot target in (r, beta, l) order.
+
+    The oracle for ``diagonal_fold``: for each r, each sign vector beta
+    (+1 before -1) and each l >= 0 (lexicographic), the target index
+    (b_p (r + m l_p))_p absorbs its coefficient at its first visit; later
+    visits are recorded as skipped collisions.
+    """
+    n = series.dim
+    radius = series.support_radius()
+    betas = list(itertools.product((1, -1), repeat=n))
+    terms = {(r, beta): 0j for r in range(m) for beta in betas}
+    seen: set = set()
+    collisions = []
+    for r in range(m):
+        max_l = (radius - r) // m if radius >= r else -1
+        if max_l < 0:
+            continue
+        for beta in betas:
+            for l in itertools.product(range(max_l + 1), repeat=n):
+                target = tuple(b * (r + m * lp) for b, lp in zip(beta, l))
+                c = series.coeffs.get(target)
+                if c is None:
+                    continue
+                if target in seen:
+                    collisions.append((r, beta, l))
+                    continue
+                seen.add(target)
+                terms[(r, beta)] += c
+    return FoldResult(
+        m=m,
+        dim=n,
+        terms=terms,
+        covered_modes=frozenset(seen),
+        skipped_collisions=tuple(collisions),
+    )
+
+
+def loop_alias_fold(series: FourierSeries, m: int) -> FourierSeries:
+    """A_rho = sum_{k = rho mod m} c_k, adding the modes one at a time in index order.
+
+    The oracle for ``alias_fold``.
+    """
+    folded: dict = {}
+    for k, c in series.coeffs.items():
+        rho = tuple(kp % m for kp in k)
+        folded[rho] = folded.get(rho, 0j) + c
+    return FourierSeries(series.dim, folded)
 
 
 def supporting_line_profile(weight, r_max, j_max, dim=1):

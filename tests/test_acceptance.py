@@ -214,8 +214,8 @@ def test_c08_boundedness_on_shrinking_annuli():
         ln_t = q.t_m(profile, m, 1)
         assert ln_t > 0.0  # D(t_m) is a genuine annulus after rescaling
         report = q.bound_audit(
-            series, profile, m, math.exp(ln_t), z0,
-            n_samples=512, seed=SEED, engine="diagonal",
+            q.augmented_interpolant(series, m, z0, engine="diagonal"),
+            profile, math.exp(ln_t), n_samples=512, seed=SEED,
         )
         sups.append(report.lhs_max)
 

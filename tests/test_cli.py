@@ -1,9 +1,11 @@
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import qtorus.interpolate as interpolate_module
 from qtorus.cli import main
 
 
@@ -301,6 +303,38 @@ class TestInterp:
             ]
         )
         assert code == 4
+
+    def test_grid_past_cap_in_dimension_exits_4_and_writes_nothing(self, tmp_path, monkeypatch):
+        # 101 is below the cap, 101^3 = 1030301 grid points are not: refused
+        # once the series is loaded, before any audit runs or --out exists.
+        monkeypatch.delenv("QTORUS_GRID_CAP", raising=False)
+        coeffs = tmp_path / "f.jsonl"
+        coeffs.write_text('{"k": [1, 2, 3], "re": 1.0, "im": 0.0}\n')
+        audits = []
+        monkeypatch.setattr(interpolate_module, "_build_base", lambda *a: audits.append(a))
+        out = tmp_path / "out"
+        code = main(["interp", "--input", str(coeffs), "--m", "2..101", "--out", str(out)])
+        assert code == 4
+        assert audits == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("engine", ["alias", "diagonal"])
+    def test_each_fold_built_once(self, tmp_path, monkeypatch, engine):
+        calls = Counter()
+        for name in ("alias_fold", "diagonal_fold"):
+            fold = getattr(interpolate_module, name)
+
+            def counted(series, m, _fold=fold, _name=name):
+                calls[_name, m] += 1
+                return _fold(series, m)
+
+            monkeypatch.setattr(interpolate_module, name, counted)
+        code = main(
+            ["interp", "--family", "analytic:a=1:K=12", "--n", "2", "--engine", engine,
+             "--m", "2..5", "--samples", "8", "--out", str(tmp_path / "out")]
+        )
+        assert code == 0
+        assert calls == {(f"{engine}_fold", m): 1 for m in range(2, 6)}
 
     def test_tm_mode_runs_on_rescaled_series(self, tmp_path):
         out = tmp_path / "out"

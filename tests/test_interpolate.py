@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qtorus import (
     FourierSeries,
@@ -18,7 +20,29 @@ from qtorus import (
     interpolation_audit,
 )
 from qtorus.interpolate import _grid_factor
-from helpers import random_series, random_torus_point
+from helpers import loop_alias_fold, loop_diagonal_fold, random_series, random_torus_point
+
+
+@st.composite
+def fold_cases(draw):
+    """(series, m): small exponents, so zero components, shared residues and
+    sign-ambiguous targets are common; coefficients of very different sizes,
+    so a different summation order changes the sums' bits."""
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    radius = draw(st.sampled_from((1, 3, 12)))
+    coeffs = {
+        tuple(int(x) for x in rng.integers(-radius, radius + 1, size=n)): complex(
+            *rng.normal(size=2)
+        ) * 10.0 ** rng.uniform(-8, 8)
+        for _ in range(draw(st.integers(0, 40)))
+    }
+    return FourierSeries(n, coeffs), draw(st.integers(1, 9))
+
+
+def bits(mapping):
+    """Each complex value as the hex of its parts: equal only if bit-identical."""
+    return {k: (c.real.hex(), c.imag.hex()) for k, c in mapping.items()}
 
 
 class TestDiagonalFold:
@@ -86,6 +110,28 @@ class TestDiagonalFold:
                 r = max(magnitudes)
                 assert magnitudes <= {0, r}
                 assert 0 <= r <= m - 1
+
+
+class TestFoldOracles:
+    @settings(max_examples=150, deadline=None)
+    @given(fold_cases())
+    @example((FourierSeries(3, {}), 2))
+    @example((FourierSeries(3, {(0, 0, 0): 1.0, (0, -2, 0): 2.0, (4, 0, -2): 3.0}), 2))
+    def test_diagonal_fold_matches_visit_loop(self, case):
+        series, m = case
+        got, want = diagonal_fold(series, m), loop_diagonal_fold(series, m)
+        assert list(got.terms) == list(want.terms)
+        assert bits(got.terms) == bits(want.terms)
+        assert got.covered_modes == want.covered_modes
+        assert got.skipped_collisions == want.skipped_collisions
+
+    @settings(max_examples=100, deadline=None)
+    @given(fold_cases())
+    def test_alias_fold_matches_mode_loop(self, case):
+        series, m = case
+        got, want = alias_fold(series, m), loop_alias_fold(series, m)
+        assert list(got.coeffs) == list(want.coeffs)
+        assert bits(got.coeffs) == bits(want.coeffs)
 
 
 class TestEvalDiagonalPoly:
@@ -254,7 +300,7 @@ class TestBoundAudit:
         z0 = PolyPoint((cmath.exp(0.7j),))
         sup_cf = 0.0
         for m in range(2, 33):
-            report = bound_audit(s, prof, m, 1.5, z0, n_samples=64, seed=11)
+            report = bound_audit(augmented_interpolant(s, m, z0), prof, 1.5, n_samples=64, seed=11)
             assert math.isfinite(report.empirical_cf) and report.empirical_cf >= 0
             sup_cf = max(sup_cf, report.empirical_cf)
         assert 0 < sup_cf < 10.0
@@ -264,7 +310,7 @@ class TestBoundAudit:
         s = random_series(rng, 1, max_modes=10, radius=5)
         prof = self._profile(s)
         z0 = random_torus_point(rng, 1)
-        report = bound_audit(s, prof, 4, 1.0001, z0, n_samples=64, seed=3)
+        report = bound_audit(augmented_interpolant(s, 4, z0), prof, 1.0001, n_samples=64, seed=3)
         # Near the torus the sup cannot exceed sum|c_k| by much.
         assert report.lhs_max <= 2.0 * (1.0 + s.abs_sum())
         assert math.isfinite(report.empirical_cf)
@@ -274,11 +320,11 @@ class TestBoundAudit:
         s = random_series(rng, 2, max_modes=12, radius=4)
         prof = build_profile(s, 8)
         z0 = random_torus_point(rng, 2)
-        a = bound_audit(s, prof, 3, 1.3, z0, n_samples=128, seed=5)
-        b = bound_audit(s, prof, 3, 1.3, z0, n_samples=128, seed=5)
+        a = bound_audit(augmented_interpolant(s, 3, z0), prof, 1.3, n_samples=128, seed=5)
+        b = bound_audit(augmented_interpolant(s, 3, z0), prof, 1.3, n_samples=128, seed=5)
         assert a == b
 
     def test_t_must_exceed_one(self):
         s = FourierSeries(1, {(1,): 1.0})
         with pytest.raises(ValueError):
-            bound_audit(s, self._profile(s), 2, 1.0, PolyPoint((1j,)))
+            bound_audit(augmented_interpolant(s, 2, PolyPoint((1j,))), self._profile(s), 1.0)

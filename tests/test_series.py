@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -13,6 +14,7 @@ from qtorus import (
     PolyPoint,
     TorusPoint,
     eval_batch,
+    eval_grid,
     eval_laurent,
     grid_array,
     read_coefficients,
@@ -175,6 +177,70 @@ class TestEvalBatch:
         s = FourierSeries(2, {(1, -1): 1.0})
         with pytest.raises(ValueError):
             eval_batch(s, points)
+
+
+@st.composite
+def grid_cases(draw):
+    """(series, m, block): a sparse series with negative exponents, a grid
+    order and a working block small enough that each level spans several
+    row blocks."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    radius = draw(st.sampled_from((2, 15, 130)))
+    coeffs = {
+        tuple(int(x) for x in rng.integers(-radius, radius + 1, size=n)): complex(
+            *rng.normal(size=2)
+        )
+        for _ in range(draw(st.integers(1, 30)))
+    }
+    return FourierSeries(n, coeffs), m, draw(st.integers(1, 64))
+
+
+class TestEvalGrid:
+    @settings(max_examples=100, deadline=None)
+    @given(grid_cases())
+    @example((FourierSeries(2, {}), 3, 1))
+    @example((FourierSeries(3, {(-4, 0, 7): 2.0, (1, 1, 1): 1j, (0, 0, 0): -1.0}), 1, 1))
+    def test_matches_brute_force(self, case):
+        series, m, block = case
+        with mock.patch.object(series_module, "EVAL_BLOCK", block):
+            got = eval_grid(series, m)
+        nodes = grid_nodes(series.dim, m)
+        assert got.shape == (len(nodes),)
+        want = np.array([brute_eval(series, z) for z in nodes])
+        assert np.max(np.abs(got - want)) <= 1e-12 * series.abs_sum()
+
+    def test_levels_bounded_by_grid_not_modes(self):
+        # 3000 modes with distinct k_1 but only m = 64 residues of k_1: the
+        # level after contracting k_2 holds at most 64 x 64 partial sums.
+        # Merging by raw prefix instead would hold 3000 x 64 (3 MB).
+        rng = np.random.default_rng(11)
+        k1 = rng.choice(np.arange(-3000, 3001), size=3000, replace=False)
+        k2 = rng.integers(-50, 51, size=3000)
+        s = FourierSeries(2, {(int(a), int(b)): 1.0 for a, b in zip(k1, k2)})
+        s._exponents, s._values  # cached inputs are not working memory
+        m, block = 64, 64
+        with mock.patch.object(series_module, "EVAL_BLOCK", block):
+            tracemalloc.start()
+            try:
+                eval_grid(s, m)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # Per-mode index arrays plus a few arrays of max(block, m^n) elements.
+        assert peak < 200 * s.n_modes + 8 * 16 * max(block, m**2)
+
+    def test_cap_enforced_like_grid_array(self, monkeypatch):
+        s = FourierSeries(2, {(1, -1): 1.0})
+        with pytest.raises(GridCapError):
+            eval_grid(s, 11, cap=100)
+        monkeypatch.setenv("QTORUS_GRID_CAP", "99")
+        with pytest.raises(GridCapError):
+            eval_grid(s, 10)
+        assert eval_grid(s, 10, cap=100).shape == (100,)
+        with pytest.raises(ValueError):
+            eval_grid(s, 0)
 
 
 class TestGridPoints:
