@@ -119,18 +119,29 @@ def _lower_hull(a: list) -> tuple[list, list]:
     return hull, slopes
 
 
-def _hull_argmin(a: np.ndarray, x: np.ndarray, off: int) -> np.ndarray:
+def _profile_hull(profile: DerivativeNormProfile, start: int):
+    """(vertices, edge slopes) of the lower hull of the points (j - start, ln M_j), j >= start.
+
+    Built once per profile and ``start`` and kept on the profile.
+    """
+    hull = profile._hulls.get(start)
+    if hull is None:
+        vertices, slopes = _lower_hull(list(profile.ln_m[start:]))
+        hull = (np.asarray(vertices, dtype=np.int64), np.asarray(slopes, dtype=float))
+        profile._hulls[start] = hull
+    return hull
+
+
+def _hull_argmin(a: np.ndarray, hull: np.ndarray, slopes: np.ndarray, x: np.ndarray, off: int):
     """First argmin over i of the float term a[i] - (i - off) * x, for each x.
 
-    ``a`` is finite.  Candidates are the points within ``delta`` of the hull
-    on the edges whose slope lies within ``delta`` of x (see the module
-    docstring); usually that is the one hull vertex of x.
+    ``a`` is finite, with lower hull ``hull`` and edge slopes ``slopes``
+    from :func:`_lower_hull`.  Candidates are the points within ``delta``
+    of the hull on the edges whose slope lies within ``delta`` of x (see
+    the module docstring); usually that is the one hull vertex of x.
     """
     if a.size == 1 or x.size == 0:
         return np.zeros(x.shape, dtype=np.int64)
-    hull_list, slopes_list = _lower_hull(a.tolist())
-    hull = np.asarray(hull_list, dtype=np.int64)
-    slopes = np.asarray(slopes_list, dtype=float)
     scale = float(np.max(np.abs(a))) + (a.size + abs(off)) * float(np.max(np.abs(x))) + 1.0
     delta = _SLACK * scale
 
@@ -173,7 +184,7 @@ def _legendre(profile: DerivativeNormProfile, ln_r, start: int = 0, offset: int 
     if vanishing.size:
         arg = np.full(ln_r.shape, vanishing[0], dtype=np.int64)
     else:
-        arg = _hull_argmin(tail, ln_r, offset - start)
+        arg = _hull_argmin(tail, *_profile_hull(profile, start), ln_r, offset - start)
     arg = arg + start
     return ln_m[arg] - (arg - offset) * ln_r, arg
 

@@ -21,9 +21,7 @@ import argparse
 import cmath
 import json
 import math
-import os
 import sys
-import tempfile
 from pathlib import Path
 
 from . import __version__
@@ -45,20 +43,14 @@ from .families import (
 )
 from .interpolate import bound_audit, interpolation_audit
 from .norms import build_profile
-from .series import FourierSeries, GridCapError, PolyPoint, grid_cap, read_coefficients
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+from .series import (
+    FourierSeries,
+    GridCapError,
+    PolyPoint,
+    _atomic_write,
+    grid_cap,
+    read_coefficients,
+)
 
 
 def _config_echo(args: argparse.Namespace) -> dict:

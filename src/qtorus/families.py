@@ -12,9 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .logspace import NEG_INF
 from .norms import DerivativeNormProfile, build_profile, m_j
-from .series import FourierSeries, read_coefficients
+from .series import FourierSeries, GridCapError, grid_cap, read_coefficients
 
 _KINDS = ("analytic", "gevrey", "profile", "file")
 _RULES = ("factorial", "constant")
@@ -65,28 +67,31 @@ class FamilySpec:
                 raise ValueError("file family needs a path")
 
 
-def _l1_ball(dim: int, radius: int):
-    # Iterate the sup-norm box; the coefficient depends on |k|_1 only.
-    import itertools
-
-    return itertools.product(range(-radius, radius + 1), repeat=dim)
-
-
 def gen_series(spec: FamilySpec) -> FourierSeries:
-    """Deterministically generate the family's coefficient spectrum."""
+    """Deterministically generate the family's coefficient spectrum.
+
+    The (2K+1)^n modes of the sup-norm box |k_p| <= K, in index order.  A
+    coefficient depends on |k|_1 only, so each of the n K + 1 distinct
+    values is computed once and gathered.  A box of more modes than
+    :func:`grid_cap` raises :class:`GridCapError` before anything is
+    allocated.
+    """
     if spec.kind == "file":
         return read_coefficients(spec.path)
     if spec.kind == "profile":
         raise ValueError("profile families have no spectrum; use gen_profile")
-    coeffs = {}
-    for k in _l1_ball(spec.dim, spec.radius):
-        l1 = sum(abs(x) for x in k)
-        if spec.kind == "analytic":
-            value = math.exp(-spec.decay * l1)
-        else:  # gevrey
-            value = math.exp(-float(l1) ** (1.0 / spec.exponent))
-        coeffs[k] = value
-    return FourierSeries(spec.dim, coeffs)
+    n, radius = spec.dim, spec.radius
+    side = 2 * radius + 1
+    count = side**n
+    limit = grid_cap()
+    if count > limit:
+        raise GridCapError(f"family spectrum needs {count} modes, cap is {limit}")
+    if spec.kind == "analytic":
+        by_l1 = [math.exp(-spec.decay * l1) for l1 in range(n * radius + 1)]
+    else:  # gevrey
+        by_l1 = [math.exp(-float(l1) ** (1.0 / spec.exponent)) for l1 in range(n * radius + 1)]
+    k = np.indices((side,) * n).reshape(n, count).T - radius
+    return FourierSeries.from_arrays(n, k, np.array(by_l1)[np.abs(k).sum(axis=1)])
 
 
 def gen_profile(spec: FamilySpec) -> DerivativeNormProfile:
@@ -115,7 +120,7 @@ def rescale_to_class(series: FourierSeries) -> RescaleResult:
     derivatives vanish identically (ln M_3 = -inf, e.g. constants) has
     nothing to normalize and is returned unchanged with ``normalized=False``.
     """
-    if not series.coeffs:
+    if not series.n_modes:
         raise ValueError("cannot rescale the zero series")
     ln_m3 = m_j(series, 3)
     if ln_m3 == NEG_INF:

@@ -36,6 +36,7 @@ from .series import (
     FourierSeries,
     PolyPoint,
     SamplingAnnulus,
+    _summed,
     eval_batch,
     eval_grid,
     eval_laurent,
@@ -63,12 +64,14 @@ class FoldResult:
     skipped_collisions: tuple
 
     def series(self) -> FourierSeries:
-        """The fold as a Laurent series, one monomial per distinct exponent."""
-        grouped: dict = {}
-        for (r, beta), a in self.terms.items():
-            expo = tuple(b * r for b in beta)
-            grouped[expo] = grouped.get(expo, 0j) + a
-        return FourierSeries(self.dim, grouped)
+        """The fold as a Laurent series, one monomial per distinct exponent.
+
+        Slots sharing an exponent b r (r = 0, say) add in slot order.
+        """
+        r = np.array([r for r, _ in self.terms])
+        beta = np.array([beta for _, beta in self.terms]).reshape(-1, self.dim)
+        values = np.fromiter(self.terms.values(), dtype=complex, count=len(self.terms))
+        return _summed(self.dim, beta * r[:, None], values)
 
 
 def _sign_vectors(n: int):
@@ -97,11 +100,10 @@ def diagonal_fold(series: FourierSeries, m: int) -> FoldResult:
     n = series.dim
     betas = _sign_vectors(n)
     rank = {beta: i for i, beta in enumerate(betas)}
-    k = series._exponents
+    covered = _diagonal_reach(series._exponents, m)
+    k = series._exponents[covered]
     mag = np.abs(k)
-    r = mag[:, 0] % m
-    covered = np.flatnonzero(np.all(mag % m == r[:, None], axis=1))
-    k, r, l = k[covered], r[covered], mag[covered] // m
+    r, l = mag[:, 0] % m, mag // m
     # Index of beta = sign(k) (+1 on zeros) in _sign_vectors order.
     slot_beta = (k < 0) @ (1 << np.arange(n - 1, -1, -1))
     order = np.lexsort((*l.T[::-1], slot_beta, r))
@@ -127,6 +129,12 @@ def diagonal_fold(series: FourierSeries, m: int) -> FoldResult:
     )
 
 
+def _diagonal_reach(k: np.ndarray, m: int) -> np.ndarray:
+    """Which index rows the diagonal fold reaches: |k_p| mod m equal for all p."""
+    mag = np.abs(k)
+    return np.all(mag % m == mag[:, :1] % m, axis=1)
+
+
 def alias_fold(series: FourierSeries, m: int) -> FourierSeries:
     """Residue fold: exponents rho in {0..m-1}^n, A_rho = sum_{k=rho mod m} c_k.
 
@@ -136,10 +144,7 @@ def alias_fold(series: FourierSeries, m: int) -> FourierSeries:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    rho, slot = np.unique(series._exponents % m, axis=0, return_inverse=True)
-    sums = np.zeros(len(rho), dtype=complex)
-    np.add.at(sums, slot.reshape(-1), series._values)
-    return FourierSeries(series.dim, dict(zip(map(tuple, rho.tolist()), sums.tolist())))
+    return _summed(series.dim, series._exponents % m, series._values)
 
 
 @dataclass(frozen=True)
@@ -200,7 +205,8 @@ def _grid_factor(z: np.ndarray, m: int) -> np.ndarray:
 def _build_base(series: FourierSeries, m: int, engine: str):
     if engine == "diagonal":
         fold = diagonal_fold(series, m)
-        uncovered = tuple(sorted(set(series.coeffs) - set(fold.covered_modes)))
+        missed = series._exponents[~_diagonal_reach(series._exponents, m)]
+        uncovered = tuple(map(tuple, missed.tolist()))
         return InterpolantPoly(base=fold.series(), m=m, engine=engine), uncovered
     if engine == "alias":
         return InterpolantPoly(base=alias_fold(series, m), m=m, engine=engine), ()

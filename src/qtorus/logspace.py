@@ -14,12 +14,6 @@ import numpy as np
 NEG_INF = float("-inf")
 
 
-def log_abs(x: complex) -> float:
-    """ln|x| with ln 0 = -inf."""
-    a = abs(x)
-    return math.log(a) if a > 0.0 else NEG_INF
-
-
 def log_sum_exp(values) -> float:
     """ln(sum(exp(v))) computed stably.
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +65,15 @@ class DerivativeNormProfile:
                 raise ValueError("ln_m entries must be finite or -inf")
         object.__setattr__(self, "ln_m", vals)
 
+    @cached_property
+    def _hulls(self) -> dict:
+        """Lower hulls of ln M_j from each start index, filled in by the tau kernel.
+
+        cached_property writes straight into __dict__, so a frozen profile
+        can hold it.
+        """
+        return {}
+
     def ln_m_array(self) -> np.ndarray:
         return np.asarray(self.ln_m, dtype=float)
 
@@ -79,7 +89,7 @@ def derivative_l2_norm(series: FourierSeries, alpha) -> float:
         raise ValueError(f"alpha has length {len(alpha)}, expected {series.dim}")
     if any(a < 0 for a in alpha):
         raise ValueError("alpha entries must be >= 0")
-    if not series.coeffs:
+    if not series.n_modes:
         return NEG_INF
 
     K = series._exponents
@@ -220,7 +230,7 @@ def coefficient_bound_audit(
     ln_mj = profile.ln_m[j]
     violations = []
     checked = 0
-    for k, c in series.coeffs.items():
+    for k, c in zip(map(tuple, series._exponents.tolist()), series._values.tolist()):
         if all(x == 0 for x in k):
             continue
         checked += 1

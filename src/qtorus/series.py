@@ -13,12 +13,16 @@ shared values are safe under unrestricted concurrent reads.
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 import os
+import tempfile
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -34,6 +38,17 @@ DEFAULT_GRID_CAP = 10**6
 #: Environment variable overriding the grid-point cap.
 GRID_CAP_ENV = "QTORUS_GRID_CAP"
 
+#: Largest |k_p| of a stored index, so np.abs and the fold arithmetic on the
+#: int64 entries cannot overflow.
+INDEX_BOUND = 2**62
+
+#: Lines of a coefficient file decoded by one json.loads call in
+#: :func:`read_coefficients`.  A block's decoded objects (~0.5 KB a line)
+#: are alive at once, and the allocator keeps much of that memory after
+#: they are freed: 4096-line blocks raised a job's peak RSS by ~1 MB,
+#: where 256-line blocks read as fast.
+READ_BLOCK = 256
+
 #: Complex elements in one working block of :func:`eval_batch` (points x
 #: modes) and of :func:`eval_grid` (rows x grid points of one level).
 EVAL_BLOCK = 2**18
@@ -43,82 +58,179 @@ class GridCapError(RuntimeError):
     """A requested roots-of-unity grid would exceed the configured point cap."""
 
 
-def _as_index(entries, dim: int) -> tuple[int, ...]:
-    k = tuple(entries)
-    if len(k) != dim:
-        raise ValueError(f"index {k!r} has length {len(k)}, expected {dim}")
-    out = []
-    for x in k:
-        if x != int(x):
-            raise ValueError(f"index entries must be integers, got {x!r}")
-        out.append(int(x))
-    return tuple(out)
+class _DuplicateIndex(ValueError):
+    """Two rows of an exponent array are equal; ``row`` is the later one's position."""
+
+    def __init__(self, index: list, row: int):
+        super().__init__(f"duplicate index {index}")
+        self.row = row
 
 
-@dataclass(frozen=True)
+def _index_array(exponents, dim: int) -> np.ndarray:
+    """``exponents`` as a (K, dim) int64 array of integers within INDEX_BOUND, or ValueError."""
+    k = np.asarray(exponents)
+    if k.size == 0:
+        k = k.reshape(0, dim)
+    if k.ndim != 2 or k.shape[1] != dim:
+        raise ValueError(f"indices must have length {dim}, got an array of shape {k.shape}")
+    if k.dtype.kind == "f" and not np.all(np.isfinite(k) & (k == np.trunc(k))):
+        raise ValueError("index entries must be integers")
+    if k.dtype.kind not in "biuf" or (
+        k.size and (k.min() < -INDEX_BOUND or k.max() > INDEX_BOUND)
+    ):
+        raise ValueError("index entries must be integers with |k_p| <= 2**62")
+    return k.astype(np.int64)
+
+
 class FourierSeries:
     """Finite series  f = sum_k c_k z^k  with multi-indices k in Z^dim.
 
-    ``coeffs`` maps index tuples to complex coefficients; it is normalized on
-    construction (integer tuples of length ``dim``, sorted keys, coefficients
-    below :data:`PRUNE_THRESHOLD` pruned) and must not be mutated afterwards.
-    A NaN or infinite coefficient raises ``ValueError``.
+    Stored in canonical COO form, as in scipy.sparse's
+    ``has_canonical_format``: ``_exponents`` is a read-only (K, dim) int64
+    array of distinct rows sorted lexicographically (first column primary)
+    and ``_values`` the read-only (K,) complex coefficients.  Every series
+    is built by :meth:`from_arrays`, which checks that the coefficients are
+    finite (``ValueError`` otherwise), prunes those below
+    :data:`PRUNE_THRESHOLD`, sorts, and rejects duplicate or non-integer
+    indices and entries beyond |k_p| <= 2^62.  ``FourierSeries(dim, coeffs)``
+    takes a mapping from index tuples to coefficients instead; ``coeffs`` is
+    that mapping as a read-only view, derived on first use.
     """
 
-    dim: int
-    coeffs: dict
+    def __init__(self, dim: int, coeffs: Mapping):
+        keys = list(coeffs)
+        values = np.fromiter(coeffs.values(), dtype=complex, count=len(keys))
+        try:
+            exponents = np.array(keys)
+            if exponents.dtype.kind == "f":
+                # Ints mixed with floats come out as float64, which rounds
+                # ints beyond 2**53: convert each entry exactly instead, and
+                # accept the floats only where they are integral.
+                exact = np.array(keys, dtype=np.int64)
+                if not np.array_equal(exact, exponents):
+                    raise ValueError("index entries must be integers")
+                exponents = exact
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(
+                f"indices must be {dim} integers each, with |k_p| <= 2**62"
+            ) from exc
+        self._store(dim, exponents, values)
 
-    def __post_init__(self):
-        if self.dim < 1:
+    @classmethod
+    def from_arrays(cls, dim: int, exponents, values) -> "FourierSeries":
+        """The series with coefficient ``values[i]`` at index ``exponents[i]``.
+
+        ``exponents`` is (K, dim) integers in any order (integral floats are
+        accepted), ``values`` (K,) complex.  A repeated index raises
+        ``ValueError``, whether or not its coefficients would be pruned.
+        """
+        series = cls.__new__(cls)
+        series._store(dim, exponents, values)
+        return series
+
+    def _store(self, dim: int, exponents, values) -> None:
+        if dim < 1:
             raise ValueError("dim must be >= 1")
-        clean = {}
-        for raw_k, raw_c in self.coeffs.items():
-            k = _as_index(raw_k, self.dim)
-            c = complex(raw_c)
-            if not cmath.isfinite(c):
-                raise ValueError(f"coefficient at index {list(k)} is not finite: {c!r}")
-            if abs(c) >= PRUNE_THRESHOLD:
-                clean[k] = c
-        object.__setattr__(self, "coeffs", dict(sorted(clean.items())))
+        k = _index_array(exponents, dim)
+        v = np.asarray(values, dtype=complex)
+        if v.shape != (len(k),):
+            raise ValueError(f"need one value per index row, got {v.shape} for {len(k)} rows")
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:
+            i = bad[0]
+            c = complex(v[i])
+            raise ValueError(f"coefficient at index {k[i].tolist()} is not finite: {c!r}")
+        order = np.lexsort(k.T[::-1])
+        k, v = k[order], v[order]
+        repeat = np.flatnonzero(np.all(k[1:] == k[:-1], axis=1)) + 1
+        if repeat.size:
+            # The sort is stable, so each repeat is a later occurrence; report
+            # the one that comes first in the input.
+            j = repeat[np.argmin(order[repeat])]
+            raise _DuplicateIndex(k[j].tolist(), int(order[j]))
+        magnitude = np.abs(v)
+        keep = magnitude >= PRUNE_THRESHOLD
+        # np.abs and the builtin abs may differ in the last bit; at the
+        # threshold the builtin decides, so pruning is abs(c) >= threshold.
+        edge = np.flatnonzero(np.abs(magnitude - PRUNE_THRESHOLD) <= 2**-40 * PRUNE_THRESHOLD)
+        keep[edge] = [abs(c) >= PRUNE_THRESHOLD for c in v[edge].tolist()]
+        if not keep.all():
+            k, v = k[keep], v[keep]
+        k.flags.writeable = False
+        v.flags.writeable = False
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "_exponents", k)
+        object.__setattr__(self, "_values", v)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FourierSeries is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"FourierSeries is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, FourierSeries):
+            return NotImplemented
+        return (
+            self.dim == other.dim
+            and np.array_equal(self._exponents, other._exponents)
+            and np.array_equal(self._values, other._values)
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"FourierSeries(dim={self.dim!r}, coeffs={dict(self.coeffs)!r})"
+
+    @cached_property
+    def coeffs(self) -> Mapping:
+        """Read-only map from index tuples to complex coefficients, in index order."""
+        keys = map(tuple, self._exponents.tolist())
+        return MappingProxyType(dict(zip(keys, self._values.tolist())))
 
     @property
     def n_modes(self) -> int:
-        return len(self.coeffs)
+        return len(self._values)
 
     def support_radius(self) -> int:
         """max over stored k of max_p |k_p|; 0 for the empty series."""
-        if not self.coeffs:
+        if not self.n_modes:
             return 0
-        return max(max(abs(x) for x in k) for k in self.coeffs)
+        return int(np.abs(self._exponents).max())
 
     def abs_sum(self) -> float:
-        """sum_k |c_k| (finite by construction)."""
-        return float(sum(abs(c) for c in self.coeffs.values()))
+        """sum_k |c_k| (finite by construction), computed once per series."""
+        return self._abs_sum
+
+    @cached_property
+    def _abs_sum(self) -> float:
+        # The builtin abs, not np.abs, which may differ in the last bit.
+        return float(sum(map(abs, self._values.tolist())))
 
     def __add__(self, other: "FourierSeries") -> "FourierSeries":
         if not isinstance(other, FourierSeries):
             return NotImplemented
         if other.dim != self.dim:
             raise ValueError("dimension mismatch")
-        merged = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            merged[k] = merged.get(k, 0j) + c
-        return FourierSeries(self.dim, merged)
+        return _summed(
+            self.dim,
+            np.concatenate((self._exponents, other._exponents)),
+            np.concatenate((self._values, other._values)),
+        )
 
     def __mul__(self, scalar) -> "FourierSeries":
         c = complex(scalar)
-        return FourierSeries(self.dim, {k: v * c for k, v in self.coeffs.items()})
+        a, b = self._values.real, self._values.imag
+        # Real and imaginary parts apart, as complex.__mul__ rounds them.
+        v = np.empty_like(self._values)
+        v.real = a * c.real - b * c.imag
+        v.imag = a * c.imag + b * c.real
+        return FourierSeries.from_arrays(self.dim, self._exponents, v)
 
     __rmul__ = __mul__
 
     # Cached array views used by the vectorized evaluators.  cached_property
-    # writes straight into __dict__, which is fine on a frozen dataclass.
-    @cached_property
-    def _exponents(self) -> np.ndarray:
-        if not self.coeffs:
-            return np.zeros((0, self.dim), dtype=np.int64)
-        return np.array(list(self.coeffs.keys()), dtype=np.int64)
-
+    # writes straight into __dict__, past the immutability guard.
     @cached_property
     def _exponent_tables(self) -> tuple:
         """Per dimension p: (distinct k_p ascending, index of each mode's k_p)."""
@@ -128,13 +240,17 @@ class FourierSeries:
         )
 
     @cached_property
-    def _values(self) -> np.ndarray:
-        return np.array(list(self.coeffs.values()), dtype=complex)
-
-    @cached_property
     def _log_abs_values(self) -> np.ndarray:
         with np.errstate(divide="ignore"):
             return np.log(np.abs(self._values))
+
+
+def _summed(dim: int, exponents: np.ndarray, values: np.ndarray) -> FourierSeries:
+    """The series with the values of equal index rows added, each sum in row order."""
+    rows, slot = np.unique(exponents.reshape(-1, dim), axis=0, return_inverse=True)
+    sums = np.zeros(len(rows), dtype=complex)
+    np.add.at(sums, slot.reshape(-1), values)
+    return FourierSeries.from_arrays(dim, rows, sums)
 
 
 @dataclass(frozen=True)
@@ -216,7 +332,7 @@ def eval_batch(series: FourierSeries, points: np.ndarray) -> np.ndarray:
     if np.any(z == 0):
         raise ValueError("components must be nonzero")
     out = np.zeros(z.shape[0], dtype=complex)
-    if not series.coeffs:
+    if not series.n_modes:
         return out
     rows = max(1, EVAL_BLOCK // series.n_modes)
     for start in range(0, z.shape[0], rows):
@@ -280,7 +396,7 @@ def eval_grid(series: FourierSeries, m: int, cap: int | None = None) -> np.ndarr
     :class:`GridCapError` exactly as :func:`grid_array` does.
     """
     count = _grid_size(series.dim, m, cap)
-    if not series.coeffs:
+    if not series.n_modes:
         return np.zeros(count, dtype=complex)
     roots = _roots(m)[:m]
     l = np.arange(1, m + 1)
@@ -311,56 +427,156 @@ def truncate(series: FourierSeries, radius: int) -> FourierSeries:
     """Keep exactly the modes with max_p |k_p| <= radius."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    kept = {
-        k: c
-        for k, c in series.coeffs.items()
-        if max(abs(x) for x in k) <= radius
-    }
-    return FourierSeries(series.dim, kept)
+    keep = np.all(np.abs(series._exponents) <= radius, axis=1)
+    return FourierSeries.from_arrays(series.dim, series._exponents[keep], series._values[keep])
+
+
+def _columns(objects: list, dim: int | None):
+    """(dim, exponents, values) of decoded coefficient objects.
+
+    Each object must have exactly the fields k, re and im: k a non-empty
+    list of JSON integers (no bools, no floats) of the length ``dim`` (the
+    first object's, when ``dim`` is None) and re, im JSON numbers giving a
+    finite coefficient.  Raises ``ValueError`` naming the first rule broken.
+    """
+    if set(map(type, objects)) != {dict}:
+        raise ValueError("expected a JSON object")
+    try:
+        k = [obj["k"] for obj in objects]
+        re = [obj["re"] for obj in objects]
+        im = [obj["im"] for obj in objects]
+    except KeyError as exc:
+        raise ValueError("need fields k, re, im") from exc
+    if set(map(len, objects)) != {3}:
+        raise ValueError("unexpected field; a line holds exactly k, re, im")
+    if set(map(type, k)) != {list}:
+        raise ValueError("k must be a list of integers")
+    if dim is None:
+        dim = len(k[0])
+        if dim < 1:
+            raise ValueError("empty index")
+    if set(map(len, k)) != {dim}:
+        raise ValueError(f"index length differs from the first line's {dim}")
+    if set(map(type, itertools.chain.from_iterable(k))) != {int}:
+        raise ValueError("index entries must be JSON integers")
+    if not set(map(type, re)) | set(map(type, im)) <= {int, float}:
+        raise ValueError("re and im must be JSON numbers")
+    values = np.empty(len(objects), dtype=complex)
+    try:
+        exponents = _index_array(k, dim)
+        values.real = re
+        values.imag = im
+    except OverflowError as exc:
+        raise ValueError("re and im must be finite numbers") from exc
+    if not np.all(np.isfinite(values)):
+        raise ValueError("coefficient is not finite")
+    return dim, exponents, values
+
+
+def _decode_block(lines: list, dim: int | None):
+    """:func:`_columns` of stripped, non-blank lines, in one json.loads call.
+
+    Every line must start with "{" and end with "}" and the block must give
+    one object per line.  Since an accepted object holds no nested object
+    and no string value, its braces are the only ones in the text, so each
+    line then holds exactly one whole object.
+    """
+    objects = json.loads("[" + ",".join(lines) + "]")
+    whole = all(map(str.startswith, lines, itertools.repeat("{"))) and all(
+        map(str.endswith, lines, itertools.repeat("}"))
+    )
+    if len(objects) != len(lines) or not whole:
+        raise ValueError("expected one JSON object per line")
+    return _columns(objects, dim)
+
+
+def _bad_line(path, first: int, block: list, dim: int | None) -> ValueError:
+    """The error of the first malformed line of a block that failed to decode."""
+    for lineno, raw in enumerate(block, start=first):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            return ValueError(f"{path}:{lineno}: invalid JSON: {exc}")
+        try:
+            dim = _columns([obj], dim)[0]
+        except ValueError as exc:
+            return ValueError(f"{path}:{lineno}: {exc}")
+    return ValueError(f"{path}:{first}: malformed block")
+
+
+def _line_of_row(path, row: int) -> int:
+    """Line number of the ``row``-th (0-based) non-blank line of a file."""
+    with Path(path).open("r", encoding="utf-8") as fh:
+        rows = (n for n, line in enumerate(fh, start=1) if line.strip())
+        return next(itertools.islice(rows, row, None))
 
 
 def read_coefficients(path) -> FourierSeries:
     """Read a series from a JSON Lines file.
 
-    One object per mode: ``{"k": [k1, ..., kn], "re": <float>, "im": <float>}``.
-    The dimension is inferred from the first line; a duplicate index is an
-    error.
+    One object per mode and line: ``{"k": [k1, ..., kn], "re": <number>,
+    "im": <number>}``, with exactly these fields.  k holds JSON integers
+    (no bools, no floats) with |k_p| <= 2^62; re and im are JSON numbers
+    (not bools or strings) and the coefficient is finite.  The dimension is
+    the first line's; blank lines are skipped; a duplicate index is an
+    error.  Every error is a ``ValueError`` naming ``path:line``.
+
+    Lines are decoded :data:`READ_BLOCK` at a time into columns; only a
+    block that fails is decoded again line by line, to name the line.
     """
-    coeffs: dict = {}
     dim = None
+    exponents, values = [], []
     with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            try:
-                k_raw = obj["k"]
-                re = float(obj["re"])
-                im = float(obj["im"])
-            except (KeyError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: need fields k, re, im") from exc
-            if dim is None:
-                dim = len(k_raw)
-                if dim < 1:
-                    raise ValueError(f"{path}:{lineno}: empty index")
-            k = _as_index(k_raw, dim)
-            if k in coeffs:
-                raise ValueError(f"{path}:{lineno}: duplicate index {list(k)}")
-            coeffs[k] = complex(re, im)
+        first = 1
+        while block := list(itertools.islice(fh, READ_BLOCK)):
+            lines = [line for line in map(str.strip, block) if line]
+            if lines:
+                try:
+                    dim, k, v = _decode_block(lines, dim)
+                except (ValueError, RecursionError) as exc:
+                    raise _bad_line(path, first, block, dim) from exc
+                exponents.append(k)
+                values.append(v)
+            first += len(block)
     if dim is None:
         raise ValueError(f"{path}: no coefficient lines")
-    return FourierSeries(dim, coeffs)
+    try:
+        return FourierSeries.from_arrays(dim, np.concatenate(exponents), np.concatenate(values))
+    except _DuplicateIndex as exc:
+        raise ValueError(f"{path}:{_line_of_row(path, exc.row)}: {exc}") from None
+
+
+def _atomic_write(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file in the same directory.
+
+    The file appears complete or not at all: a failure removes the
+    temporary file and leaves any earlier ``path`` as it was.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def write_coefficients(series: FourierSeries, path) -> None:
-    """Write a series in the JSON Lines coefficient format (sorted indices)."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for k, c in series.coeffs.items():
-            fh.write(
-                json.dumps({"k": list(k), "re": c.real, "im": c.imag}, sort_keys=True)
-            )
-            fh.write("\n")
+    """Write a series in the JSON Lines coefficient format, atomically.
+
+    Lines in index order, each ``{"im": <float>, "k": [<ints>], "re": <float>}``:
+    the bytes ``json.dumps(..., sort_keys=True)`` gives, since a list of
+    ints prints with json's ", " separators and json prints floats with
+    ``float.__repr__``.
+    """
+    rows = zip(
+        series._exponents.tolist(), series._values.real.tolist(), series._values.imag.tolist()
+    )
+    text = "".join([f'{{"im": {im!r}, "k": {k}, "re": {re!r}}}\n' for k, re, im in rows])
+    _atomic_write(Path(path), text)

@@ -4,12 +4,89 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 
 from qtorus import FoldResult, FourierSeries, PolyPoint, TorusPoint
-from qtorus.series import TWO_PI
+from qtorus.series import PRUNE_THRESHOLD, TWO_PI
+
+
+def dict_series_coeffs(dim: int, coeffs) -> dict:
+    """The normalized coefficient dict of a series, one mode at a time.
+
+    The oracle for ``FourierSeries.from_arrays`` and the dict constructor:
+    each index must be ``dim`` entries equal to integers, each coefficient
+    finite (``ValueError`` otherwise); coefficients below PRUNE_THRESHOLD
+    are dropped and the keys sorted.
+    """
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    clean = {}
+    for raw_k, raw_c in coeffs.items():
+        k = tuple(raw_k)
+        if len(k) != dim:
+            raise ValueError(f"index {k!r} has length {len(k)}, expected {dim}")
+        index = []
+        for x in k:
+            if x != int(x):
+                raise ValueError(f"index entries must be integers, got {x!r}")
+            index.append(int(x))
+        c = complex(raw_c)
+        if not cmath.isfinite(c):
+            raise ValueError(f"coefficient at index {index} is not finite: {c!r}")
+        if abs(c) >= PRUNE_THRESHOLD:
+            clean[tuple(index)] = c
+    return dict(sorted(clean.items()))
+
+
+def json_write_coefficients(series: FourierSeries, path) -> None:
+    """One ``json.dumps(..., sort_keys=True)`` line per mode: the oracle for the writer."""
+    with Path(path).open("w", encoding="utf-8") as fh:
+        for k, c in series.coeffs.items():
+            fh.write(json.dumps({"k": list(k), "re": c.real, "im": c.imag}, sort_keys=True))
+            fh.write("\n")
+
+
+def loop_read_coefficients(path) -> tuple[int, dict]:
+    """(dim, normalized coefficient dict) of a JSONL file, one ``json.loads`` per line.
+
+    The line-at-a-time reader the columnar one replaced, kept to compare
+    results and memory on valid files.
+    """
+    coeffs: dict = {}
+    dim = None
+    with Path(path).open("r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            obj = json.loads(line)
+            k = tuple(obj["k"])
+            if dim is None:
+                dim = len(k)
+            if k in coeffs:
+                raise ValueError(f"{path}:{lineno}: duplicate index {list(k)}")
+            coeffs[k] = complex(float(obj["re"]), float(obj["im"]))
+    return dim, dict_series_coeffs(dim, coeffs)
+
+
+def loop_gen_series(spec) -> dict:
+    """The coefficient dict of an analytic or gevrey family, one mode at a time.
+
+    The oracle for ``gen_series``: iterates the sup-norm box in
+    itertools.product order and calls math.exp once per mode.
+    """
+    coeffs = {}
+    for k in itertools.product(range(-spec.radius, spec.radius + 1), repeat=spec.dim):
+        l1 = sum(abs(x) for x in k)
+        if spec.kind == "analytic":
+            coeffs[k] = math.exp(-spec.decay * l1)
+        else:
+            coeffs[k] = math.exp(-float(l1) ** (1.0 / spec.exponent))
+    return dict_series_coeffs(spec.dim, coeffs)
 
 
 def compositions(total: int, parts: int):

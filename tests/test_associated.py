@@ -24,6 +24,7 @@ from qtorus import (
     theta,
     witness,
 )
+import qtorus.associated as associated_module
 from qtorus.associated import _fold_weights, _legendre
 from qtorus.logspace import NEG_INF
 from helpers import dense_fold_weights, dense_log_tau, supporting_line_profile
@@ -355,6 +356,24 @@ def kernel_cases(draw):
 
 class TestLegendreKernel:
     """The hull kernel against the dense O(R J) scan, bit for bit."""
+
+    def test_hull_built_once_per_profile_and_start(self, monkeypatch):
+        built = []
+        lower_hull = associated_module._lower_hull
+
+        def counted(a):
+            built.append(len(a))
+            return lower_hull(a)
+
+        monkeypatch.setattr(associated_module, "_lower_hull", counted)
+        prof = factorial_profile(60)
+        for r in range(1, 50):
+            log_tau(prof, float(r))
+            log_tau_shifted(prof, float(r))
+            t_m(prof, r, 1)
+        assert built == [61, 58]
+        log_tau(factorial_profile(60), 2.0)
+        assert built == [61, 58, 61]
 
     @settings(max_examples=150, deadline=None)
     @given(kernel_cases())

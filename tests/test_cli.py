@@ -3,10 +3,13 @@ import math
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qtorus.interpolate as interpolate_module
+from qtorus import write_coefficients
 from qtorus.cli import main
+from helpers import loop_read_coefficients, random_series
 
 
 def read_data_rows(path):
@@ -70,6 +73,37 @@ class TestNorms:
         coeffs = tmp_path / "nan.jsonl"
         coeffs.write_text('{"k": [1], "re": 1.0, "im": 0.0}\n{"k": [2], "re": NaN, "im": 0.0}\n')
         assert main(["norms", "--input", str(coeffs), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ('{"k": [1e400], "re": 1.0, "im": 0.0}', "JSON integers"),
+            ('{"k": 5, "re": 1.0, "im": 0.0}', "list of integers"),
+            ('{"k": [1180591620717411303424], "re": 1.0, "im": 0.0}', "2**62"),
+            ('{"k": [true], "re": 1.0, "im": 0.0}', "JSON integers"),
+            ('{"k": [1], "re": "1.5", "im": 0.0}', "JSON numbers"),
+        ],
+    )
+    def test_malformed_line_exits_2_naming_it(self, tmp_path, capsys, line, reason):
+        coeffs = tmp_path / "bad.jsonl"
+        coeffs.write_text('{"k": [2], "re": 1.0, "im": 0.0}\n' + line + "\n")
+        out = tmp_path / "o"
+        assert main(["norms", "--input", str(coeffs), "--Jmax", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {coeffs}:2: ") and reason in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_family_past_cap_exits_4_and_writes_nothing(self, tmp_path, monkeypatch):
+        # (2 * 5 + 1)^2 = 121 modes against a cap of 120.
+        monkeypatch.setenv("QTORUS_GRID_CAP", "120")
+        out = tmp_path / "o"
+        args = ["--family", "gevrey:s=2:K=5", "--n", "2", "--Jmax", "3", "--out", str(out)]
+        assert main(["norms", *args]) == 4
+        assert main(["interp", *args, "--m", "2..3"]) == 4
+        assert not out.exists()
+        monkeypatch.setenv("QTORUS_GRID_CAP", "121")
+        assert main(["norms", *args]) == 0
 
     def test_missing_input_exits_2(self, tmp_path):
         assert main(["norms", "--out", str(tmp_path / "o")]) == 2
@@ -235,6 +269,18 @@ class TestInterp:
             assert entry["grid_ok"] is True
             assert entry["max_grid_error"] < entry["tolerance"]
         assert len(read_data_rows(out / "interp_sup.csv")) == 8
+
+    def test_tolerance_is_the_mode_at_a_time_abs_sum(self, tmp_path):
+        coeffs = tmp_path / "f.jsonl"
+        rng = np.random.default_rng(17)
+        write_coefficients(random_series(rng, 2, max_modes=300, radius=20), coeffs)
+        _, oracle = loop_read_coefficients(coeffs)
+        want = 1e-9 * (1.0 + float(sum(abs(c) for c in oracle.values())))
+        out = tmp_path / "out"
+        args = ["interp", "--input", str(coeffs), "--m", "2..5", "--samples", "8"]
+        assert main([*args, "--out", str(out)]) == 0
+        report = json.loads((out / "interp_report.json").read_text())
+        assert [entry["tolerance"] for entry in report["per_m"]] == [want] * 4
 
     def test_diagonal_coverage_gap_listed(self, tmp_path):
         coeffs = tmp_path / "offdiag.jsonl"

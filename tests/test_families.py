@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
 from qtorus import (
     FamilySpec,
     FourierSeries,
+    GridCapError,
     build_profile,
     gen_profile,
     gen_series,
@@ -14,6 +16,7 @@ from qtorus import (
 )
 from qtorus.families import profile_for
 from qtorus.logspace import NEG_INF
+from helpers import loop_gen_series
 
 
 class TestGenSeries:
@@ -49,6 +52,38 @@ class TestGenSeries:
     def test_deterministic(self):
         spec = FamilySpec(kind="gevrey", dim=1, radius=50, exponent=2.0)
         assert gen_series(spec).coeffs == gen_series(spec).coeffs
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            FamilySpec(kind="analytic", dim=1, radius=40, decay=0.37),
+            FamilySpec(kind="analytic", dim=2, radius=9, decay=3.3),
+            FamilySpec(kind="gevrey", dim=3, radius=4, exponent=2.7),
+            FamilySpec(kind="gevrey", dim=2, radius=0, exponent=1.0),
+            # exp(-l1) falls below the 1e-300 pruning threshold past l1 = 690.
+            FamilySpec(kind="analytic", dim=1, radius=800, decay=1.0),
+        ],
+    )
+    def test_bit_identical_to_mode_loop(self, spec):
+        s = gen_series(spec)
+        want = loop_gen_series(spec)
+        assert list(s.coeffs) == list(want)
+        got_bits = np.array(list(s.coeffs.values())).tobytes()
+        assert got_bits == np.array(list(want.values()), dtype=complex).tobytes()
+
+    def test_box_past_cap_refused_before_allocating(self, monkeypatch):
+        spec = FamilySpec(kind="gevrey", dim=3, radius=2, exponent=2.0)  # 125 modes
+        monkeypatch.setenv("QTORUS_GRID_CAP", "124")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the cap check")
+
+        monkeypatch.setattr(np, "indices", refuse)
+        with pytest.raises(GridCapError, match="125 modes"):
+            gen_series(spec)
+        monkeypatch.undo()
+        monkeypatch.setenv("QTORUS_GRID_CAP", "125")
+        assert gen_series(spec).n_modes == 125
 
     def test_profile_kind_has_no_spectrum(self):
         spec = FamilySpec(kind="profile", rule="factorial", j_max=10)

@@ -1,5 +1,8 @@
 import math
+import os
+import tempfile
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -24,11 +27,18 @@ from qtorus import (
 from helpers import (
     brute_eval,
     brute_eval_scale,
+    dict_series_coeffs,
     grid_nodes,
+    json_write_coefficients,
+    loop_read_coefficients,
     random_series,
     random_torus_point,
     torus_eval,
 )
+
+
+def bits(values) -> bytes:
+    return np.array(list(values), dtype=complex).tobytes()
 
 
 def eval_at_angles(series, theta):
@@ -330,6 +340,30 @@ class TestSeriesConstruction:
         with pytest.raises(ValueError, match="not finite"):
             FourierSeries(1, {(0,): 1.0, (2,): c})
 
+    def test_coeffs_is_a_read_only_view(self):
+        s = FourierSeries(2, {(1, -1): 2.0, (0, 3): 1j})
+        assert s.coeffs == {(0, 3): 1j, (1, -1): 2.0 + 0j}
+        with pytest.raises(TypeError):
+            s.coeffs[(0, 0)] = 1.0
+        with pytest.raises(ValueError):
+            s._values[0] = 5.0
+        with pytest.raises(AttributeError):
+            s.dim = 3
+
+    def test_abs_sum_is_the_builtin_sum_once(self):
+        rng = np.random.default_rng(3)
+        s = random_series(rng, 2, max_modes=400, radius=30)
+        want = float(sum(abs(c) for c in s.coeffs.values()))
+        assert s.abs_sum().hex() == want.hex()
+        assert s.abs_sum() is s.abs_sum()  # cached, not recomputed
+        # Moduli where np.abs may round differently from the builtin abs.
+        for c in (0.1 + 0.1j, 0.1 + 0.7j, 0.2 + 0.2j, 1.7 + 2.8j):
+            assert FourierSeries(1, {(0,): c}).abs_sum().hex() == abs(c).hex()
+
+    def test_large_int_keys_mixed_with_floats_stay_exact(self):
+        s = FourierSeries(2, {(2**60 + 1, 0): 1.0, (1.0, -2.0): 2.0})
+        assert list(s.coeffs) == [(1, -2), (2**60 + 1, 0)]
+
     def test_angles_normalized(self):
         p = TorusPoint((-math.pi, 3 * math.pi))
         assert all(0.0 <= t < 2 * math.pi for t in p.theta)
@@ -375,3 +409,286 @@ class TestCoefficientIO:
         )
         with pytest.raises(ValueError):
             read_coefficients(path)
+
+
+@st.composite
+def coefficient_rows(draw):
+    """(dim, rows, values): candidate index rows and coefficients for a series.
+
+    Rows may repeat, have the wrong length, or hold integral, non-integral
+    and non-finite floats; values include NaN, infinities, -0.0 and moduli
+    at the 1e-300 pruning threshold.
+    """
+    dim = draw(st.integers(1, 3))
+    integral = st.integers(-6, 6) | st.integers(-6, 6).map(float) | st.just(-0.0)
+    entry = integral | st.sampled_from((0.5, -2.25, math.nan, math.inf))
+    if draw(st.booleans()):
+        entry = integral
+    length = st.sampled_from((dim,) * 8 + (dim - 1, dim + 1))
+    if draw(st.booleans()):
+        length = st.just(dim)
+    row = length.flatmap(lambda n: st.lists(entry, min_size=n, max_size=n))
+    rows = draw(st.lists(row, max_size=12))
+    tiny = st.sampled_from(
+        (
+            1e-300,
+            -1e-300,
+            math.nextafter(1e-300, 0.0),
+            complex(0.0, -1e-300),
+            # |c| is 1e-300 by the builtin abs, one ulp less by np.abs.
+            complex(7.77329478235005e-302, 9.969742167291333e-301),
+            complex(-8.824158165251825e-301, 4.704703250431376e-301),
+            -0.0,
+            complex(-0.0, -0.0),
+        )
+    )
+    value = st.one_of(
+        st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+        st.floats(-1e6, 1e6),
+        tiny,
+    )
+    if draw(st.booleans()):
+        value = value | st.sampled_from((math.nan, complex(1.0, math.inf), -math.inf))
+    values = [draw(value) for _ in rows]
+    return dim, rows, values
+
+
+def outcome(build):
+    """("ok", result) or ("rejected", exception type)."""
+    try:
+        return "ok", build()
+    except (ValueError, OverflowError) as exc:
+        return "rejected", type(exc)
+
+
+class TestFromArrays:
+    """from_arrays and the dict adapter against the mode-at-a-time oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(coefficient_rows())
+    @example((1, [], []))
+    @example((2, [[1, 2.0], [1.0, 2]], [1.0, 2.0]))
+    @example((1, [[0], [-0.0]], [1.0, 1e-310]))
+    @example((1, [[0], [3]], [complex(7.77329478235005e-302, 9.969742167291333e-301), 1.0]))
+    def test_matches_dict_oracle(self, case):
+        dim, rows, values = case
+        mapping = dict(zip(map(tuple, rows), values))
+        want = outcome(lambda: dict_series_coeffs(dim, mapping))
+
+        got = outcome(lambda: FourierSeries(dim, mapping))
+        assert got[0] == want[0]
+        if want[0] == "ok":
+            self.assert_same(got[1], want[1])
+        else:
+            assert got[1] is ValueError
+
+        repeated = len(set(map(tuple, rows))) < len(rows)
+        got = outcome(lambda: FourierSeries.from_arrays(dim, rows, values))
+        assert got[0] == ("rejected" if repeated else want[0])
+        if got[0] == "ok":
+            self.assert_same(got[1], want[1])
+        else:
+            assert issubclass(got[1], ValueError)
+
+    @staticmethod
+    def assert_same(series, want: dict):
+        assert list(series.coeffs) == list(want)
+        assert all(type(x) is int for k in series.coeffs for x in k)
+        assert bits(series.coeffs.values()) == bits(want.values())
+        assert series._exponents.dtype == np.int64
+        assert series._exponents.shape == (len(want), series.dim)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+    )
+    def test_arithmetic_matches_dict_oracle(self, seed, scalar):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(1, 4))
+        f = random_series(rng, dim, max_modes=20, radius=3)
+        g = random_series(rng, dim, max_modes=20, radius=3)
+        product = dict_series_coeffs(dim, {k: c * scalar for k, c in f.coeffs.items()})
+        TestFromArrays.assert_same(f * scalar, product)
+        TestFromArrays.assert_same(scalar * f, product)
+        merged = dict(f.coeffs)
+        for k, c in g.coeffs.items():
+            merged[k] = merged.get(k, 0j) + c
+        total = f + g
+        want = dict_series_coeffs(dim, merged)
+        assert list(total.coeffs) == list(want)
+        assert list(total.coeffs.values()) == list(want.values())
+
+    def test_duplicate_rows_rejected_even_when_pruned(self):
+        with pytest.raises(ValueError, match=r"duplicate index \[1, 2\]"):
+            FourierSeries.from_arrays(2, [[1, 2], [0, 0], [1, 2]], [1e-310, 1.0, 1e-310])
+
+    @pytest.mark.parametrize("entry", [2**62 + 1, -(2**62) - 1, 2**63, 2**70])
+    def test_index_beyond_bound_rejected(self, entry):
+        with pytest.raises(ValueError, match="2\\*\\*62"):
+            FourierSeries(1, {(entry,): 1.0})
+        assert FourierSeries(1, {(2**62,): 1.0, (-(2**62),): 1.0}).n_modes == 2
+
+
+def write_lines(path, lines):
+    path.write_text("".join(line + "\n" for line in lines))
+    return path
+
+
+class TestCoefficientFormat:
+    """The columnar writer and the block reader against the line-at-a-time oracles."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(-(2**62), 2**62), min_size=3, max_size=3),
+                st.complex_numbers(allow_nan=False, allow_infinity=False),
+            ),
+            max_size=30,
+        ),
+    )
+    def test_writer_bytes_equal_json_dumps(self, dim, modes):
+        series = FourierSeries(dim, {tuple(k[:dim]): c for k, c in modes})
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp) / "got.jsonl", Path(tmp) / "want.jsonl"
+            write_coefficients(series, got)
+            json_write_coefficients(series, want)
+            assert got.read_bytes() == want.read_bytes()
+
+    def test_writer_signed_zeros_and_extremes(self, tmp_path):
+        coeffs = {
+            (0, -1): complex(1e-300, -0.0),
+            (3, 0): complex(-0.0, 1.7976931348623157e308),
+            (-5, 2): 0.1,
+        }
+        series = FourierSeries(2, coeffs)
+        write_coefficients(series, tmp_path / "got.jsonl")
+        json_write_coefficients(series, tmp_path / "want.jsonl")
+        assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("block", range(1, 8))
+    def test_roundtrip_across_block_boundaries(self, tmp_path, block):
+        rng = np.random.default_rng(block)
+        for dim in (1, 2, 3):
+            series = random_series(rng, dim, max_modes=30, radius=5)
+            path = tmp_path / f"s{dim}.jsonl"
+            write_coefficients(series, path)
+            lines = path.read_text().splitlines()
+            for at in sorted(rng.integers(0, len(lines) + 1, size=3), reverse=True):
+                lines.insert(int(at), "  " if at % 2 else "")
+            write_lines(path, lines)
+            with mock.patch.object(series_module, "READ_BLOCK", block):
+                back = read_coefficients(path)
+            assert back == series
+            assert bits(back.coeffs.values()) == bits(series.coeffs.values())
+            assert loop_read_coefficients(path) == (dim, dict(series.coeffs))
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ('{"k": [1e400], "re": 1.0, "im": 0.0}', "JSON integers"),
+            ('{"k": [1.0], "re": 1.0, "im": 0.0}', "JSON integers"),
+            ('{"k": 5, "re": 1.0, "im": 0.0}', "list of integers"),
+            ('{"k": [1180591620717411303424], "re": 1.0, "im": 0.0}', "2\\*\\*62"),
+            ('{"k": [-9223372036854775808], "re": 1.0, "im": 0.0}', "2\\*\\*62"),
+            ('{"k": [true], "re": 1.0, "im": 0.0}', "JSON integers"),
+            ('{"k": [], "re": 1.0, "im": 0.0}', "length"),
+            ('{"k": [1, 2], "re": 1.0, "im": 0.0}', "length"),
+            ('{"k": [4], "re": "1.5", "im": 0.0}', "JSON numbers"),
+            ('{"k": [4], "re": 1.0, "im": false}', "JSON numbers"),
+            ('{"k": [4], "re": 1e400, "im": 0.0}', "not finite"),
+            ('{"k": [4], "re": 1.0, "im": 0.0, "note": "x"}', "unexpected field"),
+            ('{"k": [4], "re": 1.0}', "need fields"),
+            ('[{"k": [4], "re": 1.0, "im": 0.0}]', "JSON object"),
+            ('{"k": [4], "re": 1.0, "im": 0.0}, {"k": [5], "re": 1.0, "im": 0.0}', "invalid JSON"),
+            ('{"k": [4], "re": 1.0, "im": 0.0', "invalid JSON"),
+            ('{"k": ' + "[" * 100000 + "]" * 100000 + ', "re": 1.0, "im": 0.0}', "invalid JSON"),
+        ],
+    )
+    @pytest.mark.parametrize("block", [1, 3, 256])
+    def test_bad_line_named(self, tmp_path, bad, message, block):
+        # Line 1 fixes dim = 1, line 3 is blank, the bad line is line 4.
+        path = write_lines(
+            tmp_path / "bad.jsonl",
+            [
+                '{"k": [1], "re": 1.0, "im": 0.0}',
+                '{"k": [2], "re": 1.0, "im": 0.0}',
+                "",
+                bad,
+                '{"k": [3], "re": 1.0, "im": 0.0}',
+            ],
+        )
+        with mock.patch.object(series_module, "READ_BLOCK", block):
+            with pytest.raises(ValueError, match=f"bad.jsonl:4: .*{message}"):
+                read_coefficients(path)
+
+    def test_object_split_across_lines_rejected(self, tmp_path):
+        # Joined with a comma, these two lines decode to two valid objects;
+        # neither line is one object on its own.
+        path = write_lines(
+            tmp_path / "split.jsonl",
+            ['{"k": [1, 1], "re": 1.0, "im": 0.0}, {"k": [2', '3], "re": 1.0, "im": 0.0}'],
+        )
+        with pytest.raises(ValueError, match="split.jsonl:1: invalid JSON"):
+            read_coefficients(path)
+
+    def test_duplicate_named_at_its_second_line(self, tmp_path):
+        path = write_lines(
+            tmp_path / "dup.jsonl",
+            ['{"k": [2], "re": 1.0, "im": 0.0}', "", '{"k": [7], "re": 1.0, "im": 0.0}']
+            + ['{"k": [2], "re": 1e-310, "im": 0.0}', '{"k": [7], "re": 1.0, "im": 0.0}'],
+        )
+        with mock.patch.object(series_module, "READ_BLOCK", 2):
+            with pytest.raises(ValueError, match=r"dup.jsonl:4: duplicate index \[2\]"):
+                read_coefficients(path)
+
+    def test_empty_file_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="no coefficient lines"):
+            read_coefficients(write_lines(tmp_path / "empty.jsonl", ["", "  "]))
+
+    def test_reading_peaks_below_the_line_reader(self, tmp_path):
+        rng = np.random.default_rng(40000)
+        k = rng.choice(np.arange(-100000, 100001), size=40000, replace=False)
+        values = rng.normal(size=40000) + 1j * rng.normal(size=40000)
+        path = tmp_path / "big.jsonl"
+        write_coefficients(FourierSeries.from_arrays(1, k[:, None], values), path)
+        peaks = []
+        for read in (read_coefficients, loop_read_coefficients):
+            tracemalloc.start()
+            try:
+                read(path)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < peaks[1], peaks
+
+    def test_write_is_atomic(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.jsonl"
+        path.write_text("earlier\n")
+        real_fdopen = os.fdopen
+
+        class Failing:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                self.fh.flush()
+                raise OSError("disk full")
+
+        monkeypatch.setattr(
+            series_module.os, "fdopen", lambda *a, **kw: Failing(real_fdopen(*a, **kw))
+        )
+        series = FourierSeries(1, {(k,): 1.0 for k in range(50)})
+        with pytest.raises(OSError, match="disk full"):
+            write_coefficients(series, path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.jsonl"]
+        assert path.read_text() == "earlier\n"
