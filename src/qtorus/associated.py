@@ -49,12 +49,12 @@ say) it holds the two or more tied points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .logspace import NEG_INF
 from .norms import DerivativeNormProfile, shift_profile
+from .series import Record
 
 LN_HALF = math.log(0.5)
 
@@ -74,8 +74,7 @@ class DegenerateProfileError(ValueError):
     """Some ln M_j = -inf: tau vanishes identically and t_m is meaningless."""
 
 
-@dataclass(frozen=True)
-class TrendConfig:
+class TrendConfig(Record):
     """Thresholds for the asymptotic-trend classifiers.
 
     The statements being checked are asymptotic; these cutoffs make them
@@ -274,8 +273,7 @@ def theta(profile: DerivativeNormProfile, m: int, n: int) -> float:
 # Associated-function table and the threshold where r^3 tau = tau~
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AssociatedTable:
+class AssociatedTable(Record):
     """ln tau and ln tau~ tabulated on an increasing grid of r >= 1."""
 
     r_grid: tuple
@@ -328,8 +326,7 @@ def find_r0(table: AssociatedTable, tol: float = 1e-9) -> float:
 # Growth-model fitting shared by the witness and integral diagnostics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TrendFit:
+class TrendFit(Record):
     slope: float
     intercept: float
     rmse: float
@@ -368,8 +365,7 @@ def _lstsq_slope(x: np.ndarray, y: np.ndarray) -> float:
 # Divergence witness
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WitnessSeries:
+class WitnessSeries(Record):
     """The sequences t_m, theta(m) and the divergence witness d_m.
 
     ``witness`` holds d_m = m^{1/(n+1)} ln t_m.  ``argmin_r`` records which r
@@ -491,12 +487,12 @@ def witness(
     return WitnessSeries(
         dim=n,
         m_grid=tuple(m_vals),
-        ln_t=tuple(float(v) for v in ln_t),
-        ln_theta=tuple(float(v) for v in ln_theta),
-        witness=tuple(float(v) for v in d),
-        theta_positive=tuple(bool(v > 0) for v in ln_theta),
-        argmin_r=tuple(int(v) for v in argmin_r),
-        argmin_saturated=tuple(bool(v) for v in arg_sat),
+        ln_t=tuple(ln_t.tolist()),
+        ln_theta=tuple(ln_theta.tolist()),
+        witness=tuple(d.tolist()),
+        theta_positive=tuple((ln_theta > 0).tolist()),
+        argmin_r=tuple(argmin_r.tolist()),
+        argmin_saturated=tuple(arg_sat.tolist()),
         chain_violations=chain_violations,
         normalization_shift=shift,
         classification=label,
@@ -550,8 +546,7 @@ def _classify_structural(
 # Integral criterion diagnostic
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CarlemanReport:
+class CarlemanReport(Record):
     """Partial integrals of -ln tau(r) / r^2 plus growth-model fits.
 
     ``verdict`` is one of {"quasianalytic-trend", "non-quasianalytic-trend",
@@ -624,10 +619,10 @@ def carleman_diagnostic(
         verdict = "inconclusive"
 
     return CarlemanReport(
-        r_grid=tuple(float(v) for v in grid),
-        neg_ln_tau=tuple(float(v) for v in neg),
-        saturated=tuple(bool(v) for v in saturated),
-        partial_integral=tuple(float(v) for v in partial),
+        r_grid=tuple(grid.tolist()),
+        neg_ln_tau=tuple(neg.tolist()),
+        saturated=tuple(saturated.tolist()),
+        partial_integral=tuple(partial.tolist()),
         fit_linear=fit_lin,
         fit_sqrt=fit_sqrt,
         saturated_fraction=sat_fraction,
@@ -641,8 +636,7 @@ def carleman_diagnostic(
 # Decay-implies-integrability check for a tabulated envelope h
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(Record):
     """Numerical check that exponential decay of the envelope minimum forces
     integrability of h(t) / t^2.
 

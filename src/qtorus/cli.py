@@ -24,6 +24,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .associated import (
     DEFAULT_TREND,
@@ -68,13 +70,24 @@ def _header_lines(args: argparse.Namespace) -> list[str]:
     return [f"{k}={echo[k]}" for k in sorted(echo)]
 
 
+#: Leaf types that are never a non-finite float.
+_NO_FLOAT = frozenset({int, bool, str, type(None)})
+
+
 def _finite_or_null(value):
-    """The payload with every NaN or infinite float replaced by None (JSON null)."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
+    """The payload with every NaN or infinite float replaced by None (JSON null).
+
+    A list or tuple whose items are all such leaves, or all finite floats,
+    is returned as it is after one pass over the item types.
+    """
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
     if isinstance(value, dict):
         return {k: _finite_or_null(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
+        kinds = set(map(type, value))
+        if kinds <= _NO_FLOAT or (kinds == {float} and all(map(math.isfinite, value))):
+            return value
         return [_finite_or_null(v) for v in value]
     return value
 
@@ -84,22 +97,28 @@ def _write_json(path: Path, payload: dict) -> None:
     _atomic_write(path, text + "\n")
 
 
-def _write_csv(path: Path, header_lines, columns, rows) -> None:
-    out = []
-    for line in header_lines:
-        out.append(f"# {line}")
-    out.append(",".join(columns))
-    for row in rows:
-        out.append(",".join(_fmt(v) for v in row))
+#: The str.format field that prints a CSV cell of each plain column type.
+_CELL_FIELDS = {float: "{!r}", int: "{}", bool: "{:d}"}
+
+
+def _write_csv(path: Path, header_lines, names, columns) -> None:
+    """``# line`` headers, the column names, then one row per position of ``columns``.
+
+    Floats are written by repr, ints by str and bools as 1/0.  Each column
+    must hold items of one of these types only, so each row is one
+    ``str.format`` call; any other column (mixed types, numpy scalars)
+    raises TypeError rather than print cells such as ``np.float64(0.5)``.
+    """
+    fields = []
+    for name, col in zip(names, columns):
+        kinds = set(map(type, col))
+        if len(kinds) > 1 or not kinds <= _CELL_FIELDS.keys():
+            raise TypeError(f"CSV column {name!r} holds {sorted(k.__name__ for k in kinds)}")
+        fields.append(_CELL_FIELDS[kinds.pop()] if kinds else "{}")
+    out = [f"# {line}" for line in header_lines]
+    out.append(",".join(names))
+    out.extend(map(",".join(fields).format, *columns))
     _atomic_write(path, "\n".join(out) + "\n")
-
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def write_svg_line_chart(
@@ -116,14 +135,12 @@ def write_svg_line_chart(
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
-
-    def sx(x):
-        return left + (right - left) * (x - x_lo) / (x_hi - x_lo)
-
-    def sy(y):
-        return bottom - (bottom - top) * (y - y_lo) / (y_hi - y_lo)
-
-    pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
+    # The scalar formulas left + (right - left) * (x - x_lo) / (x_hi - x_lo)
+    # and its y twin, evaluated in the same order on whole arrays.
+    with np.errstate(all="ignore"):
+        px = left + (right - left) * (np.array(xs) - x_lo) / (x_hi - x_lo)
+        py = bottom - (bottom - top) * (np.array(ys) - y_lo) / (y_hi - y_lo)
+    pts = " ".join(map("{:.2f},{:.2f}".format, px.tolist(), py.tolist()))
     svg = [f"<!-- {line} -->" for line in header_lines]
     svg += [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -226,7 +243,10 @@ def cmd_norms(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(
-        out / "profile.csv", _header_lines(args), ("j", "lnM"), enumerate(profile.ln_m)
+        out / "profile.csv",
+        _header_lines(args),
+        ("j", "lnM"),
+        (range(len(profile.ln_m)), profile.ln_m),
     )
     return 0
 
@@ -235,27 +255,24 @@ def cmd_tau(args: argparse.Namespace) -> int:
     _check_grid_cap("--rmax", args.rmax)
     m_grid = _parse_m_range(args.m)
     profile, dim = _load_profile(args)
-    n = dim
+    table = build_table(profile, range(1, args.rmax + 1))
+    wit = witness(profile, dim, m_grid, normalize=False)
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     headers = _header_lines(args)
-
-    table = build_table(profile, range(1, args.rmax + 1))
     _write_csv(
         out / "tau_table.csv",
         headers,
         ("r", "ln_tau", "ln_tau_shifted"),
-        zip(table.r_grid, table.ln_tau, table.ln_tau_shifted),
+        (table.r_grid, table.ln_tau, table.ln_tau_shifted),
     )
-
-    wit = witness(profile, n, m_grid, normalize=False)
     _write_csv(
         out / "witness_table.csv",
         headers,
         ("m", "ln_t", "ln_theta", "d", "theta_positive"),
-        zip(wit.m_grid, wit.ln_t, wit.ln_theta, wit.witness, wit.theta_positive),
+        (wit.m_grid, wit.ln_t, wit.ln_theta, wit.witness, wit.theta_positive),
     )
-
     summary = {
         "config": _config_echo(args),
         "effective": _effective(profile, dim),
@@ -277,11 +294,6 @@ def _fit_payload(fit) -> dict | None:
 def cmd_verdict(args: argparse.Namespace) -> int:
     m_grid = _parse_m_range(args.m)
     profile, dim = _load_profile(args)
-    n = dim
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    headers = _header_lines(args)
-
     config = TrendConfig(
         slope_threshold=args.slope_threshold,
         residual_threshold=DEFAULT_TREND.residual_threshold,
@@ -290,7 +302,7 @@ def cmd_verdict(args: argparse.Namespace) -> int:
         saturation_fraction=DEFAULT_TREND.saturation_fraction,
     )
     report = carleman_diagnostic(profile, args.rmax, config=config)
-    wit = witness(profile, n, m_grid, config=config)
+    wit = witness(profile, dim, m_grid, config=config)
 
     payload = {
         "config": _config_echo(args),
@@ -315,16 +327,14 @@ def cmd_verdict(args: argparse.Namespace) -> int:
         },
         "overall": report.verdict,
     }
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    headers = _header_lines(args)
     _write_json(out / "verdict.json", payload)
-    _write_csv(
-        out / "witness_plot.csv",
-        headers,
-        ("m", "d"),
-        zip(wit.m_grid, wit.witness),
-    )
+    _write_csv(out / "witness_plot.csv", headers, ("m", "d"), (wit.m_grid, wit.witness))
     write_svg_line_chart(
         out / "witness_plot.svg",
-        [math.log(m) for m in wit.m_grid],
+        list(map(math.log, wit.m_grid)),
         wit.witness,
         title="divergence witness",
         x_label="ln m",
@@ -339,10 +349,6 @@ def cmd_interp(args: argparse.Namespace) -> int:
     series = _load_series(args)
     n = series.dim
     _check_grid_cap("--m", m_grid[-1] ** n)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    headers = _header_lines(args)
-
     rescale = None
     if args.tm:
         # D(t_m) sampling presumes the normalization M_3 < 1/2 (otherwise
@@ -364,7 +370,6 @@ def cmd_interp(args: argparse.Namespace) -> int:
 
     z0 = _parse_z0(args.z0, n)
     reports = []
-    sup_rows = []
     for m in m_grid:
         audit = interpolation_audit(series, m, z0, engine=args.engine)
         t_val = t_for(m)
@@ -393,8 +398,9 @@ def cmd_interp(args: argparse.Namespace) -> int:
                 "n_samples": bounds.n_samples,
             }
         )
-        sup_rows.append((m, bounds.lhs_max))
 
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     _write_json(
         out / "interp_report.json",
         {
@@ -408,7 +414,12 @@ def cmd_interp(args: argparse.Namespace) -> int:
             "per_m": reports,
         },
     )
-    _write_csv(out / "interp_sup.csv", headers, ("m", "sup_augmented"), sup_rows)
+    _write_csv(
+        out / "interp_sup.csv",
+        _header_lines(args),
+        ("m", "sup_augmented"),
+        (m_grid, [r["sup_augmented"] for r in reports]),
+    )
     return 0
 
 

@@ -10,20 +10,18 @@ so that M_3 < 1/2, the normalization the inequality chain presumes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .logspace import NEG_INF
 from .norms import DerivativeNormProfile, build_profile, m_j
-from .series import FourierSeries, GridCapError, grid_cap, read_coefficients
+from .series import FourierSeries, GridCapError, Record, grid_cap, read_coefficients
 
 _KINDS = ("analytic", "gevrey", "profile", "file")
 _RULES = ("factorial", "constant")
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Record):
     """Description of one generated family member.
 
     kind "analytic": c_k = exp(-a |k|_1), needs decay a > 0 and radius.
@@ -106,8 +104,7 @@ def gen_profile(spec: FamilySpec) -> DerivativeNormProfile:
     return DerivativeNormProfile(dim=spec.dim, ln_m=vals, j_max=spec.j_max)
 
 
-@dataclass(frozen=True)
-class RescaleResult:
+class RescaleResult(Record):
     series: FourierSeries
     scale: float
     normalized: bool

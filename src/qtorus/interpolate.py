@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .associated import _legendre
 from .series import (
     FourierSeries,
     PolyPoint,
+    Record,
     SamplingAnnulus,
     _summed,
     eval_batch,
@@ -47,8 +47,7 @@ from .series import (
 DEGENERATE_Z0_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class FoldResult:
+class FoldResult(Record):
     """Per-slot coefficients of the diagonal fold.
 
     ``terms`` maps (r, beta) to the absorbed coefficient sum; every slot is
@@ -147,8 +146,7 @@ def alias_fold(series: FourierSeries, m: int) -> FourierSeries:
     return _summed(series.dim, series._exponents % m, series._values)
 
 
-@dataclass(frozen=True)
-class InterpolantPoly:
+class InterpolantPoly(Record):
     """A fold engine's output polynomial, tagged with its grid order m."""
 
     base: FourierSeries
@@ -162,8 +160,7 @@ class InterpolantPoly:
         return eval_batch(self.base, points)
 
 
-@dataclass(frozen=True)
-class AugmentedInterpolant:
+class AugmentedInterpolant(Record):
     """Fold polynomial plus the grid-vanishing correction pinned at z0.
 
     Evaluates as base(z) + (z_1^m + ... + z_n^m - n) * correction.  When
@@ -248,8 +245,7 @@ def augmented_interpolant(
     return _augment(series, base, z0)
 
 
-@dataclass(frozen=True)
-class InterpolationAudit:
+class InterpolationAudit(Record):
     """Max deviation of the augmented interpolant from the series.
 
     ``interpolant`` is the augmented interpolant that was audited (its
@@ -308,8 +304,7 @@ def sample_annulus(
     return moduli * np.exp(1j * phases)
 
 
-@dataclass(frozen=True)
-class BoundAuditReport:
+class BoundAuditReport(Record):
     """Sampled sup of the interpolant against the tau-driven growth envelopes.
 
     ``ln_rhs_growth`` is ln(1 + sum_{r=1}^m r tau(r) t^{nr}) (full bound),

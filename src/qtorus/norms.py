@@ -32,17 +32,15 @@ O(sum_j C(j+n-1, n-1) K).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .logspace import NEG_INF, log_sum_exp
-from .series import FourierSeries
+from .series import FourierSeries, Record
 
 
-@dataclass(frozen=True)
-class DerivativeNormProfile:
+class DerivativeNormProfile(Record):
     """Cached sequence ln M_j, j = 0..j_max, for one series.
 
     ``class_r`` optionally records a fitted growth-rate constant against a
@@ -174,8 +172,7 @@ def fit_class_r(profile: DerivativeNormProfile, reference_ln_m) -> float:
     return math.exp(ln_r)
 
 
-@dataclass(frozen=True)
-class BoundViolation:
+class BoundViolation(Record):
     index: tuple
     alpha: tuple
     ln_coeff: float
@@ -186,8 +183,7 @@ class BoundViolation:
         return self.ln_coeff - self.ln_bound
 
 
-@dataclass(frozen=True)
-class CoefficientBoundReport:
+class CoefficientBoundReport(Record):
     """Result of checking |c_k| <= M_j / prod |k_p|^{alpha_p} over the support."""
 
     j: int

@@ -19,8 +19,8 @@ import math
 import os
 import tempfile
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 from types import MappingProxyType
 
@@ -253,8 +253,80 @@ def _summed(dim: int, exponents: np.ndarray, values: np.ndarray) -> FourierSerie
     return FourierSeries.from_arrays(dim, rows, sums)
 
 
-@dataclass(frozen=True)
-class TorusPoint:
+class Record:
+    """Immutable record whose fields are the class's annotated names, in order.
+
+    A subclass declares ``name: type`` lines, optionally with a default
+    value; it is built from the fields positionally or by keyword, and
+    ``__post_init__`` (if defined) runs after the fields are set and may
+    normalise them with ``object.__setattr__``.  ``==`` compares the field
+    tuples of two records of the same class, ``hash`` hashes that tuple and
+    ``repr`` reads ``Name(field=value, ...)``: what a frozen dataclass
+    does, from methods shared by every record instead of code generated
+    per class.  Assigning or deleting an attribute raises AttributeError;
+    ``cached_property`` still works, since it writes into ``__dict__``.
+    """
+
+    _fields: tuple = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = cls.__annotations__
+        cls._fields = fields = cls._fields + tuple(f for f in own if f not in cls._fields)
+        cls._defaults = {**cls._defaults, **{f: cls.__dict__[f] for f in own if f in cls.__dict__}}
+        for name, default in cls._defaults.items():
+            if isinstance(default, (list, dict, set)):
+                raise TypeError(f"{cls.__name__}.{name}: mutable default {type(default).__name__}")
+        required = [f for f in fields if f not in cls._defaults]
+        if fields[: len(required)] != tuple(required):
+            raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
+        get = attrgetter(*fields) if fields else (lambda self: ())
+        # attrgetter of one name returns the value itself, not a 1-tuple.
+        cls._astuple = staticmethod(get if len(fields) != 1 else lambda self: (get(self),))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{type(self).__name__} takes {len(fields)} fields, got {len(args)}")
+        if kwargs or len(args) < len(fields):
+            values = dict(zip(fields, args))
+            for name, value in kwargs.items():
+                if name in values or name not in fields:
+                    raise TypeError(f"{type(self).__name__} got an unexpected or repeated field {name!r}")
+                values[name] = value
+            defaults = self._defaults
+            try:
+                args = [values[name] if name in values else defaults[name] for name in fields]
+            except KeyError as exc:
+                raise TypeError(f"{type(self).__name__} missing field {exc.args[0]!r}") from None
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple(self) == other._astuple(other)
+
+    def __hash__(self):
+        return hash(self._astuple(self))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._astuple(self)))
+        return f"{type(self).__qualname__}({body})"
+
+
+class TorusPoint(Record):
     """A point on the n-torus, stored as angles normalized to [0, 2*pi)."""
 
     theta: tuple
@@ -274,8 +346,7 @@ class TorusPoint:
         return PolyPoint(tuple(cmath.exp(1j * t) for t in self.theta))
 
 
-@dataclass(frozen=True)
-class PolyPoint:
+class PolyPoint(Record):
     """A point with nonzero complex components (Laurent evaluation domain)."""
 
     z: tuple
@@ -296,8 +367,7 @@ class PolyPoint:
         return all(abs(abs(v) - 1.0) <= tol for v in self.z)
 
 
-@dataclass(frozen=True)
-class SamplingAnnulus:
+class SamplingAnnulus(Record):
     """The region 1/t <= |z_p| <= t (componentwise), t > 1."""
 
     dim: int

@@ -267,3 +267,45 @@ def dense_fold_weights(profile, r_max):
         arg_shift = np.zeros(r_max, dtype=np.int64)
         w_shift = np.full(r_max, -np.inf)
     return w_full, w_shift, arg_full == j_max, arg_shift == j_max
+
+
+def loop_write_csv(path, header_lines, names, rows) -> None:
+    """The CSV artifact formatted one cell at a time: the oracle for ``cli._write_csv``.
+
+    ``rows`` are tuples; a bool is written 1/0, a float by repr and anything
+    else by str.
+    """
+
+    def fmt(value) -> str:
+        if isinstance(value, bool):
+            return "1" if value else "0"
+        if isinstance(value, float):
+            return repr(value)
+        return str(value)
+
+    out = [f"# {line}" for line in header_lines]
+    out.append(",".join(names))
+    for row in rows:
+        out.append(",".join(fmt(v) for v in row))
+    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+
+
+def loop_svg_points(xs, ys) -> str:
+    """The polyline ``points`` of ``cli.write_svg_line_chart``, one point at a time."""
+    left, right, top, bottom = 70, 610, 40, 350
+    xs = [float(x) for x in xs]
+    ys = [float(y) for y in ys]
+    x_lo, x_hi = min(xs), max(xs)
+    y_lo, y_hi = min(ys), max(ys)
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
+    if y_hi == y_lo:
+        y_hi = y_lo + 1.0
+
+    def sx(x):
+        return left + (right - left) * (x - x_lo) / (x_hi - x_lo)
+
+    def sy(y):
+        return bottom - (bottom - top) * (y - y_lo) / (y_hi - y_lo)
+
+    return " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))

@@ -1,15 +1,22 @@
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qtorus
 import qtorus.interpolate as interpolate_module
 from qtorus import write_coefficients
-from qtorus.cli import main
-from helpers import loop_read_coefficients, random_series
+from qtorus.cli import _finite_or_null, _write_csv, main, write_svg_line_chart
+from helpers import loop_read_coefficients, loop_svg_points, loop_write_csv, random_series
 
 
 def read_data_rows(path):
@@ -177,13 +184,16 @@ class TestTau:
         assert code == 4
         assert not out.exists()
 
-    def test_degenerate_profile_exits_3(self, tmp_path):
+    def test_degenerate_profile_exits_3(self, tmp_path, capsys):
+        # The math runs before --out is made, so a failure leaves nothing.
         coeffs = tmp_path / "const.jsonl"
         coeffs.write_text('{"k": [0], "re": 1.0, "im": 0.0}\n')
-        code = main(
-            ["tau", "--input", str(coeffs), "--m", "2..8", "--out", str(tmp_path / "o")]
-        )
-        assert code == 3
+        for command in ("tau", "verdict"):
+            out = tmp_path / command
+            code = main([command, "--input", str(coeffs), "--m", "2..8", "--out", str(out)])
+            assert code == 3
+            assert not out.exists()
+            assert capsys.readouterr().err.startswith("error: degenerate profile")
 
 
 class TestVerdict:
@@ -241,6 +251,19 @@ class TestVerdict:
         assert code == 0
         verdict = read_strict_json(out / "verdict.json")
         assert verdict["witness"]["slope_d_vs_log_m"] is None
+
+
+    def test_every_csv_cell_is_a_plain_number(self, tmp_path):
+        # numpy scalars would print as np.float64(...); every cell must parse.
+        family = ["--family", "profile:rule=factorial:s=1.5:Jmax=60", "--m", "2..50"]
+        assert main(["tau", *family, "--rmax", "30", "--out", str(tmp_path / "t")]) == 0
+        assert main(["verdict", *family, "--out", str(tmp_path / "v")]) == 0
+        tables = [*(tmp_path / "t").glob("*.csv"), *(tmp_path / "v").glob("*.csv")]
+        assert len(tables) == 3
+        for table in tables:
+            for row in read_data_rows(table)[1:]:  # after the column names
+                for cell in row.split(","):
+                    float(cell)
 
 
 class TestInterp:
@@ -330,6 +353,16 @@ class TestInterp:
         assert code == 0
         report = json.loads((out / "interp_report.json").read_text())
         assert all(entry["degenerate_z0"] for entry in report["per_m"])
+
+    def test_bad_z0_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(
+            ["interp", "--family", "analytic:a=1:K=3", "--m", "2..4", "--z0", "2",
+             "--out", str(out)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: --z0 components must have modulus 1\n"
+        assert not out.exists()
 
     def test_grid_cap_exits_4(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QTORUS_GRID_CAP", "8")
@@ -424,3 +457,129 @@ class TestInterp:
         assert (fixed["effective"]["n_modes"], fixed["effective"]["support_radius"]) == (2, 2)
         assert (scaled["effective"]["n_modes"], scaled["effective"]["support_radius"]) == (1, 1)
         assert scaled["effective"]["rescale"]["scale"] < 1e-2
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 1.5, -2.25, 1e16, 1e-05, 1e-300, 5e-324, math.inf, -math.inf, math.nan]
+
+
+class TestWriters:
+    """The columnar CSV and SVG writers against the cell-at-a-time oracles."""
+
+    def assert_csv_matches_oracle(self, tmp_path, columns):
+        names = [f"c{i}" for i in range(len(columns))]
+        headers = ["command=test", "out=somewhere"]
+        _write_csv(tmp_path / "new.csv", headers, names, columns)
+        loop_write_csv(tmp_path / "old.csv", headers, names, zip(*columns))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_csv_columns_of_each_kind(self, tmp_path):
+        floats = SPECIAL_FLOATS
+        size = len(floats)
+        ints = [0, -1, 7, 2**70, -(2**63), 3, 12, 5, 1, 0, 99]
+        bools = [True, False] * (size // 2) + [True]
+        self.assert_csv_matches_oracle(tmp_path, [range(size), floats, ints, bools])
+        self.assert_csv_matches_oracle(tmp_path, [tuple(floats), tuple(bools)])
+
+    @pytest.mark.parametrize(
+        "column",
+        [[1, 2.0], [True, 1], [np.float64(0.1)], [np.int64(-4), np.int64(2)], ["x"], [None]],
+    )
+    def test_csv_refuses_mixed_and_numpy_scalar_columns(self, tmp_path, column):
+        # A numpy scalar would print as np.float64(...); a mixed column has no one format.
+        with pytest.raises(TypeError, match="'c1'"):
+            _write_csv(tmp_path / "t.csv", [], ("c0", "c1"), (range(len(column)), column))
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_csv_with_no_rows(self, tmp_path):
+        self.assert_csv_matches_oracle(tmp_path, [[], ()])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=30))
+    def test_csv_float_column_property(self, tmp_path_factory, values):
+        tmp_path = tmp_path_factory.mktemp("csv")
+        self.assert_csv_matches_oracle(tmp_path, [values, [int(i) for i in range(len(values))]])
+
+    def svg_points(self, tmp_path, xs, ys) -> str:
+        path = tmp_path / "chart.svg"
+        write_svg_line_chart(path, xs, ys, title="t", x_label="x", y_label="y")
+        return re.search(r'<polyline points="([^"]*)"', path.read_text()).group(1)
+
+    @pytest.mark.parametrize(
+        "xs, ys",
+        [
+            ([math.log(m) for m in range(2, 60)], [0.1 * m**0.5 - 3.0 for m in range(2, 60)]),
+            ([1.0, 2.0, 3.0], [4.0, 4.0, 4.0]),  # constant: the y_hi == y_lo branch
+            ([2.5], [-1.0]),  # one point: both spans are widened
+            ([0.0, 1.0, 2.0, 3.0], [-0.0, math.inf, 1e16, 1e-05]),
+            ([0.0, 1.0, 2.0], [math.nan, 1.0, -math.inf]),
+            ([3, 1, 2], [True, False, 7]),
+            # many points
+            ([math.log(m) for m in range(2, 10_002)], [math.sin(m) for m in range(2, 10_002)]),
+        ],
+    )
+    def test_svg_points_match_the_scalar_loop(self, tmp_path, xs, ys):
+        assert self.svg_points(tmp_path, xs, ys) == loop_svg_points(xs, ys)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(-1e6, 1e6, allow_nan=False), st.floats(-1e6, 1e6, allow_nan=False)
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_svg_points_property(self, tmp_path_factory, pairs):
+        xs, ys = zip(*pairs)
+        tmp_path = tmp_path_factory.mktemp("svg")
+        assert self.svg_points(tmp_path, xs, ys) == loop_svg_points(xs, ys)
+
+
+class TestFiniteOrNull:
+    def test_non_finite_floats_nested_become_null(self):
+        payload = {
+            "a": math.nan,
+            "b": [1.0, math.inf, {"c": -math.inf, "d": (2.0, math.nan)}],
+            "e": [[1, 2], [3.5, -math.inf]],
+            "f": np.float64("nan"),
+            "g": "text",
+        }
+        assert _finite_or_null(payload) == {
+            "a": None,
+            "b": [1.0, None, {"c": None, "d": [2.0, None]}],
+            "e": [[1, 2], [3.5, None]],
+            "f": None,
+            "g": "text",
+        }
+
+    def test_float_free_and_finite_lists_returned_unchanged(self):
+        ints = [3, -1, 2**70]
+        mixed = [1, True, "x", None]
+        finite = [1.0, -0.0, 1e-300]
+        for value in (ints, mixed, finite, tuple(ints)):
+            assert _finite_or_null(value) is value
+        modes = [[1, 2], [3, 4]]
+        result = _finite_or_null({"uncovered_modes": modes})["uncovered_modes"]
+        assert result == modes and all(a is b for a, b in zip(result, modes))
+
+
+class TestFreshProcess:
+    def test_module_entry_matches_in_process_main(self, tmp_path):
+        # ``python -m qtorus.cli`` in a new interpreter, with no bytecode
+        # written, gives the bytes main() gives for the same --out.
+        out = tmp_path / "out"
+        argv = ["norms", "--family", "analytic:a=1:K=1", "--Jmax", "2", "--out", str(out)]
+        assert main(argv) == 0
+        in_process = (out / "profile.csv").read_bytes()
+        (out / "profile.csv").unlink()
+        out.rmdir()
+        src = str(Path(qtorus.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qtorus.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (out / "profile.csv").read_bytes() == in_process

@@ -1,0 +1,181 @@
+"""Records behave like frozen dataclasses, without being dataclasses.
+
+Every ``Record`` type of the package is checked against a twin made by
+``dataclasses.make_dataclass(..., frozen=True)`` from the same field names,
+defaults and ``__post_init__``.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import inspect
+import math
+
+import pytest
+
+import qtorus
+from qtorus import DerivativeNormProfile, TrendConfig
+from qtorus.series import Record
+
+RECORDS = sorted(Record.__subclasses__(), key=lambda cls: cls.__name__)
+
+#: Two sets of field values each, for the records whose __post_init__ validates.
+VALID = {
+    "TorusPoint": ({"theta": (0.5, 7.0)}, {"theta": (0.5, 7.5)}),
+    "PolyPoint": ({"z": (1j, 2.0)}, {"z": (1j, -2.0)}),
+    "SamplingAnnulus": ({"dim": 2, "t": 1.5}, {"dim": 2, "t": 1.25}),
+    "DerivativeNormProfile": (
+        {"dim": 1, "ln_m": (0.0, -1.5, -math.inf), "j_max": 2},
+        {"dim": 1, "ln_m": (0.0, -1.5, -2.0), "j_max": 2},
+    ),
+    "FamilySpec": (
+        {"kind": "analytic", "dim": 1, "radius": 3, "decay": 1.0},
+        {"kind": "analytic", "dim": 1, "radius": 3, "decay": 2.0},
+    ),
+}
+
+
+def twin(cls):
+    """A frozen dataclass with the record's fields, defaults and __post_init__."""
+    specs = [
+        (name, object, dataclasses.field(default=cls._defaults[name]))
+        if name in cls._defaults
+        else (name, object)
+        for name in cls._fields
+    ]
+    namespace = {}
+    if "__post_init__" in vars(cls):
+        namespace["__post_init__"] = vars(cls)["__post_init__"]
+    return dataclasses.make_dataclass(cls.__name__, specs, frozen=True, namespace=namespace)
+
+
+def sample_kwargs(cls, salt: int = 0) -> dict:
+    """Valid field values for ``cls``; salt 0 and 1 give records that differ."""
+    if cls.__name__ in VALID:
+        return dict(VALID[cls.__name__][salt])
+    pool = (lambda i: i + salt, lambda i: 0.5 * i - salt, lambda i: f"s{i}{salt}", lambda i: (i, salt))
+    return {name: pool[i % len(pool)](i) for i, name in enumerate(cls._fields)}
+
+
+def outcome(fn):
+    """The value of ``fn()``, or the type of the exception it raised."""
+    try:
+        return fn()
+    except Exception as exc:  # noqa: BLE001 - the exception type is the outcome
+        return type(exc)
+
+
+def test_every_exported_record_is_covered_and_no_class_is_a_dataclass():
+    exported = [obj for obj in vars(qtorus).values() if inspect.isclass(obj)]
+    assert {c for c in exported if issubclass(c, Record)} <= set(RECORDS)
+    assert len(RECORDS) == 19
+    for cls in [*exported, *RECORDS]:
+        assert not dataclasses.is_dataclass(cls), cls
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+class TestAgainstDataclass:
+    def test_repr_eq_hash(self, cls):
+        other = twin(cls)
+        kwargs = sample_kwargs(cls)
+        a, b = cls(**kwargs), cls(*kwargs.values())
+        ta, tb = other(**kwargs), other(*kwargs.values())
+        assert repr(a) == repr(ta)
+        assert (a == b) is (ta == tb) is True
+        assert (a != b) is (ta != tb) is False
+        assert outcome(lambda: hash(a)) == outcome(lambda: hash(ta))
+        assert outcome(lambda: hash(a) == hash(b)) == outcome(lambda: hash(ta) == hash(tb))
+        assert a != ta and ta != a
+        assert (a == object()) is False
+
+    def test_unequal_when_a_field_differs(self, cls):
+        other = twin(cls)
+        first, second = sample_kwargs(cls, 0), sample_kwargs(cls, 1)
+        assert (cls(**first) == cls(**second)) is (other(**first) == other(**second)) is False
+
+    def test_assignment_and_deletion_raise_attribute_error(self, cls):
+        record = cls(**sample_kwargs(cls))
+        dc = twin(cls)(**sample_kwargs(cls))
+        for name in (cls._fields[0], "not_a_field"):
+            for obj in (record, dc):
+                with pytest.raises(AttributeError):
+                    setattr(obj, name, 1)
+                with pytest.raises(AttributeError):
+                    delattr(obj, name)
+        assert repr(record) == repr(dc)
+
+    def test_missing_unknown_and_repeated_fields_raise_type_error(self, cls):
+        other = twin(cls)
+        kwargs = sample_kwargs(cls)
+        required = [name for name in cls._fields if name not in cls._defaults]
+        calls = [{**kwargs, "not_a_field": 1}]  # unknown
+        if required:
+            calls.append({k: v for k, v in kwargs.items() if k != required[-1]})  # missing
+        for call in calls:
+            with pytest.raises(TypeError):
+                cls(**call)
+            with pytest.raises(TypeError):
+                other(**call)
+        values = list(kwargs.values())
+        for make in (cls, other):
+            with pytest.raises(TypeError):
+                make(*values, *([0] * (len(cls._fields) - len(values) + 1)))  # too many
+            with pytest.raises(TypeError):
+                make(values[0], **{cls._fields[0]: values[0]})  # given twice
+
+
+def test_defaults_match_the_dataclass():
+    assert repr(TrendConfig()) == repr(twin(TrendConfig)())
+    assert TrendConfig() == TrendConfig(0.05, 0.1, 1e-3, 0.9, 0.5)
+    assert TrendConfig(fit_margin=0.8).fit_margin == 0.8
+    fields = {"dim": 1, "ln_m": (0.0, -1.0), "j_max": 1}
+    record = DerivativeNormProfile(**fields)
+    assert record.class_r is None
+    assert record == DerivativeNormProfile(**fields, class_r=None)
+    assert repr(record) == repr(twin(DerivativeNormProfile)(**fields))
+    assert hash(record) == hash(twin(DerivativeNormProfile)(**fields))
+
+
+def test_post_init_normalises_and_cached_property_writes():
+    point = qtorus.TorusPoint((7.0, -1.0))
+    assert point.theta == (7.0 - 2 * math.pi, 2 * math.pi - 1.0)
+    assert repr(point) == repr(twin(qtorus.TorusPoint)((7.0, -1.0)))
+    profile = DerivativeNormProfile(1, [0, -1, -2, -3], 3)
+    assert profile.ln_m == (0.0, -1.0, -2.0, -3.0)
+    assert profile._hulls is profile._hulls  # cached in __dict__
+    assert profile == DerivativeNormProfile(1, (0.0, -1.0, -2.0, -3.0), 3)
+    with pytest.raises(ValueError):
+        DerivativeNormProfile(1, (0.0,), 2)
+
+
+def test_field_without_default_after_a_default_is_refused():
+    with pytest.raises(TypeError):
+
+        class Broken(Record):
+            a: int = 0
+            b: int
+
+    for mutable in ([], {}, set()):
+        # One default object would be shared by every instance.
+        with pytest.raises(TypeError, match="mutable default"):
+
+            class Shared(Record):
+                a: object = mutable
+
+    class Base(Record):
+        a: int
+        b: int = 2
+
+    class Child(Base):
+        c: int = 3
+
+    assert Child._fields == ("a", "b", "c")
+    assert repr(Child(1, c=4)).endswith(".Child(a=1, b=2, c=4)")
+    assert Child(1) != Base(1)
+
+
+def test_unhashable_field_makes_hash_raise_like_the_dataclass():
+    fold = qtorus.FoldResult(m=2, dim=1, terms={}, covered_modes=frozenset(), skipped_collisions=())
+    dc = twin(qtorus.FoldResult)(2, 1, {}, frozenset(), ())
+    assert outcome(lambda: hash(fold)) is outcome(lambda: hash(dc)) is TypeError
+    assert repr(fold) == repr(dc)
