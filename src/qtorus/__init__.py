@@ -12,7 +12,6 @@ from .series import (
     FourierSeries,
     GridCapError,
     PolyPoint,
-    SamplingAnnulus,
     TorusPoint,
     eval_batch,
     eval_grid,
@@ -62,7 +61,6 @@ from .interpolate import (
     bound_audit,
     diagonal_fold,
     interpolation_audit,
-    sample_annulus,
 )
 from .families import (
     FamilySpec,

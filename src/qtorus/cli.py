@@ -38,9 +38,9 @@ from .associated import (
 )
 from .families import (
     FamilySpec,
+    gen_profile,
     gen_series,
     parse_family_spec,
-    profile_for,
     rescale_to_class,
 )
 from .interpolate import bound_audit, interpolation_audit
@@ -50,7 +50,7 @@ from .series import (
     GridCapError,
     PolyPoint,
     _atomic_write,
-    grid_cap,
+    check_size,
     read_coefficients,
 )
 
@@ -63,11 +63,6 @@ def _config_echo(args: argparse.Namespace) -> dict:
             continue
         echo[key] = value if not isinstance(value, Path) else str(value)
     return echo
-
-
-def _header_lines(args: argparse.Namespace) -> list[str]:
-    echo = _config_echo(args)
-    return [f"{k}={echo[k]}" for k in sorted(echo)]
 
 
 #: Leaf types that are never a non-finite float.
@@ -163,6 +158,25 @@ def write_svg_line_chart(
     _atomic_write(path, "\n".join(svg) + "\n")
 
 
+def _write_artifacts(args: argparse.Namespace, artifacts: dict) -> None:
+    """Create --out and write each artifact under its name, in order.
+
+    Every JSON artifact gets the same ``config`` echo and every CSV and SVG
+    the same header lines, built here once.
+    """
+    config = _config_echo(args)
+    headers = [f"{k}={config[k]}" for k in sorted(config)]
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, artifact in artifacts.items():
+        if name.endswith(".json"):
+            _write_json(out / name, {"config": config, **artifact})
+        elif name.endswith(".csv"):
+            _write_csv(out / name, headers, *artifact)
+        else:
+            write_svg_line_chart(out / name, *artifact, header_lines=headers)
+
+
 # ---------------------------------------------------------------------------
 # Input resolution
 # ---------------------------------------------------------------------------
@@ -177,8 +191,7 @@ def _resolve_spec(args: argparse.Namespace) -> FamilySpec | None:
     raise ValueError("need --input PATH or --family SPEC")
 
 
-def _load_series(args: argparse.Namespace) -> FourierSeries:
-    spec = _resolve_spec(args)
+def _load_series(args: argparse.Namespace, spec: FamilySpec | None) -> FourierSeries:
     if spec is None:
         return read_coefficients(args.input)
     if spec.kind == "profile":
@@ -186,16 +199,22 @@ def _load_series(args: argparse.Namespace) -> FourierSeries:
     return gen_series(spec)
 
 
+def _check_jmax(j_max: int) -> None:
+    check_size(j_max + 1, "profile orders (Jmax + 1)")
+
+
 def _load_profile(args: argparse.Namespace):
+    """The profile of a ``profile:`` family, or of the series the input gives.
+
+    The j_max actually used (the family's ``Jmax``, else ``--Jmax``) is
+    checked against the cap before anything is read or built.
+    """
     spec = _resolve_spec(args)
-    if spec is None:
-        series = read_coefficients(args.input)
-        return build_profile(series, args.jmax), series.dim
-    if spec.kind == "profile":
-        profile = profile_for(spec, args.jmax)
-        return profile, spec.dim
-    series = gen_series(spec)
-    return build_profile(series, args.jmax), series.dim
+    if spec is not None and spec.kind == "profile":
+        _check_jmax(spec.j_max)
+        return gen_profile(spec)
+    _check_jmax(args.jmax)
+    return build_profile(_load_series(args, spec), args.jmax)
 
 
 def _parse_m_range(text: str) -> list[int]:
@@ -204,15 +223,8 @@ def _parse_m_range(text: str) -> list[int]:
     b = int(hi) if sep else a
     if a < 1 or b < a:
         raise ValueError(f"bad m range {text!r}")
-    _check_grid_cap("--m", b)
+    check_size(b, "points of the --m grid")
     return list(range(a, b + 1))
-
-
-def _check_grid_cap(flag: str, size: int) -> None:
-    """Refuse a grid of ``size`` points past the grid cap before building it."""
-    limit = grid_cap()
-    if size > limit:
-        raise GridCapError(f"{flag} needs a grid of {size} points, cap is {limit}")
 
 
 def _parse_z0(text: str | None, dim: int) -> PolyPoint:
@@ -231,58 +243,47 @@ def _parse_z0(text: str | None, dim: int) -> PolyPoint:
 
 # ---------------------------------------------------------------------------
 # Commands
+#
+# Each command does all its math and returns its artifacts, file name to
+# content, in the order they are written: a JSON payload (a dict, to which
+# the writer adds the ``config`` echo), a CSV as (names, columns) or an SVG
+# chart as (xs, ys, title, x_label, y_label).  Only :func:`_write_artifacts`,
+# which ``main`` calls, touches --out.
 # ---------------------------------------------------------------------------
 
-def _effective(profile, dim: int) -> dict:
+def _effective(profile) -> dict:
     """Parameters a run actually used, which the config echo may not show."""
-    return {"j_max": profile.j_max, "dim": dim}
+    return {"j_max": profile.j_max, "dim": profile.dim}
 
 
-def cmd_norms(args: argparse.Namespace) -> int:
-    profile, _ = _load_profile(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        out / "profile.csv",
-        _header_lines(args),
-        ("j", "lnM"),
-        (range(len(profile.ln_m)), profile.ln_m),
-    )
-    return 0
+def cmd_norms(args: argparse.Namespace) -> dict:
+    profile = _load_profile(args)
+    return {"profile.csv": (("j", "lnM"), (range(len(profile.ln_m)), profile.ln_m))}
 
 
-def cmd_tau(args: argparse.Namespace) -> int:
-    _check_grid_cap("--rmax", args.rmax)
+def cmd_tau(args: argparse.Namespace) -> dict:
+    check_size(args.rmax, "points of the --rmax grid")
     m_grid = _parse_m_range(args.m)
-    profile, dim = _load_profile(args)
+    profile = _load_profile(args)
     table = build_table(profile, range(1, args.rmax + 1))
-    wit = witness(profile, dim, m_grid, normalize=False)
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    headers = _header_lines(args)
-    _write_csv(
-        out / "tau_table.csv",
-        headers,
-        ("r", "ln_tau", "ln_tau_shifted"),
-        (table.r_grid, table.ln_tau, table.ln_tau_shifted),
-    )
-    _write_csv(
-        out / "witness_table.csv",
-        headers,
-        ("m", "ln_t", "ln_theta", "d", "theta_positive"),
-        (wit.m_grid, wit.ln_t, wit.ln_theta, wit.witness, wit.theta_positive),
-    )
-    summary = {
-        "config": _config_echo(args),
-        "effective": _effective(profile, dim),
-        "r0_estimate": table.r0_estimate,
-        "saturated_argmin_count": sum(wit.argmin_saturated),
-        "chain_violations": wit.chain_violations,
-        "theta_positive_count": sum(wit.theta_positive),
+    wit = witness(profile, profile.dim, m_grid, normalize=False)
+    return {
+        "tau_table.csv": (
+            ("r", "ln_tau", "ln_tau_shifted"),
+            (table.r_grid, table.ln_tau, table.ln_tau_shifted),
+        ),
+        "witness_table.csv": (
+            ("m", "ln_t", "ln_theta", "d", "theta_positive"),
+            (wit.m_grid, wit.ln_t, wit.ln_theta, wit.witness, wit.theta_positive),
+        ),
+        "tau_summary.json": {
+            "effective": _effective(profile),
+            "r0_estimate": table.r0_estimate,
+            "saturated_argmin_count": sum(wit.argmin_saturated),
+            "chain_violations": wit.chain_violations,
+            "theta_positive_count": sum(wit.theta_positive),
+        },
     }
-    _write_json(out / "tau_summary.json", summary)
-    return 0
 
 
 def _fit_payload(fit) -> dict | None:
@@ -291,9 +292,9 @@ def _fit_payload(fit) -> dict | None:
     return {"slope": fit.slope, "intercept": fit.intercept, "rmse": fit.rmse}
 
 
-def cmd_verdict(args: argparse.Namespace) -> int:
+def cmd_verdict(args: argparse.Namespace) -> dict:
     m_grid = _parse_m_range(args.m)
-    profile, dim = _load_profile(args)
+    profile = _load_profile(args)
     config = TrendConfig(
         slope_threshold=args.slope_threshold,
         residual_threshold=DEFAULT_TREND.residual_threshold,
@@ -302,11 +303,9 @@ def cmd_verdict(args: argparse.Namespace) -> int:
         saturation_fraction=DEFAULT_TREND.saturation_fraction,
     )
     report = carleman_diagnostic(profile, args.rmax, config=config)
-    wit = witness(profile, dim, m_grid, config=config)
-
+    wit = witness(profile, profile.dim, m_grid, config=config)
     payload = {
-        "config": _config_echo(args),
-        "effective": _effective(profile, dim),
+        "effective": _effective(profile),
         "carleman": {
             "verdict": report.verdict,
             "saturated_fraction": report.saturated_fraction,
@@ -327,28 +326,22 @@ def cmd_verdict(args: argparse.Namespace) -> int:
         },
         "overall": report.verdict,
     }
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    headers = _header_lines(args)
-    _write_json(out / "verdict.json", payload)
-    _write_csv(out / "witness_plot.csv", headers, ("m", "d"), (wit.m_grid, wit.witness))
-    write_svg_line_chart(
-        out / "witness_plot.svg",
-        list(map(math.log, wit.m_grid)),
-        wit.witness,
-        title="divergence witness",
-        x_label="ln m",
-        y_label="d_m",
-        header_lines=headers,
-    )
-    return 0
+    return {
+        "verdict.json": payload,
+        "witness_plot.csv": (("m", "d"), (wit.m_grid, wit.witness)),
+        "witness_plot.svg": (
+            list(map(math.log, wit.m_grid)), wit.witness, "divergence witness", "ln m", "d_m"
+        ),
+    }
 
 
-def cmd_interp(args: argparse.Namespace) -> int:
+def cmd_interp(args: argparse.Namespace) -> dict:
     m_grid = _parse_m_range(args.m)
-    series = _load_series(args)
+    _check_jmax(args.jmax)
+    series = _load_series(args, _resolve_spec(args))
     n = series.dim
-    _check_grid_cap("--m", m_grid[-1] ** n)
+    check_size(m_grid[-1] ** n, "points of the --m grid in dimension n")
+    check_size(args.samples * n, "sample components (--samples x n)")
     rescale = None
     if args.tm:
         # D(t_m) sampling presumes the normalization M_3 < 1/2 (otherwise
@@ -398,29 +391,16 @@ def cmd_interp(args: argparse.Namespace) -> int:
                 "n_samples": bounds.n_samples,
             }
         )
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(
-        out / "interp_report.json",
-        {
-            "config": _config_echo(args),
-            "effective": {
-                **_effective(profile, n),
-                "n_modes": series.n_modes,
-                "support_radius": series.support_radius(),
-                "rescale": rescale,
-            },
-            "per_m": reports,
-        },
-    )
-    _write_csv(
-        out / "interp_sup.csv",
-        _header_lines(args),
-        ("m", "sup_augmented"),
-        (m_grid, [r["sup_augmented"] for r in reports]),
-    )
-    return 0
+    effective = {
+        **_effective(profile),
+        "n_modes": series.n_modes,
+        "support_radius": series.support_radius(),
+        "rescale": rescale,
+    }
+    return {
+        "interp_report.json": {"effective": effective, "per_m": reports},
+        "interp_sup.csv": (("m", "sup_augmented"), (m_grid, [r["sup_augmented"] for r in reports])),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +473,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        _write_artifacts(args, args.func(args))
     except GridCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
@@ -503,6 +483,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

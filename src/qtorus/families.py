@@ -14,10 +14,10 @@ import math
 import numpy as np
 
 from .logspace import NEG_INF
-from .norms import DerivativeNormProfile, build_profile, m_j
-from .series import FourierSeries, GridCapError, Record, grid_cap, read_coefficients
+from .norms import DerivativeNormProfile, m_j
+from .series import FourierSeries, Record, check_size
 
-_KINDS = ("analytic", "gevrey", "profile", "file")
+_KINDS = ("analytic", "gevrey", "profile")
 _RULES = ("factorial", "constant")
 
 
@@ -28,7 +28,6 @@ class FamilySpec(Record):
     kind "gevrey":   c_k = exp(-|k|_1^{1/s}), needs exponent s >= 1 and radius.
     kind "profile":  synthetic ln M_j rule ("factorial" scaled by exponent s,
                      or "constant"), needs rule and j_max.
-    kind "file":     JSONL coefficients at ``path``.
     """
 
     kind: str
@@ -38,7 +37,6 @@ class FamilySpec(Record):
     exponent: float | None = None
     rule: str | None = None
     j_max: int | None = None
-    path: str | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -60,9 +58,6 @@ class FamilySpec(Record):
                 raise ValueError(f"profile rule must be one of {_RULES}")
             if self.j_max is None or self.j_max < 0:
                 raise ValueError("profile family needs j_max >= 0")
-        elif self.kind == "file":
-            if not self.path:
-                raise ValueError("file family needs a path")
 
 
 def gen_series(spec: FamilySpec) -> FourierSeries:
@@ -70,20 +65,15 @@ def gen_series(spec: FamilySpec) -> FourierSeries:
 
     The (2K+1)^n modes of the sup-norm box |k_p| <= K, in index order.  A
     coefficient depends on |k|_1 only, so each of the n K + 1 distinct
-    values is computed once and gathered.  A box of more modes than
-    :func:`grid_cap` raises :class:`GridCapError` before anything is
+    values is computed once and gathered.  A box of more modes than the
+    cap raises :class:`GridCapError` (:func:`check_size`) before anything is
     allocated.
     """
-    if spec.kind == "file":
-        return read_coefficients(spec.path)
     if spec.kind == "profile":
         raise ValueError("profile families have no spectrum; use gen_profile")
     n, radius = spec.dim, spec.radius
     side = 2 * radius + 1
-    count = side**n
-    limit = grid_cap()
-    if count > limit:
-        raise GridCapError(f"family spectrum needs {count} modes, cap is {limit}")
+    count = check_size(side**n, "modes of the family spectrum")
     if spec.kind == "analytic":
         by_l1 = [math.exp(-spec.decay * l1) for l1 in range(n * radius + 1)]
     else:  # gevrey
@@ -131,7 +121,7 @@ def rescale_to_class(series: FourierSeries) -> RescaleResult:
 def parse_family_spec(text: str, dim: int = 1) -> FamilySpec:
     """Parse the CLI family syntax, e.g. ``analytic:a=1.0:K=100``.
 
-    Recognized keys: a (decay), s (exponent), K (radius), rule, Jmax, path.
+    Recognized keys: a (decay), s (exponent), K (radius), rule, Jmax.
     """
     parts = text.split(":")
     kind = parts[0].strip()
@@ -154,15 +144,7 @@ def parse_family_spec(text: str, dim: int = 1) -> FamilySpec:
             kwargs["rule"] = value
         elif key == "Jmax":
             kwargs["j_max"] = int(value)
-        elif key == "path":
-            kwargs["path"] = value
         else:
             raise ValueError(f"unknown family parameter {key!r}")
     return FamilySpec(kind=kind, dim=dim, **kwargs)
 
-
-def profile_for(spec: FamilySpec, j_max: int) -> DerivativeNormProfile:
-    """Profile of a family member: synthetic rule or built from its series."""
-    if spec.kind == "profile":
-        return gen_profile(spec)
-    return build_profile(gen_series(spec), j_max)

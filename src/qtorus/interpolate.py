@@ -35,7 +35,6 @@ from .series import (
     FourierSeries,
     PolyPoint,
     Record,
-    SamplingAnnulus,
     _summed,
     eval_batch,
     eval_grid,
@@ -210,23 +209,27 @@ def _build_base(series: FourierSeries, m: int, engine: str):
     raise ValueError(f"unknown engine {engine!r} (expected 'diagonal' or 'alias')")
 
 
-def _augment(
-    series: FourierSeries, base: InterpolantPoly, z0: PolyPoint
-) -> AugmentedInterpolant:
-    """Add the grid-vanishing correction to ``base`` so it matches series(z0)."""
+def _augment(series: FourierSeries, base: InterpolantPoly, z0: PolyPoint):
+    """(``base`` plus the grid-vanishing correction matching series(z0), its error at z0).
+
+    series(z0) and base(z0) are evaluated once each.  The error
+    |aug(z0) - series(z0)| adds the correction to base(z0) on the same
+    one-row arrays as ``AugmentedInterpolant.eval``, so its bits are those
+    of evaluating the interpolant again.
+    """
     if z0.dim != series.dim:
         raise ValueError("z0 dimension mismatch")
     if not z0.on_torus():
         raise ValueError("z0 must lie on the torus (|z0_p| = 1)")
-    denom = complex(_grid_factor(np.array([z0.z], dtype=complex), base.m)[0])
-    if abs(denom) < DEGENERATE_Z0_TOL * series.dim:
-        return AugmentedInterpolant(
-            base=base, z0=z0, correction=0j, degenerate_z0=True
-        )
-    residual = eval_laurent(series, z0) - base.eval(z0)
-    return AugmentedInterpolant(
-        base=base, z0=z0, correction=residual / denom, degenerate_z0=False
-    )
+    z = np.array([z0.z], dtype=complex)
+    factor = _grid_factor(z, base.m)
+    denom = complex(factor[0])
+    f_z0 = eval_laurent(series, z0)
+    base_z0 = base.eval_batch(z)
+    degenerate = abs(denom) < DEGENERATE_Z0_TOL * series.dim
+    correction = 0j if degenerate else (f_z0 - complex(base_z0[0])) / denom
+    aug = AugmentedInterpolant(base=base, z0=z0, correction=correction, degenerate_z0=degenerate)
+    return aug, abs(complex((base_z0 + factor * correction)[0]) - f_z0)
 
 
 def augmented_interpolant(
@@ -242,7 +245,7 @@ def augmented_interpolant(
     below ``DEGENERATE_Z0_TOL * n``), in which case the plain fold is kept.
     """
     base, _ = _build_base(series, m, engine)
-    return _augment(series, base, z0)
+    return _augment(series, base, z0)[0]
 
 
 class InterpolationAudit(Record):
@@ -272,7 +275,6 @@ def interpolation_audit(
     m: int,
     z0: PolyPoint,
     engine: str = "alias",
-    cap: int | None = None,
 ) -> InterpolationAudit:
     """Compare the augmented interpolant against the series on the full grid.
 
@@ -281,11 +283,10 @@ def interpolation_audit(
     :func:`grid_array` nodes, so its rounding there is part of the error.
     """
     base, uncovered = _build_base(series, m, engine)
-    aug = _augment(series, base, z0)
-    nodes = grid_array(series.dim, m, cap=cap)
-    f_vals = eval_grid(series, m, cap=cap)
-    l_vals = eval_grid(base.base, m, cap=cap) + _grid_factor(nodes, m) * aug.correction
-    z0_err = abs(aug.eval(z0) - eval_laurent(series, z0))
+    aug, z0_err = _augment(series, base, z0)
+    nodes = grid_array(series.dim, m)
+    f_vals = eval_grid(series, m)
+    l_vals = eval_grid(base.base, m) + _grid_factor(nodes, m) * aug.correction
     return InterpolationAudit(
         interpolant=aug,
         max_grid_error=float(np.max(np.abs(l_vals - f_vals))),
@@ -293,15 +294,6 @@ def interpolation_audit(
         tolerance=1e-9 * (1.0 + series.abs_sum()),
         uncovered_modes=uncovered,
     )
-
-
-def sample_annulus(
-    annulus: SamplingAnnulus, n_samples: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw points with moduli uniform in [1/t, t] and uniform phases."""
-    moduli = rng.uniform(1.0 / annulus.t, annulus.t, size=(n_samples, annulus.dim))
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=(n_samples, annulus.dim))
-    return moduli * np.exp(1j * phases)
 
 
 class BoundAuditReport(Record):
@@ -349,8 +341,11 @@ def bound_audit(
     if not t > 1.0:
         raise ValueError("t must be > 1")
     n, m = interpolant.dim, interpolant.m
+    # Moduli in [1/t, t], then phases: the seeded reports depend on this draw order.
     rng = np.random.default_rng(seed)
-    points = sample_annulus(SamplingAnnulus(dim=n, t=t), n_samples, rng)
+    moduli = rng.uniform(1.0 / t, t, size=(n_samples, n))
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=(n_samples, n))
+    points = moduli * np.exp(1j * phases)
 
     base_vals, corr_vals = interpolant._parts(points)
     lhs = base_vals + corr_vals

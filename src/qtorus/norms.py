@@ -41,16 +41,11 @@ from .series import FourierSeries, Record
 
 
 class DerivativeNormProfile(Record):
-    """Cached sequence ln M_j, j = 0..j_max, for one series.
-
-    ``class_r`` optionally records a fitted growth-rate constant against a
-    comparison sequence; it is informational only.
-    """
+    """Cached sequence ln M_j, j = 0..j_max, for one series."""
 
     dim: int
     ln_m: tuple
     j_max: int
-    class_r: float | None = None
 
     def __post_init__(self):
         if self.j_max < 0:
@@ -148,9 +143,7 @@ def build_profile(series: FourierSeries, j_max: int) -> DerivativeNormProfile:
 def shift_profile(profile: DerivativeNormProfile, delta: float) -> DerivativeNormProfile:
     """The profile of the rescaled function e^delta * f: every ln M_j shifts by delta."""
     shifted = tuple(v + delta if v != NEG_INF else NEG_INF for v in profile.ln_m)
-    return DerivativeNormProfile(
-        dim=profile.dim, ln_m=shifted, j_max=profile.j_max, class_r=profile.class_r
-    )
+    return DerivativeNormProfile(dim=profile.dim, ln_m=shifted, j_max=profile.j_max)
 
 
 def fit_class_r(profile: DerivativeNormProfile, reference_ln_m) -> float:

@@ -32,10 +32,10 @@ TWO_PI = 2.0 * math.pi
 #: information at double precision and would pollute log-domain sums.
 PRUNE_THRESHOLD = 1e-300
 
-#: Default ceiling on the number of roots-of-unity grid points (m**n).
+#: Default ceiling on every size a request drives (see :func:`check_size`).
 DEFAULT_GRID_CAP = 10**6
 
-#: Environment variable overriding the grid-point cap.
+#: Environment variable overriding the size cap.
 GRID_CAP_ENV = "QTORUS_GRID_CAP"
 
 #: Largest |k_p| of a stored index, so np.abs and the fold arithmetic on the
@@ -55,7 +55,19 @@ EVAL_BLOCK = 2**18
 
 
 class GridCapError(RuntimeError):
-    """A requested roots-of-unity grid would exceed the configured point cap."""
+    """A requested size would exceed the configured cap."""
+
+
+def check_size(count: int, what: str) -> int:
+    """``count``, or :class:`GridCapError` naming ``what`` when it exceeds the cap.
+
+    The one size check: grid points, family modes, profile orders, samples.
+    The cap is read from QTORUS_GRID_CAP at each call (default 10^6).
+    """
+    limit = int(os.environ.get(GRID_CAP_ENV, DEFAULT_GRID_CAP))
+    if count > limit:
+        raise GridCapError(f"{count} {what} exceed the cap of {limit} ({GRID_CAP_ENV})")
+    return count
 
 
 class _DuplicateIndex(ValueError):
@@ -367,19 +379,6 @@ class PolyPoint(Record):
         return all(abs(abs(v) - 1.0) <= tol for v in self.z)
 
 
-class SamplingAnnulus(Record):
-    """The region 1/t <= |z_p| <= t (componentwise), t > 1."""
-
-    dim: int
-    t: float
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if not self.t > 1.0:
-            raise ValueError("t must be > 1")
-
-
 def eval_laurent(series: FourierSeries, p: PolyPoint) -> complex:
     """sum_k c_k z_1^{k_1} ... z_n^{k_n} at one point: a one-row :func:`eval_batch`."""
     return complex(eval_batch(series, np.array([p.z], dtype=complex))[0])
@@ -414,22 +413,11 @@ def eval_batch(series: FourierSeries, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def grid_cap(cap: int | None = None) -> int:
-    """The grid-point cap: ``cap`` if given, else QTORUS_GRID_CAP, else 10^6."""
-    if cap is not None:
-        return int(cap)
-    return int(os.environ.get(GRID_CAP_ENV, DEFAULT_GRID_CAP))
-
-
-def _grid_size(n: int, m: int, cap: int | None) -> int:
+def _grid_size(n: int, m: int) -> int:
     """m^n, refusing with :class:`GridCapError` when it exceeds the cap."""
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
-    count = m ** n
-    limit = grid_cap(cap)
-    if count > limit:
-        raise GridCapError(f"grid needs {count} points, cap is {limit}")
-    return count
+    return check_size(m**n, "grid points")
 
 
 def _roots(m: int) -> np.ndarray:
@@ -437,18 +425,17 @@ def _roots(m: int) -> np.ndarray:
     return np.array([cmath.exp(TWO_PI * 1j * r / m) for r in range(m + 1)])
 
 
-def grid_array(n: int, m: int, cap: int | None = None) -> np.ndarray:
+def grid_array(n: int, m: int) -> np.ndarray:
     """The m^n interpolation nodes (e^{2 pi i l_1/m}, ..., e^{2 pi i l_n/m}).
 
     Rows of an (m^n, n) array, indices 1 <= l_p <= m in lexicographic order.
-    Refuses with :class:`GridCapError` when m^n exceeds the cap (default
-    10^6, overridable via QTORUS_GRID_CAP or the ``cap`` argument).
+    Refuses with :class:`GridCapError` when m^n exceeds the cap.
     """
-    count = _grid_size(n, m, cap)
+    count = _grid_size(n, m)
     return _roots(m)[1:][np.indices((m,) * n).reshape(n, count).T]
 
 
-def eval_grid(series: FourierSeries, m: int, cap: int | None = None) -> np.ndarray:
+def eval_grid(series: FourierSeries, m: int) -> np.ndarray:
     """Values at the ``grid_array(series.dim, m)`` nodes, in that order.
 
     At the node with indices l, a mode's factor in dimension p is
@@ -465,7 +452,7 @@ def eval_grid(series: FourierSeries, m: int, cap: int | None = None) -> np.ndarr
     complex elements, whatever the number of modes.  Refuses with
     :class:`GridCapError` exactly as :func:`grid_array` does.
     """
-    count = _grid_size(series.dim, m, cap)
+    count = _grid_size(series.dim, m)
     if not series.n_modes:
         return np.zeros(count, dtype=complex)
     roots = _roots(m)[:m]

@@ -1,3 +1,5 @@
+import importlib
+import itertools
 import json
 import math
 import os
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qtorus
+import qtorus.cli as cli_module
 import qtorus.interpolate as interpolate_module
 from qtorus import write_coefficients
 from qtorus.cli import _finite_or_null, _write_csv, main, write_svg_line_chart
@@ -111,6 +114,48 @@ class TestNorms:
         assert not out.exists()
         monkeypatch.setenv("QTORUS_GRID_CAP", "121")
         assert main(["norms", *args]) == 0
+
+    def test_jmax_past_cap_exits_4_before_any_work(self, tmp_path, monkeypatch, capsys):
+        # --Jmax 10^6 asks for 10^6 + 1 orders; nothing is read or built.
+        monkeypatch.delenv("QTORUS_GRID_CAP", raising=False)
+        coeffs = tmp_path / "c.jsonl"
+        coeffs.write_text('{"k": [1], "re": 1.0, "im": 0.0}\n')
+        for name in ("read_coefficients", "gen_series", "build_profile"):
+            monkeypatch.setattr(cli_module, name, _must_not_run)
+        out = tmp_path / "o"
+        for command in ("norms", "tau", "verdict", "interp"):
+            for source in (["--input", str(coeffs)], ["--family", "analytic:a=1:K=3"]):
+                code = main([command, *source, "--Jmax", "1000000", "--m", "2..3", "--out", str(out)])
+                assert code == 4
+                assert capsys.readouterr().err == (
+                    "error: 1000001 profile orders (Jmax + 1) exceed the cap of 1000000"
+                    " (QTORUS_GRID_CAP)\n"
+                )
+        assert not out.exists()
+
+    def test_profile_family_jmax_is_the_one_checked(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("QTORUS_GRID_CAP", raising=False)
+        out = tmp_path / "o"
+        with monkeypatch.context() as patched:
+            patched.setattr(cli_module, "gen_profile", _must_not_run)
+            family = "profile:rule=factorial:s=1:Jmax=1000000"
+            assert main(["tau", "--family", family, "--m", "2..3", "--out", str(out)]) == 4
+            assert capsys.readouterr().err.startswith("error: 1000001 profile orders")
+            assert not out.exists()
+        # The family's own Jmax is used, so a huge --Jmax is never built.
+        family = "profile:rule=factorial:s=1:Jmax=10"
+        assert main(["norms", "--family", family, "--Jmax", "1000000", "--out", str(out)]) == 0
+        assert len(read_data_rows(out / "profile.csv")) == 12
+
+    def test_file_family_kind_exits_2(self, tmp_path, capsys):
+        # JSONL coefficients come in through --input only.
+        coeffs = tmp_path / "x.jsonl"
+        coeffs.write_text('{"k": [1], "re": 1.0, "im": 0.0}\n')
+        out = tmp_path / "o"
+        assert main(["norms", "--family", f"file:path={coeffs}", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_missing_input_exits_2(self, tmp_path):
         assert main(["norms", "--out", str(tmp_path / "o")]) == 2
@@ -397,6 +442,21 @@ class TestInterp:
         assert audits == []
         assert not out.exists()
 
+    def test_samples_past_cap_exits_4_before_any_audit(self, tmp_path, monkeypatch, capsys):
+        # 500001 samples of n = 2 components are 1000002 > 10^6 values.
+        monkeypatch.delenv("QTORUS_GRID_CAP", raising=False)
+        monkeypatch.setattr(interpolate_module, "_build_base", _must_not_run)
+        monkeypatch.setattr(cli_module, "bound_audit", _must_not_run)
+        out = tmp_path / "out"
+        args = ["interp", "--family", "analytic:a=1:K=3", "--n", "2", "--m", "2..3"]
+        assert main([*args, "--samples", "500001", "--out", str(out)]) == 4
+        assert capsys.readouterr().err.startswith("error: 1000002 sample components")
+        assert not out.exists()
+        monkeypatch.undo()
+        monkeypatch.setenv("QTORUS_GRID_CAP", "100")
+        assert main([*args, "--samples", "51", "--out", str(out)]) == 4
+        assert main([*args, "--samples", "50", "--out", str(out)]) == 0
+
     @pytest.mark.parametrize("engine", ["alias", "diagonal"])
     def test_each_fold_built_once(self, tmp_path, monkeypatch, engine):
         calls = Counter()
@@ -457,6 +517,89 @@ class TestInterp:
         assert (fixed["effective"]["n_modes"], fixed["effective"]["support_radius"]) == (2, 2)
         assert (scaled["effective"]["n_modes"], scaled["effective"]["support_radius"]) == (1, 1)
         assert scaled["effective"]["rescale"]["scale"] < 1e-2
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("work ran past a failed size check")
+
+
+#: Per command: small arguments, the last math function it calls (as named
+#: in qtorus.cli) and the artifacts it writes, in order.
+COMMANDS = {
+    "norms": (["--family", "analytic:a=1:K=5", "--Jmax", "4"], "build_profile", ["profile.csv"]),
+    "tau": (
+        ["--family", "profile:rule=factorial:s=1:Jmax=30", "--rmax", "20", "--m", "2..10"],
+        "witness",
+        ["tau_table.csv", "witness_table.csv", "tau_summary.json"],
+    ),
+    "verdict": (
+        ["--family", "profile:rule=factorial:s=1:Jmax=30", "--rmax", "100", "--m", "2..20"],
+        "witness",
+        ["verdict.json", "witness_plot.csv", "witness_plot.svg"],
+    ),
+    "interp": (
+        ["--family", "analytic:a=1:K=5", "--m", "2..4", "--samples", "8", "--tm"],
+        "bound_audit",
+        ["interp_report.json", "interp_sup.csv"],
+    ),
+}
+
+
+def header_lines(path) -> list[str]:
+    """The config lines that open a CSV (``# k=v``) or SVG (``<!-- k=v -->``) artifact."""
+    lines = Path(path).read_text().splitlines()
+    if path.suffix == ".csv":
+        return [ln[2:] for ln in itertools.takewhile(lambda ln: ln.startswith("# "), lines)]
+    heads = itertools.takewhile(lambda ln: ln.startswith("<!-- "), lines)
+    return [ln[5:-4] for ln in heads]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+class TestSingleWriter:
+    """``main`` alone creates --out and writes every artifact with one config echo."""
+
+    def test_every_artifact_carries_the_same_config(self, tmp_path, command):
+        args, _, names = COMMANDS[command]
+        out = tmp_path / "out"
+        assert main([command, *args, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(names)
+        tables = [out / name for name in names if not name.endswith(".json")]
+        headers = header_lines(tables[0])
+        assert {"command=" + command, "out=" + str(out), "version=" + qtorus.__version__} <= set(headers)
+        assert headers == sorted(headers)
+        for table in tables[1:]:
+            assert header_lines(table) == headers
+        for name in names:
+            if name.endswith(".json"):
+                config = read_strict_json(out / name)["config"]
+                assert [f"{k}={v}" for k, v in sorted(config.items())] == headers
+
+    def test_error_in_the_math_leaves_no_out(self, tmp_path, monkeypatch, capsys, command):
+        args, last_math, _ = COMMANDS[command]
+
+        def fail(*a, **k):
+            raise ValueError("injected failure")
+
+        monkeypatch.setattr(cli_module, last_math, fail)
+        out = tmp_path / "out"
+        assert main([command, *args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: injected failure\n"
+        assert not out.exists()
+
+
+class TestConsoleScript:
+    def test_pyproject_script_runs_a_norms_job(self, tmp_path, monkeypatch):
+        # The `qtorus` console script, resolved the way an installer does.
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        found = re.search(r'^qtorus\s*=\s*"([\w.]+):(\w+)"\s*$', text, re.MULTILINE)
+        assert found, "pyproject.toml declares no qtorus console script"
+        entry = getattr(importlib.import_module(found.group(1)), found.group(2))
+        out = tmp_path / "smoke"
+        argv = ["norms", "--family", "analytic:a=1:K=1", "--Jmax", "2", "--out", str(out)]
+        monkeypatch.setattr(sys, "argv", ["qtorus", *argv])
+        assert entry() == 0
+        rows = read_data_rows(out / "profile.csv")
+        assert rows[0] == "j,lnM" and [row.split(",")[0] for row in rows[1:]] == ["0", "1", "2"]
 
 
 SPECIAL_FLOATS = [0.0, -0.0, 1.5, -2.25, 1e16, 1e-05, 1e-300, 5e-324, math.inf, -math.inf, math.nan]

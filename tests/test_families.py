@@ -14,7 +14,6 @@ from qtorus import (
     parse_family_spec,
     rescale_to_class,
 )
-from qtorus.families import profile_for
 from qtorus.logspace import NEG_INF
 from helpers import loop_gen_series
 
@@ -171,7 +170,9 @@ class TestParseFamilySpec:
         with pytest.raises(ValueError):
             parse_family_spec("analytic:a=1:qqq=3")
 
-    def test_profile_for_series_kinds_builds(self):
-        spec = parse_family_spec("gevrey:s=2:K=30")
-        prof = profile_for(spec, 8)
-        assert prof.j_max == 8 and prof.dim == 1
+    def test_file_kind_is_gone(self):
+        # JSONL coefficients come in through --input only.
+        with pytest.raises(ValueError, match="'path'"):
+            parse_family_spec("file:path=coeffs.jsonl")
+        with pytest.raises(ValueError, match="unknown family kind 'file'"):
+            FamilySpec(kind="file")

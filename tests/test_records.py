@@ -14,7 +14,7 @@ import math
 import pytest
 
 import qtorus
-from qtorus import DerivativeNormProfile, TrendConfig
+from qtorus import DerivativeNormProfile, FamilySpec, TrendConfig
 from qtorus.series import Record
 
 RECORDS = sorted(Record.__subclasses__(), key=lambda cls: cls.__name__)
@@ -23,7 +23,6 @@ RECORDS = sorted(Record.__subclasses__(), key=lambda cls: cls.__name__)
 VALID = {
     "TorusPoint": ({"theta": (0.5, 7.0)}, {"theta": (0.5, 7.5)}),
     "PolyPoint": ({"z": (1j, 2.0)}, {"z": (1j, -2.0)}),
-    "SamplingAnnulus": ({"dim": 2, "t": 1.5}, {"dim": 2, "t": 1.25}),
     "DerivativeNormProfile": (
         {"dim": 1, "ln_m": (0.0, -1.5, -math.inf), "j_max": 2},
         {"dim": 1, "ln_m": (0.0, -1.5, -2.0), "j_max": 2},
@@ -68,7 +67,7 @@ def outcome(fn):
 def test_every_exported_record_is_covered_and_no_class_is_a_dataclass():
     exported = [obj for obj in vars(qtorus).values() if inspect.isclass(obj)]
     assert {c for c in exported if issubclass(c, Record)} <= set(RECORDS)
-    assert len(RECORDS) == 19
+    assert len(RECORDS) == 18
     for cls in [*exported, *RECORDS]:
         assert not dataclasses.is_dataclass(cls), cls
 
@@ -128,12 +127,12 @@ def test_defaults_match_the_dataclass():
     assert repr(TrendConfig()) == repr(twin(TrendConfig)())
     assert TrendConfig() == TrendConfig(0.05, 0.1, 1e-3, 0.9, 0.5)
     assert TrendConfig(fit_margin=0.8).fit_margin == 0.8
-    fields = {"dim": 1, "ln_m": (0.0, -1.0), "j_max": 1}
-    record = DerivativeNormProfile(**fields)
-    assert record.class_r is None
-    assert record == DerivativeNormProfile(**fields, class_r=None)
-    assert repr(record) == repr(twin(DerivativeNormProfile)(**fields))
-    assert hash(record) == hash(twin(DerivativeNormProfile)(**fields))
+    fields = {"kind": "profile", "rule": "constant", "j_max": 1}
+    record = FamilySpec(**fields)
+    assert (record.dim, record.radius, record.decay, record.exponent) == (1, None, None, None)
+    assert record == FamilySpec(**fields, dim=1, radius=None)
+    assert repr(record) == repr(twin(FamilySpec)(**fields))
+    assert hash(record) == hash(twin(FamilySpec)(**fields))
 
 
 def test_post_init_normalises_and_cached_property_writes():

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qtorus.series as series_module
+from qtorus.series import check_size
 from qtorus import (
     FourierSeries,
     GridCapError,
@@ -243,12 +244,13 @@ class TestEvalGrid:
 
     def test_cap_enforced_like_grid_array(self, monkeypatch):
         s = FourierSeries(2, {(1, -1): 1.0})
+        monkeypatch.setenv("QTORUS_GRID_CAP", "100")
         with pytest.raises(GridCapError):
-            eval_grid(s, 11, cap=100)
+            eval_grid(s, 11)
+        assert eval_grid(s, 10).shape == (100,)
         monkeypatch.setenv("QTORUS_GRID_CAP", "99")
         with pytest.raises(GridCapError):
             eval_grid(s, 10)
-        assert eval_grid(s, 10, cap=100).shape == (100,)
         with pytest.raises(ValueError):
             eval_grid(s, 0)
 
@@ -278,10 +280,12 @@ class TestGridPoints:
             assert len(keys) == m**n
             assert np.max(np.abs(nodes**m - 1.0)) < 1e-12
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setenv("QTORUS_GRID_CAP", "100")
         with pytest.raises(GridCapError):
-            grid_array(3, 8, cap=100)
-        assert grid_array(3, 8, cap=512).shape == (512, 3)
+            grid_array(3, 8)
+        monkeypatch.setenv("QTORUS_GRID_CAP", "512")
+        assert grid_array(3, 8).shape == (512, 3)
 
     def test_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("QTORUS_GRID_CAP", "10")
@@ -289,6 +293,15 @@ class TestGridPoints:
             grid_array(2, 4)
         monkeypatch.setenv("QTORUS_GRID_CAP", "16")
         assert len(grid_array(2, 4)) == 16
+
+    def test_check_size_names_the_count_and_reads_the_cap_at_each_call(self, monkeypatch):
+        monkeypatch.delenv("QTORUS_GRID_CAP", raising=False)
+        assert check_size(10**6, "widgets") == 10**6
+        with pytest.raises(GridCapError, match=r"^1000001 widgets exceed the cap of 1000000 "):
+            check_size(10**6 + 1, "widgets")
+        monkeypatch.setenv("QTORUS_GRID_CAP", "10")
+        with pytest.raises(GridCapError, match=r"^11 widgets exceed the cap of 10 "):
+            check_size(11, "widgets")
 
     def test_grid_array_order(self):
         for n, max_m in ((1, 200), (2, 40), (3, 12)):
