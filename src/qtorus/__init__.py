@@ -53,8 +53,6 @@ from .associated import (
 from .interpolate import (
     AugmentedInterpolant,
     BoundAuditReport,
-    FoldResult,
-    InterpolantPoly,
     InterpolationAudit,
     alias_fold,
     augmented_interpolant,

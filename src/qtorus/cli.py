@@ -336,6 +336,8 @@ def cmd_verdict(args: argparse.Namespace) -> dict:
 
 
 def cmd_interp(args: argparse.Namespace) -> dict:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
     m_grid = _parse_m_range(args.m)
     _check_jmax(args.jmax)
     series = _load_series(args, _resolve_spec(args))

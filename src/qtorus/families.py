@@ -73,6 +73,8 @@ def gen_series(spec: FamilySpec) -> FourierSeries:
         raise ValueError("profile families have no spectrum; use gen_profile")
     n, radius = spec.dim, spec.radius
     side = 2 * radius + 1
+    # n bounds the cost of the power below (3^n for n = 10^9 would not finish).
+    check_size(n, "axes of the family spectrum (--n)")
     count = check_size(side**n, "modes of the family spectrum")
     if spec.kind == "analytic":
         by_l1 = [math.exp(-spec.decay * l1) for l1 in range(n * radius + 1)]

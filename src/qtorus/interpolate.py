@@ -10,20 +10,21 @@ grid of m-th roots of unity:
   index is absorbed exactly once (first visit wins), which for n = 1 makes
   the construction classical aliasing.  For n >= 2 only modes whose nonzero
   components share |k_p| mod m (and have no zero component unless r = 0) are
-  reachable; ``covered_modes`` records the gap.
+  reachable; :func:`interpolation_audit` reports the others as
+  ``uncovered_modes``.
 * ``alias`` collapses onto residue exponents rho in {0..m-1}^n with
   A_rho = sum_{k = rho mod m} c_k, which interpolates exactly for every n.
 
-The augmented interpolant adds a correction proportional to
-(z_1^m + ... + z_n^m - n): zero at every grid node, and scaled so the value
-at one extra torus point z0 is matched exactly.  When the denominator
-(z0_1^m + ... + z0_n^m - n) vanishes the correction is dropped and the
-augmented interpolant equals the plain fold.
+Both engines return the fold as a :class:`FourierSeries`.  The augmented
+interpolant adds a correction proportional to (z_1^m + ... + z_n^m - n):
+zero at every grid node, and scaled so the value at one extra torus point z0
+is matched exactly.  When the denominator (z0_1^m + ... + z0_n^m - n)
+vanishes the correction is dropped and the augmented interpolant equals the
+plain fold.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -46,85 +47,36 @@ from .series import (
 DEGENERATE_Z0_TOL = 1e-12
 
 
-class FoldResult(Record):
-    """Per-slot coefficients of the diagonal fold.
-
-    ``terms`` maps (r, beta) to the absorbed coefficient sum; every slot is
-    present, zero-initialized.  ``covered_modes`` lists the input indices
-    that were absorbed somewhere; ``skipped_collisions`` records (r, beta, l)
-    triples whose target index had already been absorbed by an earlier slot.
-    """
-
-    m: int
-    dim: int
-    terms: dict
-    covered_modes: frozenset
-    skipped_collisions: tuple
-
-    def series(self) -> FourierSeries:
-        """The fold as a Laurent series, one monomial per distinct exponent.
-
-        Slots sharing an exponent b r (r = 0, say) add in slot order.
-        """
-        r = np.array([r for r, _ in self.terms])
-        beta = np.array([beta for _, beta in self.terms]).reshape(-1, self.dim)
-        values = np.fromiter(self.terms.values(), dtype=complex, count=len(self.terms))
-        return _summed(self.dim, beta * r[:, None], values)
-
-
-def _sign_vectors(n: int):
-    # +1 enumerated before -1 so the slot absorbing a sign-ambiguous target
-    # (some k_p = 0, forcing r = 0) is the all-plus one.
-    return list(itertools.product((1, -1), repeat=n))
-
-
-def diagonal_fold(series: FourierSeries, m: int) -> FoldResult:
+def diagonal_fold(series: FourierSeries, m: int) -> FourierSeries:
     """Fold a series onto the (r, beta) slots with global deduplication.
 
     Each slot (r, beta) sums c over target indices (b_p (r + m l_p))_p for
     l >= 0 componentwise; a target produced by several (r, beta, l) is
-    counted once, at its first visit in (r, beta, l) order.
+    counted once, at its first visit in (r, beta, l) order.  The result has
+    the monomial z^(beta r) with the slot's sum; the 2^n slots of r = 0
+    share the constant monomial and add in slot order (beta in
+    ``itertools.product((1, -1), repeat=n)`` order).
 
     Each mode k is assigned directly, in O(K log K): it is reachable only
     from r = |k_p| mod m (which must agree across p, so a zero component
-    forces r = 0), l_p = |k_p| // m and beta_p = sign(k_p).  A zero component
-    admits either sign; the first visit takes +1, and the 2^z - 1 other sign
-    choices on its z zero components are the skipped collisions.  Slot sums
-    and collisions follow the visit order: r, then beta in enumeration
-    order, then l lexicographic.
+    forces r = 0), l_p = |k_p| // m and beta_p = sign(k_p).  A zero
+    component admits either sign; the first visit takes +1.  Slot sums
+    follow the visit order: r, then beta, then l lexicographic.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     n = series.dim
-    betas = _sign_vectors(n)
-    rank = {beta: i for i, beta in enumerate(betas)}
     covered = _diagonal_reach(series._exponents, m)
     k = series._exponents[covered]
     mag = np.abs(k)
     r, l = mag[:, 0] % m, mag // m
-    # Index of beta = sign(k) (+1 on zeros) in _sign_vectors order.
-    slot_beta = (k < 0) @ (1 << np.arange(n - 1, -1, -1))
-    order = np.lexsort((*l.T[::-1], slot_beta, r))
-    sums = np.zeros(m * len(betas), dtype=complex)
-    np.add.at(sums, (r * len(betas) + slot_beta)[order], series._values[covered][order])
-    slots = [(rr, beta) for rr in range(m) for beta in betas]
-    collisions = []
-    with_zero = np.any(k == 0, axis=1)
-    for kk, ll in zip(k[with_zero].tolist(), l[with_zero].tolist()):
-        zeros = [p for p, x in enumerate(kk) if x == 0]
-        beta = [-1 if x < 0 else 1 for x in kk]
-        for signs in itertools.islice(itertools.product((1, -1), repeat=len(zeros)), 1, None):
-            for p, b in zip(zeros, signs):
-                beta[p] = b
-            collisions.append((0, tuple(beta), tuple(ll)))
-    collisions.sort(key=lambda c: (rank[c[1]], c[2]))
-    return FoldResult(
-        m=m,
-        dim=n,
-        terms=dict(zip(slots, sums.tolist())),
-        covered_modes=frozenset(map(tuple, k.tolist())),
-        skipped_collisions=tuple(collisions),
-    )
+    # Slot number r 2^n + (rank of beta = sign(k) in the +1 before -1 order).
+    slot = r * 2**n + (k < 0) @ (1 << np.arange(n - 1, -1, -1))
+    order = np.lexsort((*l.T[::-1], slot))
+    _, first, at = np.unique(slot, return_index=True, return_inverse=True)
+    sums = np.zeros(len(first), dtype=complex)
+    np.add.at(sums, at[order], series._values[covered][order])
+    return _summed(n, np.where(k < 0, -r[:, None], r[:, None])[first], sums)
 
 
 def _diagonal_reach(k: np.ndarray, m: int) -> np.ndarray:
@@ -145,40 +97,21 @@ def alias_fold(series: FourierSeries, m: int) -> FourierSeries:
     return _summed(series.dim, series._exponents % m, series._values)
 
 
-class InterpolantPoly(Record):
-    """A fold engine's output polynomial, tagged with its grid order m."""
-
-    base: FourierSeries
-    m: int
-    engine: str
-
-    def eval(self, p: PolyPoint) -> complex:
-        return eval_laurent(self.base, p)
-
-    def eval_batch(self, points: np.ndarray) -> np.ndarray:
-        return eval_batch(self.base, points)
-
-
 class AugmentedInterpolant(Record):
     """Fold polynomial plus the grid-vanishing correction pinned at z0.
 
+    ``base`` is the fold of the series at grid order ``m`` by ``engine``.
     Evaluates as base(z) + (z_1^m + ... + z_n^m - n) * correction.  When
     ``degenerate_z0`` is set the correction is zero and the object equals the
     plain fold.
     """
 
-    base: InterpolantPoly
+    base: FourierSeries
+    m: int
+    engine: str
     z0: PolyPoint
     correction: complex
     degenerate_z0: bool
-
-    @property
-    def m(self) -> int:
-        return self.base.m
-
-    @property
-    def dim(self) -> int:
-        return self.z0.dim
 
     def eval(self, p: PolyPoint) -> complex:
         return complex(self.eval_batch(np.array([p.z], dtype=complex))[0])
@@ -190,7 +123,7 @@ class AugmentedInterpolant(Record):
     def _parts(self, points: np.ndarray):
         """(fold values, correction values) at each point."""
         z = np.asarray(points, dtype=complex)
-        return self.base.eval_batch(z), _grid_factor(z, self.m) * self.correction
+        return eval_batch(self.base, z), _grid_factor(z, self.m) * self.correction
 
 
 def _grid_factor(z: np.ndarray, m: int) -> np.ndarray:
@@ -199,37 +132,37 @@ def _grid_factor(z: np.ndarray, m: int) -> np.ndarray:
 
 
 def _build_base(series: FourierSeries, m: int, engine: str):
+    """(the fold of ``series`` by ``engine``, the modes it leaves uncovered)."""
     if engine == "diagonal":
-        fold = diagonal_fold(series, m)
         missed = series._exponents[~_diagonal_reach(series._exponents, m)]
-        uncovered = tuple(map(tuple, missed.tolist()))
-        return InterpolantPoly(base=fold.series(), m=m, engine=engine), uncovered
+        return diagonal_fold(series, m), tuple(map(tuple, missed.tolist()))
     if engine == "alias":
-        return InterpolantPoly(base=alias_fold(series, m), m=m, engine=engine), ()
+        return alias_fold(series, m), ()
     raise ValueError(f"unknown engine {engine!r} (expected 'diagonal' or 'alias')")
 
 
-def _augment(series: FourierSeries, base: InterpolantPoly, z0: PolyPoint):
-    """(``base`` plus the grid-vanishing correction matching series(z0), its error at z0).
+def _augment(series: FourierSeries, m: int, z0: PolyPoint, engine: str):
+    """(augmented interpolant pinned at z0, its error at z0, the uncovered modes).
 
     series(z0) and base(z0) are evaluated once each.  The error
     |aug(z0) - series(z0)| adds the correction to base(z0) on the same
     one-row arrays as ``AugmentedInterpolant.eval``, so its bits are those
     of evaluating the interpolant again.
     """
+    base, uncovered = _build_base(series, m, engine)
     if z0.dim != series.dim:
         raise ValueError("z0 dimension mismatch")
     if not z0.on_torus():
         raise ValueError("z0 must lie on the torus (|z0_p| = 1)")
     z = np.array([z0.z], dtype=complex)
-    factor = _grid_factor(z, base.m)
+    factor = _grid_factor(z, m)
     denom = complex(factor[0])
     f_z0 = eval_laurent(series, z0)
-    base_z0 = base.eval_batch(z)
+    base_z0 = eval_batch(base, z)
     degenerate = abs(denom) < DEGENERATE_Z0_TOL * series.dim
     correction = 0j if degenerate else (f_z0 - complex(base_z0[0])) / denom
-    aug = AugmentedInterpolant(base=base, z0=z0, correction=correction, degenerate_z0=degenerate)
-    return aug, abs(complex((base_z0 + factor * correction)[0]) - f_z0)
+    aug = AugmentedInterpolant(base, m, engine, z0, correction, degenerate)
+    return aug, abs(complex((base_z0 + factor * correction)[0]) - f_z0), uncovered
 
 
 def augmented_interpolant(
@@ -244,15 +177,14 @@ def augmented_interpolant(
     the value equals series(z0) exactly unless z0 is degenerate (denominator
     below ``DEGENERATE_Z0_TOL * n``), in which case the plain fold is kept.
     """
-    base, _ = _build_base(series, m, engine)
-    return _augment(series, base, z0)[0]
+    return _augment(series, m, z0, engine)[0]
 
 
 class InterpolationAudit(Record):
     """Max deviation of the augmented interpolant from the series.
 
     ``interpolant`` is the augmented interpolant that was audited (its
-    ``m``, ``base.engine`` and ``degenerate_z0`` describe it), ready for
+    ``m``, ``engine`` and ``degenerate_z0`` describe it), ready for
     :func:`bound_audit`.  ``tolerance`` is the alias-engine acceptance level
     1e-9 * (1 + sum|c_k|); ``grid_ok`` reports both errors against it.
     ``uncovered_modes`` lists the diagonal engine's unreachable indices
@@ -282,11 +214,10 @@ def interpolation_audit(
     correction's factor z_1^m + ... + z_n^m - n is taken at the
     :func:`grid_array` nodes, so its rounding there is part of the error.
     """
-    base, uncovered = _build_base(series, m, engine)
-    aug, z0_err = _augment(series, base, z0)
+    aug, z0_err, uncovered = _augment(series, m, z0, engine)
     nodes = grid_array(series.dim, m)
     f_vals = eval_grid(series, m)
-    l_vals = eval_grid(base.base, m) + _grid_factor(nodes, m) * aug.correction
+    l_vals = eval_grid(aug.base, m) + _grid_factor(nodes, m) * aug.correction
     return InterpolationAudit(
         interpolant=aug,
         max_grid_error=float(np.max(np.abs(l_vals - f_vals))),
@@ -338,17 +269,22 @@ def bound_audit(
     log-domain summation so large t^{nr} factors cannot overflow; the
     sampling generator is seeded for byte-reproducible reports.
     """
-    if not t > 1.0:
-        raise ValueError("t must be > 1")
-    n, m = interpolant.dim, interpolant.m
+    if not (math.isfinite(t) and t > 1.0):
+        raise ValueError(f"t must be finite and > 1, got {t!r}")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    n, m = interpolant.base.dim, interpolant.m
     # Moduli in [1/t, t], then phases: the seeded reports depend on this draw order.
     rng = np.random.default_rng(seed)
     moduli = rng.uniform(1.0 / t, t, size=(n_samples, n))
     phases = rng.uniform(0.0, 2.0 * math.pi, size=(n_samples, n))
     points = moduli * np.exp(1j * phases)
 
-    base_vals, corr_vals = interpolant._parts(points)
-    lhs = base_vals + corr_vals
+    # For large t^m a sampled value leaves the float range.  It is kept as
+    # inf or nan, without a warning, and the sup reads null in JSON.
+    with np.errstate(over="ignore", invalid="ignore"):
+        base_vals, corr_vals = interpolant._parts(points)
+        lhs = base_vals + corr_vals
 
     lhs_max = float(np.max(np.abs(lhs)))
     base_max = float(np.max(np.abs(base_vals)))
@@ -374,7 +310,7 @@ def bound_audit(
         m=m,
         dim=n,
         t=float(t),
-        engine=interpolant.base.engine,
+        engine=interpolant.engine,
         seed=seed,
         n_samples=n_samples,
         lhs_max=lhs_max,

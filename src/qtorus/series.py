@@ -62,9 +62,13 @@ def check_size(count: int, what: str) -> int:
     """``count``, or :class:`GridCapError` naming ``what`` when it exceeds the cap.
 
     The one size check: grid points, family modes, profile orders, samples.
-    The cap is read from QTORUS_GRID_CAP at each call (default 10^6).
+    The cap is read from QTORUS_GRID_CAP at each call (default 10^6); a
+    value that is not a positive integer raises ValueError naming it.
     """
-    limit = int(os.environ.get(GRID_CAP_ENV, DEFAULT_GRID_CAP))
+    raw = os.environ.get(GRID_CAP_ENV, str(DEFAULT_GRID_CAP))
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(f"{GRID_CAP_ENV} must be a positive integer, got {raw!r}")
+    limit = int(raw)
     if count > limit:
         raise GridCapError(f"{count} {what} exceed the cap of {limit} ({GRID_CAP_ENV})")
     return count

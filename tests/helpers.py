@@ -7,10 +7,11 @@ import itertools
 import json
 import math
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from qtorus import FoldResult, FourierSeries, PolyPoint, TorusPoint
+from qtorus import FourierSeries, PolyPoint, TorusPoint
 from qtorus.series import PRUNE_THRESHOLD, TWO_PI
 
 
@@ -163,13 +164,40 @@ def grid_nodes(n: int, m: int) -> np.ndarray:
     ).reshape(m**n, n)
 
 
-def loop_diagonal_fold(series: FourierSeries, m: int) -> FoldResult:
+class SlotFold(NamedTuple):
+    """The diagonal fold slot by slot, as the visit loop builds it.
+
+    ``terms`` maps every slot (r, beta) to its absorbed coefficient sum
+    (zero-initialized); ``covered`` holds the input indices absorbed
+    somewhere; ``collisions`` lists the (r, beta, l) visits whose target
+    index an earlier slot had already absorbed.
+    """
+
+    dim: int
+    terms: dict
+    covered: frozenset
+    collisions: tuple
+
+    def series(self) -> FourierSeries:
+        """The slots merged into a series: z^(beta r) with the slot's sum.
+
+        Slots sharing an exponent (the 2^n slots of r = 0) add in slot order.
+        """
+        merged: dict = {}
+        for (r, beta), c in self.terms.items():
+            e = tuple(b * r for b in beta)
+            merged[e] = merged.get(e, 0j) + c
+        return FourierSeries(self.dim, merged)
+
+
+def loop_diagonal_fold(series: FourierSeries, m: int) -> SlotFold:
     """The diagonal fold by visiting every slot target in (r, beta, l) order.
 
-    The oracle for ``diagonal_fold``: for each r, each sign vector beta
-    (+1 before -1) and each l >= 0 (lexicographic), the target index
-    (b_p (r + m l_p))_p absorbs its coefficient at its first visit; later
-    visits are recorded as skipped collisions.
+    The oracle for ``diagonal_fold`` (which must equal its ``series()`` bit
+    for bit): for each r, each sign vector beta (+1 before -1) and each
+    l >= 0 (lexicographic), the target index (b_p (r + m l_p))_p absorbs
+    its coefficient at its first visit; later visits are recorded as
+    collisions.
     """
     n = series.dim
     radius = series.support_radius()
@@ -192,13 +220,7 @@ def loop_diagonal_fold(series: FourierSeries, m: int) -> FoldResult:
                     continue
                 seen.add(target)
                 terms[(r, beta)] += c
-    return FoldResult(
-        m=m,
-        dim=n,
-        terms=terms,
-        covered_modes=frozenset(seen),
-        skipped_collisions=tuple(collisions),
-    )
+    return SlotFold(dim=n, terms=terms, covered=frozenset(seen), collisions=tuple(collisions))
 
 
 def loop_alias_fold(series: FourierSeries, m: int) -> FourierSeries:

@@ -115,6 +115,15 @@ class TestNorms:
         monkeypatch.setenv("QTORUS_GRID_CAP", "121")
         assert main(["norms", *args]) == 0
 
+    def test_malformed_cap_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("QTORUS_GRID_CAP", "1e6")
+        out = tmp_path / "out"
+        assert main(["norms", "--family", "analytic:a=1:K=3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: QTORUS_GRID_CAP must be a positive integer, got '1e6'\n"
+        )
+        assert not out.exists()
+
     def test_jmax_past_cap_exits_4_before_any_work(self, tmp_path, monkeypatch, capsys):
         # --Jmax 10^6 asks for 10^6 + 1 orders; nothing is read or built.
         monkeypatch.delenv("QTORUS_GRID_CAP", raising=False)
@@ -456,6 +465,23 @@ class TestInterp:
         monkeypatch.setenv("QTORUS_GRID_CAP", "100")
         assert main([*args, "--samples", "51", "--out", str(out)]) == 4
         assert main([*args, "--samples", "50", "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_exits_2_before_reading(self, tmp_path, monkeypatch, capsys, samples):
+        monkeypatch.setattr(cli_module, "read_coefficients", _must_not_run)
+        out = tmp_path / "out"
+        args = ["interp", "--input", str(tmp_path / "c.jsonl"), "--samples", samples]
+        assert main([*args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --samples must be >= 1, got {samples}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("t", ["inf", "nan"])
+    def test_non_finite_t_exits_2(self, tmp_path, capsys, t):
+        out = tmp_path / "out"
+        args = ["interp", "--family", "analytic:a=1:K=3", "--m", "2..3", "--samples", "8"]
+        assert main([*args, "--t", t, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: t must be finite and > 1, got {t}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("engine", ["alias", "diagonal"])
     def test_each_fold_built_once(self, tmp_path, monkeypatch, engine):

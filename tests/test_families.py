@@ -84,6 +84,13 @@ class TestGenSeries:
         monkeypatch.setenv("QTORUS_GRID_CAP", "125")
         assert gen_series(spec).n_modes == 125
 
+    def test_dimension_past_cap_refused_before_the_box_size(self, monkeypatch):
+        # 3^(10^9) would take minutes to compute; 10^9 axes are refused first.
+        monkeypatch.delenv("QTORUS_GRID_CAP", raising=False)
+        spec = FamilySpec(kind="analytic", dim=10**9, radius=1, decay=1.0)
+        with pytest.raises(GridCapError, match=r"^1000000000 axes of the family spectrum"):
+            gen_series(spec)
+
     def test_profile_kind_has_no_spectrum(self):
         spec = FamilySpec(kind="profile", rule="factorial", j_max=10)
         with pytest.raises(ValueError):

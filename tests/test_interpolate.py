@@ -48,52 +48,56 @@ def bits(mapping):
 class TestDiagonalFold:
     def test_low_modes_m2(self):
         s = FourierSeries(1, {(0,): 1.0, (1,): 2.0, (2,): 3.0})
-        fold = diagonal_fold(s, 2)
+        fold = loop_diagonal_fold(s, 2)
         assert fold.terms[(0, (1,))] == pytest.approx(4.0 + 0j)
         assert fold.terms[(1, (1,))] == pytest.approx(2.0 + 0j)
         assert fold.terms[(1, (-1,))] == 0j
-        assert fold.covered_modes == {(0,), (1,), (2,)}
+        assert fold.covered == {(0,), (1,), (2,)}
+        assert diagonal_fold(s, 2).coeffs == {(0,): 4.0 + 0j, (1,): 2.0 + 0j}
 
     def test_signed_modes(self):
         s = FourierSeries(1, {(-1,): 5.0, (3,): 7.0})
-        fold = diagonal_fold(s, 2)
+        fold = loop_diagonal_fold(s, 2)
         assert fold.terms[(1, (-1,))] == pytest.approx(5.0 + 0j)
         assert fold.terms[(1, (1,))] == pytest.approx(7.0 + 0j)
+        assert diagonal_fold(s, 2).coeffs == {(-1,): 5.0 + 0j, (1,): 7.0 + 0j}
 
     def test_two_dim_coverage_gap(self):
         s = FourierSeries(2, {(1, 1): 1.0, (1, 0): 9.0})
-        fold = diagonal_fold(s, 2)
+        fold = loop_diagonal_fold(s, 2)
         assert fold.terms[(1, (1, 1))] == pytest.approx(1.0 + 0j)
-        assert (1, 0) not in fold.covered_modes
-        assert (1, 1) in fold.covered_modes
+        assert (1, 0) not in fold.covered
+        assert (1, 1) in fold.covered
+        assert diagonal_fold(s, 2).coeffs == {(1, 1): 1.0 + 0j}
 
     def test_n1_covers_everything(self):
         rng = np.random.default_rng(17)
         for _ in range(10):
             s = random_series(rng, 1, max_modes=25, radius=20)
             m = int(rng.integers(1, 9))
-            fold = diagonal_fold(s, m)
-            assert fold.covered_modes == set(s.coeffs)
+            fold = loop_diagonal_fold(s, m)
+            assert fold.covered == set(s.coeffs)
 
     def test_global_dedup_counts_each_mode_once(self):
         # c_0 is reachable by every (0, beta, 0): absorbed once at the
         # all-plus slot, with the other three visits recorded as collisions.
         s = FourierSeries(2, {(0, 0): 5.0})
-        fold = diagonal_fold(s, 3)
+        fold = loop_diagonal_fold(s, 3)
         total = sum(fold.terms.values())
         assert total == pytest.approx(5.0 + 0j)
         assert fold.terms[(0, (1, 1))] == pytest.approx(5.0 + 0j)
-        assert len(fold.skipped_collisions) == 3
-        assert all(r == 0 and l == (0, 0) for r, _, l in fold.skipped_collisions)
+        assert len(fold.collisions) == 3
+        assert all(r == 0 and l == (0, 0) for r, _, l in fold.collisions)
+        assert diagonal_fold(s, 3).coeffs == {(0, 0): 5.0 + 0j}
 
     def test_linearity(self):
         rng = np.random.default_rng(23)
         f = random_series(rng, 1, max_modes=15)
         g = random_series(rng, 1, max_modes=15)
         m = 5
-        fa = diagonal_fold(f, m).series()
-        ga = diagonal_fold(g, m).series()
-        combo = diagonal_fold(2.0 * f + 3j * g, m).series()
+        fa = diagonal_fold(f, m)
+        ga = diagonal_fold(g, m)
+        combo = diagonal_fold(2.0 * f + 3j * g, m)
         expect = 2.0 * fa + 3j * ga
         for k in set(combo.coeffs) | set(expect.coeffs):
             assert combo.coeffs.get(k, 0j) == pytest.approx(expect.coeffs.get(k, 0j))
@@ -104,7 +108,7 @@ class TestDiagonalFold:
             n = int(rng.integers(1, 4))
             m = int(rng.integers(2, 7))
             s = random_series(rng, n, max_modes=25, radius=9)
-            folded = diagonal_fold(s, m).series()
+            folded = diagonal_fold(s, m)
             for k in folded.coeffs:
                 magnitudes = {abs(x) for x in k}
                 r = max(magnitudes)
@@ -120,10 +124,11 @@ class TestFoldOracles:
     def test_diagonal_fold_matches_visit_loop(self, case):
         series, m = case
         got, want = diagonal_fold(series, m), loop_diagonal_fold(series, m)
-        assert list(got.terms) == list(want.terms)
-        assert bits(got.terms) == bits(want.terms)
-        assert got.covered_modes == want.covered_modes
-        assert got.skipped_collisions == want.skipped_collisions
+        assert list(got.coeffs) == list(want.series().coeffs)
+        assert bits(got.coeffs) == bits(want.series().coeffs)
+        z0 = PolyPoint((cmath.exp(0.7j),) * series.dim)
+        audit = interpolation_audit(series, m, z0, engine="diagonal")
+        assert audit.uncovered_modes == tuple(k for k in series.coeffs if k not in want.covered)
 
     @settings(max_examples=100, deadline=None)
     @given(fold_cases())
@@ -139,15 +144,15 @@ class TestEvalDiagonalPoly:
 
     def test_single_low_mode_passthrough(self):
         fold = diagonal_fold(FourierSeries(1, {(1,): 1.0}), 2)
-        assert eval_laurent(fold.series(), PolyPoint((1j,))) == pytest.approx(1j)
+        assert eval_laurent(fold, PolyPoint((1j,))) == pytest.approx(1j)
 
     def test_alias_of_high_mode_at_plus_one(self):
         fold = diagonal_fold(FourierSeries(1, {(3,): 1.0}), 2)
-        assert eval_laurent(fold.series(), PolyPoint((1.0,))) == pytest.approx(1.0)
+        assert eval_laurent(fold, PolyPoint((1.0,))) == pytest.approx(1.0)
 
     def test_alias_of_high_mode_at_minus_one(self):
         fold = diagonal_fold(FourierSeries(1, {(3,): 1.0}), 2)
-        assert eval_laurent(fold.series(), PolyPoint((-1.0,))) == pytest.approx(-1.0)
+        assert eval_laurent(fold, PolyPoint((-1.0,))) == pytest.approx(-1.0)
 
 
 class TestAliasFold:
@@ -190,8 +195,8 @@ class TestDiagonalAliasEquivalence:
             diag = diagonal_fold(s, m)
             alias = alias_fold(s, m)
             rebuilt = {}
-            for (r, beta), a in diag.terms.items():
-                rho = (beta[0] * r) % m
+            for (e,), a in diag.coeffs.items():
+                rho = e % m
                 rebuilt[(rho,)] = rebuilt.get((rho,), 0j) + a
             for rho in set(rebuilt) | set(alias.coeffs):
                 assert rebuilt.get(rho, 0j) == pytest.approx(
@@ -205,7 +210,7 @@ class TestAugmentedInterpolant:
         s = FourierSeries(1, {(3,): 1.0})
         aug = augmented_interpolant(s, 2, z0)
         w = z0.z[0]
-        assert aug.base.base.coeffs == {(1,): 1.0 + 0j}
+        assert aug.base.coeffs == {(1,): 1.0 + 0j}
         assert aug.correction == pytest.approx(w, abs=1e-12)
         assert aug.eval(z0) == pytest.approx(w**3, abs=1e-12)
         assert aug.eval(PolyPoint((1.0,))) == pytest.approx(1.0, abs=1e-12)
@@ -218,14 +223,14 @@ class TestAugmentedInterpolant:
         assert aug.degenerate_z0
         assert aug.correction == 0j
         p = random_torus_point(np.random.default_rng(2), 2)
-        assert aug.eval(p) == pytest.approx(aug.base.eval(p))
+        assert aug.eval(p) == pytest.approx(eval_laurent(aug.base, p))
 
     def test_low_degree_is_its_own_interpolant(self):
         s = FourierSeries(1, {(1,): 1.0})
         z0 = PolyPoint((cmath.exp(0.3j),))
         for m in (2, 3, 5):
             aug = augmented_interpolant(s, m, z0, engine="alias")
-            assert aug.base.base.coeffs == s.coeffs
+            assert aug.base.coeffs == s.coeffs
             assert abs(aug.correction) < 1e-14
 
     def test_off_torus_z0_rejected(self):
@@ -283,10 +288,10 @@ class TestInterpolantExport:
         z0 = random_torus_point(rng, 2)
         aug = augmented_interpolant(s, 3, z0, engine="alias")
         path = tmp_path / "interpolant.jsonl"
-        write_coefficients(aug.base.base, path)
+        write_coefficients(aug.base, path)
         back = read_coefficients(path)
-        assert back.coeffs.keys() == aug.base.base.coeffs.keys()
-        for k, c in aug.base.base.coeffs.items():
+        assert back.coeffs.keys() == aug.base.coeffs.keys()
+        for k, c in aug.base.coeffs.items():
             assert back.coeffs[k] == pytest.approx(c)
 
 
@@ -328,3 +333,26 @@ class TestBoundAudit:
         s = FourierSeries(1, {(1,): 1.0})
         with pytest.raises(ValueError):
             bound_audit(augmented_interpolant(s, 2, PolyPoint((1j,))), self._profile(s), 1.0)
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_t_must_be_finite(self, t):
+        s = FourierSeries(1, {(1,): 1.0})
+        aug = augmented_interpolant(s, 2, PolyPoint((1j,)))
+        with pytest.raises(ValueError, match="t must be finite and > 1"):
+            bound_audit(aug, self._profile(s), t)
+
+    def test_overflowing_samples_read_non_finite_without_a_warning(self):
+        # |z|^64 reaches 1e320 at t = 1e5: past the float range.
+        s = FourierSeries(1, {(65,): 1.0})
+        aug = augmented_interpolant(s, 64, PolyPoint((cmath.exp(0.7j),)))
+        report = bound_audit(aug, self._profile(s), 1e5, n_samples=16, seed=1)
+        assert not math.isfinite(report.correction_max)
+        assert not math.isfinite(report.lhs_max)
+        assert math.isfinite(report.base_max)
+
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    def test_samples_must_be_positive(self, n_samples):
+        s = FourierSeries(1, {(1,): 1.0})
+        aug = augmented_interpolant(s, 2, PolyPoint((1j,)))
+        with pytest.raises(ValueError, match="n_samples must be >= 1"):
+            bound_audit(aug, self._profile(s), 1.5, n_samples=n_samples)

@@ -67,7 +67,7 @@ def outcome(fn):
 def test_every_exported_record_is_covered_and_no_class_is_a_dataclass():
     exported = [obj for obj in vars(qtorus).values() if inspect.isclass(obj)]
     assert {c for c in exported if issubclass(c, Record)} <= set(RECORDS)
-    assert len(RECORDS) == 18
+    assert len(RECORDS) == 16
     for cls in [*exported, *RECORDS]:
         assert not dataclasses.is_dataclass(cls), cls
 
@@ -173,8 +173,18 @@ def test_field_without_default_after_a_default_is_refused():
     assert Child(1) != Base(1)
 
 
+class Slots(Record):
+    """A record with a dict field; defined after RECORDS, so not one of the package's."""
+
+    m: int
+    dim: int
+    terms: dict
+    covered: frozenset
+    collisions: tuple
+
+
 def test_unhashable_field_makes_hash_raise_like_the_dataclass():
-    fold = qtorus.FoldResult(m=2, dim=1, terms={}, covered_modes=frozenset(), skipped_collisions=())
-    dc = twin(qtorus.FoldResult)(2, 1, {}, frozenset(), ())
+    fold = Slots(m=2, dim=1, terms={}, covered=frozenset(), collisions=())
+    dc = twin(Slots)(2, 1, {}, frozenset(), ())
     assert outcome(lambda: hash(fold)) is outcome(lambda: hash(dc)) is TypeError
     assert repr(fold) == repr(dc)

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -302,6 +303,13 @@ class TestGridPoints:
         monkeypatch.setenv("QTORUS_GRID_CAP", "10")
         with pytest.raises(GridCapError, match=r"^11 widgets exceed the cap of 10 "):
             check_size(11, "widgets")
+
+    @pytest.mark.parametrize("raw", ["1e6", "", "ten", "0", "-5", "2.5"])
+    def test_malformed_cap_names_the_variable(self, monkeypatch, raw):
+        monkeypatch.setenv("QTORUS_GRID_CAP", raw)
+        message = f"QTORUS_GRID_CAP must be a positive integer, got {raw!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_size(1, "widgets")
 
     def test_grid_array_order(self):
         for n, max_m in ((1, 200), (2, 40), (3, 12)):
