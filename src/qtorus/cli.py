@@ -50,6 +50,7 @@ from .series import (
     GridCapError,
     PolyPoint,
     _atomic_write,
+    check_power,
     check_size,
     read_coefficients,
 )
@@ -219,10 +220,13 @@ def _load_profile(args: argparse.Namespace):
 
 def _parse_m_range(text: str) -> list[int]:
     lo, sep, hi = text.partition("..")
-    a = int(lo)
-    b = int(hi) if sep else a
+    try:
+        a = int(lo)
+        b = int(hi) if sep else a
+    except ValueError:
+        raise ValueError(f"--m needs an integer A or a range A..B, got {text!r}") from None
     if a < 1 or b < a:
-        raise ValueError(f"bad m range {text!r}")
+        raise ValueError(f"bad --m range {text!r}")
     check_size(b, "points of the --m grid")
     return list(range(a, b + 1))
 
@@ -232,7 +236,10 @@ def _parse_z0(text: str | None, dim: int) -> PolyPoint:
         # Fixed default angle; irrational multiple of pi so z0^m never lands
         # exactly on the degenerate locus for the m values in use.
         return PolyPoint(tuple(cmath.exp(0.7j) for _ in range(dim)))
-    comps = [complex(part) for part in text.split(",")]
+    try:
+        comps = [complex(part) for part in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--z0 needs comma-separated complex numbers, got {text!r}") from None
     if len(comps) != dim:
         raise ValueError(f"--z0 needs {dim} comma-separated components")
     point = PolyPoint(tuple(comps))
@@ -342,7 +349,7 @@ def cmd_interp(args: argparse.Namespace) -> dict:
     _check_jmax(args.jmax)
     series = _load_series(args, _resolve_spec(args))
     n = series.dim
-    check_size(m_grid[-1] ** n, "points of the --m grid in dimension n")
+    check_power(m_grid[-1], n, "points of the --m grid in dimension n")
     check_size(args.samples * n, "sample components (--samples x n)")
     rescale = None
     if args.tm:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .logspace import NEG_INF
 from .norms import DerivativeNormProfile, m_j
-from .series import FourierSeries, Record, check_size
+from .series import FourierSeries, Record, check_power, check_size
 
 _KINDS = ("analytic", "gevrey", "profile")
 _RULES = ("factorial", "constant")
@@ -66,16 +66,17 @@ def gen_series(spec: FamilySpec) -> FourierSeries:
     The (2K+1)^n modes of the sup-norm box |k_p| <= K, in index order.  A
     coefficient depends on |k|_1 only, so each of the n K + 1 distinct
     values is computed once and gathered.  A box of more modes than the
-    cap raises :class:`GridCapError` (:func:`check_size`) before anything is
-    allocated.
+    cap raises :class:`GridCapError` (:func:`check_power`) before anything
+    is allocated.
     """
     if spec.kind == "profile":
         raise ValueError("profile families have no spectrum; use gen_profile")
     n, radius = spec.dim, spec.radius
     side = 2 * radius + 1
-    # n bounds the cost of the power below (3^n for n = 10^9 would not finish).
+    # n also sizes the shape tuple of np.indices, which a box of one mode
+    # (K = 0) would build for any n.
     check_size(n, "axes of the family spectrum (--n)")
-    count = check_size(side**n, "modes of the family spectrum")
+    count = check_power(side, n, "modes of the family spectrum")
     if spec.kind == "analytic":
         by_l1 = [math.exp(-spec.decay * l1) for l1 in range(n * radius + 1)]
     else:  # gevrey

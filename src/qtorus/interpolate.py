@@ -39,7 +39,6 @@ from .series import (
     _summed,
     eval_batch,
     eval_grid,
-    eval_laurent,
     grid_array,
 )
 
@@ -144,7 +143,8 @@ def _build_base(series: FourierSeries, m: int, engine: str):
 def _augment(series: FourierSeries, m: int, z0: PolyPoint, engine: str):
     """(augmented interpolant pinned at z0, its error at z0, the uncovered modes).
 
-    series(z0) and base(z0) are evaluated once each.  The error
+    base(z0) is evaluated once, and series(z0), which does not depend on
+    m, once per series and z0 (it is kept on the series).  The error
     |aug(z0) - series(z0)| adds the correction to base(z0) on the same
     one-row arrays as ``AugmentedInterpolant.eval``, so its bits are those
     of evaluating the interpolant again.
@@ -157,7 +157,7 @@ def _augment(series: FourierSeries, m: int, z0: PolyPoint, engine: str):
     z = np.array([z0.z], dtype=complex)
     factor = _grid_factor(z, m)
     denom = complex(factor[0])
-    f_z0 = eval_laurent(series, z0)
+    f_z0 = series._value_at(z0)
     base_z0 = eval_batch(base, z)
     degenerate = abs(denom) < DEGENERATE_Z0_TOL * series.dim
     correction = 0j if degenerate else (f_z0 - complex(base_z0[0])) / denom

@@ -50,28 +50,55 @@ INDEX_BOUND = 2**62
 READ_BLOCK = 256
 
 #: Complex elements in one working block of :func:`eval_batch` (points x
-#: modes) and of :func:`eval_grid` (rows x grid points of one level).
-EVAL_BLOCK = 2**18
+#: modes) and of :func:`eval_grid` (rows x grid points of one level).  A
+#: block is 512 KiB, so the two buffers of an :func:`eval_batch` chunk stay
+#: in a core's cache.
+EVAL_BLOCK = 2**15
 
 
 class GridCapError(RuntimeError):
     """A requested size would exceed the configured cap."""
 
 
-def check_size(count: int, what: str) -> int:
-    """``count``, or :class:`GridCapError` naming ``what`` when it exceeds the cap.
+def _cap() -> int:
+    """The size cap from QTORUS_GRID_CAP (default 10^6), read at each call.
 
-    The one size check: grid points, family modes, profile orders, samples.
-    The cap is read from QTORUS_GRID_CAP at each call (default 10^6); a
-    value that is not a positive integer raises ValueError naming it.
+    A value that is not a positive integer raises ValueError naming it.
     """
     raw = os.environ.get(GRID_CAP_ENV, str(DEFAULT_GRID_CAP))
     if not raw.strip().isdecimal() or int(raw) < 1:
         raise ValueError(f"{GRID_CAP_ENV} must be a positive integer, got {raw!r}")
-    limit = int(raw)
+    return int(raw)
+
+
+def _past_cap(shown: str, what: str, limit: int) -> GridCapError:
+    return GridCapError(f"{shown} {what} exceed the cap of {limit} ({GRID_CAP_ENV})")
+
+
+def check_size(count: int, what: str) -> int:
+    """``count``, or :class:`GridCapError` naming ``what`` when it exceeds the cap.
+
+    The one size check: grid points, family modes, profile orders, samples.
+    Sizes that are powers go through :func:`check_power`.
+    """
+    limit = _cap()
     if count > limit:
-        raise GridCapError(f"{count} {what} exceed the cap of {limit} ({GRID_CAP_ENV})")
+        raise _past_cap(str(count), what, limit)
     return count
+
+
+def check_power(base: int, exponent: int, what: str) -> int:
+    """``base**exponent`` through :func:`check_size`, never built past the cap.
+
+    For base >= 2 the power exceeds the cap once 2**exponent does, that is
+    once the exponent reaches the cap's bit length.  Such a size is refused
+    as ``base^exponent`` without making the integer, which could take long
+    to build and thousands of digits to print.
+    """
+    limit = _cap()
+    if base >= 2 and exponent >= limit.bit_length():
+        raise _past_cap(f"{base}^{exponent}", what, limit)
+    return check_size(base**exponent, what)
 
 
 class _DuplicateIndex(ValueError):
@@ -222,6 +249,17 @@ class FourierSeries:
     def _abs_sum(self) -> float:
         # The builtin abs, not np.abs, which may differ in the last bit.
         return float(sum(map(abs, self._values.tolist())))
+
+    def _value_at(self, point: "PolyPoint") -> complex:
+        """:func:`eval_laurent` at ``point``, kept for the last point asked.
+
+        A one-entry cache, written into ``__dict__`` like a cached_property:
+        the interpolation audits of one job pin every m at the same z0.
+        """
+        last = self.__dict__.get("_last_value")
+        if last is None or last[0] != point:
+            last = self.__dict__["_last_value"] = (point, eval_laurent(self, point))
+        return last[1]
 
     def __add__(self, other: "FourierSeries") -> "FourierSeries":
         if not isinstance(other, FourierSeries):
@@ -393,11 +431,16 @@ def eval_batch(series: FourierSeries, points: np.ndarray) -> np.ndarray:
 
     The evaluator for arbitrary points; values on the roots-of-unity grid
     come from :func:`eval_grid` instead.  Points go in chunks of
-    ``EVAL_BLOCK // n_modes`` rows (at least one), so a working array holds
-    at most max(:data:`EVAL_BLOCK`, n_modes) complex elements.  Per chunk,
-    each z_p is raised once to the distinct exponents of dimension p, every
-    mode gathers its factor from that table, the factors multiply in p
-    order, and one matvec with the coefficients sums the modes.
+    ``EVAL_BLOCK // (n_modes + 1)`` rows (at least one), through two
+    C-ordered buffers of at most max(:data:`EVAL_BLOCK`, n_modes + 1)
+    complex elements each.  Per chunk, each z_p is raised once to the distinct exponents of
+    dimension p, every mode gathers its factor from that table, the factors
+    multiply in p order, the coefficient multiplies last, and each row is
+    summed on its own (numpy's pairwise sum over a contiguous row).
+
+    No BLAS call and no operand order left to numpy: every value depends
+    only on its point and the series, never on the other points of the
+    batch or on :data:`EVAL_BLOCK`.
     """
     z = np.asarray(points, dtype=complex)
     if z.ndim != 2 or z.shape[1] != series.dim:
@@ -407,13 +450,29 @@ def eval_batch(series: FourierSeries, points: np.ndarray) -> np.ndarray:
     out = np.zeros(z.shape[0], dtype=complex)
     if not series.n_modes:
         return out
-    rows = max(1, EVAL_BLOCK // series.n_modes)
-    for start in range(0, z.shape[0], rows):
+    width = series.n_modes + 1
+    rows = max(1, EVAL_BLOCK // width)
+    # Preallocated and written through out=: a temporary would let numpy
+    # swap the operands of a product (temporary elision), and a[:, inverse]
+    # is F-ordered, which makes the row sums sequential.  Each row has one
+    # spare slot, gathered from index 0 and never summed, so no product has
+    # a single element: numpy multiplies those with a scalar kernel whose
+    # bits differ from its vector kernel's.
+    gathered = np.empty((min(rows, len(z)), width), dtype=complex)
+    product = np.empty_like(gathered)
+    values = np.append(series._values, 0)
+    slots = [(distinct, np.append(inverse, 0)) for distinct, inverse in series._exponent_tables]
+    for start in range(0, len(z), rows):
         chunk = z[start : start + rows]
-        block = 1.0
-        for p, (distinct, inverse) in enumerate(series._exponent_tables):
-            block = block * (chunk[:, p, None] ** distinct)[:, inverse]
-        out[start : start + rows] = block @ series._values
+        factor, block = gathered[: len(chunk)], product[: len(chunk)]
+        for p, (distinct, inverse) in enumerate(slots):
+            # mode="clip" writes straight into out=; "raise" would buffer it.
+            table = chunk[:, p, None] ** distinct
+            np.take(table, inverse, axis=1, out=factor if p else block, mode="clip")
+            if p:
+                np.multiply(block, factor, out=block)
+        np.multiply(block, values, out=block)
+        out[start : start + len(chunk)] = block[:, :-1].sum(axis=1)
     return out
 
 
@@ -421,7 +480,7 @@ def _grid_size(n: int, m: int) -> int:
     """m^n, refusing with :class:`GridCapError` when it exceeds the cap."""
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
-    return check_size(m**n, "grid points")
+    return check_power(m, n, "grid points")
 
 
 def _roots(m: int) -> np.ndarray:

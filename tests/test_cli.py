@@ -1,3 +1,4 @@
+import cmath
 import importlib
 import itertools
 import json
@@ -17,7 +18,9 @@ from hypothesis import strategies as st
 import qtorus
 import qtorus.cli as cli_module
 import qtorus.interpolate as interpolate_module
+import qtorus.series as series_module
 from qtorus import write_coefficients
+from qtorus.families import gen_series, parse_family_spec
 from qtorus.cli import _finite_or_null, _write_csv, main, write_svg_line_chart
 from helpers import loop_read_coefficients, loop_svg_points, loop_write_csv, random_series
 
@@ -114,6 +117,17 @@ class TestNorms:
         assert not out.exists()
         monkeypatch.setenv("QTORUS_GRID_CAP", "121")
         assert main(["norms", *args]) == 0
+
+    def test_family_box_past_cap_exits_4_naming_it_as_a_power(self, tmp_path, monkeypatch, capsys):
+        # 3^100000 has 47713 digits: it is refused without being built or printed.
+        monkeypatch.delenv("QTORUS_GRID_CAP", raising=False)
+        out = tmp_path / "o"
+        assert main(["norms", "--family", "analytic:a=1:K=1", "--n", "100000", "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            "error: 3^100000 modes of the family spectrum exceed the cap of 1000000"
+            " (QTORUS_GRID_CAP)\n"
+        )
+        assert not out.exists()
 
     def test_malformed_cap_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("QTORUS_GRID_CAP", "1e6")
@@ -417,6 +431,42 @@ class TestInterp:
         assert code == 2
         assert capsys.readouterr().err == "error: --z0 components must have modulus 1\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, text, message",
+        [
+            ("--m", "", "--m needs an integer A or a range A..B, got ''"),
+            ("--m", "3..x", "--m needs an integer A or a range A..B, got '3..x'"),
+            ("--m", "5..2", "bad --m range '5..2'"),
+            ("--z0", "x", "--z0 needs comma-separated complex numbers, got 'x'"),
+            ("--z0", "1,", "--z0 needs comma-separated complex numbers, got '1,'"),
+        ],
+    )
+    def test_malformed_m_or_z0_exits_2_naming_the_flag(self, tmp_path, capsys, flag, text, message):
+        out = tmp_path / "out"
+        args = ["interp", "--family", "analytic:a=1:K=3", "--n", "2", "--samples", "8"]
+        assert main([*args, f"{flag}={text}", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_series_evaluated_at_z0_once_per_job(self, tmp_path, monkeypatch):
+        # series(z0) does not depend on m: five audits pin z0 with one value.
+        series = gen_series(parse_family_spec("analytic:a=1:K=3", dim=2))
+        z0 = np.full((1, 2), cmath.exp(0.7j))  # the default --z0
+        calls = []
+        for module in (series_module, interpolate_module):
+            def counted(s, points, _eval=module.eval_batch):
+                if s == series and np.array_equal(points, z0):
+                    calls.append(s)
+                return _eval(s, points)
+
+            monkeypatch.setattr(module, "eval_batch", counted)
+        code = main(
+            ["interp", "--family", "analytic:a=1:K=3", "--n", "2", "--m", "2..6",
+             "--samples", "8", "--out", str(tmp_path / "out")]
+        )
+        assert code == 0
+        assert len(calls) == 1
 
     def test_grid_cap_exits_4(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QTORUS_GRID_CAP", "8")

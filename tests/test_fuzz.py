@@ -156,8 +156,8 @@ def run_main(argv, lines, cap):
 
 
 #: Explicit cases: --samples below 1, a non-finite --t, samples past the
-#: float range (t^64 at the default --m), a malformed cap, a huge --n and
-#: a huge --rmax.
+#: float range (t^64 at the default --m), a malformed cap, a huge --n, a
+#: family box of 3^100000 modes at the default cap and a huge --rmax.
 ONE_MODE = ['{"k": [1], "re": 1, "im": 0}']
 FAMILY = "--family=analytic:a=1:K=2"
 
@@ -171,6 +171,7 @@ FAMILY = "--family=analytic:a=1:K=2"
 @example(case=(["interp", "--t=104942.0", "--samples=1", FAMILY], None), cap=CAP)
 @example(case=(["norms", FAMILY], None), cap="1e6")
 @example(case=(["norms", FAMILY, "--n=1000000000"], None), cap=CAP)
+@example(case=(["norms", "--family=analytic:a=1:K=1", "--n=100000"], None), cap="1000000")
 @example(case=(["tau", FAMILY, "--rmax=1000000000"], None), cap=CAP)
 def test_main_exits_with_a_contract_code_and_one_error_line(case, cap):
     argv, lines = case

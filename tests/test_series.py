@@ -1,3 +1,4 @@
+import cmath
 import math
 import os
 import re
@@ -12,12 +13,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qtorus.series as series_module
-from qtorus.series import check_size
+from qtorus.series import check_power, check_size
 from qtorus import (
     FourierSeries,
     GridCapError,
     PolyPoint,
     TorusPoint,
+    augmented_interpolant,
     eval_batch,
     eval_grid,
     eval_laurent,
@@ -136,6 +138,22 @@ def eval_cases(draw):
     return series, moduli * np.exp(1j * phases), block
 
 
+def annulus_case():
+    """(series, points, block): the fold an n = 2 audit samples at m = 40,
+    1600 modes with exponents 0..39, at 256 points of 1/1.25 <= |z_p| <= 1.25."""
+    rng = np.random.default_rng(40)
+    k = np.indices((40, 40)).reshape(2, -1).T
+    series = FourierSeries.from_arrays(2, k, rng.normal(size=1600) + 1j * rng.normal(size=1600))
+    moduli = rng.uniform(1 / 1.25, 1.25, size=(256, 2))
+    return series, moduli * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=(256, 2))), 1
+
+
+def hex_parts(values) -> list:
+    """The hex of the real and the imaginary part of each value."""
+    values = np.asarray(values, dtype=complex)
+    return list(zip(map(float.hex, values.real.tolist()), map(float.hex, values.imag.tolist())))
+
+
 class TestEvalBatch:
     def test_matches_pointwise(self):
         rng = np.random.default_rng(7)
@@ -171,6 +189,49 @@ class TestEvalBatch:
         batch = eval_batch(s, pts)
         for i in (0, rows - 1, rows, 2 * rows - 1, 2 * rows, len(pts) - 1):
             assert abs(batch[i] - brute_eval(s, pts[i])) <= 1e-12 * brute_eval_scale(s, pts[i])
+
+    @settings(max_examples=60, deadline=None)
+    @given(eval_cases())
+    @example(annulus_case())
+    @example((FourierSeries(2, {}), np.ones((3, 2), dtype=complex), 1))
+    # One mode: a lone point's products have one element each unless the
+    # row has a spare slot, and numpy rounds those differently.
+    @example(
+        (
+            FourierSeries(1, {(2,): -0.1321048632913019 + 0.6404226504432821j}),
+            np.array([[1.85906402 + 0.19375371j], [0.5458637 - 1.30000083j]]),
+            1,
+        )
+    )
+    def test_bits_independent_of_block_and_batch(self, case):
+        # A value depends on its point and the series only: not on the
+        # block, on the other rows of its chunk or on a BLAS build.
+        series, points, _ = case
+        want = hex_parts(eval_batch(series, points))
+        for block in (1, 7, 64, 2**10, series_module.EVAL_BLOCK, 2**22):
+            with mock.patch.object(series_module, "EVAL_BLOCK", block):
+                assert hex_parts(eval_batch(series, points)) == want
+        alone = [eval_batch(series, row[None])[0] for row in points]
+        assert hex_parts(alone) == want
+        one_point = [eval_laurent(series, PolyPoint(tuple(row))) for row in points]
+        assert hex_parts(one_point) == want
+        aug = augmented_interpolant(series, 3, PolyPoint((cmath.exp(0.7j),) * series.dim))
+        one_point = [aug.eval(PolyPoint(tuple(row))) for row in points]
+        assert hex_parts(one_point) == hex_parts(aug.eval_batch(points))
+
+    def test_working_set_bounded_by_block(self):
+        # One audit's annulus sample at n = 2, m = 40: the working set is a
+        # few blocks, whatever the number of points.
+        series, points, _ = annulus_case()
+        series._exponent_tables, series._values  # cached inputs are not working memory
+        tracemalloc.start()
+        try:
+            eval_batch(series, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        blocks = 3 * 16 * max(series_module.EVAL_BLOCK, series.n_modes)
+        assert peak < blocks + 16 * len(points) + 8 * series.dim * series.n_modes
 
     def test_empty_series(self):
         s = FourierSeries(1, {})
@@ -303,6 +364,18 @@ class TestGridPoints:
         monkeypatch.setenv("QTORUS_GRID_CAP", "10")
         with pytest.raises(GridCapError, match=r"^11 widgets exceed the cap of 10 "):
             check_size(11, "widgets")
+
+    def test_check_power_refuses_without_building_the_power(self, monkeypatch):
+        monkeypatch.setenv("QTORUS_GRID_CAP", "8")
+        assert check_power(2, 3, "widgets") == 8
+        assert check_power(1, 10**18, "widgets") == 1
+        with pytest.raises(GridCapError, match=r"^9 widgets exceed the cap of 8 "):
+            check_power(3, 2, "widgets")
+        # 2^4 > 8 already, so 3^(10^18) is refused as written, never built.
+        with pytest.raises(GridCapError, match=r"^2\^4 widgets exceed the cap of 8 "):
+            check_power(2, 4, "widgets")
+        with pytest.raises(GridCapError, match=r"^3\^1000000000000000000 widgets exceed"):
+            check_power(3, 10**18, "widgets")
 
     @pytest.mark.parametrize("raw", ["1e6", "", "ten", "0", "-5", "2.5"])
     def test_malformed_cap_names_the_variable(self, monkeypatch, raw):
