@@ -89,7 +89,11 @@ def _finite_or_null(value):
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False)
+    """One line of strict JSON with sorted keys, then a newline.
+
+    Without ``indent``, json.dumps runs its C encoder.
+    """
+    text = json.dumps(_finite_or_null(payload), sort_keys=True, allow_nan=False)
     _atomic_write(path, text + "\n")
 
 

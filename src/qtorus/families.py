@@ -73,15 +73,17 @@ def gen_series(spec: FamilySpec) -> FourierSeries:
         raise ValueError("profile families have no spectrum; use gen_profile")
     n, radius = spec.dim, spec.radius
     side = 2 * radius + 1
-    # n also sizes the shape tuple of np.indices, which a box of one mode
-    # (K = 0) would build for any n.
+    # The box is count x n entries: with one mode (K = 0) n alone sizes it.
     check_size(n, "axes of the family spectrum (--n)")
     count = check_power(side, n, "modes of the family spectrum")
     if spec.kind == "analytic":
         by_l1 = [math.exp(-spec.decay * l1) for l1 in range(n * radius + 1)]
     else:  # gevrey
         by_l1 = [math.exp(-float(l1) ** (1.0 / spec.exponent)) for l1 in range(n * radius + 1)]
-    k = np.indices((side,) * n).reshape(n, count).T - radius
+    # Mode i's index is the base-side digits of i (first axis most
+    # significant) minus K: index order, for any number of axes.
+    place = side ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    k = np.arange(count)[:, None] // place % side - radius
     return FourierSeries.from_arrays(n, k, np.array(by_l1)[np.abs(k).sum(axis=1)])
 
 

@@ -37,6 +37,7 @@ from .series import (
     PolyPoint,
     Record,
     _summed,
+    _terms,
     eval_batch,
     eval_grid,
     grid_array,
@@ -44,6 +45,20 @@ from .series import (
 
 #: Scale-aware near-zero threshold for the correction denominator.
 DEGENERATE_Z0_TOL = 1e-12
+
+
+def _targets(exponents: np.ndarray, m: int, engine: str):
+    """(each index row's exponent in the fold by ``engine``, the rows it reaches).
+
+    ``alias`` sends k to k mod m and reaches every row.  ``diagonal`` sends
+    k to b (|k| mod m), with b_p = sign(k_p) (+1 at a zero component), and
+    reaches the rows whose |k_p| mod m agree for all p; the exponents it
+    gives the other rows are not used.
+    """
+    if engine == "alias":
+        return exponents % m, np.ones(len(exponents), dtype=bool)
+    r = np.abs(exponents) % m
+    return np.where(exponents < 0, -r, r), np.all(r == r[:, :1], axis=1)
 
 
 def diagonal_fold(series: FourierSeries, m: int) -> FourierSeries:
@@ -65,23 +80,16 @@ def diagonal_fold(series: FourierSeries, m: int) -> FourierSeries:
     if m < 1:
         raise ValueError("m must be >= 1")
     n = series.dim
-    covered = _diagonal_reach(series._exponents, m)
-    k = series._exponents[covered]
-    mag = np.abs(k)
-    r, l = mag[:, 0] % m, mag // m
+    target, covered = _targets(series._exponents, m, "diagonal")
+    k, target = series._exponents[covered], target[covered]
+    r, l = np.abs(target[:, 0]), np.abs(k) // m
     # Slot number r 2^n + (rank of beta = sign(k) in the +1 before -1 order).
     slot = r * 2**n + (k < 0) @ (1 << np.arange(n - 1, -1, -1))
     order = np.lexsort((*l.T[::-1], slot))
     _, first, at = np.unique(slot, return_index=True, return_inverse=True)
     sums = np.zeros(len(first), dtype=complex)
     np.add.at(sums, at[order], series._values[covered][order])
-    return _summed(n, np.where(k < 0, -r[:, None], r[:, None])[first], sums)
-
-
-def _diagonal_reach(k: np.ndarray, m: int) -> np.ndarray:
-    """Which index rows the diagonal fold reaches: |k_p| mod m equal for all p."""
-    mag = np.abs(k)
-    return np.all(mag % m == mag[:, :1] % m, axis=1)
+    return _summed(n, target[first], sums)
 
 
 def alias_fold(series: FourierSeries, m: int) -> FourierSeries:
@@ -93,7 +101,7 @@ def alias_fold(series: FourierSeries, m: int) -> FourierSeries:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    return _summed(series.dim, series._exponents % m, series._values)
+    return _summed(series.dim, _targets(series._exponents, m, "alias")[0], series._values)
 
 
 class AugmentedInterpolant(Record):
@@ -130,39 +138,40 @@ def _grid_factor(z: np.ndarray, m: int) -> np.ndarray:
     return (z**m).sum(axis=1) - z.shape[1]
 
 
-def _build_base(series: FourierSeries, m: int, engine: str):
-    """(the fold of ``series`` by ``engine``, the modes it leaves uncovered)."""
-    if engine == "diagonal":
-        missed = series._exponents[~_diagonal_reach(series._exponents, m)]
-        return diagonal_fold(series, m), tuple(map(tuple, missed.tolist()))
-    if engine == "alias":
-        return alias_fold(series, m), ()
-    raise ValueError(f"unknown engine {engine!r} (expected 'diagonal' or 'alias')")
-
-
 def _augment(series: FourierSeries, m: int, z0: PolyPoint, engine: str):
-    """(augmented interpolant pinned at z0, its error at z0, the uncovered modes).
+    """(augmented interpolant pinned at z0, its error at z0, the rows the fold reaches).
 
-    base(z0) is evaluated once, and series(z0), which does not depend on
-    m, once per series and z0 (it is kept on the series).  The error
-    |aug(z0) - series(z0)| adds the correction to base(z0) on the same
-    one-row arrays as ``AugmentedInterpolant.eval``, so its bits are those
-    of evaluating the interpolant again.
+    The residual f(z0) - fold(z0) is summed mode by mode:
+    sum_covered c_k (z0^k - z0^target) + sum_uncovered c_k z0^k, with
+    target the mode's exponent in the fold.
+    The terms c_k z0^k are computed once per series and z0 (they are kept
+    on the series); the terms c_k z0^target gather their factors from a
+    table of z0_p^e, |e| < m, in the same way, so a mode the fold leaves in
+    place (target = k) adds exactly 0.  The residual therefore carries no
+    rounding from the modes the fold does not move, which are most of the
+    sum when the fold nearly interpolates at z0.  The correction is the
+    residual over the denominator, and the error at z0 is
+    |denominator * correction - residual|.
     """
-    base, uncovered = _build_base(series, m, engine)
+    if engine not in ("diagonal", "alias"):
+        raise ValueError(f"unknown engine {engine!r} (expected 'diagonal' or 'alias')")
+    base = (diagonal_fold if engine == "diagonal" else alias_fold)(series, m)
     if z0.dim != series.dim:
         raise ValueError("z0 dimension mismatch")
     if not z0.on_torus():
         raise ValueError("z0 must lie on the torus (|z0_p| = 1)")
-    z = np.array([z0.z], dtype=complex)
-    factor = _grid_factor(z, m)
-    denom = complex(factor[0])
-    f_z0 = series._value_at(z0)
-    base_z0 = eval_batch(base, z)
+    target, covered = _targets(series._exponents, m, engine)
+    z = np.array(z0.z)
+    exponents = np.arange(1 - m, m)
+    tables = [(exponents, target[:, p] + (m - 1)) for p in range(series.dim)]
+    terms = series._terms_at(z0)
+    moved = np.where(covered, terms - _terms(z, tables, series._values), terms)
+    residual = complex(moved.sum())
+    denom = complex(_grid_factor(z[None, :], m)[0])
     degenerate = abs(denom) < DEGENERATE_Z0_TOL * series.dim
-    correction = 0j if degenerate else (f_z0 - complex(base_z0[0])) / denom
+    correction = 0j if degenerate else residual / denom
     aug = AugmentedInterpolant(base, m, engine, z0, correction, degenerate)
-    return aug, abs(complex((base_z0 + factor * correction)[0]) - f_z0), uncovered
+    return aug, abs(denom * correction - residual), covered
 
 
 def augmented_interpolant(
@@ -210,20 +219,31 @@ def interpolation_audit(
 ) -> InterpolationAudit:
     """Compare the augmented interpolant against the series on the full grid.
 
-    Series and fold are evaluated on the grid by :func:`eval_grid`; the
-    correction's factor z_1^m + ... + z_n^m - n is taken at the
-    :func:`grid_array` nodes, so its rounding there is part of the error.
+    At a node z of the m-grid, z_p^m = 1, so z^k = z^(k mod m) for every
+    mode, and a mode's fold exponent (k mod m for alias, b (|k| mod m) for
+    a mode the diagonal engine reaches) has the residues of k.  So the
+    series minus its fold is, at every node, the series of the modes the
+    fold does not reach (none for alias), uncovered(z), and
+
+        aug(z) - series(z) = factor(z) * correction - uncovered(z),
+
+    with factor(z) = z_1^m + ... + z_n^m - n.  :func:`eval_grid` reads
+    exponents mod m in integer arithmetic, so the identity holds for its
+    values too.  The grid error is computed from it: the factor is taken
+    at the :func:`grid_array` nodes (its rounding there is part of the
+    error), and :func:`eval_grid` runs on the uncovered modes only.
     """
-    aug, z0_err, uncovered = _augment(series, m, z0, engine)
-    nodes = grid_array(series.dim, m)
-    f_vals = eval_grid(series, m)
-    l_vals = eval_grid(aug.base, m) + _grid_factor(nodes, m) * aug.correction
+    aug, z0_err, covered = _augment(series, m, z0, engine)
+    error = _grid_factor(grid_array(series.dim, m), m) * aug.correction
+    missed = series._exponents[~covered]
+    if len(missed):
+        error -= eval_grid(FourierSeries.from_arrays(series.dim, missed, series._values[~covered]), m)
     return InterpolationAudit(
         interpolant=aug,
-        max_grid_error=float(np.max(np.abs(l_vals - f_vals))),
+        max_grid_error=float(np.max(np.abs(error))),
         z0_error=float(z0_err),
         tolerance=1e-9 * (1.0 + series.abs_sum()),
-        uncovered_modes=uncovered,
+        uncovered_modes=tuple(map(tuple, missed.tolist())),
     )
 
 

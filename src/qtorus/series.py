@@ -250,15 +250,17 @@ class FourierSeries:
         # The builtin abs, not np.abs, which may differ in the last bit.
         return float(sum(map(abs, self._values.tolist())))
 
-    def _value_at(self, point: "PolyPoint") -> complex:
-        """:func:`eval_laurent` at ``point``, kept for the last point asked.
+    def _terms_at(self, point: "PolyPoint") -> np.ndarray:
+        """The terms c_k z^k at ``point``, one per mode, kept for the last point asked.
 
-        A one-entry cache, written into ``__dict__`` like a cached_property:
+        Computed by :func:`_terms` from the cached exponent tables.  A
+        one-entry cache, written into ``__dict__`` like a cached_property:
         the interpolation audits of one job pin every m at the same z0.
         """
-        last = self.__dict__.get("_last_value")
+        last = self.__dict__.get("_last_terms")
         if last is None or last[0] != point:
-            last = self.__dict__["_last_value"] = (point, eval_laurent(self, point))
+            terms = _terms(np.array(point.z), self._exponent_tables, self._values)
+            last = self.__dict__["_last_terms"] = (point, terms)
         return last[1]
 
     def __add__(self, other: "FourierSeries") -> "FourierSeries":
@@ -273,12 +275,7 @@ class FourierSeries:
         )
 
     def __mul__(self, scalar) -> "FourierSeries":
-        c = complex(scalar)
-        a, b = self._values.real, self._values.imag
-        # Real and imaginary parts apart, as complex.__mul__ rounds them.
-        v = np.empty_like(self._values)
-        v.real = a * c.real - b * c.imag
-        v.imag = a * c.imag + b * c.real
+        v = _product(self._values, complex(scalar))
         return FourierSeries.from_arrays(self.dim, self._exponents, v)
 
     __rmul__ = __mul__
@@ -300,11 +297,50 @@ class FourierSeries:
 
 
 def _summed(dim: int, exponents: np.ndarray, values: np.ndarray) -> FourierSeries:
-    """The series with the values of equal index rows added, each sum in row order."""
-    rows, slot = np.unique(exponents.reshape(-1, dim), axis=0, return_inverse=True)
-    sums = np.zeros(len(rows), dtype=complex)
-    np.add.at(sums, slot.reshape(-1), values)
-    return FourierSeries.from_arrays(dim, rows, sums)
+    """The series with the values of equal index rows added, each sum in row order.
+
+    A stable lexicographic sort puts equal rows next to each other in row
+    order, and a boundary mask numbers the runs of equal rows.
+    """
+    k = exponents.reshape(-1, dim)
+    order = np.lexsort(k.T[::-1])
+    k = k[order]
+    head = np.ones(len(k), dtype=bool)
+    head[1:] = np.any(k[1:] != k[:-1], axis=1)
+    sums = np.zeros(np.count_nonzero(head), dtype=complex)
+    np.add.at(sums, np.cumsum(head) - 1, values[order])
+    return FourierSeries.from_arrays(dim, k[head], sums)
+
+
+def _product(a, b) -> np.ndarray:
+    """a * b elementwise, with real and imaginary parts apart, as complex.__mul__ rounds them.
+
+    Real products and sums round the same in every numpy kernel, so the
+    bits of each entry depend only on its two operands, not on the shapes,
+    strides or lengths that pick numpy's complex multiply kernel.
+    """
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _terms(z: np.ndarray, tables, values: np.ndarray) -> np.ndarray:
+    """The terms c_k z^k of the modes at one point z of n components.
+
+    ``tables[p]`` is (distinct exponents, index of each mode's exponent in
+    them) for dimension p.  Each z_p is raised once to its distinct
+    exponents, every mode gathers its factor from that table, and the
+    factors multiply in p order, the coefficient last, by :func:`_product`.
+    So a term's bits depend only on z, its index and its coefficient:
+    modes with the same index and coefficient give the same term whatever
+    the tables they come from.
+    """
+    term = None
+    for zp, (distinct, inverse) in zip(z, tables):
+        factor = (zp**distinct)[inverse]
+        term = factor if term is None else _product(term, factor)
+    return _product(term, values)
 
 
 class Record:
@@ -514,6 +550,10 @@ def eval_grid(series: FourierSeries, m: int) -> np.ndarray:
     bounded by the n_modes input plus a few arrays of max(EVAL_BLOCK, m^n)
     complex elements, whatever the number of modes.  Refuses with
     :class:`GridCapError` exactly as :func:`grid_array` does.
+
+    Every partial sum adds its rows one by one in row order (``np.add.at``),
+    and every product is a :func:`_product`, so no value depends on
+    :data:`EVAL_BLOCK`.
     """
     count = _grid_size(series.dim, m)
     if not series.n_modes:
@@ -534,10 +574,8 @@ def eval_grid(series: FourierSeries, m: int) -> np.ndarray:
         for start in range(0, len(keys), rows):
             stop = start + rows
             factor = roots[(keys[start:stop, p, None] * l) % m]
-            block = (factor[:, :, None] * sums[start:stop, None, :]).reshape(-1, width)
-            g = group[start:stop]
-            heads = np.flatnonzero(np.concatenate(([True], g[1:] != g[:-1])))
-            merged[g[heads]] += np.add.reduceat(block, heads, axis=0)
+            block = _product(factor[:, :, None], sums[start:stop, None, :])
+            np.add.at(merged, group[start:stop], block.reshape(-1, width))
         keys = keys[np.concatenate(([True], new_group))]
         sums = merged
     return sums[0]

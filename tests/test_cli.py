@@ -75,6 +75,14 @@ class TestNorms:
         assert code == 0
         assert read_data_rows(out / "profile.csv") == ["j,lnM", "0,0.0", "1,-inf", "2,-inf"]
 
+    def test_one_mode_family_with_more_than_64_axes(self, tmp_path):
+        # K = 0 is one constant mode in any dimension, and 100 axes are more
+        # than an ndarray may have.
+        out = tmp_path / "out"
+        args = ["norms", "--family", "analytic:a=1:K=0", "--n", "100", "--Jmax", "2"]
+        assert main([*args, "--out", str(out)]) == 0
+        assert read_data_rows(out / "profile.csv") == ["j,lnM", "0,0.0", "1,-inf", "2,-inf"]
+
     def test_duplicate_index_exits_2(self, tmp_path):
         coeffs = tmp_path / "dup.jsonl"
         coeffs.write_text(
@@ -450,17 +458,25 @@ class TestInterp:
         assert not out.exists()
 
     def test_series_evaluated_at_z0_once_per_job(self, tmp_path, monkeypatch):
-        # series(z0) does not depend on m: five audits pin z0 with one value.
+        # The terms c_k z0^k of the series do not depend on m: five audits
+        # pin z0 with one computation of them.
         series = gen_series(parse_family_spec("analytic:a=1:K=3", dim=2))
-        z0 = np.full((1, 2), cmath.exp(0.7j))  # the default --z0
+        z0 = np.full(2, cmath.exp(0.7j))  # the default --z0
         calls = []
-        for module in (series_module, interpolate_module):
-            def counted(s, points, _eval=module.eval_batch):
-                if s == series and np.array_equal(points, z0):
-                    calls.append(s)
-                return _eval(s, points)
 
-            monkeypatch.setattr(module, "eval_batch", counted)
+        def own_tables(tables):
+            return all(
+                np.array_equal(a, b) and np.array_equal(i, j)
+                for (a, i), (b, j) in zip(tables, series._exponent_tables)
+            )
+
+        def counted(z, tables, values, _terms=series_module._terms):
+            if np.array_equal(z, z0) and own_tables(tables):
+                calls.append(z)
+            return _terms(z, tables, values)
+
+        for module in (series_module, interpolate_module):
+            monkeypatch.setattr(module, "_terms", counted)
         code = main(
             ["interp", "--family", "analytic:a=1:K=3", "--n", "2", "--m", "2..6",
              "--samples", "8", "--out", str(tmp_path / "out")]
@@ -494,7 +510,7 @@ class TestInterp:
         coeffs = tmp_path / "f.jsonl"
         coeffs.write_text('{"k": [1, 2, 3], "re": 1.0, "im": 0.0}\n')
         audits = []
-        monkeypatch.setattr(interpolate_module, "_build_base", lambda *a: audits.append(a))
+        monkeypatch.setattr(cli_module, "interpolation_audit", lambda *a, **kw: audits.append(a))
         out = tmp_path / "out"
         code = main(["interp", "--input", str(coeffs), "--m", "2..101", "--out", str(out)])
         assert code == 4
@@ -504,7 +520,7 @@ class TestInterp:
     def test_samples_past_cap_exits_4_before_any_audit(self, tmp_path, monkeypatch, capsys):
         # 500001 samples of n = 2 components are 1000002 > 10^6 values.
         monkeypatch.delenv("QTORUS_GRID_CAP", raising=False)
-        monkeypatch.setattr(interpolate_module, "_build_base", _must_not_run)
+        monkeypatch.setattr(cli_module, "interpolation_audit", _must_not_run)
         monkeypatch.setattr(cli_module, "bound_audit", _must_not_run)
         out = tmp_path / "out"
         args = ["interp", "--family", "analytic:a=1:K=3", "--n", "2", "--m", "2..3"]

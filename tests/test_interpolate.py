@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qtorus.interpolate as interpolate_module
 from qtorus import (
     FourierSeries,
     PolyPoint,
@@ -16,8 +17,10 @@ from qtorus import (
     diagonal_fold,
     eval_batch,
     eval_laurent,
+    gen_series,
     grid_array,
     interpolation_audit,
+    parse_family_spec,
 )
 from qtorus.interpolate import _grid_factor
 from helpers import loop_alias_fold, loop_diagonal_fold, random_series, random_torus_point
@@ -38,6 +41,24 @@ def fold_cases(draw):
         for _ in range(draw(st.integers(0, 40)))
     }
     return FourierSeries(n, coeffs), draw(st.integers(1, 9))
+
+
+@st.composite
+def audit_cases(draw):
+    """(series, m, engine, z0): a series from fold_cases or a family box,
+    a grid order 2..8, either engine and a random torus point."""
+    if draw(st.booleans()):
+        series = draw(fold_cases())[0]
+    else:
+        n = draw(st.integers(1, 3))
+        kind = draw(st.sampled_from(("analytic:a", "gevrey:s")))
+        radius = draw(st.integers(0, (8, 6, 3)[n - 1]))
+        spec = f"{kind}={draw(st.sampled_from((1, 2, 5)))}:K={radius}"
+        series = gen_series(parse_family_spec(spec, dim=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(2, 8))
+    engine = draw(st.sampled_from(("alias", "diagonal")))
+    return series, m, engine, random_torus_point(rng, series.dim)
 
 
 def bits(mapping):
@@ -231,7 +252,8 @@ class TestAugmentedInterpolant:
         for m in (2, 3, 5):
             aug = augmented_interpolant(s, m, z0, engine="alias")
             assert aug.base.coeffs == s.coeffs
-            assert abs(aug.correction) < 1e-14
+            # The fold leaves the one mode in place: its z0 terms cancel exactly.
+            assert aug.correction == 0
 
     def test_off_torus_z0_rejected(self):
         s = FourierSeries(1, {(1,): 1.0})
@@ -271,6 +293,65 @@ class TestInterpolationAudit:
         audit = interpolation_audit(s, 2, z0, engine="diagonal")
         assert audit.max_grid_error > 1.0
         assert audit.uncovered_modes == ((1, 0),)
+
+    @settings(max_examples=150, deadline=None)
+    @given(audit_cases())
+    def test_grid_error_matches_brute_force(self, case):
+        # The audit takes the grid error from the residual identity; the
+        # brute force evaluates interpolant and series at every node.
+        series, m, engine, z0 = case
+        audit = interpolation_audit(series, m, z0, engine=engine)
+        nodes = grid_array(series.dim, m)
+        brute = np.abs(audit.interpolant.eval_batch(nodes) - eval_batch(series, nodes)).max()
+        slack = 1e-12 * (1.0 + series.abs_sum())
+        assert abs(audit.max_grid_error - brute) <= slack
+        if abs(brute - audit.tolerance) > slack:
+            tol = audit.tolerance
+            assert audit.grid_ok == (brute <= tol and audit.z0_error <= tol)
+
+    def test_near_interpolating_correction_against_mpmath(self):
+        # Shaped like an analytic n = 3 job at m = 9: c_0 = 1 and every other
+        # mode at most e^-35 ~ 6e-16, so the alias fold nearly interpolates
+        # at z0.  A residual f(z0) - fold(z0) taken as a difference of two
+        # sums of size ~1 would be rounding noise of the size of the
+        # correction itself.
+        mpmath = pytest.importorskip("mpmath")
+        series = gen_series(parse_family_spec("analytic:a=35:K=3", dim=3))
+        m, z0 = 9, PolyPoint((cmath.exp(0.7j),) * 3)
+        audit = interpolation_audit(series, m, z0, engine="alias")
+        with mpmath.workdps(60):
+            w = [mpmath.mpc(z.real, z.imag) for z in z0.z]
+
+            def monomial(k):
+                return mpmath.fprod(wp**kp for wp, kp in zip(w, k))
+
+            residual = mpmath.fsum(
+                mpmath.mpc(c.real, c.imag) * (monomial(k) - monomial([kp % m for kp in k]))
+                for k, c in series.coeffs.items()
+            )
+            denom = mpmath.fsum(wp**m for wp in w) - 3
+            got = mpmath.mpc(audit.interpolant.correction)
+            assert abs(got - residual / denom) <= 1e-13 * abs(residual / denom)
+            # The pinned interpolant's true error at z0, and the reported
+            # one, are at the rounding level of the residual (~1e-15).
+            assert abs(denom * got - residual) <= 1e-13 * abs(residual)
+            assert audit.z0_error <= 1e-13 * abs(residual)
+
+    def test_eval_grid_runs_only_on_uncovered_modes(self, monkeypatch):
+        calls = []
+
+        def recorded(series, m, _eval_grid=interpolate_module.eval_grid):
+            calls.append(series)
+            return _eval_grid(series, m)
+
+        monkeypatch.setattr(interpolate_module, "eval_grid", recorded)
+        rng = np.random.default_rng(71)
+        s = random_series(rng, 2, max_modes=30)
+        z0 = random_torus_point(rng, 2)
+        assert interpolation_audit(s, 5, z0, engine="alias").grid_ok
+        assert calls == []
+        audit = interpolation_audit(s, 5, z0, engine="diagonal")
+        assert [list(c.coeffs) for c in calls] == [list(audit.uncovered_modes)]
 
     def test_unknown_engine_rejected(self):
         s = FourierSeries(1, {(1,): 1.0})

@@ -253,12 +253,12 @@ class TestEvalBatch:
 
 
 @st.composite
-def grid_cases(draw):
+def grid_cases(draw, m_min=1):
     """(series, m, block): a sparse series with negative exponents, a grid
     order and a working block small enough that each level spans several
     row blocks."""
     n = draw(st.integers(1, 3))
-    m = draw(st.integers(1, 12))
+    m = draw(st.integers(m_min, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     radius = draw(st.sampled_from((2, 15, 130)))
     coeffs = {
@@ -283,6 +283,17 @@ class TestEvalGrid:
         assert got.shape == (len(nodes),)
         want = np.array([brute_eval(series, z) for z in nodes])
         assert np.max(np.abs(got - want)) <= 1e-12 * series.abs_sum()
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid_cases(m_min=2))
+    def test_bits_independent_of_block(self, case):
+        # Each value adds its rows one by one in a fixed order and each
+        # product rounds the same in every kernel, so no block size moves a bit.
+        series, m, _ = case
+        want = hex_parts(eval_grid(series, m))
+        for block in (1, 7, 64, 2**10, 2**18):
+            with mock.patch.object(series_module, "EVAL_BLOCK", block):
+                assert hex_parts(eval_grid(series, m)) == want
 
     def test_levels_bounded_by_grid_not_modes(self):
         # 3000 modes with distinct k_1 but only m = 64 residues of k_1: the
