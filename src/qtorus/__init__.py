@@ -12,13 +12,11 @@ from .series import (
     FourierSeries,
     GridCapError,
     PolyPoint,
-    TorusPoint,
     eval_batch,
     eval_grid,
     eval_laurent,
     grid_array,
     read_coefficients,
-    truncate,
     write_coefficients,
 )
 from .norms import (
@@ -26,8 +24,6 @@ from .norms import (
     DerivativeNormProfile,
     build_profile,
     coefficient_bound_audit,
-    derivative_l2_norm,
-    fit_class_r,
     m_j,
     shift_profile,
 )
@@ -40,7 +36,6 @@ from .associated import (
     WitnessSeries,
     build_table,
     carleman_diagnostic,
-    classify_witness_trend,
     find_r0,
     lemma_check,
     log_tau,

@@ -49,6 +49,7 @@ say) it holds the two or more tied points.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -63,6 +64,10 @@ CLASS_MARGIN = 1e-6
 
 #: Fewest unsaturated grid points a growth-model fit is made from.
 MIN_FIT_POINTS = 8
+
+#: Largest |ln(r^3 tau(r)) - ln tau~(r)| at which :func:`find_r0` counts the
+#: identity as holding.
+R0_TOL = 1e-9
 
 #: Candidate window of the tau kernel, relative to the largest |term| a query
 #: can reach.  Rounding moves a float term by at most 2^-52 of that bound, so
@@ -306,7 +311,7 @@ def build_table(profile: DerivativeNormProfile, r_grid) -> AssociatedTable:
     return table
 
 
-def find_r0(table: AssociatedTable, tol: float = 1e-9) -> float:
+def find_r0(table: AssociatedTable) -> float:
     """Smallest grid r from which ln(r^3 tau(r)) = ln tau~(r) holds onward.
 
     Returns +inf when the identity never holds through the end of the grid.
@@ -316,7 +321,7 @@ def find_r0(table: AssociatedTable, tol: float = 1e-9) -> float:
         reversed(table.r_grid), reversed(table.ln_tau), reversed(table.ln_tau_shifted)
     ):
         diff = 3.0 * math.log(r) + lt - ls
-        if math.isnan(diff) or abs(diff) > tol:
+        if math.isnan(diff) or abs(diff) > R0_TOL:
             break
         threshold = r
     return threshold
@@ -355,10 +360,6 @@ def _pick_growth_model(r: np.ndarray, w: np.ndarray, margin: float):
     elif fit_sqrt.rmse < margin * fit_lin.rmse and fit_sqrt.slope > 0:
         winner = "sqrt"
     return fit_lin, fit_sqrt, winner
-
-
-def _lstsq_slope(x: np.ndarray, y: np.ndarray) -> float:
-    return _fit_line(x, y).slope
 
 
 # ---------------------------------------------------------------------------
@@ -401,32 +402,6 @@ def _running_min_with_argmin(values: np.ndarray):
     arg = np.maximum.accumulate(arg)
     arg[0] = 0
     return best, arg
-
-
-def classify_witness_trend(
-    m_grid, ln_t, n: int, config: TrendConfig = DEFAULT_TREND
-) -> tuple[str, float]:
-    """Trend label for a witness sequence alone (no profile context).
-
-    Uses the decay rate of ln t_m over the top half of the grid: a positive
-    sequence decaying slower than m^{-1/(2(n+1))} leaves d_m growing, anything
-    at or beyond the critical rate m^{-1/(n+1)} pins d_m.  Falls back to the
-    plain least-squares slope of d_m vs ln m when ln t_m is not positive.
-    Returns (label, slope of d_m vs ln m).
-    """
-    m = np.asarray(m_grid, dtype=float)
-    lt = np.asarray(ln_t, dtype=float)
-    top = slice(m.size // 2, None)
-    d = m ** (1.0 / (n + 1)) * lt
-    if m[top].size < 3:
-        return "inconclusive", math.nan
-    slope_d = _lstsq_slope(np.log(m[top]), d[top])
-    if np.all(lt[top] > 0):
-        decay = _lstsq_slope(np.log(m[top]), np.log(lt[top]))
-        label = "bounded-trend" if decay < -0.5 / (n + 1) else "divergent-trend"
-        return label, slope_d
-    label = "divergent-trend" if slope_d > config.slope_threshold else "bounded-trend"
-    return label, slope_d
 
 
 def witness(
@@ -509,7 +484,7 @@ def _classify_structural(
     d = m_arr ** (1.0 / (n + 1)) * ln_t
     if m_arr[top].size < 3:
         return "inconclusive", math.nan, None, None
-    slope_d = _lstsq_slope(np.log(m_arr[top]), d[top])
+    slope_d = _fit_line(np.log(m_arr[top]), d[top]).slope
     if np.any(arg_sat[top]):
         return "inconclusive", slope_d, None, None
 
@@ -589,14 +564,23 @@ def carleman_diagnostic(
     """
     if r_max < 2:
         raise ValueError("r_max must be >= 2")
+    if r_max > sys.float_info.max:
+        raise ValueError(f"r_max must be at most {sys.float_info.max!r}, the largest float")
     _require_nondegenerate(profile)
     n_points = max(2, int(math.ceil(points_per_decade * math.log10(r_max))) + 1)
-    grid = np.logspace(0.0, math.log10(r_max), n_points)
+    with np.errstate(over="ignore"):
+        # Within rounding of the largest float, 10^log10(r_max) can overflow;
+        # that grid point is the largest float instead.
+        grid = np.minimum(np.logspace(0.0, math.log10(r_max), n_points), sys.float_info.max)
     grid[0] = 1.0
     ln_tau, arg = _legendre(profile, np.log(grid))
     saturated = arg == profile.j_max
     neg = -ln_tau
-    partial = _cumulative_trapezoid(neg / grid**2, grid)
+    with np.errstate(over="ignore"):
+        # r^2 past the float range is inf, and neg / inf = 0 is the
+        # integrand's limit there.
+        integrand = neg / grid**2
+    partial = _cumulative_trapezoid(integrand, grid)
     sat_fraction = float(np.mean(saturated))
 
     cut = np.searchsorted(grid, grid[-1] / 10.0)

@@ -306,13 +306,7 @@ def _fit_payload(fit) -> dict | None:
 def cmd_verdict(args: argparse.Namespace) -> dict:
     m_grid = _parse_m_range(args.m)
     profile = _load_profile(args)
-    config = TrendConfig(
-        slope_threshold=args.slope_threshold,
-        residual_threshold=DEFAULT_TREND.residual_threshold,
-        tail_threshold=args.tail_threshold,
-        fit_margin=args.fit_margin,
-        saturation_fraction=DEFAULT_TREND.saturation_fraction,
-    )
+    config = TrendConfig(slope_threshold=args.slope_threshold, fit_margin=args.fit_margin)
     report = carleman_diagnostic(profile, args.rmax, config=config)
     wit = witness(profile, profile.dim, m_grid, config=config)
     payload = {
@@ -425,10 +419,12 @@ def _add_shared(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--family", type=str, help="family spec, e.g. analytic:a=1:K=100")
     parser.add_argument("--n", type=int, default=1, help="dimension for --family input")
     parser.add_argument("--Jmax", dest="jmax", type=int, default=24, help="profile depth")
-    parser.add_argument("--m", type=str, default="2..64", help="m range A..B")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--samples", type=int, default=256)
+    parser.add_argument("--seed", type=int, default=7, help="annulus sample seed (read by interp)")
     parser.add_argument("--out", type=str, default="qtorus_out", help="output directory")
+
+
+def _add_m(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--m", type=str, default="2..64", help="m range A..B")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -445,11 +441,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tau = sub.add_parser("tau", help="associated-function tables")
     _add_shared(p_tau)
+    _add_m(p_tau)
     p_tau.add_argument("--rmax", type=int, default=100, help="integer r grid upper end")
     p_tau.set_defaults(func=cmd_tau)
 
     p_verdict = sub.add_parser("verdict", help="trend verdicts and witness plot")
     _add_shared(p_verdict)
+    _add_m(p_verdict)
     p_verdict.add_argument("--rmax", type=int, default=1000)
     p_verdict.add_argument(
         "--slope-threshold", type=float, default=DEFAULT_TREND.slope_threshold,
@@ -459,14 +457,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--fit-margin", type=float, default=DEFAULT_TREND.fit_margin,
         help="rmse ratio a growth model must beat to win",
     )
-    p_verdict.add_argument(
-        "--tail-threshold", type=float, default=DEFAULT_TREND.tail_threshold,
-        help="Cauchy increment per decade",
-    )
     p_verdict.set_defaults(func=cmd_verdict)
 
     p_interp = sub.add_parser("interp", help="interpolation and bound audits")
     _add_shared(p_interp)
+    _add_m(p_interp)
+    p_interp.add_argument("--samples", type=int, default=256, help="annulus samples per m")
     p_interp.add_argument("--t", type=float, default=1.25, help="fixed annulus radius")
     p_interp.add_argument(
         "--tm",

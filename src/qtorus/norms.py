@@ -75,33 +75,6 @@ class DerivativeNormProfile(Record):
         return any(v == NEG_INF for v in self.ln_m)
 
 
-def derivative_l2_norm(series: FourierSeries, alpha) -> float:
-    """ln of the L2 norm of the alpha-derivative; -inf when the sum is empty."""
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != series.dim:
-        raise ValueError(f"alpha has length {len(alpha)}, expected {series.dim}")
-    if any(a < 0 for a in alpha):
-        raise ValueError("alpha entries must be >= 0")
-    if not series.n_modes:
-        return NEG_INF
-
-    K = series._exponents
-    ln_c = series._log_abs_values
-    active = [p for p in range(series.dim) if alpha[p] > 0]
-    if active:
-        mask = np.all(K[:, active] != 0, axis=1)
-        if not mask.any():
-            return NEG_INF
-        with np.errstate(divide="ignore"):
-            ln_k = np.log(np.abs(K[np.ix_(mask.nonzero()[0], active)]).astype(float))
-        weights = np.array([alpha[p] for p in active], dtype=float)
-        expo = ln_k @ weights
-        terms = 2.0 * expo + 2.0 * ln_c[mask]
-    else:
-        terms = 2.0 * ln_c
-    return 0.5 * log_sum_exp(terms)
-
-
 def _pure_direction_ln_m(series: FourierSeries, orders) -> list[float]:
     """ln M_j for each j in ``orders``, as the max over p of ln||d_p^j f||.
 
@@ -144,25 +117,6 @@ def shift_profile(profile: DerivativeNormProfile, delta: float) -> DerivativeNor
     """The profile of the rescaled function e^delta * f: every ln M_j shifts by delta."""
     shifted = tuple(v + delta if v != NEG_INF else NEG_INF for v in profile.ln_m)
     return DerivativeNormProfile(dim=profile.dim, ln_m=shifted, j_max=profile.j_max)
-
-
-def fit_class_r(profile: DerivativeNormProfile, reference_ln_m) -> float:
-    """Smallest R with M_j <= R^j * ref_j over the profile's finite range.
-
-    ``reference_ln_m`` supplies the comparison sequence (ln ref_j) for
-    j = 0..j_max.  The fit says nothing beyond the truncated range; it is a
-    reported constant, not a class-membership certificate.
-    """
-    ref = tuple(float(v) for v in reference_ln_m)
-    if len(ref) < profile.j_max + 1:
-        raise ValueError("reference sequence shorter than the profile")
-    ln_r = 0.0
-    for j in range(1, profile.j_max + 1):
-        v = profile.ln_m[j]
-        if v == NEG_INF:
-            continue
-        ln_r = max(ln_r, (v - ref[j]) / j)
-    return math.exp(ln_r)
 
 
 class BoundViolation(Record):

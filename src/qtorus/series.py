@@ -1,7 +1,7 @@
 """Sparse multi-index Fourier/Laurent series on the n-torus.
 
 A series is a finite map from integer exponent vectors k in Z^n to complex
-coefficients c_k, evaluated either on the torus (a point given by angles) or
+coefficients c_k, evaluated either on the torus (unit-modulus components) or
 on a product of annuli (a point with nonzero complex components, Laurent
 style).  Everything downstream is coefficient-driven: no FFTs, no dense
 grids, no symbolic functions.
@@ -31,6 +31,9 @@ TWO_PI = 2.0 * math.pi
 #: Coefficients below this modulus are dropped on construction; they carry no
 #: information at double precision and would pollute log-domain sums.
 PRUNE_THRESHOLD = 1e-300
+
+#: Largest deviation of |z_p| from 1 that :meth:`PolyPoint.on_torus` accepts.
+TORUS_TOL = 1e-9
 
 #: Default ceiling on every size a request drives (see :func:`check_size`).
 DEFAULT_GRID_CAP = 10**6
@@ -416,26 +419,6 @@ class Record:
         return f"{type(self).__qualname__}({body})"
 
 
-class TorusPoint(Record):
-    """A point on the n-torus, stored as angles normalized to [0, 2*pi)."""
-
-    theta: tuple
-
-    def __post_init__(self):
-        if len(self.theta) < 1:
-            raise ValueError("need at least one angle")
-        norm = tuple(float(t) % TWO_PI for t in self.theta)
-        object.__setattr__(self, "theta", norm)
-
-    @property
-    def dim(self) -> int:
-        return len(self.theta)
-
-    def point(self) -> "PolyPoint":
-        """The corresponding unit-modulus point (e^{i theta_1}, ...)."""
-        return PolyPoint(tuple(cmath.exp(1j * t) for t in self.theta))
-
-
 class PolyPoint(Record):
     """A point with nonzero complex components (Laurent evaluation domain)."""
 
@@ -453,8 +436,8 @@ class PolyPoint(Record):
     def dim(self) -> int:
         return len(self.z)
 
-    def on_torus(self, tol: float = 1e-9) -> bool:
-        return all(abs(abs(v) - 1.0) <= tol for v in self.z)
+    def on_torus(self) -> bool:
+        return all(abs(abs(v) - 1.0) <= TORUS_TOL for v in self.z)
 
 
 def eval_laurent(series: FourierSeries, p: PolyPoint) -> complex:
@@ -579,14 +562,6 @@ def eval_grid(series: FourierSeries, m: int) -> np.ndarray:
         keys = keys[np.concatenate(([True], new_group))]
         sums = merged
     return sums[0]
-
-
-def truncate(series: FourierSeries, radius: int) -> FourierSeries:
-    """Keep exactly the modes with max_p |k_p| <= radius."""
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    keep = np.all(np.abs(series._exponents) <= radius, axis=1)
-    return FourierSeries.from_arrays(series.dim, series._exponents[keep], series._values[keep])
 
 
 def _columns(objects: list, dim: int | None):

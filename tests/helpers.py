@@ -11,7 +11,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from qtorus import FourierSeries, PolyPoint, TorusPoint
+from qtorus import FourierSeries, PolyPoint
+from qtorus.logspace import NEG_INF, log_sum_exp
 from qtorus.series import PRUNE_THRESHOLD, TWO_PI
 
 
@@ -105,6 +106,38 @@ def compositions(total: int, parts: int):
             yield (head,) + rest
 
 
+def derivative_l2_norm(series: FourierSeries, alpha) -> float:
+    """ln of the L2 norm of the alpha-derivative; -inf when the sum is empty.
+
+    ln sqrt(sum_k k^{2 alpha} |c_k|^2) over the modes with k_p != 0 wherever
+    alpha_p > 0: the brute-force side of the pure-direction identity for
+    ln M_j, one norm per multi-index.
+    """
+    alpha = tuple(int(a) for a in alpha)
+    if len(alpha) != series.dim:
+        raise ValueError(f"alpha has length {len(alpha)}, expected {series.dim}")
+    if any(a < 0 for a in alpha):
+        raise ValueError("alpha entries must be >= 0")
+    if not series.n_modes:
+        return NEG_INF
+
+    K = series._exponents
+    ln_c = series._log_abs_values
+    active = [p for p in range(series.dim) if alpha[p] > 0]
+    if active:
+        mask = np.all(K[:, active] != 0, axis=1)
+        if not mask.any():
+            return NEG_INF
+        with np.errstate(divide="ignore"):
+            ln_k = np.log(np.abs(K[np.ix_(mask.nonzero()[0], active)]).astype(float))
+        weights = np.array([alpha[p] for p in active], dtype=float)
+        expo = ln_k @ weights
+        terms = 2.0 * expo + 2.0 * ln_c[mask]
+    else:
+        terms = 2.0 * ln_c
+    return 0.5 * log_sum_exp(terms)
+
+
 def random_series(rng, dim, max_modes=40, radius=10) -> FourierSeries:
     count = int(rng.integers(1, max_modes + 1))
     coeffs = {}
@@ -114,8 +147,13 @@ def random_series(rng, dim, max_modes=40, radius=10) -> FourierSeries:
     return FourierSeries(dim, coeffs)
 
 
+def torus_point(theta) -> PolyPoint:
+    """The unit-modulus point (e^{i theta_1}, ...), each angle first reduced to [0, 2 pi)."""
+    return PolyPoint(tuple(cmath.exp(1j * (float(t) % TWO_PI)) for t in theta))
+
+
 def random_torus_point(rng, dim) -> PolyPoint:
-    return TorusPoint(tuple(rng.uniform(0.0, 2.0 * math.pi, size=dim))).point()
+    return torus_point(rng.uniform(0.0, 2.0 * math.pi, size=dim))
 
 
 def brute_eval(series: FourierSeries, z) -> complex:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from qtorus import (
     build_profile,
     build_table,
     carleman_diagnostic,
-    classify_witness_trend,
     gen_series,
     lemma_check,
     log_tau,
@@ -215,19 +215,6 @@ class TestAssociatedTable:
 
 
 class TestWitness:
-    def test_classifier_constant_ln_t_diverges(self):
-        m = list(range(2, 400))
-        label, slope = classify_witness_trend(m, [1.0] * len(m), 1)
-        assert label == "divergent-trend"
-        assert slope > 0.05
-
-    def test_classifier_critical_decay_bounded(self):
-        m = np.arange(2, 400)
-        ln_t = m ** (-0.5)
-        label, slope = classify_witness_trend(m, ln_t, 1)
-        assert label == "bounded-trend"
-        assert abs(slope) <= 0.05
-
     def test_gevrey_series_family_bounded(self):
         spec = FamilySpec(kind="gevrey", dim=1, radius=10_000, exponent=2.0)
         prof = build_profile(gen_series(spec), 40)
@@ -314,6 +301,16 @@ class TestCarleman:
     def test_r_max_validated(self):
         with pytest.raises(ValueError):
             carleman_diagnostic(factorial_profile(10), 1.5)
+        with pytest.raises(ValueError, match="largest float"):
+            carleman_diagnostic(factorial_profile(10), int(sys.float_info.max) + 1)
+
+    def test_r_max_at_the_largest_float(self):
+        # 10^log10(r_max) rounds past the float range here; the grid ends at
+        # the largest float and the integrand there is 0.
+        r_max = int(sys.float_info.max)
+        report = carleman_diagnostic(factorial_profile(10), r_max)
+        assert report.r_grid[-1] == sys.float_info.max
+        assert all(map(math.isfinite, report.partial_integral))
 
     def test_fully_saturated_grid_fits_nothing(self):
         # ln M_j - j ln r is smallest at j = j_max for every r >= 1, so no

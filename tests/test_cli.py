@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -155,8 +156,9 @@ class TestNorms:
             monkeypatch.setattr(cli_module, name, _must_not_run)
         out = tmp_path / "o"
         for command in ("norms", "tau", "verdict", "interp"):
+            m = [] if command == "norms" else ["--m", "2..3"]
             for source in (["--input", str(coeffs)], ["--family", "analytic:a=1:K=3"]):
-                code = main([command, *source, "--Jmax", "1000000", "--m", "2..3", "--out", str(out)])
+                code = main([command, *source, "--Jmax", "1000000", *m, "--out", str(out)])
                 assert code == 4
                 assert capsys.readouterr().err == (
                     "error: 1000001 profile orders (Jmax + 1) exceed the cap of 1000000"
@@ -328,6 +330,26 @@ class TestVerdict:
         verdict = read_strict_json(out / "verdict.json")
         assert verdict["witness"]["slope_d_vs_log_m"] is None
 
+
+    def test_rmax_past_the_float_range_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        args = ["verdict", "--family", "profile:rule=factorial:s=1:Jmax=30", "--m", "2..20"]
+        assert main([*args, "--rmax", "1" + "0" * 400, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: r_max must be at most 1.7976931348623157e+308, the largest float\n"
+        )
+        assert not out.exists()
+
+    def test_rmax_whose_square_overflows_runs_without_a_warning(self, tmp_path):
+        # r^2 overflows from r ~ 1.3e154 on; the integrand's limit there is 0.
+        out = tmp_path / "out"
+        args = ["verdict", "--family", "profile:rule=factorial:s=1:Jmax=30", "--m", "2..20"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*args, "--rmax", str(10**200), "--out", str(out)]) == 0
+        carleman = read_strict_json(out / "verdict.json")["carleman"]
+        assert math.isfinite(carleman["partial_integral_final"])
+        assert carleman["last_decade_increment"] == 0.0
 
     def test_every_csv_cell_is_a_plain_number(self, tmp_path):
         # numpy scalars would print as np.float64(...); every cell must parse.
@@ -635,6 +657,43 @@ COMMANDS = {
         ["interp_report.json", "interp_sup.csv"],
     ),
 }
+
+
+#: Per command: the keys of its config echo, one per flag it takes.
+ECHO_KEYS = {
+    "norms": {"family", "input", "jmax", "n", "seed"},
+    "tau": {"family", "input", "jmax", "n", "seed", "m", "rmax"},
+    "verdict": {"family", "input", "jmax", "n", "seed", "m", "rmax", "slope_threshold", "fit_margin"},
+    "interp": {"family", "input", "jmax", "n", "seed", "m", "samples", "t", "tm", "z0", "engine"},
+}
+
+
+class TestParser:
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("verdict", "--tail-threshold=0.5"),
+            ("norms", "--m=2..3"),
+            ("norms", "--samples=8"),
+            ("tau", "--samples=8"),
+            ("verdict", "--samples=8"),
+        ],
+    )
+    def test_flag_the_command_does_not_read_exits_2(self, tmp_path, capsys, command, flag):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, *COMMANDS[command][0], flag, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_config_echo_names_the_flags_the_command_takes(self, tmp_path, command):
+        out = tmp_path / "out"
+        assert main([command, *COMMANDS[command][0], "--out", str(out)]) == 0
+        table = next(name for name in COMMANDS[command][2] if not name.endswith(".json"))
+        keys = {line.partition("=")[0] for line in header_lines(out / table)}
+        assert keys == {"command", "out", "version", *ECHO_KEYS[command]}
 
 
 def header_lines(path) -> list[str]:

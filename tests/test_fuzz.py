@@ -99,20 +99,22 @@ def jsonl_files(draw):
     return draw(st.lists(st.one_of(valid, valid, malformed_lines), max_size=8))
 
 
-#: Each option and the values it is drawn from, per command.
-SHARED = {"--n": ints, "--Jmax": ints, "--m": m_ranges, "--seed": ints, "--samples": ints}
+#: Each option a command accepts and the values it is drawn from.
+SHARED = {"--n": ints, "--Jmax": ints, "--seed": ints}
 OPTIONS = {
     "norms": SHARED,
-    "tau": {**SHARED, "--rmax": ints},
+    "tau": {**SHARED, "--m": m_ranges, "--rmax": ints},
     "verdict": {
         **SHARED,
+        "--m": m_ranges,
         "--rmax": ints,
         "--slope-threshold": floats,
         "--fit-margin": floats,
-        "--tail-threshold": floats,
     },
     "interp": {
         **SHARED,
+        "--m": m_ranges,
+        "--samples": ints,
         "--t": floats,
         "--z0": z0s,
         "--engine": st.sampled_from(("alias", "diagonal")),
@@ -157,7 +159,8 @@ def run_main(argv, lines, cap):
 
 #: Explicit cases: --samples below 1, a non-finite --t, samples past the
 #: float range (t^64 at the default --m), a malformed cap, a huge --n, a
-#: family box of 3^100000 modes at the default cap and a huge --rmax.
+#: family box of 3^100000 modes at the default cap, a huge --rmax and a
+#: verdict --rmax past the float range.
 ONE_MODE = ['{"k": [1], "re": 1, "im": 0}']
 FAMILY = "--family=analytic:a=1:K=2"
 
@@ -173,6 +176,7 @@ FAMILY = "--family=analytic:a=1:K=2"
 @example(case=(["norms", FAMILY, "--n=1000000000"], None), cap=CAP)
 @example(case=(["norms", "--family=analytic:a=1:K=1", "--n=100000"], None), cap="1000000")
 @example(case=(["tau", FAMILY, "--rmax=1000000000"], None), cap=CAP)
+@example(case=(["verdict", FAMILY, "--m=2..3", f"--rmax={10**400}"], None), cap=CAP)
 def test_main_exits_with_a_contract_code_and_one_error_line(case, cap):
     argv, lines = case
     code, err, wrote = run_main(argv, lines, cap)

@@ -9,12 +9,10 @@ from qtorus import (
     FourierSeries,
     build_profile,
     coefficient_bound_audit,
-    derivative_l2_norm,
-    fit_class_r,
     m_j,
     shift_profile,
 )
-from helpers import compositions, random_series
+from helpers import compositions, derivative_l2_norm, random_series
 
 NEG = float("-inf")
 
@@ -200,20 +198,3 @@ class TestCoefficientBoundAudit:
             prof = build_profile(s, 2 * n + 4)
             for j in range(2 * n, 2 * n + 5):
                 assert coefficient_bound_audit(s, prof, j).ok
-
-
-class TestFitClassR:
-    def test_single_mode_growth_rate(self):
-        # ln M_j = j ln 3 against the unit reference gives R = 3.
-        prof = build_profile(FourierSeries(1, {(3,): 1.0}), 6)
-        assert fit_class_r(prof, [0.0] * 7) == pytest.approx(3.0)
-
-    def test_reference_absorbs_growth(self):
-        prof = build_profile(FourierSeries(1, {(3,): 1.0}), 6)
-        ref = [j * math.log(3) for j in range(7)]
-        assert fit_class_r(prof, ref) == pytest.approx(1.0)
-
-    def test_short_reference_rejected(self):
-        prof = build_profile(FourierSeries(1, {(1,): 1.0}), 4)
-        with pytest.raises(ValueError):
-            fit_class_r(prof, [0.0, 0.0])

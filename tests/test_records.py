@@ -21,7 +21,6 @@ RECORDS = sorted(Record.__subclasses__(), key=lambda cls: cls.__name__)
 
 #: Two sets of field values each, for the records whose __post_init__ validates.
 VALID = {
-    "TorusPoint": ({"theta": (0.5, 7.0)}, {"theta": (0.5, 7.5)}),
     "PolyPoint": ({"z": (1j, 2.0)}, {"z": (1j, -2.0)}),
     "DerivativeNormProfile": (
         {"dim": 1, "ln_m": (0.0, -1.5, -math.inf), "j_max": 2},
@@ -67,7 +66,7 @@ def outcome(fn):
 def test_every_exported_record_is_covered_and_no_class_is_a_dataclass():
     exported = [obj for obj in vars(qtorus).values() if inspect.isclass(obj)]
     assert {c for c in exported if issubclass(c, Record)} <= set(RECORDS)
-    assert len(RECORDS) == 16
+    assert len(RECORDS) == 15
     for cls in [*exported, *RECORDS]:
         assert not dataclasses.is_dataclass(cls), cls
 
@@ -136,9 +135,9 @@ def test_defaults_match_the_dataclass():
 
 
 def test_post_init_normalises_and_cached_property_writes():
-    point = qtorus.TorusPoint((7.0, -1.0))
-    assert point.theta == (7.0 - 2 * math.pi, 2 * math.pi - 1.0)
-    assert repr(point) == repr(twin(qtorus.TorusPoint)((7.0, -1.0)))
+    point = qtorus.PolyPoint((7, -1.5))
+    assert point.z == (7 + 0j, -1.5 + 0j) and all(type(v) is complex for v in point.z)
+    assert repr(point) == repr(twin(qtorus.PolyPoint)((7, -1.5)))
     profile = DerivativeNormProfile(1, [0, -1, -2, -3], 3)
     assert profile.ln_m == (0.0, -1.0, -2.0, -3.0)
     assert profile._hulls is profile._hulls  # cached in __dict__
