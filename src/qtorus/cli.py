@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import itertools
 import json
 import math
 import sys
@@ -74,7 +75,8 @@ def _finite_or_null(value):
     """The payload with every NaN or infinite float replaced by None (JSON null).
 
     A list or tuple whose items are all such leaves, or all finite floats,
-    is returned as it is after one pass over the item types.
+    is returned as it is after one pass over the item types; so is a list
+    of such lists (``uncovered_modes``), without a call per inner list.
     """
     if isinstance(value, float):
         return value if math.isfinite(value) else None
@@ -83,6 +85,8 @@ def _finite_or_null(value):
     if isinstance(value, (list, tuple)):
         kinds = set(map(type, value))
         if kinds <= _NO_FLOAT or (kinds == {float} and all(map(math.isfinite, value))):
+            return value
+        if kinds == {list} and _NO_FLOAT.issuperset(map(type, itertools.chain(*value))):
             return value
         return [_finite_or_null(v) for v in value]
     return value
@@ -343,6 +347,8 @@ def cmd_verdict(args: argparse.Namespace) -> dict:
 def cmd_interp(args: argparse.Namespace) -> dict:
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     m_grid = _parse_m_range(args.m)
     _check_jmax(args.jmax)
     series = _load_series(args, _resolve_spec(args))

@@ -25,7 +25,9 @@ plain fold.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 
 import numpy as np
 
@@ -45,6 +47,119 @@ from .series import (
 
 #: Scale-aware near-zero threshold for the correction denominator.
 DEGENERATE_Z0_TOL = 1e-12
+
+# The annulus samples are numpy's PCG64 stream (O'Neill 2014), seeded as
+# numpy's default_rng(seed) seeds it, made here so that numpy's random
+# package (and through it hashlib and OpenSSL) is never imported.
+# SeedSequence hash constants, PCG64's 128-bit multiplier, and the lane cap
+# of the vectorised generator.
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_MAX_LANES = 2**13
+
+
+def _pcg64_seed(seed: int) -> tuple[int, int]:
+    """PCG64's 128-bit (state of the first draw, increment) for ``default_rng(seed)``.
+
+    numpy's SeedSequence with its pool of four 32-bit words: the seed's
+    little-endian 32-bit words are hashed into the pool, the pool words
+    are mixed with each other and with any words past the fourth, and
+    eight output words give the initial state and the stream as two
+    little-endian uint64 pairs (high word first).  PCG64's srandom then
+    steps the LCG twice around adding the initial state, and a draw steps
+    once more before it outputs the state.
+    """
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    hash_const = _SS_INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _SS_MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (_SS_MIX_L * x - _SS_MIX_R * y) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const = _SS_INIT_B
+    out = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * _SS_MULT_B & _MASK32
+        value = value * hash_const & _MASK32
+        out.append(value ^ value >> 16)
+    w = [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
+    init_state, init_seq = w[0] << 64 | w[1], w[2] << 64 | w[3]
+    inc = (init_seq << 1 | 1) & _MASK128
+    state = ((inc + init_state) * _PCG_MULT + inc) & _MASK128
+    return (state * _PCG_MULT + inc) & _MASK128, inc
+
+
+def _lcg_jump(hi: np.ndarray, lo: np.ndarray, mult: int, add: int):
+    """Each 128-bit state (hi, lo) mapped to mult * state + add mod 2^128.
+
+    The carry word of lo * (mult mod 2^64) is summed from the products of
+    32-bit limbs, each of which fits in a uint64.
+    """
+    m_hi, m_lo = np.uint64(mult >> 64), np.uint64(mult & _MASK64)
+    a_hi, a_lo = np.uint64(add >> 64), np.uint64(add & _MASK64)
+    m0, m1 = np.uint64(mult & _MASK32), np.uint64(mult >> 32 & _MASK32)
+    low32, shift = np.uint64(_MASK32), np.uint64(32)
+    x0, x1 = lo & low32, lo >> shift
+    mid = x1 * m0 + ((x0 * m0) >> shift)
+    carry = x1 * m1 + (mid >> shift) + ((x0 * m1 + (mid & low32)) >> shift)
+    new_lo = lo * m_lo + a_lo
+    return carry + hi * m_lo + lo * m_hi + a_hi + (new_lo < a_lo), new_lo
+
+
+def _xsl_rr_unit(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """PCG64's XSL-RR output of each state, as numpy's double: (x >> 11) 2^-53."""
+    x = hi ^ lo
+    rot = hi >> np.uint64(58)
+    x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+    return (x >> np.uint64(11)) * 2.0**-53
+
+
+@functools.lru_cache(maxsize=1)
+def _unit_draws(seed: int, count: int) -> np.ndarray:
+    """numpy's ``default_rng(seed).random(count)``, bit for bit, read-only.
+
+    Up to ``_MAX_LANES`` lanes of the LCG advance together.  Lane j starts
+    at the state of draw j, reached by doubling: the lanes so far, jumped
+    by their number of steps, are the next as many.  Each round then jumps
+    every lane by the lane count.  The one cached result serves every m of
+    an interp job, whose seed and sample count do not change.
+    """
+    state, inc = _pcg64_seed(operator.index(seed))
+    lanes = min(_MAX_LANES, 1 << (count - 1).bit_length())
+    hi = np.array([state >> 64], dtype=np.uint64)
+    lo = np.array([state & _MASK64], dtype=np.uint64)
+    mult, add = _PCG_MULT, inc
+    while len(hi) < lanes:
+        next_hi, next_lo = _lcg_jump(hi, lo, mult, add)
+        hi, lo = np.concatenate([hi, next_hi]), np.concatenate([lo, next_lo])
+        mult, add = mult * mult & _MASK128, (mult * add + add) & _MASK128
+    draws = np.empty(count)
+    for start in range(0, count, lanes):
+        if start:
+            hi, lo = _lcg_jump(hi, lo, mult, add)
+        draws[start : start + lanes] = _xsl_rr_unit(hi, lo)[: count - start]
+    draws.flags.writeable = False
+    return draws
 
 
 def _targets(exponents: np.ndarray, m: int, engine: str):
@@ -286,18 +401,27 @@ def bound_audit(
     ``interpolant`` is an augmented interpolant of the series whose profile
     is given, from :func:`augmented_interpolant` or an
     :class:`InterpolationAudit`.  The right-hand sides are evaluated by
-    log-domain summation so large t^{nr} factors cannot overflow; the
-    sampling generator is seeded for byte-reproducible reports.
+    log-domain summation so large t^{nr} factors cannot overflow.
+
+    The samples are the first 2 * n_samples * n doubles of numpy's
+    ``default_rng(seed)`` stream, moduli then phases, mapped as its
+    ``uniform`` maps them, so reports are byte-reproducible.  The stream is
+    made in this module without importing numpy's random package, and it
+    is drawn once for every call with the same seed and sample count (for
+    instance every m of an interp job).
     """
     if not (math.isfinite(t) and t > 1.0):
         raise ValueError(f"t must be finite and > 1, got {t!r}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     n, m = interpolant.base.dim, interpolant.m
-    # Moduli in [1/t, t], then phases: the seeded reports depend on this draw order.
-    rng = np.random.default_rng(seed)
-    moduli = rng.uniform(1.0 / t, t, size=(n_samples, n))
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=(n_samples, n))
+    # Moduli in [1/t, t], then phases, each as numpy's uniform forms it,
+    # low + (high - low) * u: the seeded reports depend on this draw order.
+    u = _unit_draws(seed, 2 * n_samples * n).reshape(2, n_samples, n)
+    moduli = 1.0 / t + (t - 1.0 / t) * u[0]
+    phases = 2.0 * math.pi * u[1]
     points = moduli * np.exp(1j * phases)
 
     # For large t^m a sampled value leaves the float range.  It is kept as

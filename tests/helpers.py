@@ -369,3 +369,30 @@ def loop_svg_points(xs, ys) -> str:
         return bottom - (bottom - top) * (y - y_lo) / (y_hi - y_lo)
 
     return " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
+
+
+def loop_finite_or_null(value):
+    """``cli._finite_or_null`` with no fast path: every container is rebuilt item by item."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: loop_finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [loop_finite_or_null(v) for v in value]
+    return value
+
+
+def rng_annulus_sups(interpolant, t, n_samples, seed) -> tuple:
+    """(sup |augmented|, sup |fold|, sup |correction|) over numpy.random's annulus samples.
+
+    The samples ``bound_audit`` takes, drawn through ``default_rng(seed).uniform``:
+    n_samples x n moduli in [1/t, t], then as many phases in [0, 2 pi).
+    """
+    rng = np.random.default_rng(seed)
+    shape = (n_samples, interpolant.base.dim)
+    moduli = rng.uniform(1.0 / t, t, size=shape)
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        base, correction = interpolant._parts(moduli * np.exp(1j * phases))
+        augmented = base + correction
+    return tuple(float(np.max(np.abs(v))) for v in (augmented, base, correction))

@@ -23,7 +23,13 @@ import qtorus.series as series_module
 from qtorus import write_coefficients
 from qtorus.families import gen_series, parse_family_spec
 from qtorus.cli import _finite_or_null, _write_csv, main, write_svg_line_chart
-from helpers import loop_read_coefficients, loop_svg_points, loop_write_csv, random_series
+from helpers import (
+    loop_finite_or_null,
+    loop_read_coefficients,
+    loop_svg_points,
+    loop_write_csv,
+    random_series,
+)
 
 
 def read_data_rows(path):
@@ -563,6 +569,15 @@ class TestInterp:
         assert capsys.readouterr().err == f"error: --samples must be >= 1, got {samples}\n"
         assert not out.exists()
 
+    def test_negative_seed_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys):
+        for name in ("read_coefficients", "gen_series", "interpolation_audit", "bound_audit"):
+            monkeypatch.setattr(cli_module, name, _must_not_run)
+        out = tmp_path / "out"
+        args = ["interp", "--family", "analytic:a=1:K=3", "--m", "2..4", "--samples", "16"]
+        assert main([*args, "--seed", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("t", ["inf", "nan"])
     def test_non_finite_t_exits_2(self, tmp_path, capsys, t):
         out = tmp_path / "out"
@@ -854,11 +869,49 @@ class TestFiniteOrNull:
         for value in (ints, mixed, finite, tuple(ints)):
             assert _finite_or_null(value) is value
         modes = [[1, 2], [3, 4]]
-        result = _finite_or_null({"uncovered_modes": modes})["uncovered_modes"]
-        assert result == modes and all(a is b for a, b in zip(result, modes))
+        assert _finite_or_null({"uncovered_modes": modes})["uncovered_modes"] is modes
+
+    def test_non_finite_float_two_list_levels_deep_becomes_null(self):
+        assert _finite_or_null([[1, 2], [3, math.nan]]) == [[1, 2], [3, None]]
+        assert _finite_or_null([[1], [[math.inf]]]) == [[1], [[None]]]
+        assert _finite_or_null({"a": [[0], [-math.inf, 2]]}) == {"a": [[0], [None, 2]]}
+
+    def test_interp_report_bytes_match_the_item_by_item_rebuild(self, tmp_path, monkeypatch):
+        # A diagonal n = 2 job leaves modes uncovered at every m.
+        argv = ["interp", "--family", "analytic:a=1:K=6", "--n", "2", "--m", "3..6",
+                "--engine", "diagonal", "--samples", "8"]
+        report = tmp_path / "out" / "interp_report.json"
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        fast = report.read_bytes()
+        report.unlink()
+        monkeypatch.setattr(cli_module, "_finite_or_null", loop_finite_or_null)
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        assert report.read_bytes() == fast
+        assert all(row["uncovered_modes"] for row in json.loads(fast)["per_m"])
 
 
 class TestFreshProcess:
+    def test_interp_job_leaves_numpy_random_unimported(self, tmp_path):
+        # numpy.random brings in secrets, hashlib and OpenSSL's libcrypto,
+        # about 5.5 MB of resident set that an interp job does not need.
+        argv = ["interp", "--family", "analytic:a=1:K=3", "--n", "2", "--m", "2..4",
+                "--samples", "16", "--tm", "--out", str(tmp_path / "out")]
+        code = (
+            "import sys\n"
+            "from qtorus.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "print(sorted({'numpy.random', 'secrets', 'hashlib'} & set(sys.modules)))\n"
+        )
+        src = str(Path(qtorus.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+        assert (tmp_path / "out" / "interp_report.json").exists()
+
     def test_module_entry_matches_in_process_main(self, tmp_path):
         # ``python -m qtorus.cli`` in a new interpreter, with no bytecode
         # written, gives the bytes main() gives for the same --out.

@@ -22,8 +22,14 @@ from qtorus import (
     interpolation_audit,
     parse_family_spec,
 )
-from qtorus.interpolate import _grid_factor
-from helpers import loop_alias_fold, loop_diagonal_fold, random_series, random_torus_point
+from qtorus.interpolate import _MAX_LANES, _grid_factor, _unit_draws
+from helpers import (
+    loop_alias_fold,
+    loop_diagonal_fold,
+    random_series,
+    random_torus_point,
+    rng_annulus_sups,
+)
 
 
 @st.composite
@@ -437,3 +443,51 @@ class TestBoundAudit:
         aug = augmented_interpolant(s, 2, PolyPoint((1j,)))
         with pytest.raises(ValueError, match="n_samples must be >= 1"):
             bound_audit(aug, self._profile(s), 1.5, n_samples=n_samples)
+
+    def test_seed_must_be_non_negative(self):
+        s = FourierSeries(1, {(1,): 1.0})
+        aug = augmented_interpolant(s, 2, PolyPoint((1j,)))
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            bound_audit(aug, self._profile(s), 1.5, seed=-1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_samples_are_numpy_random_uniform_draws(self, n):
+        # The sups match, bit for bit, those over the samples numpy.random's
+        # uniform gives, for one seed at several t (the cached draw is reused
+        # across t) and after another seed has replaced the cached draw.
+        s = random_series(np.random.default_rng(73 + n), n, max_modes=12, radius=4)
+        prof = build_profile(s, 8)
+        aug = augmented_interpolant(s, 5, random_torus_point(np.random.default_rng(79), n))
+        for seed, t in [(7, 1.25), (7, 1.5), (7, 3.0), (2**100 + 9, 1.25), (7, 1.1), (0, 1e5)]:
+            report = bound_audit(aug, prof, t, n_samples=97, seed=seed)
+            got = (report.lhs_max, report.base_max, report.correction_max)
+            expected = rng_annulus_sups(aug, t, 97, seed)
+            assert [x.hex() for x in got] == [x.hex() for x in expected], (seed, t)
+
+
+LANE_EDGES = [_MAX_LANES - 1, _MAX_LANES, _MAX_LANES + 1, 2**16 - 1, 2**16, 2**16 + 1]
+
+
+class TestUnitDraws:
+    """``_unit_draws`` against its oracle, ``np.random.default_rng(seed).random``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**200),
+        count=st.one_of(st.integers(1, 3000), st.sampled_from(LANE_EDGES)),
+    )
+    @example(seed=0, count=1)
+    @example(seed=7, count=2)
+    @example(seed=2**32, count=3)
+    @example(seed=2**128 + 5, count=2**16 + 1)
+    @example(seed=2**200, count=2**16 - 1)
+    def test_bit_for_bit_numpy_stream(self, seed, count):
+        expected = np.random.default_rng(seed).random(count)
+        assert _unit_draws(seed, count).tobytes() == expected.tobytes()
+
+    def test_read_only_and_cached(self):
+        draws = _unit_draws(11, 40)
+        assert not draws.flags.writeable
+        with pytest.raises(ValueError):
+            draws[0] = 0.5
+        assert _unit_draws(11, 40) is draws
