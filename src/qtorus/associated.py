@@ -74,6 +74,9 @@ R0_TOL = 1e-9
 #: the window is 2^12 times wider than any rounding it has to absorb.
 _SLACK = 2.0**-40
 
+#: Values of x per block of the tau kernel's candidate terms (~0.4 MB of work arrays).
+_X_BLOCK = 2**12
+
 
 class DegenerateProfileError(ValueError):
     """Some ln M_j = -inf: tau vanishes identically and t_m is meaningless."""
@@ -142,7 +145,8 @@ def _hull_argmin(a: np.ndarray, hull: np.ndarray, slopes: np.ndarray, x: np.ndar
     ``a`` is finite, with lower hull ``hull`` and edge slopes ``slopes``
     from :func:`_lower_hull`.  Candidates are the points within ``delta``
     of the hull on the edges whose slope lies within ``delta`` of x (see
-    the module docstring); usually that is the one hull vertex of x.
+    the module docstring); usually that is the one hull vertex of x.  Both
+    come from all of ``x``, and the terms from :data:`_X_BLOCK` x at a time.
     """
     if a.size == 1 or x.size == 0:
         return np.zeros(x.shape, dtype=np.int64)
@@ -157,18 +161,19 @@ def _hull_argmin(a: np.ndarray, hull: np.ndarray, slopes: np.ndarray, x: np.ndar
     near[hull] = True
     cand = np.flatnonzero(near)
 
-    lo = np.searchsorted(slopes, x - delta, side="left")
-    hi = np.searchsorted(slopes, x + delta, side="right")
-    first = np.searchsorted(cand, hull[lo], side="left")
-    count = np.searchsorted(cand, hull[hi], side="right") - first
-
-    seg = np.cumsum(count) - count
-    flat = cand[np.arange(int(count.sum())) - np.repeat(seg - first, count)]
-    xs = np.repeat(x, count)
-    terms = a[flat] - (flat - off) * xs
-    best = np.minimum.reduceat(terms, seg)
-    tied = terms == np.repeat(best, count)
-    return np.minimum.reduceat(np.where(tied, flat, a.size), seg)
+    out = np.empty(x.size, dtype=np.int64)
+    for start in range(0, x.size, _X_BLOCK):
+        xb = x[start : start + _X_BLOCK]
+        lo = np.searchsorted(slopes, xb - delta, side="left")
+        hi = np.searchsorted(slopes, xb + delta, side="right")
+        first = np.searchsorted(cand, hull[lo], side="left")
+        count = np.searchsorted(cand, hull[hi], side="right") - first
+        seg = np.cumsum(count) - count
+        flat = cand[np.arange(int(count.sum())) - np.repeat(seg - first, count)]
+        terms = a[flat] - (flat - off) * np.repeat(xb, count)
+        tied = terms == np.repeat(np.minimum.reduceat(terms, seg), count)
+        out[start : start + xb.size] = np.minimum.reduceat(np.where(tied, flat, a.size), seg)
+    return out
 
 
 def _legendre(profile: DerivativeNormProfile, ln_r, start: int = 0, offset: int = 0):
@@ -189,7 +194,7 @@ def _legendre(profile: DerivativeNormProfile, ln_r, start: int = 0, offset: int 
         arg = np.full(ln_r.shape, vanishing[0], dtype=np.int64)
     else:
         arg = _hull_argmin(tail, *_profile_hull(profile, start), ln_r, offset - start)
-    arg = arg + start
+    arg += start
     return ln_m[arg] - (arg - offset) * ln_r, arg
 
 
@@ -233,12 +238,12 @@ def _fold_weights(profile: DerivativeNormProfile, r_max: int):
     j_max = profile.j_max
     ln_m = profile.ln_m_array()
     ln_r = np.log(np.arange(1, r_max + 1, dtype=float))
-    _, arg_full = _legendre(profile, ln_r, 0, 3)
+    arg_full = _legendre(profile, ln_r, 0, 3)[1]
     w_full = (arg_full - 3) * ln_r - ln_m[arg_full]
     if j_max >= 3:
-        _, arg_shift = _legendre(profile, ln_r, 3, 3)
+        arg_shift = _legendre(profile, ln_r, 3, 3)[1]
         w_shift = (arg_shift - 3) * ln_r - ln_m[arg_shift]
-        w_full = np.where(w_shift >= w_full, w_shift, w_full)
+        np.copyto(w_full, w_shift, where=w_shift >= w_full)
     else:
         # No shifted sequence to minimize over; callers needing it
         # (theta, witness) reject j_max < 3 before getting here.
@@ -279,34 +284,36 @@ def theta(profile: DerivativeNormProfile, m: int, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 class AssociatedTable(Record):
-    """ln tau and ln tau~ tabulated on an increasing grid of r >= 1."""
+    """ln tau and ln tau~ tabulated on an increasing grid of r >= 1, as read-only float64 arrays."""
 
-    r_grid: tuple
-    ln_tau: tuple
-    ln_tau_shifted: tuple
+    r_grid: np.ndarray
+    ln_tau: np.ndarray
+    ln_tau_shifted: np.ndarray
     j_max: int
     r0_estimate: float
 
 
+def _read_only(*arrays: np.ndarray) -> tuple:
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+def _ln(grid: np.ndarray) -> np.ndarray:
+    """math.log of each entry: numpy's vector log may differ from it by an ulp."""
+    return np.fromiter(map(math.log, grid), dtype=float, count=len(grid))
+
+
 def build_table(profile: DerivativeNormProfile, r_grid) -> AssociatedTable:
     """Tabulate ln tau(r) and ln tau~(r) and estimate the identity threshold."""
-    grid = tuple(float(r) for r in r_grid)
-    if not grid or any(r < 1 for r in grid):
-        raise ValueError("r grid must be nonempty with r >= 1")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("r grid must be strictly increasing")
+    grid = np.array(r_grid, dtype=float)
+    if grid.ndim != 1 or not grid.size or grid[0] < 1 or np.any(np.diff(grid) <= 0):
+        raise ValueError("r grid must be a nonempty, strictly increasing 1-D grid of r >= 1")
     if profile.j_max < 3:
         raise ValueError("shifted associated function needs j_max >= 3")
-    ln_r = [math.log(r) for r in grid]
-    ln_tau = tuple(_legendre(profile, ln_r)[0].tolist())
-    ln_shift = tuple(_legendre(profile, ln_r, 3, 3)[0].tolist())
-    table = AssociatedTable(
-        r_grid=grid,
-        ln_tau=ln_tau,
-        ln_tau_shifted=ln_shift,
-        j_max=profile.j_max,
-        r0_estimate=math.inf,
-    )
+    ln_r = _ln(grid)
+    columns = _read_only(grid, _legendre(profile, ln_r)[0], _legendre(profile, ln_r, 3, 3)[0])
+    table = AssociatedTable(*columns, j_max=profile.j_max, r0_estimate=math.inf)
     object.__setattr__(table, "r0_estimate", find_r0(table))
     return table
 
@@ -316,15 +323,11 @@ def find_r0(table: AssociatedTable) -> float:
 
     Returns +inf when the identity never holds through the end of the grid.
     """
-    threshold = math.inf
-    for r, lt, ls in zip(
-        reversed(table.r_grid), reversed(table.ln_tau), reversed(table.ln_tau_shifted)
-    ):
-        diff = 3.0 * math.log(r) + lt - ls
-        if math.isnan(diff) or abs(diff) > R0_TOL:
-            break
-        threshold = r
-    return threshold
+    with np.errstate(invalid="ignore"):  # -inf - -inf is a NaN, which fails
+        diff = 3.0 * _ln(table.r_grid) + table.ln_tau - table.ln_tau_shifted
+    fails = np.flatnonzero(~(np.abs(diff) <= R0_TOL))
+    start = fails[-1] + 1 if fails.size else 0
+    return float(table.r_grid[start]) if start < len(table.r_grid) else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +343,8 @@ class TrendFit(Record):
 def _fit_line(x: np.ndarray, y: np.ndarray) -> TrendFit:
     design = np.column_stack([x, np.ones_like(x)])
     coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ coef
-    rmse = float(np.sqrt(np.mean(resid * resid)))
+    resid = design @ coef  # then y - resid and its square, in place
+    rmse = float(np.sqrt(np.mean(np.square(np.subtract(y, resid, out=resid), out=resid))))
     return TrendFit(slope=float(coef[0]), intercept=float(coef[1]), rmse=rmse)
 
 
@@ -374,18 +377,20 @@ class WitnessSeries(Record):
     (in which case the value is only a lower bound).  ``theta_positive``
     records ln theta(m) > 0 per m; the strict positivity is meaningful only
     under the normalization M_3 < 1/2, so it is recorded, never asserted.
+    The per-m columns are read-only arrays (int64 ``m_grid`` and
+    ``argmin_r``, bool flags, float64 values).
     ``normalization_shift`` is the ln-scale applied before computing
     (0.0 when ``normalize=False`` was requested or nothing had to move).
     """
 
     dim: int
-    m_grid: tuple
-    ln_t: tuple
-    ln_theta: tuple
-    witness: tuple
-    theta_positive: tuple
-    argmin_r: tuple
-    argmin_saturated: tuple
+    m_grid: np.ndarray
+    ln_t: np.ndarray
+    ln_theta: np.ndarray
+    witness: np.ndarray
+    theta_positive: np.ndarray
+    argmin_r: np.ndarray
+    argmin_saturated: np.ndarray
     chain_violations: int
     normalization_shift: float
     classification: str
@@ -395,11 +400,12 @@ class WitnessSeries(Record):
 
 
 def _running_min_with_argmin(values: np.ndarray):
-    best = np.minimum.accumulate(values)
-    prev = np.concatenate(([math.inf], best[:-1]))
-    fresh = values < prev  # strict: ties keep the earlier index
-    arg = np.where(fresh, np.arange(values.size), -1)
-    arg = np.maximum.accumulate(arg)
+    """Prefix minima of ``values``, computed in place, and the first index realizing each."""
+    best = np.minimum.accumulate(values, out=values)
+    fresh = np.concatenate(([best[0] < math.inf], best[1:] < best[:-1]))  # ties keep the first
+    arg = np.arange(best.size)
+    arg[~fresh] = -1
+    np.maximum.accumulate(arg, out=arg)
     arg[0] = 0
     return best, arg
 
@@ -424,11 +430,16 @@ def witness(
     bounded away from 1) or like sqrt(r) (t_m -> 1).  Saturated argmin scans
     in the top half of the grid make the label "inconclusive".
     """
-    m_vals = [int(m) for m in m_grid]
-    if not m_vals or any(m < 1 for m in m_vals):
-        raise ValueError("m grid must be nonempty with m >= 1")
-    if any(b <= a for a, b in zip(m_vals, m_vals[1:])):
-        raise ValueError("m grid must be strictly increasing")
+    if isinstance(m_grid, range):  # np.asarray would make a Python int per entry first
+        m_grid = np.arange(m_grid.start, m_grid.stop, m_grid.step)
+    given = np.asarray(m_grid)
+    with np.errstate(invalid="ignore"):  # a NaN or too large m casts to some int
+        m_vals = given.astype(np.int64)
+    if given.ndim != 1 or not given.size or not np.array_equal(m_vals, given):
+        raise ValueError("m grid must be a nonempty 1-D sequence of integers")
+    del m_grid, given
+    if m_vals[0] < 1 or np.any(np.diff(m_vals) <= 0):
+        raise ValueError("m grid must be strictly increasing with m >= 1")
     if profile.j_max < 3:
         raise ValueError("witness needs j_max >= 3")
     _require_nondegenerate(profile)
@@ -438,53 +449,37 @@ def witness(
         shift = LN_HALF + math.log1p(-CLASS_MARGIN) - profile.ln_m[3]
     work = shift_profile(profile, shift) if shift != 0.0 else profile
 
-    r_max = m_vals[-1]
+    r_max = int(m_vals[-1])
     w_full, w_shift, sat_full, _ = _fold_weights(work, r_max)
-    r = np.arange(1, r_max + 1, dtype=float)
-    g_full = w_full / (n * r)
-    g_shift = w_shift / (n * r)
-    run_t, arg_t = _running_min_with_argmin(g_full)
-    run_theta, _ = _running_min_with_argmin(g_shift)
-
-    idx = np.asarray(m_vals, dtype=np.int64) - 1
-    ln_t = run_t[idx]
-    ln_theta = run_theta[idx]
-    argmin_r = arg_t[idx] + 1
-    arg_sat = sat_full[arg_t[idx]]
-    m_arr = np.asarray(m_vals, dtype=float)
-    d = m_arr ** (1.0 / (n + 1)) * ln_t
-    chain_violations = int(np.sum(ln_t < ln_theta))
-
-    label, slope_d, fit_lin, fit_sqrt = _classify_structural(
-        m_arr, ln_t, argmin_r, arg_sat, r, w_full, sat_full, n, config
-    )
-
-    return WitnessSeries(
-        dim=n,
-        m_grid=tuple(m_vals),
-        ln_t=tuple(ln_t.tolist()),
-        ln_theta=tuple(ln_theta.tolist()),
-        witness=tuple(d.tolist()),
-        theta_positive=tuple((ln_theta > 0).tolist()),
-        argmin_r=tuple(argmin_r.tolist()),
-        argmin_saturated=tuple(arg_sat.tolist()),
-        chain_violations=chain_violations,
-        normalization_shift=shift,
-        classification=label,
-        slope=slope_d,
-        fit_linear=fit_lin,
-        fit_sqrt=fit_sqrt,
-    )
+    nr = n * np.arange(1, r_max + 1, dtype=float)
+    idx = m_vals - 1
+    # Each r-length array goes once its m entries or fit points are taken.
+    ln_theta = np.minimum.accumulate(np.divide(w_shift, nr, out=w_shift), out=w_shift)[idx]
+    del w_shift
+    run_t, arg_t = _running_min_with_argmin(w_full / nr)
+    del nr
+    ln_t, arg = run_t[idx], arg_t[idx]
+    del run_t, arg_t, idx
+    arg_sat = sat_full[arg]
+    argmin_r = np.add(arg, 1, out=arg)
+    r_fit = np.flatnonzero(~sat_full) + 1.0  # the unsaturated r
+    neg_ln_tau = 3.0 * np.log(r_fit)
+    neg_ln_tau += w_full[~sat_full]
+    del w_full, sat_full
+    trend = _classify_structural(m_vals, ln_t, argmin_r, arg_sat, r_fit, neg_ln_tau, n, config)
+    d = m_vals.astype(float) ** (1.0 / (n + 1)) * ln_t
+    columns = _read_only(m_vals, ln_t, ln_theta, d, ln_theta > 0, argmin_r, arg_sat)
+    # The fields in order: trend is (classification, slope, fit_linear, fit_sqrt).
+    return WitnessSeries(n, *columns, int(np.count_nonzero(ln_t < ln_theta)), shift, *trend)
 
 
-def _classify_structural(
-    m_arr, ln_t, argmin_r, arg_sat, r, w_full, sat_full, n, config
-):
-    top = slice(m_arr.size // 2, None)
-    d = m_arr ** (1.0 / (n + 1)) * ln_t
-    if m_arr[top].size < 3:
+def _classify_structural(m_vals, ln_t, argmin_r, arg_sat, r_fit, neg_ln_tau, n, config):
+    top = slice(m_vals.size // 2, None)
+    if m_vals[top].size < 3:
         return "inconclusive", math.nan, None, None
-    slope_d = _fit_line(np.log(m_arr[top]), d[top]).slope
+    m_top = m_vals[top].astype(float)
+    slope_d = _fit_line(np.log(m_top), m_top ** (1.0 / (n + 1)) * ln_t[top]).slope
+    del m_top  # the growth-model fits below need room for r-length arrays
     if np.any(arg_sat[top]):
         return "inconclusive", slope_d, None, None
 
@@ -494,12 +489,8 @@ def _classify_structural(
     # fast enough to pin the witness.  On this scale the r^3 weight and the
     # normalization shift land in the intercept, so transients cannot flip
     # the fit the way they bend ln t_m itself at desk scale.
-    keep = ~sat_full
-    if int(np.sum(keep)) >= MIN_FIT_POINTS:
-        neg_ln_tau = w_full[keep] + 3.0 * np.log(r[keep])
-        fit_lin, fit_sqrt, best = _pick_growth_model(
-            r[keep], neg_ln_tau, config.fit_margin
-        )
+    if r_fit.size >= MIN_FIT_POINTS:
+        fit_lin, fit_sqrt, best = _pick_growth_model(r_fit, neg_ln_tau, config.fit_margin)
         if best == "linear":
             return "divergent-trend", slope_d, fit_lin, fit_sqrt
         if best == "sqrt":
@@ -509,7 +500,7 @@ def _classify_structural(
 
     # No clear growth model: a min frozen at an interior r with a positive
     # frozen value leaves d_m growing like m^{1/(n+1)} from here on.
-    interior = np.all(argmin_r[top] <= m_arr[top] // 2)
+    interior = np.all(argmin_r[top] <= m_vals[top] // 2)
     if interior and np.all(ln_t[top] > 0):
         return "divergent-trend", slope_d, fit_lin, fit_sqrt
 

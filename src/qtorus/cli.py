@@ -32,6 +32,7 @@ from .associated import (
     DEFAULT_TREND,
     DegenerateProfileError,
     TrendConfig,
+    _ln,
     build_table,
     carleman_diagnostic,
     t_m_sequence,
@@ -50,6 +51,7 @@ from .series import (
     FourierSeries,
     GridCapError,
     PolyPoint,
+    READ_BLOCK,
     _atomic_write,
     check_power,
     check_size,
@@ -101,50 +103,62 @@ def _write_json(path: Path, payload: dict) -> None:
     _atomic_write(path, text + "\n")
 
 
-#: The str.format field that prints a CSV cell of each plain column type.
-_CELL_FIELDS = {float: "{!r}", int: "{}", bool: "{:d}"}
+#: The str.format field that prints a CSV cell of each column dtype kind.
+_CELL_FIELDS = {"f": "{!r}", "i": "{}", "b": "{:d}"}
 
 
 def _write_csv(path: Path, header_lines, names, columns) -> None:
     """``# line`` headers, the column names, then one row per position of ``columns``.
 
-    Floats are written by repr, ints by str and bools as 1/0.  Each column
-    must hold items of one of these types only, so each row is one
-    ``str.format`` call; any other column (mixed types, numpy scalars)
-    raises TypeError rather than print cells such as ``np.float64(0.5)``.
+    Each column is a 1-D float, int or bool ndarray, all of one length;
+    floats are written by repr, ints by str and bools as 1/0.  Rows are
+    written :data:`READ_BLOCK` at a time, one ``str.format`` call each.
     """
-    fields = []
     for name, col in zip(names, columns):
-        kinds = set(map(type, col))
-        if len(kinds) > 1 or not kinds <= _CELL_FIELDS.keys():
-            raise TypeError(f"CSV column {name!r} holds {sorted(k.__name__ for k in kinds)}")
-        fields.append(_CELL_FIELDS[kinds.pop()] if kinds else "{}")
-    out = [f"# {line}" for line in header_lines]
-    out.append(",".join(names))
-    out.extend(map(",".join(fields).format, *columns))
-    _atomic_write(path, "\n".join(out) + "\n")
+        if not isinstance(col, np.ndarray) or col.ndim != 1 or col.dtype.kind not in _CELL_FIELDS:
+            raise TypeError(f"CSV column {name!r} is not a 1-D float, int or bool array")
+    if len({col.size for col in columns}) != 1:
+        raise ValueError(f"CSV columns {list(names)} differ in length")
+    row = ",".join(_CELL_FIELDS[col.dtype.kind] for col in columns) + "\n"
+
+    def blocks():
+        yield "".join(f"# {line}\n" for line in header_lines) + ",".join(names) + "\n"
+        for start in range(0, columns[0].size, READ_BLOCK):
+            yield "".join(map(row.format, *(c[start : start + READ_BLOCK].tolist() for c in columns)))
+
+    _atomic_write(path, blocks())
+
+
+def _span(values: np.ndarray) -> tuple:
+    """(lo, hi): Python's min and max of the floats of ``values``, hi = lo + 1 if they are equal.
+
+    A NaN first item is both; else no NaN wins, and of equal items (0.0, -0.0) the first does.
+    """
+    if np.isnan(values[0]):
+        return float(values[0]), float(values[0])
+    lo, hi = (float(values[np.argmax(values == pick(values))]) for pick in (np.nanmin, np.nanmax))
+    return lo, lo + 1.0 if hi == lo else hi
 
 
 def write_svg_line_chart(
     path: Path, xs, ys, title: str, x_label: str, y_label: str, header_lines=()
 ) -> None:
-    """Minimal self-contained SVG polyline chart; deterministic text output."""
+    """Minimal self-contained SVG polyline chart, its points written :data:`READ_BLOCK` at a time."""
     width, height = 640, 400
     left, right, top, bottom = 70, 610, 40, 350
-    xs = [float(x) for x in xs]
-    ys = [float(y) for y in ys]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
-    # The scalar formulas left + (right - left) * (x - x_lo) / (x_hi - x_lo)
-    # and its y twin, evaluated in the same order on whole arrays.
-    with np.errstate(all="ignore"):
-        px = left + (right - left) * (np.array(xs) - x_lo) / (x_hi - x_lo)
-        py = bottom - (bottom - top) * (np.array(ys) - y_lo) / (y_hi - y_lo)
-    pts = " ".join(map("{:.2f},{:.2f}".format, px.tolist(), py.tolist()))
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    (x_lo, x_hi), (y_lo, y_hi) = _span(xs), _span(ys)
+
+    def points():
+        for start in range(0, xs.size, READ_BLOCK):
+            # The scalar formulas left + (right - left) * (x - x_lo) / (x_hi - x_lo)
+            # and its y twin, evaluated in the same order on a block of points.
+            with np.errstate(all="ignore"):
+                px = left + (right - left) * (xs[start : start + READ_BLOCK] - x_lo) / (x_hi - x_lo)
+                py = bottom - (bottom - top) * (ys[start : start + READ_BLOCK] - y_lo) / (y_hi - y_lo)
+            pts = " ".join(map("{:.2f},{:.2f}".format, px.tolist(), py.tolist()))
+            yield f" {pts}" if start else pts
+
     svg = [f"<!-- {line} -->" for line in header_lines]
     svg += [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -161,10 +175,10 @@ def write_svg_line_chart(
         f'<text x="{right}" y="{bottom + 16}" font-size="10" text-anchor="middle">{x_hi:.6g}</text>',
         f'<text x="{left - 6}" y="{bottom}" font-size="10" text-anchor="end">{y_lo:.6g}</text>',
         f'<text x="{left - 6}" y="{top + 4}" font-size="10" text-anchor="end">{y_hi:.6g}</text>',
-        f'<polyline points="{pts}" fill="none" stroke="#1f77b4" stroke-width="1.5"/>',
-        "</svg>",
+        '<polyline points="',
     ]
-    _atomic_write(path, "\n".join(svg) + "\n")
+    tail = '" fill="none" stroke="#1f77b4" stroke-width="1.5"/>\n</svg>\n'
+    _atomic_write(path, itertools.chain(["\n".join(svg)], points(), [tail]))
 
 
 def _write_artifacts(args: argparse.Namespace, artifacts: dict) -> None:
@@ -226,7 +240,7 @@ def _load_profile(args: argparse.Namespace):
     return build_profile(_load_series(args, spec), args.jmax)
 
 
-def _parse_m_range(text: str) -> list[int]:
+def _parse_m_range(text: str) -> range:
     lo, sep, hi = text.partition("..")
     try:
         a = int(lo)
@@ -236,7 +250,7 @@ def _parse_m_range(text: str) -> list[int]:
     if a < 1 or b < a:
         raise ValueError(f"bad --m range {text!r}")
     check_size(b, "points of the --m grid")
-    return list(range(a, b + 1))
+    return range(a, b + 1)
 
 
 def _parse_z0(text: str | None, dim: int) -> PolyPoint:
@@ -273,7 +287,7 @@ def _effective(profile) -> dict:
 
 def cmd_norms(args: argparse.Namespace) -> dict:
     profile = _load_profile(args)
-    return {"profile.csv": (("j", "lnM"), (range(len(profile.ln_m)), profile.ln_m))}
+    return {"profile.csv": (("j", "lnM"), (np.arange(len(profile.ln_m)), profile.ln_m_array()))}
 
 
 def cmd_tau(args: argparse.Namespace) -> dict:
@@ -294,9 +308,9 @@ def cmd_tau(args: argparse.Namespace) -> dict:
         "tau_summary.json": {
             "effective": _effective(profile),
             "r0_estimate": table.r0_estimate,
-            "saturated_argmin_count": sum(wit.argmin_saturated),
+            "saturated_argmin_count": int(np.count_nonzero(wit.argmin_saturated)),
             "chain_violations": wit.chain_violations,
-            "theta_positive_count": sum(wit.theta_positive),
+            "theta_positive_count": int(np.count_nonzero(wit.theta_positive)),
         },
     }
 
@@ -329,7 +343,7 @@ def cmd_verdict(args: argparse.Namespace) -> dict:
             "slope_d_vs_log_m": wit.slope,
             "normalization_shift": wit.normalization_shift,
             "chain_violations": wit.chain_violations,
-            "saturated_argmin_count": sum(wit.argmin_saturated),
+            "saturated_argmin_count": int(np.count_nonzero(wit.argmin_saturated)),
             "fit_linear": _fit_payload(wit.fit_linear),
             "fit_sqrt": _fit_payload(wit.fit_sqrt),
         },
@@ -338,9 +352,7 @@ def cmd_verdict(args: argparse.Namespace) -> dict:
     return {
         "verdict.json": payload,
         "witness_plot.csv": (("m", "d"), (wit.m_grid, wit.witness)),
-        "witness_plot.svg": (
-            list(map(math.log, wit.m_grid)), wit.witness, "divergence witness", "ln m", "d_m"
-        ),
+        "witness_plot.svg": (_ln(wit.m_grid), wit.witness, "divergence witness", "ln m", "d_m"),
     }
 
 
@@ -404,6 +416,7 @@ def cmd_interp(args: argparse.Namespace) -> dict:
                 "n_samples": bounds.n_samples,
             }
         )
+    sups = np.array([r["sup_augmented"] for r in reports])
     effective = {
         **_effective(profile),
         "n_modes": series.n_modes,
@@ -412,7 +425,7 @@ def cmd_interp(args: argparse.Namespace) -> dict:
     }
     return {
         "interp_report.json": {"effective": effective, "per_m": reports},
-        "interp_sup.csv": (("m", "sup_augmented"), (m_grid, [r["sup_augmented"] for r in reports])),
+        "interp_sup.csv": (("m", "sup_augmented"), (np.asarray(m_grid), sups)),
     }
 
 

@@ -46,10 +46,10 @@ GRID_CAP_ENV = "QTORUS_GRID_CAP"
 INDEX_BOUND = 2**62
 
 #: Lines of a coefficient file decoded by one json.loads call in
-#: :func:`read_coefficients`.  A block's decoded objects (~0.5 KB a line)
-#: are alive at once, and the allocator keeps much of that memory after
-#: they are freed: 4096-line blocks raised a job's peak RSS by ~1 MB,
-#: where 256-line blocks read as fast.
+#: :func:`read_coefficients`, and CSV rows or SVG points the CLI formats per
+#: write.  A block's objects (~0.5 KB a read line) are alive at once, and
+#: the allocator keeps much of that memory after they are freed: 4096-line
+#: blocks raised a job's peak RSS by ~1 MB, where 256-line blocks read as fast.
 READ_BLOCK = 256
 
 #: Complex elements in one working block of :func:`eval_batch` (points x
@@ -682,17 +682,20 @@ def read_coefficients(path) -> FourierSeries:
         raise ValueError(f"{path}:{_line_of_row(path, exc.row)}: {exc}") from None
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` through a temporary file in the same directory.
+def _atomic_write(path: Path, chunks) -> None:
+    """Write the text chunks ``chunks`` (a str is one chunk) to ``path``, in order.
 
-    The file appears complete or not at all: a failure removes the
-    temporary file and leaves any earlier ``path`` as it was.
+    They go through a temporary file in the same directory, so the file
+    appears complete or not at all: a failure, also one raised while the
+    chunks are made, removes the temporary file and leaves any earlier
+    ``path`` as it was.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            for chunk in (chunks,) if isinstance(chunks, str) else chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

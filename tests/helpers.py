@@ -371,6 +371,65 @@ def loop_svg_points(xs, ys) -> str:
     return " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
 
 
+def joined_write_csv(path, header_lines, names, columns) -> None:
+    """The CSV writer that formats every row, joins them and writes the text once.
+
+    The oracle for the streaming ``cli._write_csv``: columns of Python
+    floats (repr), ints (str) or bools (1/0), one ``str.format`` per row.
+    """
+    fields = []
+    for col in columns:
+        kinds = set(map(type, col))
+        assert len(kinds) <= 1 and kinds <= {float, int, bool}, kinds
+        fields.append({float: "{!r}", int: "{}", bool: "{:d}"}[kinds.pop()] if kinds else "{}")
+    out = [f"# {line}" for line in header_lines]
+    out.append(",".join(names))
+    out.extend(map(",".join(fields).format, *columns))
+    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8", newline="")
+
+
+def joined_write_svg(path, xs, ys, title, x_label, y_label, header_lines=()) -> None:
+    """The SVG chart writer that builds the whole text, then writes it once.
+
+    The oracle for the streaming ``cli.write_svg_line_chart``; bounds come
+    from Python's min and max over lists of floats.
+    """
+    width, height = 640, 400
+    left, right, top, bottom = 70, 610, 40, 350
+    xs = [float(x) for x in xs]
+    ys = [float(y) for y in ys]
+    x_lo, x_hi = min(xs), max(xs)
+    y_lo, y_hi = min(ys), max(ys)
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
+    if y_hi == y_lo:
+        y_hi = y_lo + 1.0
+    with np.errstate(all="ignore"):
+        px = left + (right - left) * (np.array(xs) - x_lo) / (x_hi - x_lo)
+        py = bottom - (bottom - top) * (np.array(ys) - y_lo) / (y_hi - y_lo)
+    pts = " ".join(map("{:.2f},{:.2f}".format, px.tolist(), py.tolist()))
+    svg = [f"<!-- {line} -->" for line in header_lines]
+    svg += [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<text x="{width // 2}" y="22" text-anchor="middle" font-size="15">{title}</text>',
+        f'<line x1="{left}" y1="{bottom}" x2="{right}" y2="{bottom}" stroke="black"/>',
+        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{bottom}" stroke="black"/>',
+        f'<text x="{(left + right) // 2}" y="{height - 10}" text-anchor="middle" '
+        f'font-size="12">{x_label}</text>',
+        f'<text x="18" y="{(top + bottom) // 2}" font-size="12" '
+        f'transform="rotate(-90 18 {(top + bottom) // 2})" text-anchor="middle">{y_label}</text>',
+        f'<text x="{left}" y="{bottom + 16}" font-size="10" text-anchor="middle">{x_lo:.6g}</text>',
+        f'<text x="{right}" y="{bottom + 16}" font-size="10" text-anchor="middle">{x_hi:.6g}</text>',
+        f'<text x="{left - 6}" y="{bottom}" font-size="10" text-anchor="end">{y_lo:.6g}</text>',
+        f'<text x="{left - 6}" y="{top + 4}" font-size="10" text-anchor="end">{y_hi:.6g}</text>',
+        f'<polyline points="{pts}" fill="none" stroke="#1f77b4" stroke-width="1.5"/>',
+        "</svg>",
+    ]
+    Path(path).write_text("\n".join(svg) + "\n", encoding="utf-8", newline="")
+
+
 def loop_finite_or_null(value):
     """``cli._finite_or_null`` with no fast path: every container is rebuilt item by item."""
     if isinstance(value, float):

@@ -1,5 +1,6 @@
 import math
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from qtorus import (
     witness,
 )
 import qtorus.associated as associated_module
-from qtorus.associated import _fold_weights, _legendre
+from qtorus.associated import _fold_weights, _legendre, _running_min_with_argmin, find_r0
 from qtorus.logspace import NEG_INF
 from helpers import dense_fold_weights, dense_log_tau, supporting_line_profile
 
@@ -214,6 +215,111 @@ class TestAssociatedTable:
             build_table(factorial_profile(10), [0.5, 2.0])
 
 
+class TestColumns:
+    """Witness and table records hold read-only ndarray columns."""
+
+    def test_witness_columns(self):
+        wit = witness(factorial_profile(120), 1, range(2, 300))
+        dtypes = {
+            "m_grid": np.int64, "argmin_r": np.int64, "ln_t": np.float64,
+            "ln_theta": np.float64, "witness": np.float64,
+            "theta_positive": np.bool_, "argmin_saturated": np.bool_,
+        }
+        for name, dtype in dtypes.items():
+            column = getattr(wit, name)
+            assert isinstance(column, np.ndarray) and column.dtype == dtype, name
+            assert column.shape == (298,) and not column.flags.writeable, name
+            with pytest.raises(ValueError):
+                column[0] = column[1]
+        assert np.array_equal(wit.m_grid, np.arange(2, 300))
+        assert type(wit.chain_violations) is int
+
+    def test_grid_types_give_the_same_bits(self):
+        prof = factorial_profile(80, s=1.5)
+        grids = [range(3, 200, 4), list(range(3, 200, 4)), np.arange(3, 200, 4),
+                 np.arange(3.0, 200.0, 4.0), tuple(float(m) for m in range(3, 200, 4))]
+        first = witness(prof, 2, grids[0])
+        for grid in grids[1:]:
+            other = witness(prof, 2, grid)
+            for name in ("m_grid", "ln_t", "ln_theta", "witness", "argmin_r"):
+                assert getattr(other, name).tobytes() == getattr(first, name).tobytes(), name
+            assert other.classification == first.classification
+
+    def test_the_callers_grid_is_left_writable(self):
+        grid = np.arange(2, 50)
+        witness(factorial_profile(40), 1, grid)
+        grid[0] = 2
+        table_grid = np.arange(1.0, 20.0)
+        build_table(factorial_profile(40), table_grid)
+        table_grid[0] = 1.0
+
+    @pytest.mark.parametrize(
+        "grid",
+        [[2.5, 3.9, 10.2], [2, 3.5], [[2, 3], [4, 5]], np.array([2.0, np.nan]), [1e300],
+         [], 5, np.array([2, 2**63 + 5], dtype=np.uint64)],
+        ids=["fractions", "one-fraction", "2-D", "nan", "huge", "empty", "scalar", "past-int64"],
+    )
+    def test_witness_refuses_grids_that_are_not_1d_integers(self, grid):
+        # An int64 cast would truncate 2.5 to 2; the grid has to equal its cast.
+        with pytest.raises(ValueError, match="1-D sequence of integers"):
+            witness(factorial_profile(10), 1, grid)
+
+    def test_table_columns(self):
+        table = build_table(factorial_profile(60), range(1, 41))
+        for column in (table.r_grid, table.ln_tau, table.ln_tau_shifted):
+            assert isinstance(column, np.ndarray) and column.dtype == np.float64
+            assert column.shape == (40,) and not column.flags.writeable
+        assert table.r_grid.tolist() == [float(r) for r in range(1, 41)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 1.0, -1.0, 1e-12, 2.0]), min_size=1, max_size=30))
+    def test_find_r0_matches_the_backward_scan(self, diffs):
+        # r0 is the smallest grid r of the trailing run where the identity holds.
+        r_grid = np.arange(1.0, len(diffs) + 1)
+        ln_tau = np.zeros(len(diffs))
+        ln_shift = 3.0 * np.log(r_grid) - np.array(diffs)
+        table = associated_module.AssociatedTable(r_grid, ln_tau, ln_shift, 3, math.inf)
+        want = math.inf
+        for r, lt, ls in zip(r_grid[::-1], ln_tau[::-1], ln_shift[::-1]):
+            diff = 3.0 * math.log(r) + lt - ls
+            if math.isnan(diff) or abs(diff) > associated_module.R0_TOL:
+                break
+            want = float(r)
+        assert find_r0(table) == want
+
+
+class TestRunningMin:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.sampled_from([0.0, -0.0, 1.0, math.inf, -math.inf, math.nan]),
+                      st.floats(-5, 5)),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_matches_the_scalar_scan(self, values):
+        # best[i] = min(values[:i+1]) as np.minimum gives it (a NaN sticks);
+        # arg[i] is the first index where a strictly smaller value arrived.
+        given_values = np.array(values)
+        best, arg = _running_min_with_argmin(given_values.copy())
+        want_best = np.minimum.accumulate(given_values)
+        assert best.tobytes() == want_best.tobytes()
+        current, want_arg, last = math.inf, [], -1
+        for i, v in enumerate(values):
+            if v < current:
+                last = i
+            current = want_best[i]
+            want_arg.append(last)
+        want_arg[0] = 0
+        assert arg.tolist() == want_arg
+
+    def test_works_in_place(self):
+        values = np.array([3.0, 1.0, 2.0, 0.5])
+        best, _ = _running_min_with_argmin(values)
+        assert best is values and values.tolist() == [3.0, 1.0, 1.0, 0.5]
+
+
 class TestWitness:
     def test_gevrey_series_family_bounded(self):
         spec = FamilySpec(kind="gevrey", dim=1, radius=10_000, exponent=2.0)
@@ -353,6 +459,22 @@ def kernel_cases(draw):
 
 class TestLegendreKernel:
     """The hull kernel against the dense O(R J) scan, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kernel_cases())
+    def test_blocks_do_not_change_bits(self, case):
+        # Candidates and delta come from all of x; only the terms are blocked.
+        prof, r_max = case
+        ln_r = np.log(np.arange(1.0, r_max + 1))
+        starts = (0, 3) if prof.j_max >= 3 else (0,)
+        with mock.patch.object(associated_module, "_X_BLOCK", r_max + 1):
+            want = [_legendre(prof, ln_r, s, s) for s in starts]
+        for block in (1, 7, associated_module._X_BLOCK):
+            with mock.patch.object(associated_module, "_X_BLOCK", block):
+                for s, (values, arg) in zip(starts, want):
+                    got_values, got_arg = _legendre(prof, ln_r, s, s)
+                    assert got_values.tobytes() == values.tobytes()
+                    assert np.array_equal(got_arg, arg)
 
     def test_hull_built_once_per_profile_and_start(self, monkeypatch):
         built = []
