@@ -176,26 +176,32 @@ def _hull_argmin(a: np.ndarray, hull: np.ndarray, slopes: np.ndarray, x: np.ndar
     return out
 
 
-def _legendre(profile: DerivativeNormProfile, ln_r, start: int = 0, offset: int = 0):
-    """(values, argmin) of min_{start<=j<=j_max} (ln M_j - (j - offset) ln r).
+def _legendre_argmin(profile: DerivativeNormProfile, ln_r: np.ndarray, start: int = 0, offset: int = 0):
+    """First argmin j of the float term ``ln_m[j] - (j - offset) * ln_r``, start <= j <= j_max.
 
-    One entry per value of ``ln_r``: the float term
-    ``ln_m[j] - (j - offset) * ln_r`` at the argmin j, where j is the
-    smallest index among equal float terms, bit for bit what a full scan
-    over j gives.  An ln M_j = -inf with j >= start
-    makes every term at that j -inf, so its first index is the argmin for
-    every r.
+    One entry per value of ``ln_r``: the smallest index among equal float
+    terms, bit for bit what a full scan over j gives.  An ln M_j = -inf with
+    j >= start makes every term at that j -inf, so its first index is the
+    argmin for every r.
     """
-    ln_m = profile.ln_m_array()
-    ln_r = np.asarray(ln_r, dtype=float)
-    tail = ln_m[start:]
+    tail = profile.ln_m_array()[start:]
     vanishing = np.flatnonzero(tail == NEG_INF)
     if vanishing.size:
         arg = np.full(ln_r.shape, vanishing[0], dtype=np.int64)
     else:
         arg = _hull_argmin(tail, *_profile_hull(profile, start), ln_r, offset - start)
     arg += start
-    return ln_m[arg] - (arg - offset) * ln_r, arg
+    return arg
+
+
+def _legendre(profile: DerivativeNormProfile, ln_r, start: int = 0, offset: int = 0):
+    """(values, argmin) of min_{start<=j<=j_max} (ln M_j - (j - offset) ln r).
+
+    The value is the float term at the argmin of :func:`_legendre_argmin`.
+    """
+    ln_r = np.asarray(ln_r, dtype=float)
+    arg = _legendre_argmin(profile, ln_r, start, offset)
+    return profile.ln_m_array()[arg] - (arg - offset) * ln_r, arg
 
 
 def log_tau(profile: DerivativeNormProfile, r: float) -> float:
@@ -238,10 +244,10 @@ def _fold_weights(profile: DerivativeNormProfile, r_max: int):
     j_max = profile.j_max
     ln_m = profile.ln_m_array()
     ln_r = np.log(np.arange(1, r_max + 1, dtype=float))
-    arg_full = _legendre(profile, ln_r, 0, 3)[1]
+    arg_full = _legendre_argmin(profile, ln_r, 0, 3)
     w_full = (arg_full - 3) * ln_r - ln_m[arg_full]
     if j_max >= 3:
-        arg_shift = _legendre(profile, ln_r, 3, 3)[1]
+        arg_shift = _legendre_argmin(profile, ln_r, 3, 3)
         w_shift = (arg_shift - 3) * ln_r - ln_m[arg_shift]
         np.copyto(w_full, w_shift, where=w_shift >= w_full)
     else:
@@ -313,9 +319,7 @@ def build_table(profile: DerivativeNormProfile, r_grid) -> AssociatedTable:
         raise ValueError("shifted associated function needs j_max >= 3")
     ln_r = _ln(grid)
     columns = _read_only(grid, _legendre(profile, ln_r)[0], _legendre(profile, ln_r, 3, 3)[0])
-    table = AssociatedTable(*columns, j_max=profile.j_max, r0_estimate=math.inf)
-    object.__setattr__(table, "r0_estimate", find_r0(table))
-    return table
+    return AssociatedTable(*columns, j_max=profile.j_max, r0_estimate=_r0(ln_r, *columns))
 
 
 def find_r0(table: AssociatedTable) -> float:
@@ -323,11 +327,16 @@ def find_r0(table: AssociatedTable) -> float:
 
     Returns +inf when the identity never holds through the end of the grid.
     """
+    return _r0(_ln(table.r_grid), table.r_grid, table.ln_tau, table.ln_tau_shifted)
+
+
+def _r0(ln_r, r_grid, ln_tau, ln_tau_shifted) -> float:
+    """:func:`find_r0` on the columns of a table, with ln r of its grid given."""
     with np.errstate(invalid="ignore"):  # -inf - -inf is a NaN, which fails
-        diff = 3.0 * _ln(table.r_grid) + table.ln_tau - table.ln_tau_shifted
+        diff = 3.0 * ln_r + ln_tau - ln_tau_shifted
     fails = np.flatnonzero(~(np.abs(diff) <= R0_TOL))
     start = fails[-1] + 1 if fails.size else 0
-    return float(table.r_grid[start]) if start < len(table.r_grid) else math.inf
+    return float(r_grid[start]) if start < len(r_grid) else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -341,11 +350,23 @@ class TrendFit(Record):
 
 
 def _fit_line(x: np.ndarray, y: np.ndarray) -> TrendFit:
-    design = np.column_stack([x, np.ones_like(x)])
-    coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    resid = design @ coef  # then y - resid and its square, in place
+    """Least-squares line y ~ slope * x + intercept, from centred sums.
+
+    slope = sum((x - mean x)(y - mean y)) / sum((x - mean x)^2), the stable
+    two-pass form (Chan, Golub & LeVeque, Amer. Statist. 37, 1983); every
+    sum is numpy's pairwise sum, so no BLAS or LAPACK call is made.  x must
+    hold at least two distinct values.
+    """
+    x_bar, y_bar = np.mean(x), np.mean(y)
+    dx = np.subtract(x, x_bar)
+    dy = np.subtract(y, y_bar)
+    sxy = np.sum(np.multiply(dx, dy, out=dy))
+    slope = float(sxy / np.sum(np.square(dx, out=dx)))
+    intercept = float(y_bar - slope * x_bar)
+    resid = np.multiply(x, slope, out=dx)  # then + intercept, y - it and its square, in place
+    resid += intercept
     rmse = float(np.sqrt(np.mean(np.square(np.subtract(y, resid, out=resid), out=resid))))
-    return TrendFit(slope=float(coef[0]), intercept=float(coef[1]), rmse=rmse)
+    return TrendFit(slope=slope, intercept=intercept, rmse=rmse)
 
 
 def _pick_growth_model(r: np.ndarray, w: np.ndarray, margin: float):

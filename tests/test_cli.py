@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qtorus
+import qtorus.associated as associated_module
 import qtorus.cli as cli_module
 import qtorus.interpolate as interpolate_module
 import qtorus.series as series_module
@@ -372,6 +374,34 @@ class TestVerdict:
             for row in read_data_rows(table)[1:]:  # after the column names
                 for cell in row.split(","):
                     float(cell)
+
+
+@pytest.mark.parametrize("command", ["verdict", "tau"])
+def test_growth_model_fits_call_no_lapack(tmp_path, monkeypatch, command):
+    # The fits are closed-form centred least squares on numpy's pairwise
+    # sums, so their bits do not depend on the BLAS build or thread count.
+    out = tmp_path / "out"
+    argv = [command, "--family", "profile:rule=factorial:s=1.5:Jmax=200", "--rmax", "1000",
+            "--m", "2..400", "--out", str(out)]
+    assert main(argv) == 0
+    want = {path.name: path.read_bytes() for path in out.iterdir()}
+    shutil.rmtree(out)
+
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("numpy.linalg.lstsq called")
+
+    fits = []
+    fit_line = associated_module._fit_line
+
+    def counted_fit_line(x, y):
+        fits.append(x.size)
+        return fit_line(x, y)
+
+    monkeypatch.setattr(np.linalg, "lstsq", no_lapack)
+    monkeypatch.setattr(associated_module, "_fit_line", counted_fit_line)
+    assert main(argv) == 0
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == want
+    assert len(fits) >= 3  # the witness slope and both growth models
 
 
 class TestInterp:
