@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
+import random
 
 import numpy as np
 
 from .logspace import log_sum_exp
 from .norms import DerivativeNormProfile
-from .associated import _legendre
+from .associated import _legendre, _ln
 from .series import (
     FourierSeries,
     PolyPoint,
@@ -48,116 +48,16 @@ from .series import (
 #: Scale-aware near-zero threshold for the correction denominator.
 DEGENERATE_Z0_TOL = 1e-12
 
-# The annulus samples are numpy's PCG64 stream (O'Neill 2014), seeded as
-# numpy's default_rng(seed) seeds it, made here so that numpy's random
-# package (and through it hashlib and OpenSSL) is never imported.
-# SeedSequence hash constants, PCG64's 128-bit multiplier, and the lane cap
-# of the vectorised generator.
-_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
-_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
-_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
-_MAX_LANES = 2**13
-
-
-def _pcg64_seed(seed: int) -> tuple[int, int]:
-    """PCG64's 128-bit (state of the first draw, increment) for ``default_rng(seed)``.
-
-    numpy's SeedSequence with its pool of four 32-bit words: the seed's
-    little-endian 32-bit words are hashed into the pool, the pool words
-    are mixed with each other and with any words past the fourth, and
-    eight output words give the initial state and the stream as two
-    little-endian uint64 pairs (high word first).  PCG64's srandom then
-    steps the LCG twice around adding the initial state, and a draw steps
-    once more before it outputs the state.
-    """
-    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    hash_const = _SS_INIT_A
-
-    def hashmix(value: int) -> int:
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = hash_const * _SS_MULT_A & _MASK32
-        value = value * hash_const & _MASK32
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        value = (_SS_MIX_L * x - _SS_MIX_R * y) & _MASK32
-        return value ^ value >> 16
-
-    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-
-    hash_const = _SS_INIT_B
-    out = []
-    for i in range(8):
-        value = pool[i % 4] ^ hash_const
-        hash_const = hash_const * _SS_MULT_B & _MASK32
-        value = value * hash_const & _MASK32
-        out.append(value ^ value >> 16)
-    w = [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
-    init_state, init_seq = w[0] << 64 | w[1], w[2] << 64 | w[3]
-    inc = (init_seq << 1 | 1) & _MASK128
-    state = ((inc + init_state) * _PCG_MULT + inc) & _MASK128
-    return (state * _PCG_MULT + inc) & _MASK128, inc
-
-
-def _lcg_jump(hi: np.ndarray, lo: np.ndarray, mult: int, add: int):
-    """Each 128-bit state (hi, lo) mapped to mult * state + add mod 2^128.
-
-    The carry word of lo * (mult mod 2^64) is summed from the products of
-    32-bit limbs, each of which fits in a uint64.
-    """
-    m_hi, m_lo = np.uint64(mult >> 64), np.uint64(mult & _MASK64)
-    a_hi, a_lo = np.uint64(add >> 64), np.uint64(add & _MASK64)
-    m0, m1 = np.uint64(mult & _MASK32), np.uint64(mult >> 32 & _MASK32)
-    low32, shift = np.uint64(_MASK32), np.uint64(32)
-    x0, x1 = lo & low32, lo >> shift
-    mid = x1 * m0 + ((x0 * m0) >> shift)
-    carry = x1 * m1 + (mid >> shift) + ((x0 * m1 + (mid & low32)) >> shift)
-    new_lo = lo * m_lo + a_lo
-    return carry + hi * m_lo + lo * m_hi + a_hi + (new_lo < a_lo), new_lo
-
-
-def _xsl_rr_unit(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """PCG64's XSL-RR output of each state, as numpy's double: (x >> 11) 2^-53."""
-    x = hi ^ lo
-    rot = hi >> np.uint64(58)
-    x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
-    return (x >> np.uint64(11)) * 2.0**-53
-
 
 @functools.lru_cache(maxsize=1)
 def _unit_draws(seed: int, count: int) -> np.ndarray:
-    """numpy's ``default_rng(seed).random(count)``, bit for bit, read-only.
+    """The first ``count`` values of ``random.Random(seed).random()``, read-only.
 
-    Up to ``_MAX_LANES`` lanes of the LCG advance together.  Lane j starts
-    at the state of draw j, reached by doubling: the lanes so far, jumped
-    by their number of steps, are the next as many.  Each round then jumps
-    every lane by the lane count.  The one cached result serves every m of
-    an interp job, whose seed and sample count do not change.
+    CPython keeps this stream the same across versions for an integer
+    seed.  The one cached result serves every m of an interp job, whose
+    seed and sample count do not change.
     """
-    state, inc = _pcg64_seed(operator.index(seed))
-    lanes = min(_MAX_LANES, 1 << (count - 1).bit_length())
-    hi = np.array([state >> 64], dtype=np.uint64)
-    lo = np.array([state & _MASK64], dtype=np.uint64)
-    mult, add = _PCG_MULT, inc
-    while len(hi) < lanes:
-        next_hi, next_lo = _lcg_jump(hi, lo, mult, add)
-        hi, lo = np.concatenate([hi, next_hi]), np.concatenate([lo, next_lo])
-        mult, add = mult * mult & _MASK128, (mult * add + add) & _MASK128
-    draws = np.empty(count)
-    for start in range(0, count, lanes):
-        if start:
-            hi, lo = _lcg_jump(hi, lo, mult, add)
-        draws[start : start + lanes] = _xsl_rr_unit(hi, lo)[: count - start]
+    draws = np.fromiter(iter(random.Random(seed).random, None), dtype=float, count=count)
     draws.flags.writeable = False
     return draws
 
@@ -261,10 +161,12 @@ def _augment(series: FourierSeries, m: int, z0: PolyPoint, engine: str):
     target the mode's exponent in the fold.
     The terms c_k z0^k are computed once per series and z0 (they are kept
     on the series); the terms c_k z0^target gather their factors from a
-    table of z0_p^e, |e| < m, in the same way, so a mode the fold leaves in
-    place (target = k) adds exactly 0.  The residual therefore carries no
-    rounding from the modes the fold does not move, which are most of the
-    sum when the fold nearly interpolates at z0.  The correction is the
+    table of z0_p raised to the fold's distinct exponents, in the same way.
+    Each power is elementwise, so its bits do not depend on the table it is
+    in, and a mode the fold leaves in place (target = k) adds exactly 0.
+    The residual therefore carries no rounding from the modes the fold does
+    not move, which are most of the sum when the fold nearly interpolates
+    at z0.  The correction is the
     residual over the denominator, and the error at z0 is
     |denominator * correction - residual|.
     """
@@ -277,8 +179,7 @@ def _augment(series: FourierSeries, m: int, z0: PolyPoint, engine: str):
         raise ValueError("z0 must lie on the torus (|z0_p| = 1)")
     target, covered = _targets(series._exponents, m, engine)
     z = np.array(z0.z)
-    exponents = np.arange(1 - m, m)
-    tables = [(exponents, target[:, p] + (m - 1)) for p in range(series.dim)]
+    tables = [np.unique(target[:, p], return_inverse=True) for p in range(series.dim)]
     terms = series._terms_at(z0)
     moved = np.where(covered, terms - _terms(z, tables, series._values), terms)
     residual = complex(moved.sum())
@@ -403,12 +304,12 @@ def bound_audit(
     :class:`InterpolationAudit`.  The right-hand sides are evaluated by
     log-domain summation so large t^{nr} factors cannot overflow.
 
-    The samples are the first 2 * n_samples * n doubles of numpy's
-    ``default_rng(seed)`` stream, moduli then phases, mapped as its
-    ``uniform`` maps them, so reports are byte-reproducible.  The stream is
-    made in this module without importing numpy's random package, and it
-    is drawn once for every call with the same seed and sample count (for
-    instance every m of an interp job).
+    The samples are the first 2 * n_samples * n values of
+    ``random.Random(seed).random()``, moduli then phases, mapped as
+    ``random.Random.uniform`` maps them, so reports are byte-reproducible:
+    CPython keeps this stream the same across versions.  It is drawn once
+    for every call with the same seed and sample count (for instance every
+    m of an interp job).
     """
     if not (math.isfinite(t) and t > 1.0):
         raise ValueError(f"t must be finite and > 1, got {t!r}")
@@ -417,8 +318,8 @@ def bound_audit(
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     n, m = interpolant.base.dim, interpolant.m
-    # Moduli in [1/t, t], then phases, each as numpy's uniform forms it,
-    # low + (high - low) * u: the seeded reports depend on this draw order.
+    # Moduli in [1/t, t], then phases, each as random.Random.uniform forms
+    # it, low + (high - low) * u: the seeded reports depend on this draw order.
     u = _unit_draws(seed, 2 * n_samples * n).reshape(2, n_samples, n)
     moduli = 1.0 / t + (t - 1.0 / t) * u[0]
     phases = 2.0 * math.pi * u[1]
@@ -435,15 +336,13 @@ def bound_audit(
     corr_max = float(np.max(np.abs(corr_vals)))
 
     ln_t = math.log(t)
-    ln_tau_r = _legendre(profile, [math.log(r) for r in range(1, m + 1)])[0].tolist()
-    ln_rhs_growth = log_sum_exp(
-        [0.0]
-        + [math.log(r) + ln_tau_r[r - 1] + n * r * ln_t for r in range(1, m + 1)]
-    )
-    ln_rhs_base = log_sum_exp(
-        [0.0] + [ln_tau_r[r - 1] + n * r * ln_t for r in range(1, m)]
-    )
-    ln_rhs_correction = log_sum_exp([0.0, math.log(m) + ln_tau_r[m - 1] + m * ln_t])
+    r = np.arange(1, m + 1)
+    ln_r = _ln(r)
+    ln_tau = _legendre(profile, ln_r)[0]
+    growth = (n * r) * ln_t
+    ln_rhs_growth = log_sum_exp(np.concatenate(([0.0], ln_r + ln_tau + growth)))
+    ln_rhs_base = log_sum_exp(np.concatenate(([0.0], ln_tau[:-1] + growth[:-1])))
+    ln_rhs_correction = log_sum_exp([0.0, ln_r[-1] + ln_tau[-1] + m * ln_t])
 
     def ratio(sup: float, ln_rhs: float) -> float:
         if sup <= 0.0:

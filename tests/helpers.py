@@ -6,6 +6,7 @@ import cmath
 import itertools
 import json
 import math
+import random
 from pathlib import Path
 from typing import NamedTuple
 
@@ -442,15 +443,19 @@ def loop_finite_or_null(value):
 
 
 def rng_annulus_sups(interpolant, t, n_samples, seed) -> tuple:
-    """(sup |augmented|, sup |fold|, sup |correction|) over numpy.random's annulus samples.
+    """(sup |augmented|, sup |fold|, sup |correction|) over the stdlib's annulus samples.
 
-    The samples ``bound_audit`` takes, drawn through ``default_rng(seed).uniform``:
+    The samples ``bound_audit`` takes, which it maps from the first
+    2 x n_samples x n values of ``random.Random(seed).random()`` (a stream
+    CPython keeps the same across versions) and draws once per job.  Here
+    they are drawn one by one through ``random.Random(seed).uniform``:
     n_samples x n moduli in [1/t, t], then as many phases in [0, 2 pi).
     """
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     shape = (n_samples, interpolant.base.dim)
-    moduli = rng.uniform(1.0 / t, t, size=shape)
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=shape)
+    count = n_samples * interpolant.base.dim
+    moduli = np.array([rng.uniform(1.0 / t, t) for _ in range(count)]).reshape(shape)
+    phases = np.array([rng.uniform(0.0, 2.0 * math.pi) for _ in range(count)]).reshape(shape)
     with np.errstate(over="ignore", invalid="ignore"):
         base, correction = interpolant._parts(moduli * np.exp(1j * phases))
         augmented = base + correction

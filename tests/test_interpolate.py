@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from qtorus import (
     interpolation_audit,
     parse_family_spec,
 )
-from qtorus.interpolate import _MAX_LANES, _grid_factor, _unit_draws
+from qtorus.interpolate import _grid_factor, _unit_draws
 from helpers import (
     loop_alias_fold,
     loop_diagonal_fold,
@@ -451,10 +452,11 @@ class TestBoundAudit:
             bound_audit(aug, self._profile(s), 1.5, seed=-1)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_samples_are_numpy_random_uniform_draws(self, n):
-        # The sups match, bit for bit, those over the samples numpy.random's
-        # uniform gives, for one seed at several t (the cached draw is reused
-        # across t) and after another seed has replaced the cached draw.
+    def test_samples_are_stdlib_random_uniform_draws(self, n):
+        # The sups match, bit for bit, those over the samples the stdlib's
+        # random.Random(seed).uniform gives, for one seed at several t (the
+        # cached draw is reused across t) and after another seed has
+        # replaced the cached draw.
         s = random_series(np.random.default_rng(73 + n), n, max_modes=12, radius=4)
         prof = build_profile(s, 8)
         aug = augmented_interpolant(s, 5, random_torus_point(np.random.default_rng(79), n))
@@ -465,25 +467,30 @@ class TestBoundAudit:
             assert [x.hex() for x in got] == [x.hex() for x in expected], (seed, t)
 
 
-LANE_EDGES = [_MAX_LANES - 1, _MAX_LANES, _MAX_LANES + 1, 2**16 - 1, 2**16, 2**16 + 1]
-
-
 class TestUnitDraws:
-    """``_unit_draws`` against its oracle, ``np.random.default_rng(seed).random``."""
+    """``_unit_draws`` against its oracle, ``random.Random(seed).random``."""
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        seed=st.integers(0, 2**200),
-        count=st.one_of(st.integers(1, 3000), st.sampled_from(LANE_EDGES)),
-    )
+    @given(seed=st.integers(0, 2**200), count=st.integers(1, 3000))
     @example(seed=0, count=1)
     @example(seed=7, count=2)
     @example(seed=2**32, count=3)
     @example(seed=2**128 + 5, count=2**16 + 1)
     @example(seed=2**200, count=2**16 - 1)
-    def test_bit_for_bit_numpy_stream(self, seed, count):
-        expected = np.random.default_rng(seed).random(count)
+    def test_bit_for_bit_stdlib_stream(self, seed, count):
+        rng = random.Random(seed)
+        expected = np.array([rng.random() for _ in range(count)])
         assert _unit_draws(seed, count).tobytes() == expected.tobytes()
+
+    def test_golden_first_draws(self):
+        # Pins the stream itself: CPython keeps random.Random(seed).random()
+        # the same across versions for an integer seed.
+        assert [x.hex() for x in _unit_draws(7, 4).tolist()] == [
+            "0x1.4b9ad0f953a6ep-2",
+            "0x1.34f0696513270p-3",
+            "0x1.4d474883171ffp-1",
+            "0x1.28b2f3a47e100p-4",
+        ]
 
     def test_read_only_and_cached(self):
         draws = _unit_draws(11, 40)
