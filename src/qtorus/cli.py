@@ -374,23 +374,13 @@ def cmd_interp(args: argparse.Namespace) -> dict:
         rescaled = rescale_to_class(series)
         series = rescaled.series
         rescale = {"scale": rescaled.scale, "normalized": rescaled.normalized}
-        profile = build_profile(series, args.jmax)
-        ln_t = t_m_sequence(profile, m_grid[-1], n)
-
-        def t_for(m: int) -> float:
-            return math.exp(ln_t[m - 1])
-
-    else:
-        profile = build_profile(series, args.jmax)
-
-        def t_for(m: int) -> float:
-            return args.t
-
+    profile = build_profile(series, args.jmax)
+    ln_t = t_m_sequence(profile, m_grid[-1], n) if args.tm else None
     z0 = _parse_z0(args.z0, n)
     reports = []
     for m in m_grid:
         audit = interpolation_audit(series, m, z0, engine=args.engine)
-        t_val = t_for(m)
+        t_val = math.exp(ln_t[m - 1]) if args.tm else args.t
         bounds = bound_audit(
             audit.interpolant, profile, t_val, n_samples=args.samples, seed=args.seed
         )

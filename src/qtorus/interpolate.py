@@ -38,6 +38,7 @@ from .series import (
     FourierSeries,
     PolyPoint,
     Record,
+    _product,
     _summed,
     _terms,
     eval_batch,
@@ -145,7 +146,7 @@ class AugmentedInterpolant(Record):
     def _parts(self, points: np.ndarray):
         """(fold values, correction values) at each point."""
         z = np.asarray(points, dtype=complex)
-        return eval_batch(self.base, z), _grid_factor(z, self.m) * self.correction
+        return eval_batch(self.base, z), _product(_grid_factor(z, self.m), self.correction)
 
 
 def _grid_factor(z: np.ndarray, m: int) -> np.ndarray:
@@ -250,7 +251,7 @@ def interpolation_audit(
     error), and :func:`eval_grid` runs on the uncovered modes only.
     """
     aug, z0_err, covered = _augment(series, m, z0, engine)
-    error = _grid_factor(grid_array(series.dim, m), m) * aug.correction
+    error = _product(_grid_factor(grid_array(series.dim, m), m), aug.correction)
     missed = series._exponents[~covered]
     if len(missed):
         error -= eval_grid(FourierSeries.from_arrays(series.dim, missed, series._values[~covered]), m)

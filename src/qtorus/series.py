@@ -54,8 +54,8 @@ READ_BLOCK = 256
 
 #: Complex elements in one working block of :func:`eval_batch` (points x
 #: modes) and of :func:`eval_grid` (rows x grid points of one level).  A
-#: block is 512 KiB, so the two buffers of an :func:`eval_batch` chunk stay
-#: in a core's cache.
+#: block is 512 KiB.  An :func:`eval_batch` chunk holds half a block of
+#: terms, so a product's two operands and its result take 768 KiB.
 EVAL_BLOCK = 2**15
 
 
@@ -320,28 +320,34 @@ def _product(a, b) -> np.ndarray:
 
     Real products and sums round the same in every numpy kernel, so the
     bits of each entry depend only on its two operands, not on the shapes,
-    strides or lengths that pick numpy's complex multiply kernel.
+    strides or lengths that pick numpy's complex multiply kernel, nor on
+    its SIMD level (a fused multiply-add rounds once where this rounds
+    twice).  Each part is written in place, without a temporary of its own.
     """
     out = np.empty(np.broadcast(a, b).shape, dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
+    re, im = out.real, out.imag
+    np.multiply(a.real, b.real, out=re)
+    re -= a.imag * b.imag
+    np.multiply(a.real, b.imag, out=im)
+    im += a.imag * b.real
     return out
 
 
 def _terms(z: np.ndarray, tables, values: np.ndarray) -> np.ndarray:
-    """The terms c_k z^k of the modes at one point z of n components.
+    """The terms c_k z^k of the modes at one point (n,) or at the rows of (N, n).
 
     ``tables[p]`` is (distinct exponents, index of each mode's exponent in
     them) for dimension p.  Each z_p is raised once to its distinct
     exponents, every mode gathers its factor from that table, and the
     factors multiply in p order, the coefficient last, by :func:`_product`.
-    So a term's bits depend only on z, its index and its coefficient:
-    modes with the same index and coefficient give the same term whatever
-    the tables they come from.
+    The result has one term per mode: (K,) for one point, (N, K) for rows.
+    So a term's bits depend only on its point, its index and its
+    coefficient: not on the other points, and modes with the same index
+    and coefficient give the same term whatever the tables they come from.
     """
     term = None
-    for zp, (distinct, inverse) in zip(z, tables):
-        factor = (zp**distinct)[inverse]
+    for p, (distinct, inverse) in enumerate(tables):
+        factor = (z[..., p, None] ** distinct)[..., inverse]
         term = factor if term is None else _product(term, factor)
     return _product(term, values)
 
@@ -450,16 +456,13 @@ def eval_batch(series: FourierSeries, points: np.ndarray) -> np.ndarray:
 
     The evaluator for arbitrary points; values on the roots-of-unity grid
     come from :func:`eval_grid` instead.  Points go in chunks of
-    ``EVAL_BLOCK // (n_modes + 1)`` rows (at least one), through two
-    C-ordered buffers of at most max(:data:`EVAL_BLOCK`, n_modes + 1)
-    complex elements each.  Per chunk, each z_p is raised once to the distinct exponents of
-    dimension p, every mode gathers its factor from that table, the factors
-    multiply in p order, the coefficient multiplies last, and each row is
-    summed on its own (numpy's pairwise sum over a contiguous row).
+    ``EVAL_BLOCK // (2 * n_modes)`` rows (at least one); each chunk's terms
+    come from :func:`_terms` and each row is summed on its own (numpy's
+    pairwise sum over a contiguous row).
 
-    No BLAS call and no operand order left to numpy: every value depends
+    No BLAS call and no complex multiply left to numpy: every value depends
     only on its point and the series, never on the other points of the
-    batch or on :data:`EVAL_BLOCK`.
+    batch, on :data:`EVAL_BLOCK` or on numpy's SIMD level.
     """
     z = np.asarray(points, dtype=complex)
     if z.ndim != 2 or z.shape[1] != series.dim:
@@ -469,29 +472,10 @@ def eval_batch(series: FourierSeries, points: np.ndarray) -> np.ndarray:
     out = np.zeros(z.shape[0], dtype=complex)
     if not series.n_modes:
         return out
-    width = series.n_modes + 1
-    rows = max(1, EVAL_BLOCK // width)
-    # Preallocated and written through out=: a temporary would let numpy
-    # swap the operands of a product (temporary elision), and a[:, inverse]
-    # is F-ordered, which makes the row sums sequential.  Each row has one
-    # spare slot, gathered from index 0 and never summed, so no product has
-    # a single element: numpy multiplies those with a scalar kernel whose
-    # bits differ from its vector kernel's.
-    gathered = np.empty((min(rows, len(z)), width), dtype=complex)
-    product = np.empty_like(gathered)
-    values = np.append(series._values, 0)
-    slots = [(distinct, np.append(inverse, 0)) for distinct, inverse in series._exponent_tables]
+    rows = max(1, EVAL_BLOCK // (2 * series.n_modes))
     for start in range(0, len(z), rows):
-        chunk = z[start : start + rows]
-        factor, block = gathered[: len(chunk)], product[: len(chunk)]
-        for p, (distinct, inverse) in enumerate(slots):
-            # mode="clip" writes straight into out=; "raise" would buffer it.
-            table = chunk[:, p, None] ** distinct
-            np.take(table, inverse, axis=1, out=factor if p else block, mode="clip")
-            if p:
-                np.multiply(block, factor, out=block)
-        np.multiply(block, values, out=block)
-        out[start : start + len(chunk)] = block[:, :-1].sum(axis=1)
+        terms = _terms(z[start : start + rows], series._exponent_tables, series._values)
+        out[start : start + rows] = terms.sum(axis=1)
     return out
 
 

@@ -1,7 +1,10 @@
 import cmath
 import math
 import os
+import platform
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -201,12 +204,12 @@ class TestEvalBatch:
             assert abs(val - brute_eval(series, row)) <= 1e-12 * scale
 
     def test_chunk_boundaries_at_default_block(self):
-        # 1000 modes x 600 points spans three chunks of EVAL_BLOCK elements.
+        # 1000 modes x 600 points spans more than two chunks of EVAL_BLOCK / 2 terms.
         rng = np.random.default_rng(7)
         s = random_series(rng, 2, max_modes=1000, radius=60)
         s = s + FourierSeries(2, {(k, -k): 1.0 for k in range(-500, 500)})
         pts = np.array([random_torus_point(rng, 2).z for _ in range(600)], dtype=complex)
-        rows = series_module.EVAL_BLOCK // s.n_modes
+        rows = series_module.EVAL_BLOCK // (2 * s.n_modes)
         assert len(pts) > 2 * rows
         batch = eval_batch(s, pts)
         for i in (0, rows - 1, rows, 2 * rows - 1, 2 * rows, len(pts) - 1):
@@ -216,8 +219,9 @@ class TestEvalBatch:
     @given(eval_cases())
     @example(annulus_case())
     @example((FourierSeries(2, {}), np.ones((3, 2), dtype=complex), 1))
-    # One mode: a lone point's products have one element each unless the
-    # row has a spare slot, and numpy rounds those differently.
+    # One mode: a lone point's products have one element each.  numpy's
+    # complex multiply rounds those in a scalar kernel, but _product's
+    # real operations round every length alike.
     @example(
         (
             FourierSeries(1, {(2,): -0.1321048632913019 + 0.6404226504432821j}),
@@ -254,6 +258,35 @@ class TestEvalBatch:
             tracemalloc.stop()
         blocks = 3 * 16 * max(series_module.EVAL_BLOCK, series.n_modes)
         assert peak < blocks + 16 * len(points) + 8 * series.dim * series.n_modes
+
+    @pytest.mark.skipif(
+        platform.machine().lower() not in ("x86_64", "amd64"), reason="x86-64 feature names"
+    )
+    def test_bits_independent_of_simd_level(self, tmp_path):
+        # numpy's vector complex multiply may fuse multiply-adds (FMA),
+        # its baseline kernel does not; eval_batch leaves it no product.
+        series, points, _ = annulus_case()
+        write_coefficients(series, tmp_path / "series.jsonl")
+        np.save(tmp_path / "points.npy", points)
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from qtorus.series import eval_batch, read_coefficients\n"
+            "values = eval_batch(read_coefficients(sys.argv[1]), np.load(sys.argv[2]))\n"
+            "print(*map(float.hex, values.view(float).tolist()))\n"
+        )
+        env = {
+            **os.environ,
+            "NPY_ENABLE_CPU_FEATURES": "SSE SSE2 SSE3 SSSE3 SSE41 POPCNT SSE42",
+            "PYTHONPATH": str(Path(series_module.__file__).resolve().parents[1]),
+        }
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "series.jsonl"), str(tmp_path / "points.npy")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        want = eval_batch(series, points).view(float).tolist()
+        assert done.stdout.split() == list(map(float.hex, want))
 
     def test_empty_series(self):
         s = FourierSeries(1, {})
