@@ -94,13 +94,37 @@ def _finite_or_null(value):
     return value
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    """One line of strict JSON with sorted keys, then a newline.
+def _json_chunks(value, depth: int = 2):
+    """The text of ``json.dumps(value, sort_keys=True, allow_nan=False)``, in pieces.
 
-    Without ``indent``, json.dumps runs its C encoder.
+    The dicts and lists (or tuples) of the outer ``depth`` levels are
+    written piece by piece, with json's ", " and ": " separators and the
+    keys in sorted order, which is json's text for str keys, the only keys
+    an artifact has; every other item is one json.dumps call, which runs
+    the C encoder.  That encoder holds every token of its input as a str
+    until it joins them, so this way only one inner item's tokens (one
+    per-m report of ``interp_report.json``) are alive at a time.
     """
-    text = json.dumps(_finite_or_null(payload), sort_keys=True, allow_nan=False)
-    _atomic_write(path, text + "\n")
+    if depth and isinstance(value, dict):
+        yield "{"
+        for i, (key, item) in enumerate(sorted(value.items())):
+            yield (", " if i else "") + json.dumps(key) + ": "
+            yield from _json_chunks(item, depth - 1)
+        yield "}"
+    elif depth and isinstance(value, (list, tuple)):
+        yield "["
+        for i, item in enumerate(value):
+            if i:
+                yield ", "
+            yield from _json_chunks(item, depth - 1)
+        yield "]"
+    else:
+        yield json.dumps(value, sort_keys=True, allow_nan=False)
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    """One line of strict JSON with sorted keys, then a newline, streamed by :func:`_json_chunks`."""
+    _atomic_write(path, itertools.chain(_json_chunks(_finite_or_null(payload)), ["\n"]))
 
 
 #: The str.format field that prints a CSV cell of each column dtype kind.

@@ -38,12 +38,13 @@ from .series import (
     FourierSeries,
     PolyPoint,
     Record,
+    _grid_indices,
     _product,
+    _roots,
     _summed,
     _terms,
     eval_batch,
     eval_grid,
-    grid_array,
 )
 
 #: Scale-aware near-zero threshold for the correction denominator.
@@ -61,6 +62,23 @@ def _unit_draws(seed: int, count: int) -> np.ndarray:
     draws = np.fromiter(iter(random.Random(seed).random, None), dtype=float, count=count)
     draws.flags.writeable = False
     return draws
+
+
+@functools.lru_cache(maxsize=1)
+def _annulus_points(seed: int, n_samples: int, n: int, t: float) -> np.ndarray:
+    """The (n_samples, n) sample points of :func:`bound_audit` on 1/t <= |z_p| <= t, read-only.
+
+    Moduli in [1/t, t], then phases, each as random.Random.uniform forms
+    it, low + (high - low) * u: the seeded reports depend on this draw
+    order.  The one cached result serves every m of an interp job with a
+    fixed t; with ``--tm`` each m has its own t and builds its own points.
+    """
+    u = _unit_draws(seed, 2 * n_samples * n).reshape(2, n_samples, n)
+    moduli = 1.0 / t + (t - 1.0 / t) * u[0]
+    phases = 2.0 * math.pi * u[1]
+    points = moduli * np.exp(1j * phases)
+    points.flags.writeable = False
+    return points
 
 
 def _targets(exponents: np.ndarray, m: int, engine: str):
@@ -152,6 +170,18 @@ class AugmentedInterpolant(Record):
 def _grid_factor(z: np.ndarray, m: int) -> np.ndarray:
     """z_1^m + ... + z_n^m - n per row of an (N, n) array: zero on the m-grid."""
     return (z**m).sum(axis=1) - z.shape[1]
+
+
+def _node_factor(n: int, m: int) -> np.ndarray:
+    """:func:`_grid_factor` at the ``grid_array(n, m)`` nodes, one complex power per root.
+
+    Every node component is a root ``_roots(m)[l]``, 1 <= l <= m, so its
+    m-th power is gathered from the table of the m roots' m-th powers.  A
+    power is elementwise, so each gathered power, and so each row sum, has
+    the bits of the power taken at the node.
+    """
+    nodes = _grid_indices(n, m)
+    return (_roots(m)[1:] ** m)[nodes].sum(axis=1) - n
 
 
 def _augment(series: FourierSeries, m: int, z0: PolyPoint, engine: str):
@@ -247,11 +277,12 @@ def interpolation_audit(
     with factor(z) = z_1^m + ... + z_n^m - n.  :func:`eval_grid` reads
     exponents mod m in integer arithmetic, so the identity holds for its
     values too.  The grid error is computed from it: the factor is taken
-    at the :func:`grid_array` nodes (its rounding there is part of the
-    error), and :func:`eval_grid` runs on the uncovered modes only.
+    at the ``grid_array`` nodes (its rounding there is part of the
+    error; :func:`_node_factor`), and :func:`eval_grid` runs on the
+    uncovered modes only.
     """
     aug, z0_err, covered = _augment(series, m, z0, engine)
-    error = _product(_grid_factor(grid_array(series.dim, m), m), aug.correction)
+    error = _product(_node_factor(series.dim, m), aug.correction)
     missed = series._exponents[~covered]
     if len(missed):
         error -= eval_grid(FourierSeries.from_arrays(series.dim, missed, series._values[~covered]), m)
@@ -310,7 +341,8 @@ def bound_audit(
     ``random.Random.uniform`` maps them, so reports are byte-reproducible:
     CPython keeps this stream the same across versions.  It is drawn once
     for every call with the same seed and sample count (for instance every
-    m of an interp job).
+    m of an interp job), and the points once for every call that also has
+    the same t (:func:`_annulus_points`).
     """
     if not (math.isfinite(t) and t > 1.0):
         raise ValueError(f"t must be finite and > 1, got {t!r}")
@@ -319,12 +351,7 @@ def bound_audit(
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     n, m = interpolant.base.dim, interpolant.m
-    # Moduli in [1/t, t], then phases, each as random.Random.uniform forms
-    # it, low + (high - low) * u: the seeded reports depend on this draw order.
-    u = _unit_draws(seed, 2 * n_samples * n).reshape(2, n_samples, n)
-    moduli = 1.0 / t + (t - 1.0 / t) * u[0]
-    phases = 2.0 * math.pi * u[1]
-    points = moduli * np.exp(1j * phases)
+    points = _annulus_points(seed, n_samples, n, t)
 
     # For large t^m a sampled value leaves the float range.  It is kept as
     # inf or nan, without a warning, and the sup reads null in JSON.

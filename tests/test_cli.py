@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qtorus
@@ -25,7 +25,14 @@ import qtorus.interpolate as interpolate_module
 import qtorus.series as series_module
 from qtorus import write_coefficients
 from qtorus.families import gen_series, parse_family_spec
-from qtorus.cli import _finite_or_null, _parse_m_range, _write_csv, main, write_svg_line_chart
+from qtorus.cli import (
+    _finite_or_null,
+    _json_chunks,
+    _parse_m_range,
+    _write_csv,
+    main,
+    write_svg_line_chart,
+)
 from qtorus.series import _atomic_write
 from helpers import (
     joined_write_csv,
@@ -430,6 +437,27 @@ class TestInterp:
             assert entry["grid_ok"] is True
             assert entry["max_grid_error"] < entry["tolerance"]
         assert len(read_data_rows(out / "interp_sup.csv")) == 8
+
+    def test_annulus_points_built_once_per_t(self, tmp_path, monkeypatch):
+        # A fixed --t job samples every m at the same points, built once;
+        # --tm samples each m on its own D(t_m).
+        built = []
+        annulus_points = interpolate_module._annulus_points
+
+        def spy(seed, n_samples, n, t):
+            built.append((t, annulus_points(seed, n_samples, n, t)))
+            return built[-1][1]
+
+        monkeypatch.setattr(interpolate_module, "_annulus_points", spy)
+        argv = ["interp", "--family", "analytic:a=1:K=3", "--n", "2", "--m", "2..4", "--samples", "16"]
+        assert main([*argv, "--t", "1.5", "--out", str(tmp_path / "fixed")]) == 0
+        assert [t for t, _ in built] == [1.5] * 3
+        assert all(points is built[0][1] for _, points in built)
+        built.clear()
+        assert main([*argv, "--tm", "--out", str(tmp_path / "tm")]) == 0
+        report = json.loads((tmp_path / "tm" / "interp_report.json").read_text())
+        assert [t for t, _ in built] == [row["t"] for row in report["per_m"]]
+        assert built[0][0] != built[1][0] and built[0][1] is not built[1][1]
 
     def test_tolerance_is_the_mode_at_a_time_abs_sum(self, tmp_path):
         coeffs = tmp_path / "f.jsonl"
@@ -1067,6 +1095,52 @@ class TestFiniteOrNull:
         assert all(row["uncovered_modes"] for row in json.loads(fast)["per_m"])
 
 
+#: JSON-like values: every leaf json.dumps takes, NaN and inf among the
+#: floats, inside lists, tuples and dicts with str keys.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestJsonChunks:
+    @settings(max_examples=300, deadline=None)
+    @given(json_values, st.integers(0, 4))
+    @example({}, 2)
+    @example([], 2)
+    @example({"b": [], "a": {}, "c": [[], {}]}, 2)
+    @example({"z": [1.5, True, None, "\u00e9\n"], "a": {"y": [math.nan], "x": -math.inf}}, 2)
+    @example((1, (2.0, [False])), 3)
+    def test_text_equals_json_dumps(self, value, depth):
+        value = _finite_or_null(value)
+        want = json.dumps(value, sort_keys=True, allow_nan=False)
+        assert "".join(_json_chunks(value, depth)) == want
+
+    def test_interp_report_encoded_one_per_m_report_at_a_time(self, tmp_path, monkeypatch):
+        # The C encoder's token list is the memory: no json.dumps call may
+        # take more than one per-m report of a multi-m job.
+        argv = ["interp", "--family", "analytic:a=1:K=6", "--n", "2", "--m", "3..6",
+                "--engine", "diagonal", "--samples", "8", "--out", str(tmp_path / "out")]
+        dumped = []
+        dumps = json.dumps
+
+        def spy(*args, **kwargs):
+            dumped.append(dumps(*args, **kwargs))
+            return dumped[-1]
+
+        monkeypatch.setattr(json, "dumps", spy)
+        assert main(argv) == 0
+        monkeypatch.undo()
+        text = (tmp_path / "out" / "interp_report.json").read_text(encoding="utf-8")
+        report = json.loads(text)
+        assert text == json.dumps(report, sort_keys=True, allow_nan=False) + "\n"
+        largest = max(len(json.dumps(row, sort_keys=True)) for row in report["per_m"])
+        assert max(map(len, dumped)) == largest
+
+
 def run_fresh(*args: str) -> subprocess.CompletedProcess:
     """``python *args`` in a new interpreter on this checkout, writing no bytecode."""
     src = str(Path(qtorus.__file__).resolve().parents[1])
@@ -1120,6 +1194,16 @@ class TestFreshProcess:
         proc = run_fresh("-c", code)
         assert proc.returncode == 0, proc.stderr
         return int(proc.stdout)
+
+    def test_diagonal_audit_memory_bounded_by_one_block_and_one_json_item(self, tmp_path):
+        # 3596 of the 3721 modes are uncovered at m = 30, so eval_grid
+        # contracts them on the grid, and the report lists them.  Measured
+        # peaks: 1.46 MB with 2^13-element blocks and the report encoded one
+        # item at a time; 2.83 MB with 2^15-element blocks and the report
+        # encoded in one json.dumps call.
+        argv = ["interp", "--family", "analytic:a=1:K=30", "--n", "2", "--m", "30..30",
+                "--engine", "diagonal", "--out", str(tmp_path / "out")]
+        assert self.traced_peak(argv) < 2.0e6
 
     @pytest.mark.parametrize(
         "argv",

@@ -23,7 +23,8 @@ from qtorus import (
     interpolation_audit,
     parse_family_spec,
 )
-from qtorus.interpolate import _grid_factor, _unit_draws
+from qtorus.interpolate import _annulus_points, _grid_factor, _node_factor, _unit_draws
+from qtorus.series import GridCapError
 from helpers import (
     loop_alias_fold,
     loop_diagonal_fold,
@@ -271,6 +272,20 @@ class TestAugmentedInterpolant:
         for n, m in [(1, 9), (2, 6), (3, 4)]:
             assert np.max(np.abs(_grid_factor(grid_array(n, m), m))) < 1e-12
 
+    @pytest.mark.parametrize(
+        "n, ms", [(1, (1, 2, 3, 7, 64, 100, 101, 1000)), (2, (1, 2, 5, 40, 128)), (3, (1, 2, 3, 9, 20))]
+    )
+    def test_node_factor_bits_equal_the_factor_at_the_nodes(self, n, ms):
+        # m = 1 and 2 take numpy's copy and square shortcuts, m >= 100 its
+        # general complex power; each is elementwise.
+        for m in ms:
+            assert _node_factor(n, m).tobytes() == _grid_factor(grid_array(n, m), m).tobytes(), m
+
+    def test_node_factor_refuses_a_grid_past_the_cap(self, monkeypatch):
+        monkeypatch.setenv("QTORUS_GRID_CAP", "100")
+        with pytest.raises(GridCapError):
+            _node_factor(2, 11)
+
     def test_interpolates_at_z0_even_with_coverage_gap(self):
         s = FourierSeries(2, {(1, 0): 9.0})
         z0 = random_torus_point(np.random.default_rng(5), 2)
@@ -498,3 +513,11 @@ class TestUnitDraws:
         with pytest.raises(ValueError):
             draws[0] = 0.5
         assert _unit_draws(11, 40) is draws
+
+    def test_annulus_points_read_only_and_cached_per_t(self):
+        points = _annulus_points(11, 20, 2, 1.25)
+        assert points.shape == (20, 2) and not points.flags.writeable
+        moduli = np.abs(points)
+        assert np.all((moduli >= 1 / 1.25 - 1e-15) & (moduli <= 1.25 + 1e-15))
+        assert _annulus_points(11, 20, 2, 1.25) is points
+        assert _annulus_points(11, 20, 2, 1.5) is not points
