@@ -26,11 +26,13 @@ transform of Lucet, Numer. Algorithms 16, 1997).  Vertex v minimizes for
 x between the slopes of the hull edges at v, so one ``searchsorted`` over
 the edge slopes finds it.  The hull costs O(J) and a grid of R values of
 ln r O(R log J) more, where a full scan costs O(R J).  The same holds for
-tau~ and the fold weights, whose terms differ by 3 x and start at j = 3.
+tau~, whose hull starts at j = 3.  The fold weights need no pass of their
+own: -ln(r^3 tau(r)) = max(-ln tau~(r), max_{j<3} ((j - 3) x - ln M_j)),
+since the two sets of terms differ only in j = 0, 1, 2.
 
 The results must equal the full scan bit for bit.  The float term
-fl(ln M_j - fl((j - c) x)), with c = 0 for tau and c = 3 for tau~ and the
-fold weights, is within u (|ln M_j| + 2 |(j - c) x|) of its exact value,
+fl(ln M_j - fl((j - s) x)), with s = 0 for tau and s = 3 for tau~, is
+within u (|ln M_j| + 2 |(j - s) x|) of its exact value,
 u = 2^-53, so near a tie rounding can let a neighbour of the hull
 minimizer win.  So the kernel also evaluates every point whose exact
 term can come within delta of the minimum, for delta = 2^-40 times the
@@ -104,7 +106,7 @@ def _require_nondegenerate(profile: DerivativeNormProfile) -> None:
         raise DegenerateProfileError("degenerate profile: some ln M_j = -inf")
 
 
-def _lower_hull(a: list) -> tuple[list, list]:
+def _lower_hull(a: list) -> tuple[np.ndarray, np.ndarray]:
     """Vertices and edge slopes of the lower convex hull of the points (i, a[i]).
 
     Monotone chain in O(len(a)): a vertex stays only where the computed slope
@@ -123,24 +125,11 @@ def _lower_hull(a: list) -> tuple[list, list]:
             slopes.pop()
         hull.append(q)
         slopes.append(s)
-    return hull, slopes
+    return np.asarray(hull, dtype=np.int64), np.asarray(slopes, dtype=float)
 
 
-def _profile_hull(profile: DerivativeNormProfile, start: int):
-    """(vertices, edge slopes) of the lower hull of the points (j - start, ln M_j), j >= start.
-
-    Built once per profile and ``start`` and kept on the profile.
-    """
-    hull = profile._hulls.get(start)
-    if hull is None:
-        vertices, slopes = _lower_hull(list(profile.ln_m[start:]))
-        hull = (np.asarray(vertices, dtype=np.int64), np.asarray(slopes, dtype=float))
-        profile._hulls[start] = hull
-    return hull
-
-
-def _hull_argmin(a: np.ndarray, hull: np.ndarray, slopes: np.ndarray, x: np.ndarray, off: int):
-    """First argmin over i of the float term a[i] - (i - off) * x, for each x.
+def _hull_argmin(a: np.ndarray, hull: np.ndarray, slopes: np.ndarray, x: np.ndarray):
+    """First argmin over i of the float term a[i] - i * x, for each x.
 
     ``a`` is finite, with lower hull ``hull`` and edge slopes ``slopes``
     from :func:`_lower_hull`.  Candidates are the points within ``delta``
@@ -150,7 +139,7 @@ def _hull_argmin(a: np.ndarray, hull: np.ndarray, slopes: np.ndarray, x: np.ndar
     """
     if a.size == 1 or x.size == 0:
         return np.zeros(x.shape, dtype=np.int64)
-    scale = float(np.max(np.abs(a))) + (a.size + abs(off)) * float(np.max(np.abs(x))) + 1.0
+    scale = float(np.max(np.abs(a))) + a.size * float(np.max(np.abs(x))) + 1.0
     delta = _SLACK * scale
 
     i = np.arange(a.size)
@@ -170,38 +159,35 @@ def _hull_argmin(a: np.ndarray, hull: np.ndarray, slopes: np.ndarray, x: np.ndar
         count = np.searchsorted(cand, hull[hi], side="right") - first
         seg = np.cumsum(count) - count
         flat = cand[np.arange(int(count.sum())) - np.repeat(seg - first, count)]
-        terms = a[flat] - (flat - off) * np.repeat(xb, count)
+        terms = a[flat] - flat * np.repeat(xb, count)
         tied = terms == np.repeat(np.minimum.reduceat(terms, seg), count)
         out[start : start + xb.size] = np.minimum.reduceat(np.where(tied, flat, a.size), seg)
     return out
 
 
-def _legendre_argmin(profile: DerivativeNormProfile, ln_r: np.ndarray, start: int = 0, offset: int = 0):
-    """First argmin j of the float term ``ln_m[j] - (j - offset) * ln_r``, start <= j <= j_max.
+def _legendre(profile: DerivativeNormProfile, ln_r, start: int = 0):
+    """(values, argmin) of min_{start<=j<=j_max} (ln M_j - (j - start) ln r).
 
-    One entry per value of ``ln_r``: the smallest index among equal float
-    terms, bit for bit what a full scan over j gives.  An ln M_j = -inf with
-    j >= start makes every term at that j -inf, so its first index is the
-    argmin for every r.
+    One entry per value of ``ln_r``: the argmin is the smallest j among
+    equal float terms and the value is the term there, bit for bit what a
+    full scan over j gives.  An ln M_j = -inf with j >= start makes every
+    term at that j -inf, so its first index is the argmin for every r.  The
+    lower hull of the points (j - start, ln M_j) is built once per profile
+    and ``start`` and kept on the profile.
     """
+    ln_r = np.asarray(ln_r, dtype=float)
     tail = profile.ln_m_array()[start:]
     vanishing = np.flatnonzero(tail == NEG_INF)
     if vanishing.size:
         arg = np.full(ln_r.shape, vanishing[0], dtype=np.int64)
     else:
-        arg = _hull_argmin(tail, *_profile_hull(profile, start), ln_r, offset - start)
+        if start not in profile._hulls:
+            profile._hulls[start] = _lower_hull(list(profile.ln_m[start:]))
+        arg = _hull_argmin(tail, *profile._hulls[start], ln_r)
+    values = tail[arg]
+    values -= arg * ln_r
     arg += start
-    return arg
-
-
-def _legendre(profile: DerivativeNormProfile, ln_r, start: int = 0, offset: int = 0):
-    """(values, argmin) of min_{start<=j<=j_max} (ln M_j - (j - offset) ln r).
-
-    The value is the float term at the argmin of :func:`_legendre_argmin`.
-    """
-    ln_r = np.asarray(ln_r, dtype=float)
-    arg = _legendre_argmin(profile, ln_r, start, offset)
-    return profile.ln_m_array()[arg] - (arg - offset) * ln_r, arg
+    return values, arg
 
 
 def log_tau(profile: DerivativeNormProfile, r: float) -> float:
@@ -210,8 +196,8 @@ def log_tau(profile: DerivativeNormProfile, r: float) -> float:
     An upper bound for the true inf over all j >= 0: truncation can only
     miss smaller terms.
     """
-    if r < 1.0:
-        raise ValueError("r must be >= 1")
+    if not 1.0 <= r < math.inf:
+        raise ValueError(f"r must be finite and >= 1, got {r!r}")
     return float(_legendre(profile, [math.log(r)])[0][0])
 
 
@@ -219,43 +205,47 @@ def log_tau_shifted(profile: DerivativeNormProfile, r: float) -> float:
     """ln tau~(r) = min_{0<=s<=j_max-3} (ln M_{s+3} - s ln r)."""
     if profile.j_max < 3:
         raise ValueError("shifted associated function needs j_max >= 3")
-    if r < 1.0:
-        raise ValueError("r must be >= 1")
-    return float(_legendre(profile, [math.log(r)], 3, 3)[0][0])
+    if not 1.0 <= r < math.inf:
+        raise ValueError(f"r must be finite and >= 1, got {r!r}")
+    return float(_legendre(profile, [math.log(r)], 3)[0][0])
 
 
 def _fold_weights(profile: DerivativeNormProfile, r_max: int):
     """Shared-term growth weights on the integer grid r = 1..r_max.
 
-    Returns (w_full, w_shifted, sat_full, sat_shifted) where
+    Returns (w_full, w_shifted, sat_full) where
 
         w_full(r)    = max_{0<=j<=J} ((j-3) ln r - ln M_j) = -ln(r^3 tau(r))
         w_shifted(r) = max_{3<=j<=J} ((j-3) ln r - ln M_j) = -ln(tau~(r))
 
-    Each weight is the float term at the first argmax.  The full maximum
-    runs over a superset of the shifted one's float terms, so
-    w_full >= w_shifted; it is enforced all the same, because dividing by
-    n*r and taking prefix minima preserves it, which keeps the chain
-    ln t_m >= ln theta(m) exact.  On a tie w_full takes the shifted term:
-    the two can differ only in the sign of a zero at r = 1, which only the
-    negative weights j - 3 < 0 make negative.  sat_* flags an argmax
-    landing on j_max.
+    each the float term at the first argmax (w_shifted = -inf if J < 3).
+    w_shifted is the tau~ kernel's values v as 0 - v, exactly the term
+    (j-3) ln r - ln M_j, as (j-3) ln r is never -0 for j >= 3.  w_full is
+    the larger of it and the head, the first max of the terms j < 3; on a
+    tie it takes the shifted term (they can differ only in the sign of a
+    zero at r = 1).  So sat_full, an argmax of w_full at j_max, is a strict
+    shifted win with argmax j_max, or, if J < 3, a head argmax at j_max.
+    w_full >= w_shifted exactly, which prefix minima keep: ln t_m >= ln theta(m).
     """
     j_max = profile.j_max
     ln_m = profile.ln_m_array()
     ln_r = np.log(np.arange(1, r_max + 1, dtype=float))
-    arg_full = _legendre_argmin(profile, ln_r, 0, 3)
-    w_full = (arg_full - 3) * ln_r - ln_m[arg_full]
-    if j_max >= 3:
-        arg_shift = _legendre_argmin(profile, ln_r, 3, 3)
-        w_shift = (arg_shift - 3) * ln_r - ln_m[arg_shift]
-        np.copyto(w_full, w_shift, where=w_shift >= w_full)
-    else:
-        # No shifted sequence to minimize over; callers needing it
-        # (theta, witness) reject j_max < 3 before getting here.
-        w_shift = np.full(r_max, -np.inf)
-        arg_shift = np.zeros(r_max, dtype=np.int64)
-    return w_full, w_shift, arg_full == j_max, arg_shift == j_max
+    w_full = np.full(r_max, -np.inf)
+    sat_full = np.empty(r_max, dtype=bool)
+    for j in range(min(j_max, 2) + 1):  # no head term is -inf
+        term = np.multiply(j - 3, ln_r)
+        term -= ln_m[j]
+        np.greater(term, w_full, out=sat_full)
+        np.copyto(w_full, term, where=sat_full)
+    del term
+    if j_max < 3:  # theta and witness reject this before getting here
+        return w_full, np.full(r_max, -np.inf), sat_full
+    w_shift, arg = _legendre(profile, ln_r, 3)
+    np.subtract(0.0, w_shift, out=w_shift)
+    np.greater(w_shift, w_full, out=sat_full)
+    sat_full &= arg == j_max
+    np.copyto(w_full, w_shift, where=w_shift >= w_full)
+    return w_full, w_shift, sat_full
 
 
 def t_m_sequence(profile: DerivativeNormProfile, m_max: int, n: int) -> np.ndarray:
@@ -263,7 +253,7 @@ def t_m_sequence(profile: DerivativeNormProfile, m_max: int, n: int) -> np.ndarr
     if m_max < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
     _require_nondegenerate(profile)
-    w_full, _, _, _ = _fold_weights(profile, m_max)
+    w_full = _fold_weights(profile, m_max)[0]
     r = np.arange(1, m_max + 1, dtype=float)
     return np.minimum.accumulate(w_full / (n * r))
 
@@ -280,7 +270,7 @@ def theta(profile: DerivativeNormProfile, m: int, n: int) -> float:
     if profile.j_max < 3:
         raise ValueError("theta needs j_max >= 3")
     _require_nondegenerate(profile)
-    _, w_shift, _, _ = _fold_weights(profile, m)
+    w_shift = _fold_weights(profile, m)[1]
     r = np.arange(1, m + 1, dtype=float)
     return float(np.min(w_shift / (n * r)))
 
@@ -313,12 +303,13 @@ def _ln(grid: np.ndarray) -> np.ndarray:
 def build_table(profile: DerivativeNormProfile, r_grid) -> AssociatedTable:
     """Tabulate ln tau(r) and ln tau~(r) and estimate the identity threshold."""
     grid = np.array(r_grid, dtype=float)
-    if grid.ndim != 1 or not grid.size or grid[0] < 1 or np.any(np.diff(grid) <= 0):
-        raise ValueError("r grid must be a nonempty, strictly increasing 1-D grid of r >= 1")
+    ends = grid.ndim == 1 and grid.size and 1 <= grid[0] <= grid[-1] < math.inf
+    if not ends or not np.all(np.diff(grid) > 0):  # a NaN fails both comparisons
+        raise ValueError("r_grid must be a nonempty, strictly increasing 1-D grid of finite r >= 1")
     if profile.j_max < 3:
         raise ValueError("shifted associated function needs j_max >= 3")
     ln_r = _ln(grid)
-    columns = _read_only(grid, _legendre(profile, ln_r)[0], _legendre(profile, ln_r, 3, 3)[0])
+    columns = _read_only(grid, _legendre(profile, ln_r)[0], _legendre(profile, ln_r, 3)[0])
     return AssociatedTable(*columns, j_max=profile.j_max, r0_estimate=_r0(ln_r, *columns))
 
 
@@ -471,7 +462,7 @@ def witness(
     work = shift_profile(profile, shift) if shift != 0.0 else profile
 
     r_max = int(m_vals[-1])
-    w_full, w_shift, sat_full, _ = _fold_weights(work, r_max)
+    w_full, w_shift, sat_full = _fold_weights(work, r_max)
     nr = n * np.arange(1, r_max + 1, dtype=float)
     idx = m_vals - 1
     # Each r-length array goes once its m entries or fit points are taken.
@@ -574,8 +565,8 @@ def carleman_diagnostic(
     partial integrals grow like ln R); profiles with stretched-exponential
     coefficient decay show sqrt-type growth (the integrals Cauchy-converge).
     """
-    if r_max < 2:
-        raise ValueError("r_max must be >= 2")
+    if not r_max >= 2:  # NaN fails this too
+        raise ValueError(f"r_max must be >= 2, got {r_max!r}")
     if r_max > sys.float_info.max:
         raise ValueError(f"r_max must be at most {sys.float_info.max!r}, the largest float")
     _require_nondegenerate(profile)

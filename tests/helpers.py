@@ -305,13 +305,15 @@ def dense_log_tau(profile, ln_r, start=0):
 
 
 def dense_fold_weights(profile, r_max):
-    """(w_full, w_shifted, sat_full, sat_shifted) on r = 1..r_max by a full scan.
+    """(w_full, w_shifted, sat_full) on r = 1..r_max by a full scan.
 
     w_full(r) = max_{0<=j<=J} ((j-3) ln r - ln M_j) and w_shifted takes the
     max over j >= 3 of the same float terms; each value is the term at the
-    first argmax, and sat_* flags an argmax at j_max.  Where both maxima are
-    equal w_full takes the shifted term: the two differ at most in the sign
-    of a zero, which only the negative weights j - 3 < 0 can make negative.
+    first argmax, and sat_full flags a full argmax at j_max.  Where both
+    maxima are equal w_full takes the shifted term: the two differ at most
+    in the sign of a zero, which only the negative weights j - 3 < 0 can
+    make negative.  With j_max < 3 there is no shifted term and w_shifted
+    is -inf.
     """
     j_max = profile.j_max
     ln_m = profile.ln_m_array()
@@ -321,13 +323,11 @@ def dense_fold_weights(profile, r_max):
     arg_full = terms.argmax(axis=1)
     w_full = terms[rows, arg_full]
     if j_max >= 3:
-        arg_shift = terms[:, 3:].argmax(axis=1) + 3
-        w_shift = terms[rows, arg_shift]
+        w_shift = terms[rows, terms[:, 3:].argmax(axis=1) + 3]
         w_full = np.where(w_shift >= w_full, w_shift, w_full)
     else:
-        arg_shift = np.zeros(r_max, dtype=np.int64)
         w_shift = np.full(r_max, -np.inf)
-    return w_full, w_shift, arg_full == j_max, arg_shift == j_max
+    return w_full, w_shift, arg_full == j_max
 
 
 def loop_write_csv(path, header_lines, names, rows) -> None:

@@ -37,6 +37,16 @@ from qtorus.logspace import NEG_INF
 from helpers import dense_fold_weights, dense_log_tau, supporting_line_profile
 
 
+@pytest.fixture
+def no_kernel(monkeypatch):
+    """Make any call into the tau kernel fail: input checks must come first."""
+
+    def fail(*args):
+        raise AssertionError("the tau kernel ran")
+
+    monkeypatch.setattr(associated_module, "_legendre", fail)
+
+
 def constant_profile(j_max, value=0.0, dim=1):
     return DerivativeNormProfile(dim=dim, ln_m=(value,) * (j_max + 1), j_max=j_max)
 
@@ -66,6 +76,11 @@ class TestLogTau:
     def test_r_below_one_rejected(self):
         with pytest.raises(ValueError):
             log_tau(constant_profile(4), 0.5)
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_non_finite_r_rejected_before_the_kernel(self, no_kernel, r):
+        with pytest.raises(ValueError, match=f"^r must be finite and >= 1, got {r}$"):
+            log_tau(constant_profile(30), r)
 
     def test_neg_inf_propagates(self):
         prof = DerivativeNormProfile(dim=1, ln_m=(0.0, NEG_INF, 0.0), j_max=2)
@@ -103,6 +118,11 @@ class TestLogTauShifted:
     def test_requires_depth(self):
         with pytest.raises(ValueError):
             log_tau_shifted(constant_profile(2), 2.0)
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_non_finite_r_rejected_before_the_kernel(self, no_kernel, r):
+        with pytest.raises(ValueError, match=f"^r must be finite and >= 1, got {r}$"):
+            log_tau_shifted(constant_profile(30), r)
 
 
 class TestTm:
@@ -219,6 +239,11 @@ class TestAssociatedTable:
             build_table(factorial_profile(10), [2.0, 2.0])
         with pytest.raises(ValueError):
             build_table(factorial_profile(10), [0.5, 2.0])
+
+    @pytest.mark.parametrize("grid", [[1.0, math.nan], [math.nan, 2.0], [1.0, math.inf]])
+    def test_non_finite_grid_rejected_before_the_kernel(self, no_kernel, grid):
+        with pytest.raises(ValueError, match="^r_grid must be .* grid of finite r >= 1$"):
+            build_table(factorial_profile(30), grid)
 
 
 class TestColumns:
@@ -416,6 +441,10 @@ class TestCarleman:
         with pytest.raises(ValueError, match="largest float"):
             carleman_diagnostic(factorial_profile(10), int(sys.float_info.max) + 1)
 
+    def test_nan_r_max_rejected_before_the_kernel(self, no_kernel):
+        with pytest.raises(ValueError, match="^r_max must be >= 2, got nan$"):
+            carleman_diagnostic(factorial_profile(10), math.nan)
+
     def test_r_max_at_the_largest_float(self):
         # 10^log10(r_max) rounds past the float range here; the grid ends at
         # the largest float and the integrand there is 0.
@@ -474,11 +503,11 @@ class TestLegendreKernel:
         ln_r = np.log(np.arange(1.0, r_max + 1))
         starts = (0, 3) if prof.j_max >= 3 else (0,)
         with mock.patch.object(associated_module, "_X_BLOCK", r_max + 1):
-            want = [_legendre(prof, ln_r, s, s) for s in starts]
+            want = [_legendre(prof, ln_r, s) for s in starts]
         for block in (1, 7, associated_module._X_BLOCK):
             with mock.patch.object(associated_module, "_X_BLOCK", block):
                 for s, (values, arg) in zip(starts, want):
-                    got_values, got_arg = _legendre(prof, ln_r, s, s)
+                    got_values, got_arg = _legendre(prof, ln_r, s)
                     assert got_values.tobytes() == values.tobytes()
                     assert np.array_equal(got_arg, arg)
 
@@ -499,6 +528,17 @@ class TestLegendreKernel:
         assert built == [61, 58]
         log_tau(factorial_profile(60), 2.0)
         assert built == [61, 58, 61]
+        # The fold weights are the tau~ kernel's plus the three head terms
+        # j < 3, so t_m, theta and the witness build only the hull from j = 3.
+        for fold in (lambda p: t_m(p, 40, 1), lambda p: theta(p, 40, 1),
+                     lambda p: witness(p, 1, range(2, 41))):
+            built.clear()
+            fold(factorial_profile(60))
+            assert built == [58]
+        built.clear()
+        for j_max in (0, 1, 2):
+            t_m_sequence(factorial_profile(j_max), 40, 1)
+        assert built == []
 
     @settings(max_examples=150, deadline=None)
     @given(kernel_cases())
@@ -513,7 +553,7 @@ class TestLegendreKernel:
         np_ln_r = np.log(np.arange(1.0, r_max + 1))
         for start in (0, 3) if j_max >= 3 else (0,):
             for ln_r in (math_ln_r, np_ln_r):
-                got, got_arg = _legendre(prof, ln_r, start, start)
+                got, got_arg = _legendre(prof, ln_r, start)
                 want, want_arg = dense_log_tau(prof, ln_r, start)
                 assert np.array_equal(bits(got), bits(want))
                 assert np.array_equal(got_arg, want_arg)
@@ -534,7 +574,7 @@ class TestLegendreKernel:
             with pytest.raises(ValueError):
                 build_table(prof, grid)
 
-        for got, want in zip(_fold_weights(prof, r_max), dense_fold_weights(prof, r_max)):
+        for got, want in zip(_fold_weights(prof, r_max), dense_fold_weights(prof, r_max), strict=True):
             assert np.array_equal(bits(got), bits(want))
 
         if prof.is_degenerate():

@@ -1215,9 +1215,10 @@ class TestFreshProcess:
     )
     def test_memory_grows_slower_than_the_m_grid(self, tmp_path, argv):
         # The witness keeps ndarray columns and the CSV and SVG text is made
-        # one block at a time.  Measured peaks: ~0.9 MB at 2..5000 and ~1.7 MB
-        # at 2..20000; tuples of boxed values and joined text reached 6.9 MB
-        # (verdict) and 8.3 MB (tau) at 2..20000.
+        # one block at a time.  Measured peaks: 0.84 MB (verdict) and 0.82 MB
+        # (tau) at 2..5000, 1.61 and 1.59 MB at 2..20000; tuples of boxed
+        # values and joined text reached 6.9 MB (verdict) and 8.3 MB (tau)
+        # at 2..20000.
         small, large = (
             self.traced_peak([*argv, "--m", m, "--out", str(tmp_path / m)])
             for m in ("2..5000", "2..20000")
