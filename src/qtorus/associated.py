@@ -51,6 +51,7 @@ say) it holds the two or more tied points.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 
 import numpy as np
@@ -104,6 +105,17 @@ DEFAULT_TREND = TrendConfig()
 def _require_nondegenerate(profile: DerivativeNormProfile) -> None:
     if profile.is_degenerate():
         raise DegenerateProfileError("degenerate profile: some ln M_j = -inf")
+
+
+def _count(name: str, value) -> int:
+    """``value`` as an int >= 1, else a ValueError naming ``name``; a float, NaN too, is refused."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return count
 
 
 def _lower_hull(a: list) -> tuple[np.ndarray, np.ndarray]:
@@ -250,8 +262,7 @@ def _fold_weights(profile: DerivativeNormProfile, r_max: int):
 
 def t_m_sequence(profile: DerivativeNormProfile, m_max: int, n: int) -> np.ndarray:
     """ln t_m for m = 1..m_max, from one pass over r = 1..m_max."""
-    if m_max < 1 or n < 1:
-        raise ValueError("m and n must be >= 1")
+    m_max, n = _count("m_max", m_max), _count("n", n)
     _require_nondegenerate(profile)
     w_full = _fold_weights(profile, m_max)[0]
     r = np.arange(1, m_max + 1, dtype=float)
@@ -260,13 +271,12 @@ def t_m_sequence(profile: DerivativeNormProfile, m_max: int, n: int) -> np.ndarr
 
 def t_m(profile: DerivativeNormProfile, m: int, n: int) -> float:
     """ln t_m = min over integer r in [1, m] of -ln(r^3 tau(r)) / (n r)."""
-    return float(t_m_sequence(profile, m, n)[-1])
+    return float(t_m_sequence(profile, _count("m", m), n)[-1])
 
 
 def theta(profile: DerivativeNormProfile, m: int, n: int) -> float:
     """ln theta(m) = min over integer r in [1, m] of -ln(tau~(r)) / (n r)."""
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be >= 1")
+    m, n = _count("m", m), _count("n", n)
     if profile.j_max < 3:
         raise ValueError("theta needs j_max >= 3")
     _require_nondegenerate(profile)
@@ -452,6 +462,7 @@ def witness(
     del m_grid, given
     if m_vals[0] < 1 or np.any(np.diff(m_vals) <= 0):
         raise ValueError("m grid must be strictly increasing with m >= 1")
+    n = _count("n", n)
     if profile.j_max < 3:
         raise ValueError("witness needs j_max >= 3")
     _require_nondegenerate(profile)
@@ -569,6 +580,7 @@ def carleman_diagnostic(
         raise ValueError(f"r_max must be >= 2, got {r_max!r}")
     if r_max > sys.float_info.max:
         raise ValueError(f"r_max must be at most {sys.float_info.max!r}, the largest float")
+    points_per_decade = _count("points_per_decade", points_per_decade)
     _require_nondegenerate(profile)
     n_points = max(2, int(math.ceil(points_per_decade * math.log10(r_max))) + 1)
     with np.errstate(over="ignore"):

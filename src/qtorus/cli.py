@@ -22,8 +22,10 @@ import cmath
 import itertools
 import json
 import math
+import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -528,5 +530,38 @@ def main(argv=None) -> int:
     return 0
 
 
+def _observed() -> bool:
+    """Whether a profiler, tracer or sys.monitoring tool is attached.
+
+    From Python 3.12 on cProfile registers as a sys.monitoring tool, and
+    ``sys.getprofile()`` stays None under it.
+    """
+    if sys.getprofile() is not None or sys.gettrace() is not None:
+        return True
+    monitoring = getattr(sys, "monitoring", None)
+    return monitoring is not None and any(monitoring.get_tool(i) is not None for i in range(6))
+
+
+def run() -> NoReturn:
+    """The process entry point: ``main()``, then exit without interpreter teardown.
+
+    Every artifact is written, closed and renamed into place before ``main``
+    returns, so once the standard streams are flushed nothing is left to do
+    but tear down numpy and qtorus: clear every module and run the cyclic
+    garbage collector over what the imports left.  ``os._exit`` skips that,
+    along with any ``atexit`` handler (qtorus registers none).  A
+    ``SystemExit`` from the parser, an uncaught exception, or a profiler or
+    tracer that reports at exit (``python -m cProfile``, ``python -m
+    trace``) take the normal exit.  Call ``main`` to run a job in-process.
+    """
+    code = main()
+    if _observed():
+        sys.exit(code)
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from unittest import mock
 
@@ -45,6 +46,15 @@ def no_kernel(monkeypatch):
         raise AssertionError("the tau kernel ran")
 
     monkeypatch.setattr(associated_module, "_legendre", fail)
+
+
+#: Values that are not an integer >= 1, each refused where a count is read.
+NOT_COUNTS = [math.nan, math.inf, 0, -5, 5.0]
+
+
+def refused_count(name, value):
+    """The ValueError message of a count argument ``name`` given ``value``, as a regex."""
+    return f"^{name} must be an integer >= 1, got {re.escape(repr(value))}$"
 
 
 def constant_profile(j_max, value=0.0, dim=1):
@@ -171,6 +181,18 @@ class TestTm:
             values = [t_m(prof, m, 1) for m in range(1, 150)]
             assert all(b <= a for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("value", NOT_COUNTS)
+    def test_m_and_n_refused_unless_integers_of_at_least_one(self, no_kernel, value):
+        prof = factorial_profile(30)
+        for name, call in [
+            ("m", lambda: t_m(prof, value, 1)),
+            ("n", lambda: t_m(prof, 5, value)),
+            ("m_max", lambda: t_m_sequence(prof, value, 1)),
+            ("n", lambda: t_m_sequence(prof, 5, value)),
+        ]:
+            with pytest.raises(ValueError, match=refused_count(name, value)):
+                call()
+
 
 class TestTheta:
     def test_closed_form_weight(self):
@@ -202,6 +224,14 @@ class TestTheta:
         for prof in profiles:
             for m in (1, 2, 5, 11, 23, 47):
                 assert t_m(prof, m, 1) >= theta(prof, m, 1)
+
+    @pytest.mark.parametrize("value", NOT_COUNTS)
+    def test_m_and_n_refused_unless_integers_of_at_least_one(self, no_kernel, value):
+        prof = factorial_profile(30)
+        with pytest.raises(ValueError, match=refused_count("m", value)):
+            theta(prof, value, 1)
+        with pytest.raises(ValueError, match=refused_count("n", value)):
+            theta(prof, 5, value)
 
 
 class TestAssociatedTable:
@@ -406,6 +436,12 @@ class TestWitness:
         with pytest.raises(ValueError):
             witness(prof, 1, [])
 
+    @pytest.mark.parametrize("value", NOT_COUNTS)
+    def test_n_refused_unless_an_integer_of_at_least_one(self, no_kernel, value):
+        # n = 0 used to divide every fold weight by n r = 0.
+        with pytest.raises(ValueError, match=refused_count("n", value)):
+            witness(factorial_profile(30), value, [2, 3, 4])
+
 
 class TestCarleman:
     def test_factorial_quasianalytic(self):
@@ -444,6 +480,12 @@ class TestCarleman:
     def test_nan_r_max_rejected_before_the_kernel(self, no_kernel):
         with pytest.raises(ValueError, match="^r_max must be >= 2, got nan$"):
             carleman_diagnostic(factorial_profile(10), math.nan)
+
+    @pytest.mark.parametrize("value", NOT_COUNTS)
+    def test_points_per_decade_refused_unless_an_integer_of_at_least_one(self, no_kernel, value):
+        # 0 and -5 used to give a two-point grid without a word.
+        with pytest.raises(ValueError, match=refused_count("points_per_decade", value)):
+            carleman_diagnostic(factorial_profile(10), 100, value)
 
     def test_r_max_at_the_largest_float(self):
         # 10^log10(r_max) rounds past the float range here; the grid ends at

@@ -816,16 +816,25 @@ class TestSingleWriter:
 
 
 class TestConsoleScript:
-    def test_pyproject_script_runs_a_norms_job(self, tmp_path, monkeypatch):
-        # The `qtorus` console script, resolved the way an installer does.
+    def test_pyproject_script_runs_a_norms_job(self, tmp_path):
+        # The `qtorus` console script, resolved the way an installer does
+        # and called as its wrapper calls it, in a new interpreter: the
+        # entry point ends the process.
         text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
         found = re.search(r'^qtorus\s*=\s*"([\w.]+):(\w+)"\s*$', text, re.MULTILINE)
         assert found, "pyproject.toml declares no qtorus console script"
-        entry = getattr(importlib.import_module(found.group(1)), found.group(2))
+        module, name = found.groups()
+        assert callable(getattr(importlib.import_module(module), name))
         out = tmp_path / "smoke"
         argv = ["norms", "--family", "analytic:a=1:K=1", "--Jmax", "2", "--out", str(out)]
-        monkeypatch.setattr(sys, "argv", ["qtorus", *argv])
-        assert entry() == 0
+        code = (
+            "import sys\n"
+            f"from {module} import {name}\n"
+            f"sys.argv = {['qtorus', *argv]!r}\n"
+            f"sys.exit({name}())\n"
+        )
+        proc = run_fresh("-c", code)
+        assert proc.returncode == 0, proc.stderr
         rows = read_data_rows(out / "profile.csv")
         assert rows[0] == "j,lnM" and [row.split(",")[0] for row in rows[1:]] == ["0", "1", "2"]
 
@@ -1141,10 +1150,13 @@ class TestJsonChunks:
         assert max(map(len, dumped)) == largest
 
 
-def run_fresh(*args: str) -> subprocess.CompletedProcess:
-    """``python *args`` in a new interpreter on this checkout, writing no bytecode."""
+def run_fresh(*args: str, env: dict | None = None) -> subprocess.CompletedProcess:
+    """``python *args`` in a new interpreter on this checkout, writing no bytecode.
+
+    ``env`` holds variables to set on top of this process's environment.
+    """
     src = str(Path(qtorus.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    env = {**os.environ, **(env or {}), "PYTHONDONTWRITEBYTECODE": "1"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
@@ -1181,6 +1193,64 @@ class TestFreshProcess:
         assert proc.returncode == 0, proc.stderr
         assert (out / "profile.csv").read_bytes() == in_process
 
+    @pytest.mark.parametrize(
+        "argv, env, code, error",
+        [
+            (["norms", "--family", "analytic:a=1:K=1", "--Jmax", "2"], {}, 0, ""),
+            (["tau", "--family", "profile:rule=factorial:Jmax=30", "--m", "2..x"], {}, 2,
+             "error: --m needs an integer A or a range A..B, got '2..x'\n"),
+            (["tau", "--family", "analytic:a=1:K=0", "--Jmax", "4", "--m", "2..8"], {}, 3,
+             "error: degenerate profile: some ln M_j = -inf\n"),
+            (["tau", "--family", "profile:rule=factorial:Jmax=30", "--rmax", "20", "--m", "2..10"],
+             {"QTORUS_GRID_CAP": "10"}, 4,
+             "error: 20 points of the --rmax grid exceed the cap of 10 (QTORUS_GRID_CAP)\n"),
+        ],
+        ids=["ok", "bad-m", "degenerate", "past-cap"],
+    )
+    def test_module_entry_exit_codes(self, tmp_path, argv, env, code, error):
+        # The process entry point ends without interpreter teardown; the
+        # exit code and the error line on stderr are main()'s.
+        out = tmp_path / "out"
+        proc = run_fresh("-m", "qtorus.cli", *argv, "--out", str(out), env=env)
+        assert (proc.returncode, proc.stderr) == (code, error)
+        assert out.exists() == (code == 0)
+
+    def test_entry_point_flushes_and_skips_teardown(self, tmp_path):
+        # Text still in the stdout buffer reaches the reader: stdout is a
+        # pipe and PYTHONUNBUFFERED is unset, so it is block-buffered.  An
+        # atexit handler, which only interpreter teardown would call, does
+        # not run.
+        argv = ["qtorus", "norms", "--family", "analytic:a=1:K=1", "--Jmax", "2",
+                "--out", str(tmp_path / "out")]
+        code = (
+            "import atexit, sys\n"
+            "from qtorus.cli import run\n"
+            "atexit.register(print, 'teardown')\n"
+            f"sys.argv = {argv!r}\n"
+            "print('buffered', end='')\n"
+            "run()\n"
+        )
+        proc = run_fresh("-c", code, env={"PYTHONUNBUFFERED": ""})
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "buffered", "")
+
+    @pytest.mark.parametrize(
+        "tool, marker",
+        [
+            (["-m", "cProfile", "-m"], "function calls"),
+            (["-m", "trace", "--listfuncs", "--module"], "funcname: main"),
+        ],
+        ids=["cProfile", "trace"],
+    )
+    def test_profiler_report_survives_the_entry_point(self, tmp_path, tool, marker):
+        # With a profiler or tracer attached the job exits the normal way,
+        # so the tool's report, printed at exit, reaches stdout.
+        argv = ["norms", "--family", "analytic:a=1:K=1", "--Jmax", "2",
+                "--out", str(tmp_path / "out")]
+        proc = run_fresh(*tool, "qtorus.cli", *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert marker in proc.stdout
+        assert (tmp_path / "out" / "profile.csv").exists()
+
     @staticmethod
     def traced_peak(argv) -> int:
         """tracemalloc's peak over one main(argv) in a new interpreter, as a CLI job runs."""
@@ -1216,12 +1286,13 @@ class TestFreshProcess:
     def test_memory_grows_slower_than_the_m_grid(self, tmp_path, argv):
         # The witness keeps ndarray columns and the CSV and SVG text is made
         # one block at a time.  Measured peaks: 0.84 MB (verdict) and 0.82 MB
-        # (tau) at 2..5000, 1.61 and 1.59 MB at 2..20000; tuples of boxed
-        # values and joined text reached 6.9 MB (verdict) and 8.3 MB (tau)
-        # at 2..20000.
+        # (tau) at 2..5000, 1.61 and 1.59 MB at 2..20000, so 51 B more per
+        # extra m; tuples of boxed values and joined text reached 6.9 MB
+        # (verdict) and 8.3 MB (tau) at 2..20000.  The gate is on the growth
+        # per m, which a leaner small job leaves as it is.
         small, large = (
             self.traced_peak([*argv, "--m", m, "--out", str(tmp_path / m)])
             for m in ("2..5000", "2..20000")
         )
         assert large < 2.5e6
-        assert large < 2 * small
+        assert (large - small) / 15000 < 54
