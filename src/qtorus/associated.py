@@ -51,14 +51,13 @@ say) it holds the two or more tied points.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 
 import numpy as np
 
 from .logspace import NEG_INF
 from .norms import DerivativeNormProfile, shift_profile
-from .series import Record
+from .series import Record, _count
 
 LN_HALF = math.log(0.5)
 
@@ -90,6 +89,7 @@ class TrendConfig(Record):
 
     The statements being checked are asymptotic; these cutoffs make them
     decidable at desk scale and are deliberately configuration, not math.
+    A NaN or infinite field is a ValueError naming it.
     """
 
     slope_threshold: float = 0.05      # least-squares slope of d_m vs ln m
@@ -98,6 +98,11 @@ class TrendConfig(Record):
     fit_margin: float = 0.9            # rmse ratio for a growth model to win
     saturation_fraction: float = 0.5   # grid fraction above which verdicts abstain
 
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+
 
 DEFAULT_TREND = TrendConfig()
 
@@ -105,17 +110,6 @@ DEFAULT_TREND = TrendConfig()
 def _require_nondegenerate(profile: DerivativeNormProfile) -> None:
     if profile.is_degenerate():
         raise DegenerateProfileError("degenerate profile: some ln M_j = -inf")
-
-
-def _count(name: str, value) -> int:
-    """``value`` as an int >= 1, else a ValueError naming ``name``; a float, NaN too, is refused."""
-    try:
-        count = operator.index(value)
-    except TypeError:
-        count = 0
-    if count < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    return count
 
 
 def _lower_hull(a: list) -> tuple[np.ndarray, np.ndarray]:

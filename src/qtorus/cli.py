@@ -348,9 +348,9 @@ def _fit_payload(fit) -> dict | None:
 
 
 def cmd_verdict(args: argparse.Namespace) -> dict:
+    config = TrendConfig(slope_threshold=args.slope_threshold, fit_margin=args.fit_margin)
     m_grid = _parse_m_range(args.m)
     profile = _load_profile(args)
-    config = TrendConfig(slope_threshold=args.slope_threshold, fit_margin=args.fit_margin)
     report = carleman_diagnostic(profile, args.rmax, config=config)
     wit = witness(profile, profile.dim, m_grid, config=config)
     payload = {

@@ -15,7 +15,7 @@ import numpy as np
 
 from .logspace import NEG_INF
 from .norms import DerivativeNormProfile, m_j
-from .series import FourierSeries, Record, check_power, check_size
+from .series import FourierSeries, Record, _count, check_power, check_size
 
 _KINDS = ("analytic", "gevrey", "profile")
 _RULES = ("factorial", "constant")
@@ -24,8 +24,9 @@ _RULES = ("factorial", "constant")
 class FamilySpec(Record):
     """Description of one generated family member.
 
-    kind "analytic": c_k = exp(-a |k|_1), needs decay a > 0 and radius.
-    kind "gevrey":   c_k = exp(-|k|_1^{1/s}), needs exponent s >= 1 and radius.
+    kind "analytic": c_k = exp(-a |k|_1), needs finite decay a > 0 and radius.
+    kind "gevrey":   c_k = exp(-|k|_1^{1/s}), needs finite exponent s >= 1
+                     and radius.
     kind "profile":  synthetic ln M_j rule ("factorial" scaled by exponent s,
                      or "constant"), needs rule and j_max.
     """
@@ -41,23 +42,19 @@ class FamilySpec(Record):
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+        object.__setattr__(self, "dim", _count("dim", self.dim))
         if self.kind == "analytic":
-            if self.decay is None or self.decay <= 0:
-                raise ValueError("analytic family needs decay a > 0")
-            if self.radius is None or self.radius < 0:
-                raise ValueError("analytic family needs a truncation radius")
+            if self.decay is None or not 0 < self.decay < math.inf:
+                raise ValueError(f"decay a must be finite and > 0, got {self.decay!r}")
         elif self.kind == "gevrey":
-            if self.exponent is None or self.exponent < 1:
-                raise ValueError("gevrey family needs exponent s >= 1")
-            if self.radius is None or self.radius < 0:
-                raise ValueError("gevrey family needs a truncation radius")
-        elif self.kind == "profile":
-            if self.rule not in _RULES:
-                raise ValueError(f"profile rule must be one of {_RULES}")
-            if self.j_max is None or self.j_max < 0:
-                raise ValueError("profile family needs j_max >= 0")
+            if self.exponent is None or not 1 <= self.exponent < math.inf:
+                raise ValueError(f"exponent s must be finite and >= 1, got {self.exponent!r}")
+        elif self.rule not in _RULES:
+            raise ValueError(f"profile rule must be one of {_RULES}")
+        if self.kind == "profile":
+            object.__setattr__(self, "j_max", _count("j_max", self.j_max, least=0))
+        else:
+            object.__setattr__(self, "radius", _count("radius", self.radius, least=0))
 
 
 def gen_series(spec: FamilySpec) -> FourierSeries:
@@ -123,33 +120,37 @@ def rescale_to_class(series: FourierSeries) -> RescaleResult:
     return RescaleResult(series=series * scale, scale=scale, normalized=True)
 
 
+#: The FamilySpec field and type each family parameter sets.
+_PARAMETERS = {"a": ("decay", float), "s": ("exponent", float), "K": ("radius", int),
+               "rule": ("rule", str), "Jmax": ("j_max", int)}
+
+#: The parameters each family reads.
+_READS = {"analytic": ("a", "K"), "gevrey": ("s", "K"),
+          "factorial profile": ("rule", "s", "Jmax"), "constant profile": ("rule", "Jmax")}
+
+
 def parse_family_spec(text: str, dim: int = 1) -> FamilySpec:
     """Parse the CLI family syntax, e.g. ``analytic:a=1.0:K=100``.
 
-    Recognized keys: a (decay), s (exponent), K (radius), rule, Jmax.
+    Recognized keys: a (decay), s (exponent), K (radius), rule, Jmax.  A key
+    the family does not read (:data:`_READS`) is a ValueError naming it.
     """
     parts = text.split(":")
     kind = parts[0].strip()
-    kwargs: dict = {}
+    given: dict = {}
     for part in parts[1:]:
         if not part:
             continue
         if "=" not in part:
             raise ValueError(f"malformed family parameter {part!r}")
-        key, value = part.split("=", 1)
-        key = key.strip()
-        value = value.strip()
-        if key == "a":
-            kwargs["decay"] = float(value)
-        elif key == "s":
-            kwargs["exponent"] = float(value)
-        elif key == "K":
-            kwargs["radius"] = int(value)
-        elif key == "rule":
-            kwargs["rule"] = value
-        elif key == "Jmax":
-            kwargs["j_max"] = int(value)
-        else:
+        key, value = (side.strip() for side in part.split("=", 1))
+        if key not in _PARAMETERS:
             raise ValueError(f"unknown family parameter {key!r}")
-    return FamilySpec(kind=kind, dim=dim, **kwargs)
-
+        field, convert = _PARAMETERS[key]
+        given[key] = field, convert(value)
+    spec = FamilySpec(kind=kind, dim=dim, **dict(given.values()))
+    family = f"{spec.rule} profile" if kind == "profile" else kind
+    unread = [key for key in given if key not in _READS[family]]
+    if unread:
+        raise ValueError(f"the {family} family does not read parameter {unread[0]!r}")
+    return spec

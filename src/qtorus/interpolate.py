@@ -38,6 +38,7 @@ from .series import (
     FourierSeries,
     PolyPoint,
     Record,
+    _count,
     _grid_indices,
     _product,
     _roots,
@@ -111,9 +112,7 @@ def diagonal_fold(series: FourierSeries, m: int) -> FourierSeries:
     component admits either sign; the first visit takes +1.  Slot sums
     follow the visit order: r, then beta, then l lexicographic.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    n = series.dim
+    m, n = _count("m", m), series.dim
     target, covered = _targets(series._exponents, m, "diagonal")
     k, target = series._exponents[covered], target[covered]
     r, l = np.abs(target[:, 0]), np.abs(k) // m
@@ -133,8 +132,7 @@ def alias_fold(series: FourierSeries, m: int) -> FourierSeries:
     point, for every dimension.  Each residue sum adds its modes in index
     order.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = _count("m", m)
     return _summed(series.dim, _targets(series._exponents, m, "alias")[0], series._values)
 
 
@@ -346,10 +344,7 @@ def bound_audit(
     """
     if not (math.isfinite(t) and t > 1.0):
         raise ValueError(f"t must be finite and > 1, got {t!r}")
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    n_samples, seed = _count("n_samples", n_samples), _count("seed", seed, least=0)
     n, m = interpolant.base.dim, interpolant.m
     points = _annulus_points(seed, n_samples, n, t)
 

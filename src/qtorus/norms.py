@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .logspace import NEG_INF, log_sum_exp
-from .series import FourierSeries, Record
+from .series import FourierSeries, Record, _count
 
 
 class DerivativeNormProfile(Record):
@@ -48,8 +48,8 @@ class DerivativeNormProfile(Record):
     j_max: int
 
     def __post_init__(self):
-        if self.j_max < 0:
-            raise ValueError("j_max must be >= 0")
+        object.__setattr__(self, "dim", _count("dim", self.dim))
+        object.__setattr__(self, "j_max", _count("j_max", self.j_max, least=0))
         vals = tuple(float(v) for v in self.ln_m)
         if len(vals) != self.j_max + 1:
             raise ValueError("ln_m must have length j_max + 1")
@@ -100,15 +100,12 @@ def _pure_direction_ln_m(series: FourierSeries, orders) -> list[float]:
 
 def m_j(series: FourierSeries, j: int) -> float:
     """ln M_j: max over all alpha with |alpha| = j of the derivative L2 norm."""
-    if j < 0:
-        raise ValueError("j must be >= 0")
-    return _pure_direction_ln_m(series, (j,))[0]
+    return _pure_direction_ln_m(series, (_count("j", j, least=0),))[0]
 
 
 def build_profile(series: FourierSeries, j_max: int) -> DerivativeNormProfile:
     """Cache ln M_j for j = 0..j_max."""
-    if j_max < 0:
-        raise ValueError("j_max must be >= 0")
+    j_max = _count("j_max", j_max, least=0)
     vals = tuple(_pure_direction_ln_m(series, range(j_max + 1)))
     return DerivativeNormProfile(dim=series.dim, ln_m=vals, j_max=j_max)
 
@@ -165,7 +162,7 @@ def coefficient_bound_audit(
     nonzero component (alpha_p = 0 exactly where k_p = 0).  The zero mode is
     outside the bound's scope and is skipped.
     """
-    n = series.dim
+    n, j = series.dim, _count("j", j, least=0)
     if j < 2 * n:
         raise ValueError(f"j must be >= 2n = {2 * n}")
     if j > profile.j_max:

@@ -63,6 +63,17 @@ READ_BLOCK = 256
 EVAL_BLOCK = 2**13
 
 
+def _count(name: str, value, least: int = 1) -> int:
+    """``value`` as an int >= ``least``, else a ValueError naming ``name``.
+
+    The one check of an integer argument: an int or a numpy integer passes,
+    a bool, a float (NaN and inf too) or anything else is refused.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 class GridCapError(RuntimeError):
     """A requested size would exceed the configured cap."""
 
@@ -179,8 +190,7 @@ class FourierSeries:
         return series
 
     def _store(self, dim: int, exponents, values) -> None:
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
+        dim = _count("dim", dim)
         k = _index_array(exponents, dim)
         v = np.asarray(values, dtype=complex)
         if v.shape != (len(k),):
@@ -436,7 +446,7 @@ class PolyPoint(Record):
 
     def __post_init__(self):
         comps = tuple(complex(v) for v in self.z)
-        if len(comps) < 1:
+        if not comps:
             raise ValueError("need at least one component")
         if any(v == 0 for v in comps):
             raise ValueError("components must be nonzero")
@@ -485,9 +495,7 @@ def eval_batch(series: FourierSeries, points: np.ndarray) -> np.ndarray:
 
 def _grid_size(n: int, m: int) -> int:
     """m^n, refusing with :class:`GridCapError` when it exceeds the cap."""
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be >= 1")
-    return check_power(m, n, "grid points")
+    return check_power(_count("m", m), _count("n", n), "grid points")
 
 
 def _roots(m: int) -> np.ndarray:
@@ -498,11 +506,12 @@ def _roots(m: int) -> np.ndarray:
 def _grid_indices(n: int, m: int) -> np.ndarray:
     """The (m^n, n) array of node indices l_p - 1 in 0..m-1, rows in lexicographic order.
 
-    Refuses n or m below 1 (ValueError) and m^n past the cap
-    (:class:`GridCapError`), so callers take it before ``_roots(m)``,
+    Refuses an n or m that is not an integer >= 1 (ValueError) and m^n past
+    the cap (:class:`GridCapError`), so callers take it before ``_roots(m)``,
     which divides by m.
     """
-    return np.indices((m,) * n).reshape(n, _grid_size(n, m)).T
+    count = _grid_size(n, m)
+    return np.indices((m,) * n).reshape(n, count).T
 
 
 def grid_array(n: int, m: int) -> np.ndarray:
@@ -586,7 +595,7 @@ def _columns(objects: list, dim: int | None):
         raise ValueError("k must be a list of integers")
     if dim is None:
         dim = len(k[0])
-        if dim < 1:
+        if not dim:
             raise ValueError("empty index")
     if set(map(len, k)) != {dim}:
         raise ValueError(f"index length differs from the first line's {dim}")

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import random
+import re
 from pathlib import Path
 from typing import NamedTuple
 
@@ -15,6 +16,15 @@ import numpy as np
 from qtorus import FourierSeries, PolyPoint
 from qtorus.logspace import NEG_INF, log_sum_exp
 from qtorus.series import PRUNE_THRESHOLD, TWO_PI
+
+
+#: Values that are not an integer >= 1, each refused where a count is read.
+NOT_COUNTS = [math.nan, math.inf, 0, -5, 5.0]
+
+
+def refused_count(name, value, least=1):
+    """The ValueError message of a count argument ``name`` given ``value``, as a regex."""
+    return f"^{name} must be an integer >= {least}, got {re.escape(repr(value))}$"
 
 
 def dict_series_coeffs(dim: int, coeffs) -> dict:

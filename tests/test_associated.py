@@ -1,5 +1,4 @@
 import math
-import re
 import sys
 from unittest import mock
 
@@ -13,6 +12,7 @@ from qtorus import (
     DerivativeNormProfile,
     FamilySpec,
     FourierSeries,
+    TrendConfig,
     build_profile,
     build_table,
     carleman_diagnostic,
@@ -35,7 +35,13 @@ from qtorus.associated import (
     find_r0,
 )
 from qtorus.logspace import NEG_INF
-from helpers import dense_fold_weights, dense_log_tau, supporting_line_profile
+from helpers import (
+    NOT_COUNTS,
+    dense_fold_weights,
+    dense_log_tau,
+    refused_count,
+    supporting_line_profile,
+)
 
 
 @pytest.fixture
@@ -46,15 +52,6 @@ def no_kernel(monkeypatch):
         raise AssertionError("the tau kernel ran")
 
     monkeypatch.setattr(associated_module, "_legendre", fail)
-
-
-#: Values that are not an integer >= 1, each refused where a count is read.
-NOT_COUNTS = [math.nan, math.inf, 0, -5, 5.0]
-
-
-def refused_count(name, value):
-    """The ValueError message of a count argument ``name`` given ``value``, as a regex."""
-    return f"^{name} must be an integer >= 1, got {re.escape(repr(value))}$"
 
 
 def constant_profile(j_max, value=0.0, dim=1):
@@ -444,6 +441,12 @@ class TestWitness:
 
 
 class TestCarleman:
+    @pytest.mark.parametrize("field", TrendConfig._fields)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_config_field_refused_naming_it(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value!r}$"):
+            TrendConfig(**{field: value})
+
     def test_factorial_quasianalytic(self):
         report = carleman_diagnostic(factorial_profile(200), 100)
         assert report.verdict == "quasianalytic-trend"

@@ -199,6 +199,22 @@ class TestNorms:
         assert main(["norms", "--family", family, "--Jmax", "1000000", "--out", str(out)]) == 0
         assert len(read_data_rows(out / "profile.csv")) == 12
 
+    @pytest.mark.parametrize(
+        "family, message",
+        [
+            ("analytic:a=nan:K=3", "decay a must be finite and > 0, got nan"),
+            ("gevrey:s=inf:K=3", "exponent s must be finite and >= 1, got inf"),
+            ("analytic:a=1:K=3:Jmax=5", "the analytic family does not read parameter 'Jmax'"),
+            ("profile:rule=constant:Jmax=5:s=9",
+             "the constant profile family does not read parameter 's'"),
+        ],
+    )
+    def test_bad_family_parameter_exits_2_naming_it(self, tmp_path, capsys, family, message):
+        out = tmp_path / "o"
+        assert main(["norms", "--family", family, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_file_family_kind_exits_2(self, tmp_path, capsys):
         # JSONL coefficients come in through --input only.
         coeffs = tmp_path / "x.jsonl"
@@ -349,6 +365,16 @@ class TestVerdict:
         verdict = read_strict_json(out / "verdict.json")
         assert verdict["witness"]["slope_d_vs_log_m"] is None
 
+
+    @pytest.mark.parametrize("flag", ["--slope-threshold", "--fit-margin"])
+    def test_non_finite_threshold_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys, flag):
+        monkeypatch.setattr(cli_module, "gen_profile", _must_not_run)
+        field = flag[2:].replace("-", "_")
+        out = tmp_path / "out"
+        args = ["verdict", "--family", "profile:rule=factorial:s=1.5:Jmax=200", "--m", "2..400"]
+        assert main([*args, "--rmax", "2000", flag, "nan", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {field} must be finite, got nan\n"
+        assert not out.exists()
 
     def test_rmax_past_the_float_range_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"

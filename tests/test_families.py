@@ -104,6 +104,15 @@ class TestGenSeries:
         with pytest.raises(ValueError):
             FamilySpec(kind="profile", rule="mystery", j_max=5)
 
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [("analytic", "decay", v) for v in (math.nan, math.inf, 0.0, None)]
+        + [("gevrey", "exponent", v) for v in (math.nan, math.inf, 0.5, None)],
+    )
+    def test_decay_and_exponent_must_be_finite_and_in_range(self, kind, field, value):
+        with pytest.raises(ValueError, match=f"^{field} [as] must be finite and >=? [01], got {value!r}$"):
+            FamilySpec(kind=kind, radius=3, **{field: value})
+
 
 class TestGenProfile:
     def test_factorial_rule(self):
@@ -176,6 +185,19 @@ class TestParseFamilySpec:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             parse_family_spec("analytic:a=1:qqq=3")
+
+    @pytest.mark.parametrize(
+        "text, family, key",
+        [
+            ("analytic:a=1:K=3:Jmax=5", "analytic", "Jmax"),
+            ("gevrey:s=2:rule=constant:K=3", "gevrey", "rule"),
+            ("profile:rule=constant:Jmax=5:s=9", "constant profile", "s"),
+            ("profile:rule=factorial:K=2:Jmax=5", "factorial profile", "K"),
+        ],
+    )
+    def test_key_the_family_does_not_read_rejected_naming_it(self, text, family, key):
+        with pytest.raises(ValueError, match=f"^the {family} family does not read parameter '{key}'$"):
+            parse_family_spec(text)
 
     def test_file_kind_is_gone(self):
         # JSONL coefficients come in through --input only.

@@ -415,6 +415,18 @@ class TestGridPoints:
         monkeypatch.setenv("QTORUS_GRID_CAP", "512")
         assert grid_array(3, 8).shape == (512, 3)
 
+    def test_cap_refused_before_the_node_indices_are_built(self, monkeypatch):
+        # 4 * 10^6 node indices would take 32 MB.
+        monkeypatch.setenv("QTORUS_GRID_CAP", "1000")
+        tracemalloc.start()
+        try:
+            with pytest.raises(GridCapError):
+                grid_array(1, 4 * 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("QTORUS_GRID_CAP", "10")
         with pytest.raises(GridCapError):
