@@ -36,7 +36,6 @@ from .associated import (
     WitnessSeries,
     build_table,
     carleman_diagnostic,
-    find_r0,
     lemma_check,
     log_tau,
     log_tau_shifted,

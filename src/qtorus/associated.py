@@ -67,9 +67,18 @@ CLASS_MARGIN = 1e-6
 #: Fewest unsaturated grid points a growth-model fit is made from.
 MIN_FIT_POINTS = 8
 
-#: Largest |ln(r^3 tau(r)) - ln tau~(r)| at which :func:`find_r0` counts the
-#: identity as holding.
+#: Largest |ln(r^3 tau(r)) - ln tau~(r)| at which :func:`build_table` counts
+#: the identity as holding for ``r0_estimate``.
 R0_TOL = 1e-9
+
+#: Largest rmse of :func:`lemma_check`'s log-linear decay fit that counts as a fit.
+RESIDUAL_THRESHOLD = 0.1
+
+#: Last-decade increment of the partial integrals below which :func:`lemma_check` sees convergence.
+TAIL_THRESHOLD = 1e-3
+
+#: Saturated grid fraction above which :func:`carleman_diagnostic` abstains.
+SATURATION_FRACTION = 0.5
 
 #: Candidate window of the tau kernel, relative to the largest |term| a query
 #: can reach.  Rounding moves a float term by at most 2^-52 of that bound, so
@@ -85,7 +94,7 @@ class DegenerateProfileError(ValueError):
 
 
 class TrendConfig(Record):
-    """Thresholds for the asymptotic-trend classifiers.
+    """The thresholds of the asymptotic-trend classifiers that the CLI sets.
 
     The statements being checked are asymptotic; these cutoffs make them
     decidable at desk scale and are deliberately configuration, not math.
@@ -93,10 +102,7 @@ class TrendConfig(Record):
     """
 
     slope_threshold: float = 0.05      # least-squares slope of d_m vs ln m
-    residual_threshold: float = 0.1    # log-linear fit residual gate
-    tail_threshold: float = 1e-3       # Cauchy increment per decade
     fit_margin: float = 0.9            # rmse ratio for a growth model to win
-    saturation_fraction: float = 0.5   # grid fraction above which verdicts abstain
 
     def __post_init__(self):
         for name, value in vars(self).items():
@@ -289,7 +295,6 @@ class AssociatedTable(Record):
     r_grid: np.ndarray
     ln_tau: np.ndarray
     ln_tau_shifted: np.ndarray
-    j_max: int
     r0_estimate: float
 
 
@@ -305,7 +310,7 @@ def _ln(grid: np.ndarray) -> np.ndarray:
 
 
 def build_table(profile: DerivativeNormProfile, r_grid) -> AssociatedTable:
-    """Tabulate ln tau(r) and ln tau~(r) and estimate the identity threshold."""
+    """Tabulate ln tau(r) and ln tau~(r) and estimate the identity threshold (:func:`_r0`)."""
     grid = np.array(r_grid, dtype=float)
     ends = grid.ndim == 1 and grid.size and 1 <= grid[0] <= grid[-1] < math.inf
     if not ends or not np.all(np.diff(grid) > 0):  # a NaN fails both comparisons
@@ -314,19 +319,11 @@ def build_table(profile: DerivativeNormProfile, r_grid) -> AssociatedTable:
         raise ValueError("shifted associated function needs j_max >= 3")
     ln_r = _ln(grid)
     columns = _read_only(grid, _legendre(profile, ln_r)[0], _legendre(profile, ln_r, 3)[0])
-    return AssociatedTable(*columns, j_max=profile.j_max, r0_estimate=_r0(ln_r, *columns))
-
-
-def find_r0(table: AssociatedTable) -> float:
-    """Smallest grid r from which ln(r^3 tau(r)) = ln tau~(r) holds onward.
-
-    Returns +inf when the identity never holds through the end of the grid.
-    """
-    return _r0(_ln(table.r_grid), table.r_grid, table.ln_tau, table.ln_tau_shifted)
+    return AssociatedTable(*columns, r0_estimate=_r0(ln_r, *columns))
 
 
 def _r0(ln_r, r_grid, ln_tau, ln_tau_shifted) -> float:
-    """:func:`find_r0` on the columns of a table, with ln r of its grid given."""
+    """Smallest grid r from which ln(r^3 tau(r)) = ln tau~(r) holds onward, +inf if none."""
     with np.errstate(invalid="ignore"):  # -inf - -inf is a NaN, which fails
         diff = 3.0 * ln_r + ln_tau - ln_tau_shifted
     fails = np.flatnonzero(~(np.abs(diff) <= R0_TOL))
@@ -535,8 +532,8 @@ class CarlemanReport(Record):
     ``verdict`` is one of {"quasianalytic-trend", "non-quasianalytic-trend",
     "inconclusive"}.  Saturated grid points (tau minimizer at j_max) carry a
     truncation artifact -ln tau ~ j_max ln r; they are excluded from the fits
-    and a saturated fraction beyond the configured cutoff forces the verdict
-    to "inconclusive".  Trend verdicts therefore require j_max comfortably
+    and a saturated fraction beyond :data:`SATURATION_FRACTION` forces the
+    verdict to "inconclusive".  Trend verdicts therefore require j_max comfortably
     above the tau minimizer at r_max.  Fewer than ``MIN_FIT_POINTS``
     unsaturated points leave both fits None.
     """
@@ -550,7 +547,6 @@ class CarlemanReport(Record):
     saturated_fraction: float
     last_decade_increment: float
     verdict: str
-    j_max: int
 
 
 def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -602,7 +598,7 @@ def carleman_diagnostic(
             grid[keep], neg[keep], config.fit_margin
         )
 
-    if sat_fraction > config.saturation_fraction:
+    if sat_fraction > SATURATION_FRACTION:
         verdict = "inconclusive"
     elif best == "linear":
         verdict = "quasianalytic-trend"
@@ -621,7 +617,6 @@ def carleman_diagnostic(
         saturated_fraction=sat_fraction,
         last_decade_increment=last_decade,
         verdict=verdict,
-        j_max=profile.j_max,
     )
 
 
@@ -651,7 +646,7 @@ class LemmaReport(Record):
     implication_holds: bool
 
 
-def lemma_check(t_grid, h_values, config: TrendConfig = DEFAULT_TREND) -> LemmaReport:
+def lemma_check(t_grid, h_values) -> LemmaReport:
     """Run the decay/integrability check on a tabulated function h(t).
 
     ``t_grid`` must be increasing with t >= 1; ``h_values`` must be positive.
@@ -672,7 +667,7 @@ def lemma_check(t_grid, h_values, config: TrendConfig = DEFAULT_TREND) -> LemmaR
     fit = _fit_line(s, np.log(h_min))
     alpha = -fit.slope
     c_fit = math.exp(fit.intercept)
-    fit_ok = (fit.rmse < config.residual_threshold) and (0.0 < alpha < 1.0)
+    fit_ok = (fit.rmse < RESIDUAL_THRESHOLD) and (0.0 < alpha < 1.0)
 
     # Hypothesis: h~(s) = h(e^s) positive, increasing, convex.
     scale = np.maximum(1.0, np.abs(h))
@@ -692,14 +687,14 @@ def lemma_check(t_grid, h_values, config: TrendConfig = DEFAULT_TREND) -> LemmaR
 
     if s[-1] - s[0] < 2.0 * ln10:
         verdict = "inconclusive"
-    elif last_inc < config.tail_threshold:
+    elif last_inc < TAIL_THRESHOLD:
         verdict = "convergent"
     elif prev_inc > 0 and last_inc >= 0.9 * prev_inc:
         verdict = "divergent"
     else:
         verdict = "inconclusive"
 
-    implication = (not fit_ok) or (last_inc < config.tail_threshold)
+    implication = (not fit_ok) or (last_inc < TAIL_THRESHOLD)
 
     return LemmaReport(
         alpha_fit=float(alpha),

@@ -32,6 +32,7 @@ import numpy as np
 from . import __version__
 from .associated import (
     DEFAULT_TREND,
+    SATURATION_FRACTION,
     DegenerateProfileError,
     TrendConfig,
     _ln,
@@ -317,6 +318,8 @@ def cmd_norms(args: argparse.Namespace) -> dict:
 
 
 def cmd_tau(args: argparse.Namespace) -> dict:
+    if args.rmax < 1:
+        raise ValueError(f"--rmax must be >= 1, got {args.rmax}")
     check_size(args.rmax, "points of the --rmax grid")
     m_grid = _parse_m_range(args.m)
     profile = _load_profile(args)
@@ -358,7 +361,7 @@ def cmd_verdict(args: argparse.Namespace) -> dict:
         "carleman": {
             "verdict": report.verdict,
             "saturated_fraction": report.saturated_fraction,
-            "saturation_flag": report.saturated_fraction > config.saturation_fraction,
+            "saturation_flag": report.saturated_fraction > SATURATION_FRACTION,
             "last_decade_increment": report.last_decade_increment,
             "fit_linear": _fit_payload(report.fit_linear),
             "fit_sqrt": _fit_payload(report.fit_sqrt),

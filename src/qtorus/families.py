@@ -13,12 +13,21 @@ import math
 
 import numpy as np
 
+from .associated import CLASS_MARGIN
 from .logspace import NEG_INF
 from .norms import DerivativeNormProfile, m_j
 from .series import FourierSeries, Record, _count, check_power, check_size
 
 _KINDS = ("analytic", "gevrey", "profile")
 _RULES = ("factorial", "constant")
+
+#: The FamilySpec field and type each family parameter sets.
+_PARAMETERS = {"a": ("decay", float), "s": ("exponent", float), "K": ("radius", int),
+               "rule": ("rule", str), "Jmax": ("j_max", int)}
+
+#: The parameters each family reads.
+_READS = {"analytic": ("a", "K"), "gevrey": ("s", "K"),
+          "factorial profile": ("rule", "s", "Jmax"), "constant profile": ("rule", "Jmax")}
 
 
 class FamilySpec(Record):
@@ -27,8 +36,9 @@ class FamilySpec(Record):
     kind "analytic": c_k = exp(-a |k|_1), needs finite decay a > 0 and radius.
     kind "gevrey":   c_k = exp(-|k|_1^{1/s}), needs finite exponent s >= 1
                      and radius.
-    kind "profile":  synthetic ln M_j rule ("factorial" scaled by exponent s,
-                     or "constant"), needs rule and j_max.
+    kind "profile":  synthetic ln M_j rule ("factorial" scaled by a finite
+                     exponent s, default 1, or "constant"), needs rule and j_max.
+    A field the family does not read (:data:`_READS`) is a ValueError naming its key.
     """
 
     kind: str
@@ -43,18 +53,22 @@ class FamilySpec(Record):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}")
         object.__setattr__(self, "dim", _count("dim", self.dim))
+        if self.kind == "profile" and self.rule not in _RULES:
+            raise ValueError(f"profile rule must be one of {_RULES}")
+        family = f"{self.rule} profile" if self.kind == "profile" else self.kind
+        for key, (field, _) in _PARAMETERS.items():
+            if getattr(self, field) is not None and key not in _READS[family]:
+                raise ValueError(f"the {family} family does not read parameter {key!r}")
         if self.kind == "analytic":
             if self.decay is None or not 0 < self.decay < math.inf:
                 raise ValueError(f"decay a must be finite and > 0, got {self.decay!r}")
         elif self.kind == "gevrey":
             if self.exponent is None or not 1 <= self.exponent < math.inf:
                 raise ValueError(f"exponent s must be finite and >= 1, got {self.exponent!r}")
-        elif self.rule not in _RULES:
-            raise ValueError(f"profile rule must be one of {_RULES}")
-        if self.kind == "profile":
-            object.__setattr__(self, "j_max", _count("j_max", self.j_max, least=0))
-        else:
-            object.__setattr__(self, "radius", _count("radius", self.radius, least=0))
+        elif self.exponent is not None and not math.isfinite(self.exponent):
+            raise ValueError(f"exponent s must be finite, got {self.exponent!r}")
+        size = "j_max" if self.kind == "profile" else "radius"
+        object.__setattr__(self, size, _count(size, getattr(self, size), least=0))
 
 
 def gen_series(spec: FamilySpec) -> FourierSeries:
@@ -93,7 +107,7 @@ def gen_profile(spec: FamilySpec) -> DerivativeNormProfile:
         vals = tuple(s * math.lgamma(j + 1) for j in range(spec.j_max + 1))
     else:  # constant
         vals = tuple(0.0 for _ in range(spec.j_max + 1))
-    return DerivativeNormProfile(dim=spec.dim, ln_m=vals, j_max=spec.j_max)
+    return DerivativeNormProfile(dim=spec.dim, ln_m=vals)
 
 
 class RescaleResult(Record):
@@ -105,35 +119,28 @@ class RescaleResult(Record):
 def rescale_to_class(series: FourierSeries) -> RescaleResult:
     """Multiply by a constant c <= 1 so that M_3(c f) < 1/2.
 
-    c = min(1, (1/2) e^{-ln M_3} (1 - 1e-6)).  A series whose third-order
-    derivatives vanish identically (ln M_3 = -inf, e.g. constants) has
-    nothing to normalize and is returned unchanged with ``normalized=False``.
+    c = min(1, (1/2) e^{-ln M_3} (1 - CLASS_MARGIN)), the margin :func:`witness`
+    normalizes with.  A series whose third-order derivatives vanish
+    identically (ln M_3 = -inf, e.g. constants) has nothing to normalize and
+    is returned unchanged with ``normalized=False``.
     """
     if not series.n_modes:
         raise ValueError("cannot rescale the zero series")
     ln_m3 = m_j(series, 3)
     if ln_m3 == NEG_INF:
         return RescaleResult(series=series, scale=1.0, normalized=False)
-    scale = min(1.0, 0.5 * math.exp(-ln_m3) * (1.0 - 1e-6))
+    scale = min(1.0, 0.5 * math.exp(-ln_m3) * (1.0 - CLASS_MARGIN))
     if scale == 1.0:
         return RescaleResult(series=series, scale=1.0, normalized=True)
     return RescaleResult(series=series * scale, scale=scale, normalized=True)
 
 
-#: The FamilySpec field and type each family parameter sets.
-_PARAMETERS = {"a": ("decay", float), "s": ("exponent", float), "K": ("radius", int),
-               "rule": ("rule", str), "Jmax": ("j_max", int)}
-
-#: The parameters each family reads.
-_READS = {"analytic": ("a", "K"), "gevrey": ("s", "K"),
-          "factorial profile": ("rule", "s", "Jmax"), "constant profile": ("rule", "Jmax")}
-
-
 def parse_family_spec(text: str, dim: int = 1) -> FamilySpec:
     """Parse the CLI family syntax, e.g. ``analytic:a=1.0:K=100``.
 
-    Recognized keys: a (decay), s (exponent), K (radius), rule, Jmax.  A key
-    the family does not read (:data:`_READS`) is a ValueError naming it.
+    Recognized keys: a (decay), s (exponent), K (radius), rule, Jmax.  A
+    value that does not convert to its key's type is a ValueError naming the
+    key, the family and the text.
     """
     parts = text.split(":")
     kind = parts[0].strip()
@@ -147,10 +154,10 @@ def parse_family_spec(text: str, dim: int = 1) -> FamilySpec:
         if key not in _PARAMETERS:
             raise ValueError(f"unknown family parameter {key!r}")
         field, convert = _PARAMETERS[key]
-        given[key] = field, convert(value)
-    spec = FamilySpec(kind=kind, dim=dim, **dict(given.values()))
-    family = f"{spec.rule} profile" if kind == "profile" else kind
-    unread = [key for key in given if key not in _READS[family]]
-    if unread:
-        raise ValueError(f"the {family} family does not read parameter {unread[0]!r}")
-    return spec
+        try:
+            given[field] = convert(value)
+        except ValueError:
+            wants = "an integer" if convert is int else "a number"
+            message = f"parameter {key!r} of the {kind} family must be {wants}, got {value!r}"
+            raise ValueError(message) from None
+    return FamilySpec(kind=kind, dim=dim, **given)

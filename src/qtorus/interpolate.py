@@ -302,10 +302,7 @@ class BoundAuditReport(Record):
     empirical constants are the sampled sups divided by those envelopes.
     """
 
-    m: int
-    dim: int
     t: float
-    engine: str
     seed: int
     n_samples: int
     lhs_max: float
@@ -317,7 +314,6 @@ class BoundAuditReport(Record):
     empirical_cf: float
     empirical_c1: float
     empirical_c2: float
-    degenerate_z0: bool
 
 
 def bound_audit(
@@ -373,10 +369,7 @@ def bound_audit(
         return math.exp(math.log(sup) - ln_rhs)
 
     return BoundAuditReport(
-        m=m,
-        dim=n,
         t=float(t),
-        engine=interpolant.engine,
         seed=seed,
         n_samples=n_samples,
         lhs_max=lhs_max,
@@ -388,5 +381,4 @@ def bound_audit(
         empirical_cf=ratio(lhs_max, ln_rhs_growth),
         empirical_c1=ratio(base_max, ln_rhs_base),
         empirical_c2=ratio(corr_max, ln_rhs_correction),
-        degenerate_z0=interpolant.degenerate_z0,
     )

@@ -39,24 +39,29 @@ import numpy as np
 from .logspace import NEG_INF, log_sum_exp
 from .series import FourierSeries, Record, _count
 
+#: How far (in ln) a coefficient may pass its bound before :func:`coefficient_bound_audit` flags it.
+BOUND_TOL = 1e-9
+
 
 class DerivativeNormProfile(Record):
-    """Cached sequence ln M_j, j = 0..j_max, for one series."""
+    """Cached sequence ln M_j, j = 0..j_max, for one series; j_max is len(ln_m) - 1."""
 
     dim: int
     ln_m: tuple
-    j_max: int
 
     def __post_init__(self):
         object.__setattr__(self, "dim", _count("dim", self.dim))
-        object.__setattr__(self, "j_max", _count("j_max", self.j_max, least=0))
         vals = tuple(float(v) for v in self.ln_m)
-        if len(vals) != self.j_max + 1:
-            raise ValueError("ln_m must have length j_max + 1")
+        if not vals:
+            raise ValueError("ln_m must hold at least ln M_0, got no entries")
         for v in vals:
             if math.isnan(v) or v == math.inf:
                 raise ValueError("ln_m entries must be finite or -inf")
         object.__setattr__(self, "ln_m", vals)
+
+    @property
+    def j_max(self) -> int:
+        return len(self.ln_m) - 1
 
     @cached_property
     def _hulls(self) -> dict:
@@ -107,13 +112,13 @@ def build_profile(series: FourierSeries, j_max: int) -> DerivativeNormProfile:
     """Cache ln M_j for j = 0..j_max."""
     j_max = _count("j_max", j_max, least=0)
     vals = tuple(_pure_direction_ln_m(series, range(j_max + 1)))
-    return DerivativeNormProfile(dim=series.dim, ln_m=vals, j_max=j_max)
+    return DerivativeNormProfile(dim=series.dim, ln_m=vals)
 
 
 def shift_profile(profile: DerivativeNormProfile, delta: float) -> DerivativeNormProfile:
     """The profile of the rescaled function e^delta * f: every ln M_j shifts by delta."""
     shifted = tuple(v + delta if v != NEG_INF else NEG_INF for v in profile.ln_m)
-    return DerivativeNormProfile(dim=profile.dim, ln_m=shifted, j_max=profile.j_max)
+    return DerivativeNormProfile(dim=profile.dim, ln_m=shifted)
 
 
 class BoundViolation(Record):
@@ -151,12 +156,9 @@ def _audit_alpha(k: tuple, j: int) -> tuple:
 
 
 def coefficient_bound_audit(
-    series: FourierSeries,
-    profile: DerivativeNormProfile,
-    j: int,
-    tol: float = 1e-9,
+    series: FourierSeries, profile: DerivativeNormProfile, j: int
 ) -> CoefficientBoundReport:
-    """Check the decay bound ln|c_k| <= ln M_j - sum_p alpha_p ln|k_p|.
+    """Check the decay bound ln|c_k| <= ln M_j - sum_p alpha_p ln|k_p|, up to :data:`BOUND_TOL`.
 
     Requires j >= 2 * dim so the chosen alpha can put weight >= 2 on every
     nonzero component (alpha_p = 0 exactly where k_p = 0).  The zero mode is
@@ -178,7 +180,7 @@ def coefficient_bound_audit(
         denom = sum(a * math.log(abs(kp)) for a, kp in zip(alpha, k) if a > 0)
         ln_bound = ln_mj - denom
         ln_coeff = math.log(abs(c))
-        if ln_coeff > ln_bound + tol:
+        if ln_coeff > ln_bound + BOUND_TOL:
             violations.append(
                 BoundViolation(index=k, alpha=alpha, ln_coeff=ln_coeff, ln_bound=ln_bound)
             )

@@ -297,7 +297,7 @@ def supporting_line_profile(weight, r_max, j_max, dim=1):
     ln_m = tuple(
         float(np.max((j - 3) * np.log(rs) - w)) for j in range(j_max + 1)
     )
-    return DerivativeNormProfile(dim=dim, ln_m=ln_m, j_max=j_max)
+    return DerivativeNormProfile(dim=dim, ln_m=ln_m)
 
 
 def dense_log_tau(profile, ln_r, start=0):

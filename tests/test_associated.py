@@ -31,8 +31,9 @@ from qtorus.associated import (
     _fit_line,
     _fold_weights,
     _legendre,
+    _ln,
+    _r0,
     _running_min_with_argmin,
-    find_r0,
 )
 from qtorus.logspace import NEG_INF
 from helpers import (
@@ -55,14 +56,12 @@ def no_kernel(monkeypatch):
 
 
 def constant_profile(j_max, value=0.0, dim=1):
-    return DerivativeNormProfile(dim=dim, ln_m=(value,) * (j_max + 1), j_max=j_max)
+    return DerivativeNormProfile(dim=dim, ln_m=(value,) * (j_max + 1))
 
 
 def factorial_profile(j_max, s=1.0, dim=1):
     return DerivativeNormProfile(
-        dim=dim,
-        ln_m=tuple(s * math.lgamma(j + 1) for j in range(j_max + 1)),
-        j_max=j_max,
+        dim=dim, ln_m=tuple(s * math.lgamma(j + 1) for j in range(j_max + 1))
     )
 
 
@@ -90,7 +89,7 @@ class TestLogTau:
             log_tau(constant_profile(30), r)
 
     def test_neg_inf_propagates(self):
-        prof = DerivativeNormProfile(dim=1, ln_m=(0.0, NEG_INF, 0.0), j_max=2)
+        prof = DerivativeNormProfile(dim=1, ln_m=(0.0, NEG_INF, 0.0))
         assert log_tau(prof, 2.0) == NEG_INF
 
     def test_monotone_nonincreasing_exact(self):
@@ -148,7 +147,7 @@ class TestTm:
 
     def test_shallow_profile_supported(self):
         # t_m has no depth requirement (unlike theta).
-        prof = DerivativeNormProfile(dim=1, ln_m=(0.0, 0.1, 0.3), j_max=2)
+        prof = DerivativeNormProfile(dim=1, ln_m=(0.0, 0.1, 0.3))
         got = t_m(prof, 5, 1)
         brute = min(
             -(3 * math.log(r) + log_tau(prof, float(r))) / r for r in range(1, 6)
@@ -199,7 +198,7 @@ class TestTheta:
         ln_m = [huge, huge, huge] + [
             float(np.max(s * np.log(rs) - rs)) for s in range(0, 68)
         ]
-        prof = DerivativeNormProfile(dim=1, ln_m=tuple(ln_m), j_max=70)
+        prof = DerivativeNormProfile(dim=1, ln_m=tuple(ln_m))
         for m in (1, 5, 33, 60):
             assert theta(prof, m, 1) == pytest.approx(1.0, abs=1e-12)
             assert theta(prof, m, 3) == pytest.approx(1.0 / 3.0, abs=1e-12)
@@ -233,9 +232,7 @@ class TestTheta:
 
 class TestAssociatedTable:
     def test_r0_immediate_when_low_orders_dominate(self):
-        prof = DerivativeNormProfile(
-            dim=1, ln_m=(40.0, 40.0, 40.0, 0.0, 0.5, 1.0, 2.0), j_max=6
-        )
+        prof = DerivativeNormProfile(dim=1, ln_m=(40.0, 40.0, 40.0, 0.0, 0.5, 1.0, 2.0))
         table = build_table(prof, range(1, 30))
         assert table.r0_estimate == 1.0
 
@@ -331,19 +328,18 @@ class TestColumns:
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.sampled_from([0.0, 1.0, -1.0, 1e-12, 2.0]), min_size=1, max_size=30))
-    def test_find_r0_matches_the_backward_scan(self, diffs):
+    def test_r0_matches_the_backward_scan(self, diffs):
         # r0 is the smallest grid r of the trailing run where the identity holds.
         r_grid = np.arange(1.0, len(diffs) + 1)
         ln_tau = np.zeros(len(diffs))
         ln_shift = 3.0 * np.log(r_grid) - np.array(diffs)
-        table = associated_module.AssociatedTable(r_grid, ln_tau, ln_shift, 3, math.inf)
         want = math.inf
         for r, lt, ls in zip(r_grid[::-1], ln_tau[::-1], ln_shift[::-1]):
             diff = 3.0 * math.log(r) + lt - ls
             if math.isnan(diff) or abs(diff) > associated_module.R0_TOL:
                 break
             want = float(r)
-        assert find_r0(table) == want
+        assert _r0(_ln(r_grid), r_grid, ln_tau, ln_shift) == want
 
 
 class TestRunningMin:
@@ -501,7 +497,7 @@ class TestCarleman:
     def test_fully_saturated_grid_fits_nothing(self):
         # ln M_j - j ln r is smallest at j = j_max for every r >= 1, so no
         # grid point is left to fit; the fits are None, not NaN-rmse zeros.
-        prof = DerivativeNormProfile(dim=1, ln_m=(2.0, 1.0, 0.0), j_max=2)
+        prof = DerivativeNormProfile(dim=1, ln_m=(2.0, 1.0, 0.0))
         report = carleman_diagnostic(prof, 50)
         assert all(report.saturated)
         assert report.fit_linear is None and report.fit_sqrt is None
@@ -533,7 +529,7 @@ def kernel_cases(draw):
         ln_m = np.array([s * math.lgamma(k + 1) for k in range(j_max + 1)])
     for k in draw(st.lists(st.integers(0, j_max), max_size=2)):
         ln_m[k] = NEG_INF
-    profile = DerivativeNormProfile(dim=1, ln_m=tuple(ln_m.tolist()), j_max=j_max)
+    profile = DerivativeNormProfile(dim=1, ln_m=tuple(ln_m.tolist()))
     return profile, draw(st.integers(2, 400))
 
 

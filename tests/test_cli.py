@@ -207,6 +207,9 @@ class TestNorms:
             ("analytic:a=1:K=3:Jmax=5", "the analytic family does not read parameter 'Jmax'"),
             ("profile:rule=constant:Jmax=5:s=9",
              "the constant profile family does not read parameter 's'"),
+            ("analytic:a=1:K=1.5", "parameter 'K' of the analytic family must be an integer, got '1.5'"),
+            ("analytic:a=x:K=1", "parameter 'a' of the analytic family must be a number, got 'x'"),
+            ("profile:rule=factorial:s=nan:Jmax=5", "exponent s must be finite, got nan"),
         ],
     )
     def test_bad_family_parameter_exits_2_naming_it(self, tmp_path, capsys, family, message):
@@ -276,6 +279,17 @@ class TestTau:
         args = ["--family", "profile:rule=factorial:s=1:Jmax=30", "--rmax", "2"]
         assert main(["tau", *args, "--m", "2..4", "--out", str(out)]) == 0
         assert read_strict_json(out / "tau_summary.json")["r0_estimate"] is None
+
+    @pytest.mark.parametrize("rmax", ["0", "-5"])
+    def test_rmax_below_one_exits_2_naming_it_before_any_work(
+        self, tmp_path, capsys, monkeypatch, rmax
+    ):
+        monkeypatch.setattr(cli_module, "_load_profile", _must_not_run)
+        out = tmp_path / "out"
+        family = "profile:rule=factorial:s=1:Jmax=30"
+        assert main(["tau", "--family", family, "--rmax", rmax, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --rmax must be >= 1, got {rmax}\n"
+        assert not out.exists()
 
     def test_rmax_past_grid_cap_exits_4_and_writes_nothing(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QTORUS_GRID_CAP", "100")
@@ -1230,8 +1244,10 @@ class TestFreshProcess:
             (["tau", "--family", "profile:rule=factorial:Jmax=30", "--rmax", "20", "--m", "2..10"],
              {"QTORUS_GRID_CAP": "10"}, 4,
              "error: 20 points of the --rmax grid exceed the cap of 10 (QTORUS_GRID_CAP)\n"),
+            (["tau", "--family", "profile:rule=factorial:Jmax=30", "--rmax", "0"], {}, 2,
+             "error: --rmax must be >= 1, got 0\n"),
         ],
-        ids=["ok", "bad-m", "degenerate", "past-cap"],
+        ids=["ok", "bad-m", "degenerate", "past-cap", "rmax-0"],
     )
     def test_module_entry_exit_codes(self, tmp_path, argv, env, code, error):
         # The process entry point ends without interpreter teardown; the

@@ -32,7 +32,7 @@ from helpers import NOT_COUNTS, refused_count
 
 SERIES = FourierSeries(1, {(1,): 1.0, (-2,): 0.5})
 Z0 = PolyPoint((1j,))
-PROFILE = DerivativeNormProfile(dim=1, ln_m=(0.0,) * 5, j_max=4)
+PROFILE = DerivativeNormProfile(dim=1, ln_m=(0.0,) * 5)
 AUG = augmented_interpolant(SERIES, 3, Z0)
 
 #: (entry point, argument, floor, the call with that argument set to v,
@@ -57,8 +57,7 @@ CASES = [
      [(interpolate_module, "_annulus_points"), (interpolate_module, "_legendre")]),
     ("bound_audit", "seed", 0, lambda v: bound_audit(AUG, PROFILE, 1.5, seed=v),
      [(interpolate_module, "_annulus_points"), (interpolate_module, "_legendre")]),
-    ("DerivativeNormProfile", "dim", 1, lambda v: DerivativeNormProfile(v, (0.0,), 0), []),
-    ("DerivativeNormProfile", "j_max", 0, lambda v: DerivativeNormProfile(1, (0.0,) * 3, v), []),
+    ("DerivativeNormProfile", "dim", 1, lambda v: DerivativeNormProfile(v, (0.0,)), []),
     ("m_j", "j", 0, lambda v: m_j(SERIES, v), [(norms_module, "_pure_direction_ln_m")]),
     ("build_profile", "j_max", 0, lambda v: build_profile(SERIES, v),
      [(norms_module, "_pure_direction_ln_m")]),

@@ -114,6 +114,49 @@ class TestGenSeries:
             FamilySpec(kind=kind, radius=3, **{field: value})
 
 
+#: A valid value and the family-spec key of each optional FamilySpec field.
+FIELDS = {"decay": (1.0, "a"), "exponent": (2.0, "s"), "radius": (3, "K"),
+          "rule": ("constant", "rule"), "j_max": (5, "Jmax")}
+
+#: Each family, its fixed fields and the optional fields it reads.
+FAMILIES = {
+    "analytic": ({"kind": "analytic"}, ("decay", "radius")),
+    "gevrey": ({"kind": "gevrey"}, ("exponent", "radius")),
+    "factorial profile": ({"kind": "profile", "rule": "factorial"}, ("rule", "exponent", "j_max")),
+    "constant profile": ({"kind": "profile", "rule": "constant"}, ("rule", "j_max")),
+}
+
+
+class TestFamilyFields:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_every_field_the_family_reads_is_accepted(self, family):
+        fixed, reads = FAMILIES[family]
+        spec = FamilySpec(**{field: FIELDS[field][0] for field in reads} | fixed)
+        assert spec.kind == fixed["kind"]
+
+    @pytest.mark.parametrize(
+        "family, field",
+        [(family, field) for family, (_, reads) in FAMILIES.items()
+         for field in FIELDS if field not in reads],
+    )
+    def test_field_the_family_does_not_read_refused_naming_its_key(self, family, field):
+        fixed, reads = FAMILIES[family]
+        given = {f: FIELDS[f][0] for f in reads} | fixed | {field: FIELDS[field][0]}
+        key = FIELDS[field][1]
+        with pytest.raises(ValueError, match=f"^the {family} family does not read parameter '{key}'$"):
+            FamilySpec(**given)
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_non_finite_factorial_exponent_refused(self, s):
+        with pytest.raises(ValueError, match=f"^exponent s must be finite, got {s!r}$"):
+            FamilySpec(kind="profile", rule="factorial", exponent=s, j_max=5)
+
+    @pytest.mark.parametrize("s", [0.0, -1.5])
+    def test_finite_factorial_exponent_at_or_below_zero_still_runs(self, s):
+        prof = gen_profile(FamilySpec(kind="profile", rule="factorial", exponent=s, j_max=5))
+        assert prof.ln_m[5] == s * math.lgamma(6)
+
+
 class TestGenProfile:
     def test_factorial_rule(self):
         spec = FamilySpec(kind="profile", rule="factorial", j_max=100)
@@ -197,6 +240,22 @@ class TestParseFamilySpec:
     )
     def test_key_the_family_does_not_read_rejected_naming_it(self, text, family, key):
         with pytest.raises(ValueError, match=f"^the {family} family does not read parameter '{key}'$"):
+            parse_family_spec(text)
+
+    @pytest.mark.parametrize(
+        "text, key, kind, value, wants",
+        [
+            ("analytic:a=1:K=1.5", "K", "analytic", "1.5", "an integer"),
+            ("analytic:a=x:K=1", "a", "analytic", "x", "a number"),
+            ("gevrey:s=:K=3", "s", "gevrey", "", "a number"),
+            ("profile:rule=factorial:Jmax=ten", "Jmax", "profile", "ten", "an integer"),
+        ],
+    )
+    def test_value_that_does_not_convert_refused_naming_key_family_and_text(
+        self, text, key, kind, value, wants
+    ):
+        message = f"^parameter '{key}' of the {kind} family must be {wants}, got '{value}'$"
+        with pytest.raises(ValueError, match=message):
             parse_family_spec(text)
 
     def test_file_kind_is_gone(self):

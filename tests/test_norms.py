@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qtorus import (
+    DerivativeNormProfile,
     FourierSeries,
     build_profile,
     coefficient_bound_audit,
@@ -121,6 +122,26 @@ class TestPureDirectionIdentity:
             else:
                 assert abs(got - brute) <= 1e-12, (j, got, brute)
             assert m_j(s, j) == got
+
+
+class TestProfileRecord:
+    @pytest.mark.parametrize("ln_m", [(0.0,), (0.0, -1.0, NEG), tuple(range(41))])
+    def test_j_max_is_the_last_order(self, ln_m):
+        assert DerivativeNormProfile(1, ln_m).j_max == len(ln_m) - 1
+
+    def test_j_max_is_not_a_field(self):
+        assert DerivativeNormProfile._fields == ("dim", "ln_m")
+        with pytest.raises(TypeError):
+            DerivativeNormProfile(dim=1, ln_m=(0.0,), j_max=0)
+
+    @pytest.mark.parametrize("ln_m", [(), []])
+    def test_empty_ln_m_refused_naming_it(self, ln_m):
+        with pytest.raises(ValueError, match="^ln_m must hold"):
+            DerivativeNormProfile(1, ln_m)
+
+    def test_built_and_shifted_profiles_keep_their_length(self):
+        prof = build_profile(FourierSeries(1, {(2,): 1.0}), 6)
+        assert prof.j_max == 6 and shift_profile(prof, -1.0).j_max == 6
 
 
 class TestBuildProfile:

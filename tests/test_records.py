@@ -15,6 +15,7 @@ import pytest
 
 import qtorus
 from qtorus import DerivativeNormProfile, FamilySpec, TrendConfig
+from qtorus.associated import RESIDUAL_THRESHOLD, SATURATION_FRACTION, TAIL_THRESHOLD
 from qtorus.series import Record
 
 RECORDS = sorted(Record.__subclasses__(), key=lambda cls: cls.__name__)
@@ -23,8 +24,8 @@ RECORDS = sorted(Record.__subclasses__(), key=lambda cls: cls.__name__)
 VALID = {
     "PolyPoint": ({"z": (1j, 2.0)}, {"z": (1j, -2.0)}),
     "DerivativeNormProfile": (
-        {"dim": 1, "ln_m": (0.0, -1.5, -math.inf), "j_max": 2},
-        {"dim": 1, "ln_m": (0.0, -1.5, -2.0), "j_max": 2},
+        {"dim": 1, "ln_m": (0.0, -1.5, -math.inf)},
+        {"dim": 1, "ln_m": (0.0, -1.5, -2.0)},
     ),
     "FamilySpec": (
         {"kind": "analytic", "dim": 1, "radius": 3, "decay": 1.0},
@@ -124,7 +125,8 @@ class TestAgainstDataclass:
 
 def test_defaults_match_the_dataclass():
     assert repr(TrendConfig()) == repr(twin(TrendConfig)())
-    assert TrendConfig() == TrendConfig(0.05, 0.1, 1e-3, 0.9, 0.5)
+    assert TrendConfig() == TrendConfig(0.05, 0.9)
+    assert (RESIDUAL_THRESHOLD, TAIL_THRESHOLD, SATURATION_FRACTION) == (0.1, 1e-3, 0.5)
     assert TrendConfig(fit_margin=0.8).fit_margin == 0.8
     fields = {"kind": "profile", "rule": "constant", "j_max": 1}
     record = FamilySpec(**fields)
@@ -138,12 +140,10 @@ def test_post_init_normalises_and_cached_property_writes():
     point = qtorus.PolyPoint((7, -1.5))
     assert point.z == (7 + 0j, -1.5 + 0j) and all(type(v) is complex for v in point.z)
     assert repr(point) == repr(twin(qtorus.PolyPoint)((7, -1.5)))
-    profile = DerivativeNormProfile(1, [0, -1, -2, -3], 3)
+    profile = DerivativeNormProfile(1, [0, -1, -2, -3])
     assert profile.ln_m == (0.0, -1.0, -2.0, -3.0)
     assert profile._hulls is profile._hulls  # cached in __dict__
-    assert profile == DerivativeNormProfile(1, (0.0, -1.0, -2.0, -3.0), 3)
-    with pytest.raises(ValueError):
-        DerivativeNormProfile(1, (0.0,), 2)
+    assert profile == DerivativeNormProfile(1, (0.0, -1.0, -2.0, -3.0))
 
 
 def test_field_without_default_after_a_default_is_refused():
