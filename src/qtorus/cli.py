@@ -42,7 +42,6 @@ from .associated import (
     witness,
 )
 from .families import (
-    FamilySpec,
     gen_profile,
     gen_series,
     parse_family_spec,
@@ -56,6 +55,7 @@ from .series import (
     PolyPoint,
     READ_BLOCK,
     _atomic_write,
+    _cap,
     check_power,
     check_size,
     read_coefficients,
@@ -63,13 +63,8 @@ from .series import (
 
 
 def _config_echo(args: argparse.Namespace) -> dict:
-    skip = {"func", "out"}
-    echo = {"version": __version__, "out": str(args.out)}
-    for key, value in sorted(vars(args).items()):
-        if key in skip or key.startswith("_"):
-            continue
-        echo[key] = value if not isinstance(value, Path) else str(value)
-    return echo
+    """The version and each flag; a ``_`` name (the command function, a parsed value) is no flag."""
+    return {"version": __version__, **{k: v for k, v in vars(args).items() if not k.startswith("_")}}
 
 
 #: Leaf types that are never a non-finite float.
@@ -228,43 +223,12 @@ def _write_artifacts(args: argparse.Namespace, artifacts: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Input resolution
+# The pre-flight plan
 # ---------------------------------------------------------------------------
 
-def _resolve_spec(args: argparse.Namespace) -> FamilySpec | None:
-    if args.input and args.family:
-        raise ValueError("give either --input or --family, not both")
-    if args.family:
-        return parse_family_spec(args.family, dim=args.n)
-    if args.input:
-        return None
-    raise ValueError("need --input PATH or --family SPEC")
-
-
-def _load_series(args: argparse.Namespace, spec: FamilySpec | None) -> FourierSeries:
-    if spec is None:
-        return read_coefficients(args.input)
-    if spec.kind == "profile":
-        raise ValueError("profile families have no spectrum; this command needs one")
-    return gen_series(spec)
-
-
-def _check_jmax(j_max: int) -> None:
-    check_size(j_max + 1, "profile orders (Jmax + 1)")
-
-
-def _load_profile(args: argparse.Namespace):
-    """The profile of a ``profile:`` family, or of the series the input gives.
-
-    The j_max actually used (the family's ``Jmax``, else ``--Jmax``) is
-    checked against the cap before anything is read or built.
-    """
-    spec = _resolve_spec(args)
-    if spec is not None and spec.kind == "profile":
-        _check_jmax(spec.j_max)
-        return gen_profile(spec)
-    _check_jmax(args.jmax)
-    return build_profile(_load_series(args, spec), args.jmax)
+#: The least value of each integer flag, by argparse dest: (flag, least).  --rmax
+#: is 1 for tau and 2 for verdict, whose trend fit over r = 1..rmax needs two points.
+_FLOORS = {"n": ("--n", 1), "jmax": ("--Jmax", 0), "seed": ("--seed", 0), "samples": ("--samples", 1)}
 
 
 def _parse_m_range(text: str) -> range:
@@ -276,8 +240,47 @@ def _parse_m_range(text: str) -> range:
         raise ValueError(f"--m needs an integer A or a range A..B, got {text!r}") from None
     if a < 1 or b < a:
         raise ValueError(f"bad --m range {text!r}")
-    check_size(b, "points of the --m grid")
     return range(a, b + 1)
+
+
+def _plan(args: argparse.Namespace) -> None:
+    """Refuse, before any work, what the job may not ask for, naming the flag.
+
+    The flag floors, --m and interp's --t, then the input and family spec,
+    then the sizes argv fixes against the cap.  ``args._m_grid`` and
+    ``args._spec`` keep what was parsed.  Interp's sizes that need n wait
+    for its series.
+    """
+    given = vars(args)
+    floors = {**_FLOORS, "rmax": ("--rmax", 2 if args.command == "verdict" else 1)}
+    for dest, (flag, least) in floors.items():
+        if dest in given and given[dest] < least:
+            raise ValueError(f"{flag} must be >= {least}, got {given[dest]}")
+    args._m_grid = _parse_m_range(args.m) if "m" in given else None
+    if args.command == "interp" and not args.tm and not 1 < args.t < math.inf:
+        raise ValueError(f"--t must be finite and > 1, got {args.t}")
+    if bool(args.input) == bool(args.family):
+        raise ValueError("give exactly one of --input PATH and --family SPEC")
+    spec = args._spec = parse_family_spec(args.family, dim=args.n) if args.family else None
+    profile_family = spec is not None and spec.kind == "profile"
+    if profile_family and args.command == "interp":
+        raise ValueError("profile families have no spectrum; interp needs one")
+    if args.command == "tau":
+        check_size(args.rmax, "points of the --rmax grid")
+    if args._m_grid is not None:
+        check_size(args._m_grid[-1], "points of the --m grid")
+    check_size((spec.j_max if profile_family else args.jmax) + 1, "profile orders (Jmax + 1)")
+
+
+def _load_series(args: argparse.Namespace) -> FourierSeries:
+    return read_coefficients(args.input) if args._spec is None else gen_series(args._spec)
+
+
+def _load_profile(args: argparse.Namespace):
+    """The profile of a ``profile:`` family, or of the series the input gives."""
+    if args._spec is not None and args._spec.kind == "profile":
+        return gen_profile(args._spec)
+    return build_profile(_load_series(args), args.jmax)
 
 
 def _parse_z0(text: str | None, dim: int) -> PolyPoint:
@@ -318,13 +321,9 @@ def cmd_norms(args: argparse.Namespace) -> dict:
 
 
 def cmd_tau(args: argparse.Namespace) -> dict:
-    if args.rmax < 1:
-        raise ValueError(f"--rmax must be >= 1, got {args.rmax}")
-    check_size(args.rmax, "points of the --rmax grid")
-    m_grid = _parse_m_range(args.m)
     profile = _load_profile(args)
     table = build_table(profile, range(1, args.rmax + 1))
-    wit = witness(profile, profile.dim, m_grid, normalize=False)
+    wit = witness(profile, profile.dim, args._m_grid, normalize=False)
     return {
         "tau_table.csv": (
             ("r", "ln_tau", "ln_tau_shifted"),
@@ -352,10 +351,9 @@ def _fit_payload(fit) -> dict | None:
 
 def cmd_verdict(args: argparse.Namespace) -> dict:
     config = TrendConfig(slope_threshold=args.slope_threshold, fit_margin=args.fit_margin)
-    m_grid = _parse_m_range(args.m)
     profile = _load_profile(args)
     report = carleman_diagnostic(profile, args.rmax, config=config)
-    wit = witness(profile, profile.dim, m_grid, config=config)
+    wit = witness(profile, profile.dim, args._m_grid, config=config)
     payload = {
         "effective": _effective(profile),
         "carleman": {
@@ -386,15 +384,17 @@ def cmd_verdict(args: argparse.Namespace) -> dict:
 
 
 def cmd_interp(args: argparse.Namespace) -> dict:
-    if args.samples < 1:
-        raise ValueError(f"--samples must be >= 1, got {args.samples}")
-    if args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
-    m_grid = _parse_m_range(args.m)
-    _check_jmax(args.jmax)
-    series = _load_series(args, _resolve_spec(args))
+    m_grid = args._m_grid
+    series = _load_series(args)
     n = series.dim
+    # The sizes that need n: the largest grid, all grids (summed until past the cap), the samples.
     check_power(m_grid[-1], n, "points of the --m grid in dimension n")
+    limit, nodes = _cap(), 0
+    for m in m_grid:
+        nodes += m**n
+        if nodes > limit:
+            break
+    check_size(nodes, f"grid points summed over --m {m_grid[0]}..{m}")
     check_size(args.samples * n, "sample components (--samples x n)")
     rescale = None
     if args.tm:
@@ -404,15 +404,17 @@ def cmd_interp(args: argparse.Namespace) -> dict:
         series = rescaled.series
         rescale = {"scale": rescaled.scale, "normalized": rescaled.normalized}
     profile = build_profile(series, args.jmax)
-    ln_t = t_m_sequence(profile, m_grid[-1], n) if args.tm else None
+    t_grid = [args.t] * len(m_grid)
+    if args.tm:  # with Jmax < 3 the head terms alone can take a t_m to 1 or below
+        t_grid = [math.exp(ln_t) for ln_t in t_m_sequence(profile, m_grid[-1], n)[m_grid[0] - 1 :]]
+        for m, t_val in zip(m_grid, t_grid):
+            if not 1 < t_val < math.inf:
+                raise ValueError(f"--tm needs every t_m finite and > 1, got t_m = {t_val} at m = {m}")
     z0 = _parse_z0(args.z0, n)
     reports = []
-    for m in m_grid:
+    for m, t_val in zip(m_grid, t_grid):
         audit = interpolation_audit(series, m, z0, engine=args.engine)
-        t_val = math.exp(ln_t[m - 1]) if args.tm else args.t
-        bounds = bound_audit(
-            audit.interpolant, profile, t_val, n_samples=args.samples, seed=args.seed
-        )
+        bounds = bound_audit(audit.interpolant, profile, t_val, n_samples=args.samples, seed=args.seed)
         reports.append(
             {
                 "m": m,
@@ -475,13 +477,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_norms = sub.add_parser("norms", help="derivative-norm profile CSV")
     _add_shared(p_norms)
-    p_norms.set_defaults(func=cmd_norms)
+    p_norms.set_defaults(_func=cmd_norms)
 
     p_tau = sub.add_parser("tau", help="associated-function tables")
     _add_shared(p_tau)
     _add_m(p_tau)
     p_tau.add_argument("--rmax", type=int, default=100, help="integer r grid upper end")
-    p_tau.set_defaults(func=cmd_tau)
+    p_tau.set_defaults(_func=cmd_tau)
 
     p_verdict = sub.add_parser("verdict", help="trend verdicts and witness plot")
     _add_shared(p_verdict)
@@ -495,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--fit-margin", type=float, default=DEFAULT_TREND.fit_margin,
         help="rmse ratio a growth model must beat to win",
     )
-    p_verdict.set_defaults(func=cmd_verdict)
+    p_verdict.set_defaults(_func=cmd_verdict)
 
     p_interp = sub.add_parser("interp", help="interpolation and bound audits")
     _add_shared(p_interp)
@@ -511,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_interp.add_argument(
         "--engine", choices=("diagonal", "alias"), default="alias"
     )
-    p_interp.set_defaults(func=cmd_interp)
+    p_interp.set_defaults(_func=cmd_interp)
 
     return parser
 
@@ -520,16 +522,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _write_artifacts(args, args.func(args))
-    except GridCapError as exc:
+        _plan(args)
+        _write_artifacts(args, args._func(args))
+    except (GridCapError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except DegenerateProfileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, GridCapError):
+            return 4
+        return 3 if isinstance(exc, DegenerateProfileError) else 2
     return 0
 
 

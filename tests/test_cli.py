@@ -685,7 +685,7 @@ class TestInterp:
         out = tmp_path / "out"
         args = ["interp", "--family", "analytic:a=1:K=3", "--m", "2..3", "--samples", "8"]
         assert main([*args, "--t", t, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: t must be finite and > 1, got {t}\n"
+        assert capsys.readouterr().err == f"error: --t must be finite and > 1, got {t}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("engine", ["alias", "diagonal"])
@@ -783,6 +783,117 @@ ECHO_KEYS = {
     "verdict": {"family", "input", "jmax", "n", "seed", "m", "rmax", "slope_threshold", "fit_margin"},
     "interp": {"family", "input", "jmax", "n", "seed", "m", "samples", "t", "tm", "z0", "engine"},
 }
+
+
+#: (command, flag, value, the refusal): each flag the pre-flight plan
+#: checks, on every command that takes it, with the line that names it.
+FLAG_REFUSALS = [
+    *[
+        (command, flag, value, f"{flag} must be >= {least}, got {value}")
+        for command in ("norms", "tau", "verdict", "interp")
+        for flag, value, least in (("--n", "0", 1), ("--Jmax", "-1", 0), ("--seed", "-1", 0))
+    ],
+    ("interp", "--samples", "0", "--samples must be >= 1, got 0"),
+    ("tau", "--rmax", "0", "--rmax must be >= 1, got 0"),
+    ("verdict", "--rmax", "1", "--rmax must be >= 2, got 1"),
+    ("verdict", "--rmax", "-3", "--rmax must be >= 2, got -3"),
+    ("interp", "--t", "1", "--t must be finite and > 1, got 1.0"),
+    ("interp", "--t", "0.5", "--t must be finite and > 1, got 0.5"),
+    ("interp", "--t", "-inf", "--t must be finite and > 1, got -inf"),
+    ("tau", "--m", "0..3", "bad --m range '0..3'"),
+    ("verdict", "--m", "4..x", "--m needs an integer A or a range A..B, got '4..x'"),
+    ("interp", "--m", "9..2", "bad --m range '9..2'"),
+]
+
+
+class TestPlan:
+    """``main`` checks every flag and every size argv fixes before any work."""
+
+    @pytest.mark.parametrize(
+        "command, flag, value, message",
+        FLAG_REFUSALS,
+        ids=[f"{c}{f}={v}" for c, f, v, _ in FLAG_REFUSALS],
+    )
+    def test_bad_flag_exits_2_naming_it_before_any_work(
+        self, tmp_path, monkeypatch, capsys, command, flag, value, message
+    ):
+        for name in ("read_coefficients", "gen_series", "gen_profile", "build_profile"):
+            monkeypatch.setattr(cli_module, name, _must_not_run)
+        coeffs = tmp_path / "c.jsonl"
+        coeffs.write_text('{"k": [1], "re": 1.0, "im": 0.0}\n')
+        out = tmp_path / "out"
+        for source in (["--input", str(coeffs)], ["--family", "profile:rule=factorial:Jmax=30"]):
+            assert main([command, *source, f"{flag}={value}", "--out", str(out)]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not out.exists()
+
+    def test_tm_ignores_t(self, tmp_path):
+        args = ["interp", "--family", "analytic:a=1:K=3", "--m", "2..3", "--samples", "8"]
+        assert main([*args, "--tm", "--t", "nan", "--out", str(tmp_path / "out")]) == 0
+
+    def test_profile_family_for_interp_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli_module, "gen_profile", _must_not_run)
+        out = tmp_path / "out"
+        family = "profile:rule=factorial:Jmax=30"
+        assert main(["interp", "--family", family, "--m", "2..3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: profile families have no spectrum; interp needs one\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cap, code", [("13", 0), ("12", 4)])
+    def test_grid_work_of_the_whole_m_range_is_capped(self, tmp_path, monkeypatch, capsys, cap, code):
+        # n = 2, --m 2..3: 4 + 9 = 13 grid points over the job, each grid
+        # (at most 9), the 9 modes, 3 orders and 8 sample components below 12.
+        monkeypatch.setenv("QTORUS_GRID_CAP", cap)
+        audits = []
+
+        def counted(series, m, *args, _audit=cli_module.interpolation_audit, **kwargs):
+            audits.append(m)
+            return _audit(series, m, *args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "interpolation_audit", counted)
+        out = tmp_path / "out"
+        args = ["interp", "--family", "analytic:a=1:K=1", "--n", "2", "--m", "2..3", "--Jmax", "2"]
+        assert main([*args, "--samples", "4", "--out", str(out)]) == code
+        if code:
+            assert capsys.readouterr().err == (
+                "error: 13 grid points summed over --m 2..3 exceed the cap of 12 (QTORUS_GRID_CAP)\n"
+            )
+            assert audits == [] and not out.exists()
+        else:
+            assert audits == [2, 3] and out.exists()
+
+    def test_grid_work_sum_stops_past_the_cap(self, tmp_path, monkeypatch, capsys):
+        # Every grid of --m 2..1000000 at n = 1 is within the default cap, but
+        # the job's ~5e11 grid points are not: the sum stops at m = 1414.
+        monkeypatch.delenv("QTORUS_GRID_CAP", raising=False)
+        for name in ("interpolation_audit", "bound_audit", "build_profile"):
+            monkeypatch.setattr(cli_module, name, _must_not_run)
+        out = tmp_path / "out"
+        args = ["interp", "--family", "analytic:a=1:K=1", "--m", "2..1000000"]
+        assert main([*args, "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            "error: 1000404 grid points summed over --m 2..1414 exceed the cap of 1000000"
+            " (QTORUS_GRID_CAP)\n"
+        )
+        assert not out.exists()
+
+    def test_tm_with_a_t_m_at_or_below_one_exits_2_before_any_audit(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # With Jmax 2 the head terms alone set t_m, and t_5 < 1.
+        for name in ("interpolation_audit", "bound_audit"):
+            monkeypatch.setattr(cli_module, name, _must_not_run)
+        out = tmp_path / "out"
+        args = ["interp", "--family", "analytic:a=1:K=3", "--samples", "16", "--tm", "--Jmax", "2"]
+        assert main([*args, "--m", "2..20", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: --tm needs every t_m finite and > 1, got t_m = 0.9769563293656542 at m = 5\n"
+        )
+        assert not out.exists()
+        monkeypatch.undo()
+        assert main([*args, "--m", "2..4", "--out", str(out)]) == 0
+        report = read_strict_json(out / "interp_report.json")
+        assert all(entry["t"] > 1 for entry in report["per_m"])
 
 
 class TestParser:
