@@ -51,13 +51,12 @@ say) it holds the two or more tied points.
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
 from .logspace import NEG_INF
 from .norms import DerivativeNormProfile, shift_profile
-from .series import Record, _count
+from .series import Record, _count, _real
 
 LN_HALF = math.log(0.5)
 
@@ -98,16 +97,15 @@ class TrendConfig(Record):
 
     The statements being checked are asymptotic; these cutoffs make them
     decidable at desk scale and are deliberately configuration, not math.
-    A NaN or infinite field is a ValueError naming it.
+    Each field is a finite real (:func:`~qtorus.series._real`), stored as a float.
     """
 
     slope_threshold: float = 0.05      # least-squares slope of d_m vs ln m
     fit_margin: float = 0.9            # rmse ratio for a growth model to win
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        for name, value in list(vars(self).items()):
+            object.__setattr__(self, name, _real(name, value))
 
 
 DEFAULT_TREND = TrendConfig()
@@ -208,18 +206,14 @@ def log_tau(profile: DerivativeNormProfile, r: float) -> float:
     An upper bound for the true inf over all j >= 0: truncation can only
     miss smaller terms.
     """
-    if not 1.0 <= r < math.inf:
-        raise ValueError(f"r must be finite and >= 1, got {r!r}")
-    return float(_legendre(profile, [math.log(r)])[0][0])
+    return float(_legendre(profile, [math.log(_real("r", r, 1))])[0][0])
 
 
 def log_tau_shifted(profile: DerivativeNormProfile, r: float) -> float:
     """ln tau~(r) = min_{0<=s<=j_max-3} (ln M_{s+3} - s ln r)."""
     if profile.j_max < 3:
         raise ValueError("shifted associated function needs j_max >= 3")
-    if not 1.0 <= r < math.inf:
-        raise ValueError(f"r must be finite and >= 1, got {r!r}")
-    return float(_legendre(profile, [math.log(r)], 3)[0][0])
+    return float(_legendre(profile, [math.log(_real("r", r, 1))], 3)[0][0])
 
 
 def _fold_weights(profile: DerivativeNormProfile, r_max: int):
@@ -566,17 +560,14 @@ def carleman_diagnostic(
     partial integrals grow like ln R); profiles with stretched-exponential
     coefficient decay show sqrt-type growth (the integrals Cauchy-converge).
     """
-    if not r_max >= 2:  # NaN fails this too
-        raise ValueError(f"r_max must be >= 2, got {r_max!r}")
-    if r_max > sys.float_info.max:
-        raise ValueError(f"r_max must be at most {sys.float_info.max!r}, the largest float")
+    r_max = _real("r_max", r_max, 2)
     points_per_decade = _count("points_per_decade", points_per_decade)
     _require_nondegenerate(profile)
     n_points = max(2, int(math.ceil(points_per_decade * math.log10(r_max))) + 1)
     with np.errstate(over="ignore"):
         # Within rounding of the largest float, 10^log10(r_max) can overflow;
         # that grid point is the largest float instead.
-        grid = np.minimum(np.logspace(0.0, math.log10(r_max), n_points), sys.float_info.max)
+        grid = np.minimum(np.logspace(0.0, math.log10(r_max), n_points), np.finfo(float).max)
     grid[0] = 1.0
     ln_tau, arg = _legendre(profile, np.log(grid))
     saturated = arg == profile.j_max
@@ -594,9 +585,7 @@ def carleman_diagnostic(
     keep = ~saturated
     fit_lin = fit_sqrt = best = None
     if int(np.sum(keep)) >= MIN_FIT_POINTS:
-        fit_lin, fit_sqrt, best = _pick_growth_model(
-            grid[keep], neg[keep], config.fit_margin
-        )
+        fit_lin, fit_sqrt, best = _pick_growth_model(grid[keep], neg[keep], config.fit_margin)
 
     if sat_fraction > SATURATION_FRACTION:
         verdict = "inconclusive"
@@ -649,12 +638,15 @@ class LemmaReport(Record):
 def lemma_check(t_grid, h_values) -> LemmaReport:
     """Run the decay/integrability check on a tabulated function h(t).
 
-    ``t_grid`` must be increasing with t >= 1; ``h_values`` must be positive.
+    ``t_grid`` must be increasing with finite t >= 1; ``h_values`` must be finite and positive.
     """
     t = np.asarray(t_grid, dtype=float)
     h = np.asarray(h_values, dtype=float)
     if t.ndim != 1 or t.shape != h.shape or t.size < 4:
         raise ValueError("need matching 1-d grids with at least 4 points")
+    for name, values in (("t_grid", t), ("h_values", h)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} entries must be finite")
     if np.any(h <= 0):
         raise ValueError("h must be positive on the grid")
     if np.any(np.diff(t) <= 0) or t[0] < 1.0:

@@ -56,6 +56,8 @@ from .series import (
     READ_BLOCK,
     _atomic_write,
     _cap,
+    _count,
+    _real,
     check_power,
     check_size,
     read_coefficients,
@@ -243,22 +245,35 @@ def _parse_m_range(text: str) -> range:
     return range(a, b + 1)
 
 
+def _parse_z0(text: str) -> PolyPoint:
+    try:
+        comps = [complex(part) for part in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--z0 needs comma-separated complex numbers, got {text!r}") from None
+    point = PolyPoint(tuple(comps))
+    if not point.on_torus():
+        raise ValueError("--z0 components must have modulus 1")
+    return point
+
+
 def _plan(args: argparse.Namespace) -> None:
     """Refuse, before any work, what the job may not ask for, naming the flag.
 
-    The flag floors, --m and interp's --t, then the input and family spec,
-    then the sizes argv fixes against the cap.  ``args._m_grid`` and
-    ``args._spec`` keep what was parsed.  Interp's sizes that need n wait
-    for its series.
+    The flag floors, --m, interp's --t and --z0, the input and family spec,
+    then the sizes argv fixes against the cap; a flag goes through the
+    library's check of its kind.  ``args._m_grid``, ``args._z0`` and
+    ``args._spec`` keep what was parsed.  What needs n (interp's sizes,
+    --z0's component count) waits for its series.
     """
     given = vars(args)
     floors = {**_FLOORS, "rmax": ("--rmax", 2 if args.command == "verdict" else 1)}
     for dest, (flag, least) in floors.items():
-        if dest in given and given[dest] < least:
-            raise ValueError(f"{flag} must be >= {least}, got {given[dest]}")
+        if dest in given:
+            _count(flag, given[dest], least)
     args._m_grid = _parse_m_range(args.m) if "m" in given else None
-    if args.command == "interp" and not args.tm and not 1 < args.t < math.inf:
-        raise ValueError(f"--t must be finite and > 1, got {args.t}")
+    if args.command == "interp" and not args.tm:
+        _real("--t", args.t, 1, strict=True)
+    args._z0 = _parse_z0(args.z0) if given.get("z0") is not None else None
     if bool(args.input) == bool(args.family):
         raise ValueError("give exactly one of --input PATH and --family SPEC")
     spec = args._spec = parse_family_spec(args.family, dim=args.n) if args.family else None
@@ -281,23 +296,6 @@ def _load_profile(args: argparse.Namespace):
     if args._spec is not None and args._spec.kind == "profile":
         return gen_profile(args._spec)
     return build_profile(_load_series(args), args.jmax)
-
-
-def _parse_z0(text: str | None, dim: int) -> PolyPoint:
-    if text is None:
-        # Fixed default angle; irrational multiple of pi so z0^m never lands
-        # exactly on the degenerate locus for the m values in use.
-        return PolyPoint(tuple(cmath.exp(0.7j) for _ in range(dim)))
-    try:
-        comps = [complex(part) for part in text.split(",")]
-    except ValueError:
-        raise ValueError(f"--z0 needs comma-separated complex numbers, got {text!r}") from None
-    if len(comps) != dim:
-        raise ValueError(f"--z0 needs {dim} comma-separated components")
-    point = PolyPoint(tuple(comps))
-    if not point.on_torus():
-        raise ValueError("--z0 components must have modulus 1")
-    return point
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +394,11 @@ def cmd_interp(args: argparse.Namespace) -> dict:
             break
     check_size(nodes, f"grid points summed over --m {m_grid[0]}..{m}")
     check_size(args.samples * n, "sample components (--samples x n)")
+    # Fixed default angle; irrational multiple of pi so z0^m never lands
+    # exactly on the degenerate locus for the m values in use.
+    z0 = args._z0 or PolyPoint(tuple(cmath.exp(0.7j) for _ in range(n)))
+    if z0.dim != n:
+        raise ValueError(f"--z0 needs {n} comma-separated components")
     rescale = None
     if args.tm:
         # D(t_m) sampling presumes the normalization M_3 < 1/2 (otherwise
@@ -410,7 +413,6 @@ def cmd_interp(args: argparse.Namespace) -> dict:
         for m, t_val in zip(m_grid, t_grid):
             if not 1 < t_val < math.inf:
                 raise ValueError(f"--tm needs every t_m finite and > 1, got t_m = {t_val} at m = {m}")
-    z0 = _parse_z0(args.z0, n)
     reports = []
     for m, t_val in zip(m_grid, t_grid):
         audit = interpolation_audit(series, m, z0, engine=args.engine)

@@ -16,7 +16,7 @@ import numpy as np
 from .associated import CLASS_MARGIN
 from .logspace import NEG_INF
 from .norms import DerivativeNormProfile, m_j
-from .series import FourierSeries, Record, _count, check_power, check_size
+from .series import FourierSeries, Record, _count, _real, check_power, check_size
 
 _KINDS = ("analytic", "gevrey", "profile")
 _RULES = ("factorial", "constant")
@@ -60,13 +60,10 @@ class FamilySpec(Record):
             if getattr(self, field) is not None and key not in _READS[family]:
                 raise ValueError(f"the {family} family does not read parameter {key!r}")
         if self.kind == "analytic":
-            if self.decay is None or not 0 < self.decay < math.inf:
-                raise ValueError(f"decay a must be finite and > 0, got {self.decay!r}")
-        elif self.kind == "gevrey":
-            if self.exponent is None or not 1 <= self.exponent < math.inf:
-                raise ValueError(f"exponent s must be finite and >= 1, got {self.exponent!r}")
-        elif self.exponent is not None and not math.isfinite(self.exponent):
-            raise ValueError(f"exponent s must be finite, got {self.exponent!r}")
+            object.__setattr__(self, "decay", _real("decay a", self.decay, 0, strict=True))
+        elif self.kind == "gevrey" or self.exponent is not None:
+            floor = 1 if self.kind == "gevrey" else None
+            object.__setattr__(self, "exponent", _real("exponent s", self.exponent, floor))
         size = "j_max" if self.kind == "profile" else "radius"
         object.__setattr__(self, size, _count(size, getattr(self, size), least=0))
 
@@ -102,7 +99,7 @@ def gen_profile(spec: FamilySpec) -> DerivativeNormProfile:
     """Fill ln M_j from a closed-form rule up to j_max."""
     if spec.kind != "profile":
         raise ValueError("gen_profile needs a synthetic-profile spec")
-    s = 1.0 if spec.exponent is None else float(spec.exponent)
+    s = 1.0 if spec.exponent is None else spec.exponent
     if spec.rule == "factorial":
         vals = tuple(s * math.lgamma(j + 1) for j in range(spec.j_max + 1))
     else:  # constant

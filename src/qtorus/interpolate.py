@@ -41,6 +41,7 @@ from .series import (
     _count,
     _grid_indices,
     _product,
+    _real,
     _roots,
     _summed,
     _terms,
@@ -338,8 +339,7 @@ def bound_audit(
     m of an interp job), and the points once for every call that also has
     the same t (:func:`_annulus_points`).
     """
-    if not (math.isfinite(t) and t > 1.0):
-        raise ValueError(f"t must be finite and > 1, got {t!r}")
+    t = _real("t", t, 1, strict=True)
     n_samples, seed = _count("n_samples", n_samples), _count("seed", seed, least=0)
     n, m = interpolant.base.dim, interpolant.m
     points = _annulus_points(seed, n_samples, n, t)
@@ -369,7 +369,7 @@ def bound_audit(
         return math.exp(math.log(sup) - ln_rhs)
 
     return BoundAuditReport(
-        t=float(t),
+        t=t,
         seed=seed,
         n_samples=n_samples,
         lhs_max=lhs_max,

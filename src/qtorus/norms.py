@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .logspace import NEG_INF, log_sum_exp
-from .series import FourierSeries, Record, _count
+from .series import FourierSeries, Record, _count, _real
 
 #: How far (in ln) a coefficient may pass its bound before :func:`coefficient_bound_audit` flags it.
 BOUND_TOL = 1e-9
@@ -54,9 +54,8 @@ class DerivativeNormProfile(Record):
         vals = tuple(float(v) for v in self.ln_m)
         if not vals:
             raise ValueError("ln_m must hold at least ln M_0, got no entries")
-        for v in vals:
-            if math.isnan(v) or v == math.inf:
-                raise ValueError("ln_m entries must be finite or -inf")
+        if any(math.isnan(v) or v == math.inf for v in vals):
+            raise ValueError("ln_m entries must be finite or -inf")
         object.__setattr__(self, "ln_m", vals)
 
     @property
@@ -117,6 +116,7 @@ def build_profile(series: FourierSeries, j_max: int) -> DerivativeNormProfile:
 
 def shift_profile(profile: DerivativeNormProfile, delta: float) -> DerivativeNormProfile:
     """The profile of the rescaled function e^delta * f: every ln M_j shifts by delta."""
+    delta = _real("delta", delta)
     shifted = tuple(v + delta if v != NEG_INF else NEG_INF for v in profile.ln_m)
     return DerivativeNormProfile(dim=profile.dim, ln_m=shifted)
 

@@ -17,6 +17,7 @@ import itertools
 import json
 import math
 import os
+import sys
 import tempfile
 from collections.abc import Mapping
 from functools import cached_property
@@ -74,6 +75,20 @@ def _count(name: str, value, least: int = 1) -> int:
     return int(value)
 
 
+def _real(name: str, value, floor=None, strict: bool = False) -> float:
+    """``value`` as a finite float >= ``floor`` (> it when ``strict``), else a ValueError naming ``name``.
+
+    The one check of a real argument: an int, a float or a numpy real within
+    the float range passes, a bool, NaN, +-inf or anything else is refused.
+    """
+    number = not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
+    finite = number and abs(value) <= sys.float_info.max
+    if not finite or (floor is not None and not (value > floor if strict else value >= floor)):
+        bound = "" if floor is None else f" and {'>' if strict else '>='} {floor}"
+        raise ValueError(f"{name} must be finite{bound}, got {value!r}")
+    return float(value)
+
+
 class GridCapError(RuntimeError):
     """A requested size would exceed the configured cap."""
 
@@ -128,14 +143,24 @@ class _DuplicateIndex(ValueError):
 
 
 def _index_array(exponents, dim: int) -> np.ndarray:
-    """``exponents`` as a (K, dim) int64 array of integers within INDEX_BOUND, or ValueError."""
-    k = np.asarray(exponents)
+    """``exponents`` as a (K, dim) int64 array of integers within INDEX_BOUND, or ValueError.
+
+    The one conversion of index rows.  Ints mixed with floats, which numpy
+    rounds to float64 beyond 2**53, are converted exactly.
+    """
+    try:
+        k = np.asarray(exponents)
+    except ValueError:
+        raise ValueError(f"indices must be {dim} integers each, with |k_p| <= 2**62") from None
     if k.size == 0:
         k = k.reshape(0, dim)
     if k.ndim != 2 or k.shape[1] != dim:
         raise ValueError(f"indices must have length {dim}, got an array of shape {k.shape}")
-    if k.dtype.kind == "f" and not np.all(np.isfinite(k) & (k == np.trunc(k))):
-        raise ValueError("index entries must be integers")
+    if k.dtype.kind == "f":
+        if not np.all(np.isfinite(k) & (k == np.trunc(k))):
+            raise ValueError("index entries must be integers")
+        if k.size and np.abs(k).max() <= INDEX_BOUND:
+            k = np.array(exponents, dtype=np.int64)
     if k.dtype.kind not in "biuf" or (
         k.size and (k.min() < -INDEX_BOUND or k.max() > INDEX_BOUND)
     ):
@@ -159,23 +184,7 @@ class FourierSeries:
     """
 
     def __init__(self, dim: int, coeffs: Mapping):
-        keys = list(coeffs)
-        values = np.fromiter(coeffs.values(), dtype=complex, count=len(keys))
-        try:
-            exponents = np.array(keys)
-            if exponents.dtype.kind == "f":
-                # Ints mixed with floats come out as float64, which rounds
-                # ints beyond 2**53: convert each entry exactly instead, and
-                # accept the floats only where they are integral.
-                exact = np.array(keys, dtype=np.int64)
-                if not np.array_equal(exact, exponents):
-                    raise ValueError("index entries must be integers")
-                exponents = exact
-        except (ValueError, OverflowError) as exc:
-            raise ValueError(
-                f"indices must be {dim} integers each, with |k_p| <= 2**62"
-            ) from exc
-        self._store(dim, exponents, values)
+        self._store(dim, list(coeffs), list(coeffs.values()))
 
     @classmethod
     def from_arrays(cls, dim: int, exponents, values) -> "FourierSeries":
@@ -198,8 +207,7 @@ class FourierSeries:
         bad = np.flatnonzero(~np.isfinite(v))
         if bad.size:
             i = bad[0]
-            c = complex(v[i])
-            raise ValueError(f"coefficient at index {k[i].tolist()} is not finite: {c!r}")
+            raise ValueError(f"coefficient at index {k[i].tolist()} is not finite: {complex(v[i])!r}")
         order = np.lexsort(k.T[::-1])
         k, v = k[order], v[order]
         repeat = np.flatnonzero(np.all(k[1:] == k[:-1], axis=1)) + 1
@@ -439,8 +447,16 @@ class Record:
         return f"{type(self).__qualname__}({body})"
 
 
+def _components(z: np.ndarray) -> None:
+    """The rule for every point: a zero or non-finite component of ``z`` is a ValueError."""
+    if np.any(z == 0):
+        raise ValueError("components must be nonzero")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("components must be finite")
+
+
 class PolyPoint(Record):
-    """A point with nonzero complex components (Laurent evaluation domain)."""
+    """A point with finite, nonzero complex components (Laurent evaluation domain)."""
 
     z: tuple
 
@@ -448,8 +464,7 @@ class PolyPoint(Record):
         comps = tuple(complex(v) for v in self.z)
         if not comps:
             raise ValueError("need at least one component")
-        if any(v == 0 for v in comps):
-            raise ValueError("components must be nonzero")
+        _components(np.array(comps))
         object.__setattr__(self, "z", comps)
 
     @property
@@ -466,7 +481,7 @@ def eval_laurent(series: FourierSeries, p: PolyPoint) -> complex:
 
 
 def eval_batch(series: FourierSeries, points: np.ndarray) -> np.ndarray:
-    """Laurent values at the rows of an (N, dim) array of nonzero components.
+    """Laurent values at the rows of an (N, dim) array of finite, nonzero components.
 
     The evaluator for arbitrary points; values on the roots-of-unity grid
     come from :func:`eval_grid` instead.  Points go in chunks of
@@ -481,8 +496,7 @@ def eval_batch(series: FourierSeries, points: np.ndarray) -> np.ndarray:
     z = np.asarray(points, dtype=complex)
     if z.ndim != 2 or z.shape[1] != series.dim:
         raise ValueError(f"points must have shape (N, {series.dim})")
-    if np.any(z == 0):
-        raise ValueError("components must be nonzero")
+    _components(z)
     out = np.zeros(z.shape[0], dtype=complex)
     if not series.n_modes:
         return out

@@ -27,6 +27,16 @@ def refused_count(name, value, least=1):
     return f"^{name} must be an integer >= {least}, got {re.escape(repr(value))}$"
 
 
+#: Values that are not a finite real, each refused where a real is read.
+NOT_REALS = [True, math.nan, math.inf, -math.inf, 10**400, "2", None]
+
+
+def refused_real(name, value, floor=None, strict=False):
+    """The ValueError message of a real argument ``name`` given ``value``, as a regex."""
+    bound = "" if floor is None else f" and {'>' if strict else '>='} {floor}"
+    return f"^{re.escape(name)} must be finite{re.escape(bound)}, got {re.escape(repr(value))}$"
+
+
 def dict_series_coeffs(dim: int, coeffs) -> dict:
     """The normalized coefficient dict of a series, one mode at a time.
 

@@ -473,11 +473,12 @@ class TestCarleman:
     def test_r_max_validated(self):
         with pytest.raises(ValueError):
             carleman_diagnostic(factorial_profile(10), 1.5)
-        with pytest.raises(ValueError, match="largest float"):
-            carleman_diagnostic(factorial_profile(10), int(sys.float_info.max) + 1)
+        past = int(sys.float_info.max) + 1
+        with pytest.raises(ValueError, match=f"^r_max must be finite and >= 2, got {past}$"):
+            carleman_diagnostic(factorial_profile(10), past)
 
     def test_nan_r_max_rejected_before_the_kernel(self, no_kernel):
-        with pytest.raises(ValueError, match="^r_max must be >= 2, got nan$"):
+        with pytest.raises(ValueError, match="^r_max must be finite and >= 2, got nan$"):
             carleman_diagnostic(factorial_profile(10), math.nan)
 
     @pytest.mark.parametrize("value", NOT_COUNTS)
@@ -750,6 +751,16 @@ class TestLemma:
         h[5] = 0.0
         with pytest.raises(ValueError):
             lemma_check(t, h)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["t_grid", "h_values"])
+    def test_non_finite_entry_refused_naming_its_array(self, name, bad):
+        # A NaN t used to give verdict "inconclusive", alpha_fit NaN and
+        # implication_holds True.
+        arrays = {"t_grid": [1.0, 2.0, 3.0, 4.0, 5.0], "h_values": [1.0, 2.0, 3.0, 4.0, 5.0]}
+        arrays[name][2] = bad
+        with pytest.raises(ValueError, match=f"^{name} entries must be finite$"):
+            lemma_check(arrays["t_grid"], arrays["h_values"])
 
     def test_implication_across_power_family(self):
         # Whenever the decay fit succeeds with alpha in (0,1), the partial

@@ -288,7 +288,7 @@ class TestTau:
         out = tmp_path / "out"
         family = "profile:rule=factorial:s=1:Jmax=30"
         assert main(["tau", "--family", family, "--rmax", rmax, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: --rmax must be >= 1, got {rmax}\n"
+        assert capsys.readouterr().err == f"error: --rmax must be an integer >= 1, got {rmax}\n"
         assert not out.exists()
 
     def test_rmax_past_grid_cap_exits_4_and_writes_nothing(self, tmp_path, monkeypatch):
@@ -394,9 +394,7 @@ class TestVerdict:
         out = tmp_path / "out"
         args = ["verdict", "--family", "profile:rule=factorial:s=1:Jmax=30", "--m", "2..20"]
         assert main([*args, "--rmax", "1" + "0" * 400, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            "error: r_max must be at most 1.7976931348623157e+308, the largest float\n"
-        )
+        assert capsys.readouterr().err == f"error: r_max must be finite and >= 2, got 1{'0' * 400}\n"
         assert not out.exists()
 
     def test_rmax_whose_square_overflows_runs_without_a_warning(self, tmp_path):
@@ -668,7 +666,7 @@ class TestInterp:
         out = tmp_path / "out"
         args = ["interp", "--input", str(tmp_path / "c.jsonl"), "--samples", samples]
         assert main([*args, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: --samples must be >= 1, got {samples}\n"
+        assert capsys.readouterr().err == f"error: --samples must be an integer >= 1, got {samples}\n"
         assert not out.exists()
 
     def test_negative_seed_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys):
@@ -677,7 +675,7 @@ class TestInterp:
         out = tmp_path / "out"
         args = ["interp", "--family", "analytic:a=1:K=3", "--m", "2..4", "--samples", "16"]
         assert main([*args, "--seed", "-1", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+        assert capsys.readouterr().err == "error: --seed must be an integer >= 0, got -1\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("t", ["inf", "nan"])
@@ -789,17 +787,18 @@ ECHO_KEYS = {
 #: checks, on every command that takes it, with the line that names it.
 FLAG_REFUSALS = [
     *[
-        (command, flag, value, f"{flag} must be >= {least}, got {value}")
+        (command, flag, value, f"{flag} must be an integer >= {least}, got {value}")
         for command in ("norms", "tau", "verdict", "interp")
         for flag, value, least in (("--n", "0", 1), ("--Jmax", "-1", 0), ("--seed", "-1", 0))
     ],
-    ("interp", "--samples", "0", "--samples must be >= 1, got 0"),
-    ("tau", "--rmax", "0", "--rmax must be >= 1, got 0"),
-    ("verdict", "--rmax", "1", "--rmax must be >= 2, got 1"),
-    ("verdict", "--rmax", "-3", "--rmax must be >= 2, got -3"),
+    ("interp", "--samples", "0", "--samples must be an integer >= 1, got 0"),
+    ("tau", "--rmax", "0", "--rmax must be an integer >= 1, got 0"),
+    ("verdict", "--rmax", "1", "--rmax must be an integer >= 2, got 1"),
+    ("verdict", "--rmax", "-3", "--rmax must be an integer >= 2, got -3"),
     ("interp", "--t", "1", "--t must be finite and > 1, got 1.0"),
     ("interp", "--t", "0.5", "--t must be finite and > 1, got 0.5"),
     ("interp", "--t", "-inf", "--t must be finite and > 1, got -inf"),
+    ("interp", "--t", "nan", "--t must be finite and > 1, got nan"),
     ("tau", "--m", "0..3", "bad --m range '0..3'"),
     ("verdict", "--m", "4..x", "--m needs an integer A or a range A..B, got '4..x'"),
     ("interp", "--m", "9..2", "bad --m range '9..2'"),
@@ -894,6 +893,36 @@ class TestPlan:
         assert main([*args, "--m", "2..4", "--out", str(out)]) == 0
         report = read_strict_json(out / "interp_report.json")
         assert all(entry["t"] > 1 for entry in report["per_m"])
+
+    @pytest.mark.parametrize(
+        "z0, message",
+        [
+            ("x", "--z0 needs comma-separated complex numbers, got 'x'"),
+            ("2", "--z0 components must have modulus 1"),
+            ("nan", "components must be finite"),
+            ("0", "components must be nonzero"),
+        ],
+    )
+    def test_bad_z0_exits_2_before_any_input_is_read(self, tmp_path, monkeypatch, capsys, z0, message):
+        # --z0's syntax and modulus need no n: the job used to build the
+        # profile and t_m sequence before refusing it.
+        for name in ("read_coefficients", "gen_series", "build_profile"):
+            monkeypatch.setattr(cli_module, name, _must_not_run)
+        out = tmp_path / "out"
+        args = ["interp", "--family", "analytic:a=1:K=30", "--n", "2", "--m", "2..40", "--tm"]
+        assert main([*args, "--z0", z0, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_z0_of_the_wrong_dimension_exits_2_before_the_profile(self, tmp_path, monkeypatch, capsys):
+        # The component count waits for n, which the series gives; nothing after it runs.
+        for name in ("build_profile", "interpolation_audit"):
+            monkeypatch.setattr(cli_module, name, _must_not_run)
+        out = tmp_path / "out"
+        args = ["interp", "--family", "analytic:a=1:K=3", "--n", "2", "--m", "2..4", "--z0", "1"]
+        assert main([*args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --z0 needs 2 comma-separated components\n"
+        assert not out.exists()
 
 
 class TestParser:
@@ -1356,7 +1385,7 @@ class TestFreshProcess:
              {"QTORUS_GRID_CAP": "10"}, 4,
              "error: 20 points of the --rmax grid exceed the cap of 10 (QTORUS_GRID_CAP)\n"),
             (["tau", "--family", "profile:rule=factorial:Jmax=30", "--rmax", "0"], {}, 2,
-             "error: --rmax must be >= 1, got 0\n"),
+             "error: --rmax must be an integer >= 1, got 0\n"),
         ],
         ids=["ok", "bad-m", "degenerate", "past-cap", "rmax-0"],
     )

@@ -179,6 +179,14 @@ class TestBuildProfile:
             assert a == pytest.approx(b, abs=1e-12)
 
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    def test_shift_profile_refuses_a_non_finite_delta_naming_it(self, delta):
+        # NaN and inf used to be refused as bad ln_m entries, and -inf
+        # built a degenerate profile.
+        with pytest.raises(ValueError, match=f"^delta must be finite, got {delta!r}$"):
+            shift_profile(DerivativeNormProfile(dim=1, ln_m=(0.0, 1.0)), delta)
+
+
 class TestCompositions:
     def test_counts(self):
         for total, parts in [(0, 1), (3, 1), (4, 2), (5, 3), (6, 4)]:

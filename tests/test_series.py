@@ -112,6 +112,11 @@ class TestEvalLaurent:
         with pytest.raises(ValueError):
             PolyPoint((0.0, 1.0))
 
+    @pytest.mark.parametrize("z", [(math.inf,), (1.0, math.nan), (complex(1.0, -math.inf), 1j)])
+    def test_non_finite_component_rejected(self, z):
+        with pytest.raises(ValueError, match="^components must be finite$"):
+            PolyPoint(z)
+
     def test_matches_torus_on_unit_modulus(self):
         rng = np.random.default_rng(1234)
         for _ in range(30):
@@ -305,6 +310,14 @@ class TestEvalBatch:
         s = FourierSeries(2, {(1, -1): 1.0})
         with pytest.raises(ValueError):
             eval_batch(s, points)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_rejects_a_non_finite_row(self, bad):
+        # A NaN row used to give nan+nanj with a RuntimeWarning.
+        points = np.ones((3, 2), dtype=complex)
+        points[1, 0] = bad
+        with pytest.raises(ValueError, match="^components must be finite$"):
+            eval_batch(FourierSeries(2, {(1, -1): 1.0}), points)
 
 
 @st.composite
@@ -671,6 +684,15 @@ class TestFromArrays:
     def test_duplicate_rows_rejected_even_when_pruned(self):
         with pytest.raises(ValueError, match=r"duplicate index \[1, 2\]"):
             FourierSeries.from_arrays(2, [[1, 2], [0, 0], [1, 2]], [1e-310, 1.0, 1e-310])
+
+    def test_mixed_int_and_float_rows_stay_exact(self):
+        # from_arrays used to round these rows through float64 (to 2**60).
+        rows = [[2**60 + 1, 0.0], [1.0, -(2**60) - 1]]
+        s = FourierSeries.from_arrays(2, rows, [1.0, 2.0])
+        assert list(s.coeffs) == [(1, -(2**60) - 1), (2**60 + 1, 0)]
+        assert s == FourierSeries(2, {tuple(k): c for k, c in zip(rows, [1.0, 2.0])})
+        with pytest.raises(ValueError, match="2\\*\\*62"):  # 2**62 + 1 rounds to 2**62 as a float
+            FourierSeries.from_arrays(2, [[2**62 + 1, 0.0]], [1.0])
 
     @pytest.mark.parametrize("entry", [2**62 + 1, -(2**62) - 1, 2**63, 2**70])
     def test_index_beyond_bound_rejected(self, entry):
