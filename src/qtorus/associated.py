@@ -56,7 +56,7 @@ import numpy as np
 
 from .logspace import NEG_INF
 from .norms import DerivativeNormProfile, shift_profile
-from .series import Record, _count, _real
+from .series import Record, _count, _read_only, _real
 
 LN_HALF = math.log(0.5)
 
@@ -219,7 +219,7 @@ def log_tau_shifted(profile: DerivativeNormProfile, r: float) -> float:
 def _fold_weights(profile: DerivativeNormProfile, r_max: int):
     """Shared-term growth weights on the integer grid r = 1..r_max.
 
-    Returns (w_full, w_shifted, sat_full) where
+    Returns (w_full, w_shifted, sat_full, ln_r) where ln_r is ln r on the grid and
 
         w_full(r)    = max_{0<=j<=J} ((j-3) ln r - ln M_j) = -ln(r^3 tau(r))
         w_shifted(r) = max_{3<=j<=J} ((j-3) ln r - ln M_j) = -ln(tau~(r))
@@ -245,13 +245,13 @@ def _fold_weights(profile: DerivativeNormProfile, r_max: int):
         np.copyto(w_full, term, where=sat_full)
     del term
     if j_max < 3:  # theta and witness reject this before getting here
-        return w_full, np.full(r_max, -np.inf), sat_full
+        return w_full, np.full(r_max, -np.inf), sat_full, ln_r
     w_shift, arg = _legendre(profile, ln_r, 3)
     np.subtract(0.0, w_shift, out=w_shift)
     np.greater(w_shift, w_full, out=sat_full)
     sat_full &= arg == j_max
     np.copyto(w_full, w_shift, where=w_shift >= w_full)
-    return w_full, w_shift, sat_full
+    return w_full, w_shift, sat_full, ln_r
 
 
 def t_m_sequence(profile: DerivativeNormProfile, m_max: int, n: int) -> np.ndarray:
@@ -290,12 +290,6 @@ class AssociatedTable(Record):
     ln_tau: np.ndarray
     ln_tau_shifted: np.ndarray
     r0_estimate: float
-
-
-def _read_only(*arrays: np.ndarray) -> tuple:
-    for array in arrays:
-        array.flags.writeable = False
-    return arrays
 
 
 def _ln(grid: np.ndarray) -> np.ndarray:
@@ -458,37 +452,41 @@ def witness(
     work = shift_profile(profile, shift) if shift != 0.0 else profile
 
     r_max = int(m_vals[-1])
-    w_full, w_shift, sat_full = _fold_weights(work, r_max)
+    w_full, w_shift, sat_full, ln_r = _fold_weights(work, r_max)
     nr = n * np.arange(1, r_max + 1, dtype=float)
     idx = m_vals - 1
-    # Each r-length array goes once its m entries or fit points are taken.
+    # Each r-length array goes once its m entries or fit points are taken, one by one.
     ln_theta = np.minimum.accumulate(np.divide(w_shift, nr, out=w_shift), out=w_shift)[idx]
     del w_shift
-    run_t, arg_t = _running_min_with_argmin(w_full / nr)
+    ln_t, arg = _running_min_with_argmin(np.divide(w_full, nr, out=nr))  # at m = 1..r_max
     del nr
-    ln_t, arg = run_t[idx], arg_t[idx]
-    del run_t, arg_t, idx
+    ln_t = ln_t[idx]
+    arg = arg[idx]
+    top = slice(m_vals.size // 2, None)  # the trend is read from the upper half of the m grid
+    ln_m_top = ln_r[idx[top]]
+    del idx
     arg_sat = sat_full[arg]
     argmin_r = np.add(arg, 1, out=arg)
-    r_fit = np.flatnonzero(~sat_full) + 1.0  # the unsaturated r
-    neg_ln_tau = 3.0 * np.log(r_fit)
+    neg_ln_tau = np.multiply(3.0, ln_r, out=ln_r)[~sat_full]  # at the unsaturated r
+    del ln_r
     neg_ln_tau += w_full[~sat_full]
-    del w_full, sat_full
-    trend = _classify_structural(m_vals, ln_t, argmin_r, arg_sat, r_fit, neg_ln_tau, n, config)
+    del w_full
+    r_fit = np.flatnonzero(~sat_full) + 1.0
+    del sat_full
+    trend = _classify_structural(
+        m_vals[top], ln_m_top, ln_t[top], argmin_r[top], arg_sat[top], r_fit, neg_ln_tau, n, config
+    )
     d = m_vals.astype(float) ** (1.0 / (n + 1)) * ln_t
     columns = _read_only(m_vals, ln_t, ln_theta, d, ln_theta > 0, argmin_r, arg_sat)
     # The fields in order: trend is (classification, slope, fit_linear, fit_sqrt).
     return WitnessSeries(n, *columns, int(np.count_nonzero(ln_t < ln_theta)), shift, *trend)
 
 
-def _classify_structural(m_vals, ln_t, argmin_r, arg_sat, r_fit, neg_ln_tau, n, config):
-    top = slice(m_vals.size // 2, None)
-    if m_vals[top].size < 3:
+def _classify_structural(m_top, ln_m_top, ln_t_top, argmin_top, sat_top, r_fit, neg_ln_tau, n, config):
+    if m_top.size < 3:
         return "inconclusive", math.nan, None, None
-    m_top = m_vals[top].astype(float)
-    slope_d = _fit_line(np.log(m_top), m_top ** (1.0 / (n + 1)) * ln_t[top]).slope
-    del m_top  # the growth-model fits below need room for r-length arrays
-    if np.any(arg_sat[top]):
+    slope_d = _fit_line(ln_m_top, m_top.astype(float) ** (1.0 / (n + 1)) * ln_t_top).slope
+    if np.any(sat_top):
         return "inconclusive", slope_d, None, None
 
     # Primary rule: the growth model of -ln tau(r) over the unsaturated grid.
@@ -508,8 +506,8 @@ def _classify_structural(m_vals, ln_t, argmin_r, arg_sat, r_fit, neg_ln_tau, n, 
 
     # No clear growth model: a min frozen at an interior r with a positive
     # frozen value leaves d_m growing like m^{1/(n+1)} from here on.
-    interior = np.all(argmin_r[top] <= m_vals[top] // 2)
-    if interior and np.all(ln_t[top] > 0):
+    interior = np.all(argmin_top <= m_top // 2)
+    if interior and np.all(ln_t_top > 0):
         return "divergent-trend", slope_d, fit_lin, fit_sqrt
 
     label = "divergent-trend" if slope_d > config.slope_threshold else "bounded-trend"
@@ -532,10 +530,10 @@ class CarlemanReport(Record):
     unsaturated points leave both fits None.
     """
 
-    r_grid: tuple
-    neg_ln_tau: tuple
-    saturated: tuple
-    partial_integral: tuple
+    r_grid: np.ndarray
+    neg_ln_tau: np.ndarray
+    saturated: np.ndarray
+    partial_integral: np.ndarray
     fit_linear: TrendFit | None
     fit_sqrt: TrendFit | None
     saturated_fraction: float
@@ -580,7 +578,7 @@ def carleman_diagnostic(
     sat_fraction = float(np.mean(saturated))
 
     cut = np.searchsorted(grid, grid[-1] / 10.0)
-    last_decade = float(partial[-1] - partial[min(cut, len(partial) - 1)])
+    last_decade = float(partial[-1] - partial[cut])  # cut is at most len(grid) - 1
 
     keep = ~saturated
     fit_lin = fit_sqrt = best = None
@@ -597,10 +595,7 @@ def carleman_diagnostic(
         verdict = "inconclusive"
 
     return CarlemanReport(
-        r_grid=tuple(grid.tolist()),
-        neg_ln_tau=tuple(neg.tolist()),
-        saturated=tuple(saturated.tolist()),
-        partial_integral=tuple(partial.tolist()),
+        *_read_only(grid, neg, saturated, partial),
         fit_linear=fit_lin,
         fit_sqrt=fit_sqrt,
         saturated_fraction=sat_fraction,
@@ -628,7 +623,7 @@ class LemmaReport(Record):
     residual: float
     fit_ok: bool
     hypothesis_ok: bool
-    partial_integrals: tuple
+    partial_integrals: np.ndarray
     last_decade_increment: float
     previous_decade_increment: float
     verdict: str
@@ -672,10 +667,8 @@ def lemma_check(t_grid, h_values) -> LemmaReport:
     ln10 = math.log(10.0)
     last_cut = np.searchsorted(s, s[-1] - ln10)
     prev_cut = np.searchsorted(s, s[-1] - 2.0 * ln10)
-    last_inc = float(partial[-1] - partial[min(last_cut, len(partial) - 1)])
-    prev_inc = float(
-        partial[min(last_cut, len(partial) - 1)] - partial[min(prev_cut, len(partial) - 1)]
-    )
+    last_inc = float(partial[-1] - partial[last_cut])  # both cuts are at most len(s) - 1
+    prev_inc = float(partial[last_cut] - partial[prev_cut])
 
     if s[-1] - s[0] < 2.0 * ln10:
         verdict = "inconclusive"
@@ -694,7 +687,7 @@ def lemma_check(t_grid, h_values) -> LemmaReport:
         residual=fit.rmse,
         fit_ok=fit_ok,
         hypothesis_ok=hypothesis_ok,
-        partial_integrals=tuple(float(v) for v in partial),
+        partial_integrals=_read_only(partial)[0],
         last_decade_increment=last_inc,
         previous_decade_increment=prev_inc,
         verdict=verdict,

@@ -250,7 +250,10 @@ def _parse_z0(text: str) -> PolyPoint:
         comps = [complex(part) for part in text.split(",")]
     except ValueError:
         raise ValueError(f"--z0 needs comma-separated complex numbers, got {text!r}") from None
-    point = PolyPoint(tuple(comps))
+    try:
+        point = PolyPoint(tuple(comps))
+    except ValueError as exc:
+        raise ValueError(f"--z0 {exc}, got {text!r}") from None
     if not point.on_torus():
         raise ValueError("--z0 components must have modulus 1")
     return point
@@ -361,7 +364,7 @@ def cmd_verdict(args: argparse.Namespace) -> dict:
             "last_decade_increment": report.last_decade_increment,
             "fit_linear": _fit_payload(report.fit_linear),
             "fit_sqrt": _fit_payload(report.fit_sqrt),
-            "partial_integral_final": report.partial_integral[-1],
+            "partial_integral_final": float(report.partial_integral[-1]),
         },
         "witness": {
             "classification": wit.classification,
@@ -427,7 +430,7 @@ def cmd_interp(args: argparse.Namespace) -> dict:
                 "tolerance": audit.tolerance,
                 "grid_ok": audit.grid_ok,
                 "degenerate_z0": audit.interpolant.degenerate_z0,
-                "uncovered_modes": [list(k) for k in audit.uncovered_modes],
+                "uncovered_modes": audit.uncovered_modes.tolist(),
                 "sup_augmented": bounds.lhs_max,
                 "empirical_cf": bounds.empirical_cf,
                 "empirical_c1": bounds.empirical_c1,

@@ -41,6 +41,7 @@ from .series import (
     _count,
     _grid_indices,
     _product,
+    _read_only,
     _real,
     _roots,
     _summed,
@@ -61,9 +62,7 @@ def _unit_draws(seed: int, count: int) -> np.ndarray:
     seed.  The one cached result serves every m of an interp job, whose
     seed and sample count do not change.
     """
-    draws = np.fromiter(iter(random.Random(seed).random, None), dtype=float, count=count)
-    draws.flags.writeable = False
-    return draws
+    return _read_only(np.fromiter(iter(random.Random(seed).random, None), dtype=float, count=count))[0]
 
 
 @functools.lru_cache(maxsize=1)
@@ -78,9 +77,7 @@ def _annulus_points(seed: int, n_samples: int, n: int, t: float) -> np.ndarray:
     u = _unit_draws(seed, 2 * n_samples * n).reshape(2, n_samples, n)
     moduli = 1.0 / t + (t - 1.0 / t) * u[0]
     phases = 2.0 * math.pi * u[1]
-    points = moduli * np.exp(1j * phases)
-    points.flags.writeable = False
-    return points
+    return _read_only(moduli * np.exp(1j * phases))[0]
 
 
 def _targets(exponents: np.ndarray, m: int, engine: str):
@@ -242,15 +239,15 @@ class InterpolationAudit(Record):
     ``m``, ``engine`` and ``degenerate_z0`` describe it), ready for
     :func:`bound_audit`.  ``tolerance`` is the alias-engine acceptance level
     1e-9 * (1 + sum|c_k|); ``grid_ok`` reports both errors against it.
-    ``uncovered_modes`` lists the diagonal engine's unreachable indices
-    (empty for alias).
+    ``uncovered_modes`` is the read-only (U, n) int64 array of the diagonal
+    engine's unreachable indices, in index order (no rows for alias).
     """
 
     interpolant: AugmentedInterpolant
     max_grid_error: float
     z0_error: float
     tolerance: float
-    uncovered_modes: tuple
+    uncovered_modes: np.ndarray
 
     @property
     def grid_ok(self) -> bool:
@@ -290,7 +287,7 @@ def interpolation_audit(
         max_grid_error=float(np.max(np.abs(error))),
         z0_error=float(z0_err),
         tolerance=1e-9 * (1.0 + series.abs_sum()),
-        uncovered_modes=tuple(map(tuple, missed.tolist())),
+        uncovered_modes=_read_only(missed)[0],
     )
 
 

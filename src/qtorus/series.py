@@ -64,6 +64,14 @@ READ_BLOCK = 256
 EVAL_BLOCK = 2**13
 
 
+def _shown(value) -> str:
+    """``repr`` of a refused value; an int too long for ``repr`` is shown by its size in bits."""
+    try:
+        return repr(value)
+    except ValueError:  # an int past sys.get_int_max_str_digits()
+        return f"an integer of {value.bit_length()} bits"
+
+
 def _count(name: str, value, least: int = 1) -> int:
     """``value`` as an int >= ``least``, else a ValueError naming ``name``.
 
@@ -71,7 +79,7 @@ def _count(name: str, value, least: int = 1) -> int:
     a bool, a float (NaN and inf too) or anything else is refused.
     """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        raise ValueError(f"{name} must be an integer >= {least}, got {_shown(value)}")
     return int(value)
 
 
@@ -85,8 +93,15 @@ def _real(name: str, value, floor=None, strict: bool = False) -> float:
     finite = number and abs(value) <= sys.float_info.max
     if not finite or (floor is not None and not (value > floor if strict else value >= floor)):
         bound = "" if floor is None else f" and {'>' if strict else '>='} {floor}"
-        raise ValueError(f"{name} must be finite{bound}, got {value!r}")
+        raise ValueError(f"{name} must be finite{bound}, got {_shown(value)}")
     return float(value)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple:
+    """``arrays``, each made read-only: the one freezer of report columns, series and caches."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 class GridCapError(RuntimeError):
@@ -224,8 +239,7 @@ class FourierSeries:
         keep[edge] = [abs(c) >= PRUNE_THRESHOLD for c in v[edge].tolist()]
         if not keep.all():
             k, v = k[keep], v[keep]
-        k.flags.writeable = False
-        v.flags.writeable = False
+        _read_only(k, v)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_exponents", k)
         object.__setattr__(self, "_values", v)

@@ -15,7 +15,7 @@ import numpy as np
 
 from qtorus import FourierSeries, PolyPoint
 from qtorus.logspace import NEG_INF, log_sum_exp
-from qtorus.series import PRUNE_THRESHOLD, TWO_PI
+from qtorus.series import PRUNE_THRESHOLD, TWO_PI, Record
 
 
 #: Values that are not an integer >= 1, each refused where a count is read.
@@ -35,6 +35,17 @@ def refused_real(name, value, floor=None, strict=False):
     """The ValueError message of a real argument ``name`` given ``value``, as a regex."""
     bound = "" if floor is None else f" and {'>' if strict else '>='} {floor}"
     return f"^{re.escape(name)} must be finite{re.escape(bound)}, got {re.escape(repr(value))}$"
+
+
+def fields(value):
+    """A record as a dict of its fields, nested records too, else ``value``.
+
+    For ``np.testing.assert_equal``: a report's columns are arrays, which
+    the record's own ``==`` cannot compare.
+    """
+    if isinstance(value, Record):
+        return {name: fields(getattr(value, name)) for name in value._fields}
+    return value
 
 
 def dict_series_coeffs(dim: int, coeffs) -> dict:

@@ -616,7 +616,8 @@ class TestLegendreKernel:
             with pytest.raises(ValueError):
                 build_table(prof, grid)
 
-        for got, want in zip(_fold_weights(prof, r_max), dense_fold_weights(prof, r_max), strict=True):
+        weights = _fold_weights(prof, r_max)[:3]  # the fourth is ln r
+        for got, want in zip(weights, dense_fold_weights(prof, r_max), strict=True):
             assert np.array_equal(bits(got), bits(want))
 
         if prof.is_degenerate():
@@ -627,7 +628,7 @@ class TestLegendreKernel:
         report = carleman_diagnostic(prof, r_max)
         want_grid, want_arg = dense_log_tau(prof, np.log(np.array(report.r_grid)))
         assert np.array_equal(bits(report.neg_ln_tau), bits(-want_grid))
-        assert report.saturated == tuple(want_arg == j_max)
+        assert np.array_equal(report.saturated, want_arg == j_max)
 
 
 def scaled_ints(values: np.ndarray):

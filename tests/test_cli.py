@@ -899,8 +899,8 @@ class TestPlan:
         [
             ("x", "--z0 needs comma-separated complex numbers, got 'x'"),
             ("2", "--z0 components must have modulus 1"),
-            ("nan", "components must be finite"),
-            ("0", "components must be nonzero"),
+            ("nan", "--z0 components must be finite, got 'nan'"),
+            ("0", "--z0 components must be nonzero, got '0'"),
         ],
     )
     def test_bad_z0_exits_2_before_any_input_is_read(self, tmp_path, monkeypatch, capsys, z0, message):

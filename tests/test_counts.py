@@ -28,7 +28,7 @@ from qtorus import (
     m_j,
 )
 from qtorus.interpolate import _node_factor
-from helpers import NOT_COUNTS, refused_count
+from helpers import NOT_COUNTS, fields, refused_count
 
 SERIES = FourierSeries(1, {(1,): 1.0, (-2,): 0.5})
 Z0 = PolyPoint((1j,))
@@ -104,4 +104,10 @@ def test_count_refused_before_any_work(monkeypatch, call, name, least, value, gu
     "call, least", [(c[3], c[2]) for c in CASES], ids=[f"{c[0]}-{c[1]}" for c in CASES]
 )
 def test_numpy_integer_count_gives_the_int_result(call, least):
-    np.testing.assert_equal(call(np.int64(least + 2)), call(least + 2))
+    np.testing.assert_equal(fields(call(np.int64(least + 2))), fields(call(least + 2)))
+
+
+def test_huge_int_is_shown_by_its_size():
+    # repr of an int past 4300 digits raises a ValueError of its own.
+    with pytest.raises(ValueError, match="^m must be an integer >= 1, got an integer of 16610 bits$"):
+        alias_fold(SERIES, -(10**5000))

@@ -28,7 +28,7 @@ from qtorus import (
     shift_profile,
 )
 from qtorus.series import _real
-from helpers import NOT_REALS, refused_real
+from helpers import NOT_REALS, fields, refused_real
 
 PROFILE = DerivativeNormProfile(dim=1, ln_m=(0.0, -1.0, -3.0, -6.0, -10.0))
 AUG = augmented_interpolant(FourierSeries(1, {(1,): 1.0, (-2,): 0.5}), 3, PolyPoint((1j,)))
@@ -96,7 +96,14 @@ def test_int_and_numpy_real_give_the_float_result(call, floor):
     value = 3 if floor is None else floor + 3
     want = call(float(value))
     for same in (value, np.int64(value), np.float64(value)):
-        np.testing.assert_equal(call(same), want)
+        np.testing.assert_equal(fields(call(same)), fields(want))
+
+
+def test_huge_int_is_shown_by_its_size():
+    # repr of an int past 4300 digits raises a ValueError of its own.
+    message = "^r_max must be finite and >= 2, got an integer of 16610 bits$"
+    with pytest.raises(ValueError, match=message):
+        carleman_diagnostic(PROFILE, 10**5000)
 
 
 def test_real_returns_a_float_and_accepts_the_floor_unless_strict():

@@ -11,6 +11,7 @@ import dataclasses
 import inspect
 import math
 
+import numpy as np
 import pytest
 
 import qtorus
@@ -187,3 +188,44 @@ def test_unhashable_field_makes_hash_raise_like_the_dataclass():
     dc = twin(Slots)(2, 1, {}, frozenset(), ())
     assert outcome(lambda: hash(fold)) is outcome(lambda: hash(dc)) is TypeError
     assert repr(fold) == repr(dc)
+
+
+_PROFILE = qtorus.gen_profile(qtorus.parse_family_spec("profile:rule=factorial:Jmax=30"))
+_T = np.logspace(0.0, 3.0, 40)
+
+#: One build of each report with per-point columns, from small inputs.
+REPORTS = {
+    "WitnessSeries": lambda: qtorus.witness(_PROFILE, 1, range(2, 40)),
+    "AssociatedTable": lambda: qtorus.build_table(_PROFILE, range(1, 20)),
+    "CarlemanReport": lambda: qtorus.carleman_diagnostic(_PROFILE, 100.0),
+    "LemmaReport": lambda: qtorus.lemma_check(_T, _T**0.5),
+    "InterpolationAudit": lambda: qtorus.interpolation_audit(
+        qtorus.FourierSeries(2, {(1, 0): 1.0, (1, 1): 0.5}), 2, qtorus.PolyPoint((1j, -1j)), "diagonal"
+    ),
+}
+
+#: Each report's per-point columns and their dtype kinds.
+COLUMNS = {
+    "WitnessSeries": {"m_grid": "i", "ln_t": "f", "ln_theta": "f", "witness": "f",
+                      "theta_positive": "b", "argmin_r": "i", "argmin_saturated": "b"},
+    "AssociatedTable": {"r_grid": "f", "ln_tau": "f", "ln_tau_shifted": "f"},
+    "CarlemanReport": {"r_grid": "f", "neg_ln_tau": "f", "saturated": "b", "partial_integral": "f"},
+    "LemmaReport": {"partial_integrals": "f"},
+    "InterpolationAudit": {"uncovered_modes": "i"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLUMNS))
+def test_every_per_point_column_is_a_read_only_array(name):
+    report = REPORTS[name]()
+    assert type(report).__name__ == name
+    for field, kind in COLUMNS[name].items():
+        column = getattr(report, field)
+        assert isinstance(column, np.ndarray) and column.dtype.kind == kind, field
+        assert column.size > 1 and not column.flags.writeable, field
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = column[0]
+    # An array column has no single truth value, so == on two equal reports
+    # refuses, and an array is unhashable.
+    assert outcome(lambda: report == REPORTS[name]()) is ValueError
+    assert outcome(lambda: hash(report)) is TypeError
