@@ -116,6 +116,19 @@ def _require_nondegenerate(profile: DerivativeNormProfile) -> None:
         raise DegenerateProfileError("degenerate profile: some ln M_j = -inf")
 
 
+def _ln(grid) -> np.ndarray:
+    """math.log of each entry: numpy's vector log may differ from it by an ulp, by SIMD level."""
+    return np.fromiter(map(math.log, grid), dtype=float, count=len(grid))
+
+
+def _exp10(e: float) -> float:
+    """libm's 10^e, as :func:`_ln` is libm's log, or the largest float where that overflows."""
+    try:
+        return math.pow(10.0, e)
+    except OverflowError:
+        return float(np.finfo(float).max)
+
+
 def _lower_hull(a: list) -> tuple[np.ndarray, np.ndarray]:
     """Vertices and edge slopes of the lower convex hull of the points (i, a[i]).
 
@@ -235,7 +248,7 @@ def _fold_weights(profile: DerivativeNormProfile, r_max: int):
     """
     j_max = profile.j_max
     ln_m = profile.ln_m_array()
-    ln_r = np.log(np.arange(1, r_max + 1, dtype=float))
+    ln_r = _ln(range(1, r_max + 1))
     w_full = np.full(r_max, -np.inf)
     sat_full = np.empty(r_max, dtype=bool)
     for j in range(min(j_max, 2) + 1):  # no head term is -inf
@@ -290,11 +303,6 @@ class AssociatedTable(Record):
     ln_tau: np.ndarray
     ln_tau_shifted: np.ndarray
     r0_estimate: float
-
-
-def _ln(grid: np.ndarray) -> np.ndarray:
-    """math.log of each entry: numpy's vector log may differ from it by an ulp."""
-    return np.fromiter(map(math.log, grid), dtype=float, count=len(grid))
 
 
 def build_table(profile: DerivativeNormProfile, r_grid) -> AssociatedTable:
@@ -562,12 +570,9 @@ def carleman_diagnostic(
     points_per_decade = _count("points_per_decade", points_per_decade)
     _require_nondegenerate(profile)
     n_points = max(2, int(math.ceil(points_per_decade * math.log10(r_max))) + 1)
-    with np.errstate(over="ignore"):
-        # Within rounding of the largest float, 10^log10(r_max) can overflow;
-        # that grid point is the largest float instead.
-        grid = np.minimum(np.logspace(0.0, math.log10(r_max), n_points), np.finfo(float).max)
-    grid[0] = 1.0
-    ln_tau, arg = _legendre(profile, np.log(grid))
+    exponents = np.linspace(0.0, math.log10(r_max), n_points)  # r = 10^e, log-spaced from 1
+    grid = np.fromiter(map(_exp10, exponents), dtype=float, count=n_points)
+    ln_tau, arg = _legendre(profile, _ln(grid))
     saturated = arg == profile.j_max
     neg = -ln_tau
     with np.errstate(over="ignore"):
@@ -633,7 +638,7 @@ class LemmaReport(Record):
 def lemma_check(t_grid, h_values) -> LemmaReport:
     """Run the decay/integrability check on a tabulated function h(t).
 
-    ``t_grid`` must be increasing with finite t >= 1; ``h_values`` must be finite and positive.
+    ``t_grid`` must be increasing with finite t >= 1; ``h_values`` finite, with h / t > 0.
     """
     t = np.asarray(t_grid, dtype=float)
     h = np.asarray(h_values, dtype=float)
@@ -647,11 +652,13 @@ def lemma_check(t_grid, h_values) -> LemmaReport:
     if np.any(np.diff(t) <= 0) or t[0] < 1.0:
         raise ValueError("t grid must be increasing with t >= 1")
 
-    s = np.log(t)
+    s = _ln(t)
     envelope = h / t                      # h~(s) e^{-s} evaluated on the grid
     h_min = np.minimum.accumulate(envelope)
+    if h_min[-1] == 0.0:  # the least of h / t; ln has no value there
+        raise ValueError("h / t underflows to 0 on the grid")
 
-    fit = _fit_line(s, np.log(h_min))
+    fit = _fit_line(s, _ln(h_min))
     alpha = -fit.slope
     c_fit = math.exp(fit.intercept)
     fit_ok = (fit.rmse < RESIDUAL_THRESHOLD) and (0.0 < alpha < 1.0)

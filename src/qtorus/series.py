@@ -231,12 +231,7 @@ class FourierSeries:
             # the one that comes first in the input.
             j = repeat[np.argmin(order[repeat])]
             raise _DuplicateIndex(k[j].tolist(), int(order[j]))
-        magnitude = np.abs(v)
-        keep = magnitude >= PRUNE_THRESHOLD
-        # np.abs and the builtin abs may differ in the last bit; at the
-        # threshold the builtin decides, so pruning is abs(c) >= threshold.
-        edge = np.flatnonzero(np.abs(magnitude - PRUNE_THRESHOLD) <= 2**-40 * PRUNE_THRESHOLD)
-        keep[edge] = [abs(c) >= PRUNE_THRESHOLD for c in v[edge].tolist()]
+        keep = np.hypot(v.real, v.imag) >= PRUNE_THRESHOLD  # libm's hypot, as abs(c) is
         if not keep.all():
             k, v = k[keep], v[keep]
         _read_only(k, v)

@@ -348,7 +348,7 @@ def dense_fold_weights(profile, r_max):
     """
     j_max = profile.j_max
     ln_m = profile.ln_m_array()
-    ln_r = np.log(np.arange(1, r_max + 1, dtype=float))
+    ln_r = np.array([math.log(r) for r in range(1, r_max + 1)])
     terms = (np.arange(j_max + 1, dtype=float) - 3.0)[None, :] * ln_r[:, None] - ln_m[None, :]
     rows = np.arange(r_max)
     arg_full = terms.argmax(axis=1)

@@ -626,7 +626,7 @@ class TestLegendreKernel:
                 t_m(prof, 3, 1)
             return
         report = carleman_diagnostic(prof, r_max)
-        want_grid, want_arg = dense_log_tau(prof, np.log(np.array(report.r_grid)))
+        want_grid, want_arg = dense_log_tau(prof, _ln(report.r_grid))
         assert np.array_equal(bits(report.neg_ln_tau), bits(-want_grid))
         assert np.array_equal(report.saturated, want_arg == j_max)
 
@@ -752,6 +752,11 @@ class TestLemma:
         h[5] = 0.0
         with pytest.raises(ValueError):
             lemma_check(t, h)
+
+    def test_envelope_underflow_refused(self):
+        # h / t is 0 past t = 1 for the least positive h, and has no ln.
+        with pytest.raises(ValueError, match="^h / t underflows to 0 on the grid$"):
+            lemma_check([1.0, 10.0, 100.0, 1000.0], [5e-324] * 4)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["t_grid", "h_values"])

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import platform
 import re
 import shutil
 import subprocess
@@ -1432,6 +1433,26 @@ class TestFreshProcess:
         assert proc.returncode == 0, proc.stderr
         assert marker in proc.stdout
         assert (tmp_path / "out" / "profile.csv").exists()
+
+    @pytest.mark.skipif(
+        platform.machine().lower() not in ("x86_64", "amd64"), reason="x86-64 feature names"
+    )
+    def test_verdict_bytes_independent_of_simd_level(self, tmp_path):
+        # numpy's vector log and power may differ from libm's in the last
+        # bit where it dispatches AVX2 or AVX-512 kernels, and not at its
+        # baseline level; a verdict takes every ln r and log-spaced r from
+        # libm.  Both runs write to the same --out, which the echo records.
+        argv = ["verdict", "--family", "profile:rule=factorial:s=1.5:Jmax=200",
+                "--rmax", "1000", "--m", "2..10000", "--out", str(tmp_path / "out")]
+        artifacts = []
+        for env in ({}, {"NPY_ENABLE_CPU_FEATURES": "SSE SSE2 SSE3 SSSE3 SSE41 POPCNT SSE42"}):
+            proc = run_fresh("-m", "qtorus.cli", *argv, env=env)
+            assert proc.returncode == 0, proc.stderr
+            artifacts.append({p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()})
+            shutil.rmtree(tmp_path / "out")
+        assert sorted(artifacts[0]) == ["verdict.json", "witness_plot.csv", "witness_plot.svg"]
+        for name, data in artifacts[0].items():
+            assert artifacts[1][name] == data, name
 
     @staticmethod
     def traced_peak(argv) -> int:

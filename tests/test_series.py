@@ -491,6 +491,21 @@ class TestSeriesConstruction:
         s = FourierSeries(1, {(0,): 1.0, (1,): 1e-310})
         assert set(s.coeffs) == {(0,)}
 
+    def test_prune_decision_is_the_builtin_abs(self):
+        # |c| within four ulps of the threshold either way, at 24 angles:
+        # a coefficient is kept exactly when abs(c) >= PRUNE_THRESHOLD.
+        threshold = series_module.PRUNE_THRESHOLD
+        below = above = threshold
+        moduli = [threshold]
+        for _ in range(4):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+            moduli += [below, above]
+        values = [cmath.rect(r, a) for r in moduli for a in np.linspace(0.0, 2 * math.pi, 24)]
+        kept = [i for i, c in enumerate(values) if abs(c) >= threshold]
+        assert 0 < len(kept) < len(values)
+        s = FourierSeries.from_arrays(1, [[i] for i in range(len(values))], values)
+        assert s._exponents[:, 0].tolist() == kept
+
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             FourierSeries(2, {(1,): 1.0})
