@@ -27,4 +27,5 @@ def log_sum_exp(values) -> float:
         return NEG_INF
     if math.isinf(hi) or math.isnan(hi):
         raise ValueError("log_sum_exp input must be finite or -inf")
-    return hi + math.log(float(np.sum(np.exp(arr - hi))))
+    shifted = arr - hi
+    return hi + math.log(float(np.sum(np.exp(shifted, out=shifted))))

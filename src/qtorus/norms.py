@@ -82,24 +82,49 @@ class DerivativeNormProfile(Record):
 def _pure_direction_ln_m(series: FourierSeries, orders) -> list[float]:
     """ln M_j for each j in ``orders``, as the max over p of ln||d_p^j f||.
 
-    Works one order at a time, so every temporary holds at most K values.
+    Keeps 2 ln|c| and, per direction p, ln|k_p| over the modes with
+    k_p != 0 (with 2 ln|c| itself, not a masked copy, when no k_p is 0).
+    Each order's terms (2j) ln|k_p| + 2 ln|c|, one product and one sum, are
+    made in one buffer of K values, reused, so the working memory is a few
+    arrays of K values, whatever the orders.  A coefficient whose modulus
+    is past the float range (2 ln|c| = +inf) is refused, naming its index,
+    by the first order whose sum takes it in.
     """
-    ln_c = series._log_abs_values
+    two_ln_c = series._log_abs_values
+    two_ln_c *= 2.0
+    past = np.flatnonzero(two_ln_c == np.inf)
     directions = []
     for p in range(series.dim):
         k_p = series._exponents[:, p]
-        keep = k_p != 0
-        directions.append((np.log(np.abs(k_p[keep]).astype(float)), 2.0 * ln_c[keep]))
+        mask = slice(None) if k_p.all() else k_p != 0
+        ln_k = k_p[mask].astype(float)
+        ln_k = np.log(np.abs(ln_k, out=ln_k), out=ln_k)
+        directions.append((ln_k, two_ln_c[mask], past[k_p[past] != 0]))
+    buf = np.empty(series.n_modes)
     out = []
     for j in orders:
         if j == 0:
-            out.append(0.5 * log_sum_exp(2.0 * ln_c))
+            _refuse_past_float_range(series, past)
+            out.append(0.5 * log_sum_exp(two_ln_c))
             continue
         best = NEG_INF
-        for ln_k, two_ln_c in directions:
-            best = max(best, 0.5 * log_sum_exp((2.0 * j) * ln_k + two_ln_c))
+        for ln_k, two_ln_c_p, past_p in directions:
+            _refuse_past_float_range(series, past_p)
+            terms = np.multiply(ln_k, 2.0 * j, out=buf[: len(ln_k)])
+            terms += two_ln_c_p
+            best = max(best, 0.5 * log_sum_exp(terms))
         out.append(best)
     return out
+
+
+def _refuse_past_float_range(series: FourierSeries, rows: np.ndarray) -> None:
+    """ValueError naming the first of ``rows``, modes whose modulus is past the float range."""
+    if rows.size:
+        i = rows[0]
+        raise ValueError(
+            f"coefficient at index {series._exponents[i].tolist()} has a modulus past the "
+            f"float range: {complex(series._values[i])!r}"
+        )
 
 
 def m_j(series: FourierSeries, j: int) -> float:

@@ -160,8 +160,9 @@ class _DuplicateIndex(ValueError):
 def _index_array(exponents, dim: int) -> np.ndarray:
     """``exponents`` as a (K, dim) int64 array of integers within INDEX_BOUND, or ValueError.
 
-    The one conversion of index rows.  Ints mixed with floats, which numpy
-    rounds to float64 beyond 2**53, are converted exactly.
+    The one conversion of index rows.  An int64 array is returned as it is,
+    not copied.  Ints mixed with floats, which numpy rounds to float64
+    beyond 2**53, are converted exactly.
     """
     try:
         k = np.asarray(exponents)
@@ -180,7 +181,7 @@ def _index_array(exponents, dim: int) -> np.ndarray:
         k.size and (k.min() < -INDEX_BOUND or k.max() > INDEX_BOUND)
     ):
         raise ValueError("index entries must be integers with |k_p| <= 2**62")
-    return k.astype(np.int64)
+    return k.astype(np.int64, copy=False)
 
 
 class FourierSeries:
@@ -199,7 +200,7 @@ class FourierSeries:
     """
 
     def __init__(self, dim: int, coeffs: Mapping):
-        self._store(dim, list(coeffs), list(coeffs.values()))
+        self._store(dim, list(coeffs), list(coeffs.values()), owned=True)
 
     @classmethod
     def from_arrays(cls, dim: int, exponents, values) -> "FourierSeries":
@@ -208,12 +209,20 @@ class FourierSeries:
         ``exponents`` is (K, dim) integers in any order (integral floats are
         accepted), ``values`` (K,) complex.  A repeated index raises
         ``ValueError``, whether or not its coefficients would be pruned.
+        The series never shares memory with the arrays passed in.
         """
         series = cls.__new__(cls)
         series._store(dim, exponents, values)
         return series
 
-    def _store(self, dim: int, exponents, values) -> None:
+    def _store(self, dim: int, exponents, values, owned: bool = False) -> None:
+        """Check, sort and prune ``exponents`` and ``values`` into this series.
+
+        Arrays that need no gather and no prune are copied, so a caller's
+        array is never shared or frozen, unless ``owned``: made for this
+        series alone, as the lists of ``__init__`` and the reader's joined
+        columns are.
+        """
         dim = _count("dim", dim)
         k = _index_array(exponents, dim)
         v = np.asarray(values, dtype=complex)
@@ -224,16 +233,21 @@ class FourierSeries:
             i = bad[0]
             raise ValueError(f"coefficient at index {k[i].tolist()} is not finite: {complex(v[i])!r}")
         order = np.lexsort(k.T[::-1])
-        k, v = k[order], v[order]
+        gathered = bool(np.any(order[1:] < order[:-1]))  # only the identity increases
+        if gathered:
+            k, v = k[order], v[order]
         repeat = np.flatnonzero(np.all(k[1:] == k[:-1], axis=1)) + 1
         if repeat.size:
             # The sort is stable, so each repeat is a later occurrence; report
             # the one that comes first in the input.
             j = repeat[np.argmin(order[repeat])]
             raise _DuplicateIndex(k[j].tolist(), int(order[j]))
-        keep = np.hypot(v.real, v.imag) >= PRUNE_THRESHOLD  # libm's hypot, as abs(c) is
+        with np.errstate(over="ignore"):  # a modulus past the float range is inf, kept
+            keep = np.hypot(v.real, v.imag) >= PRUNE_THRESHOLD  # libm's hypot, as abs(c) is
         if not keep.all():
             k, v = k[keep], v[keep]
+        elif not (gathered or owned):
+            k, v = k.copy(), v.copy()
         _read_only(k, v)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_exponents", k)
@@ -324,10 +338,12 @@ class FourierSeries:
             for p in range(self.dim)
         )
 
-    @cached_property
+    @property
     def _log_abs_values(self) -> np.ndarray:
+        """ln|c_k| per mode, a new array at each use, which the caller may overwrite."""
+        ln_abs = np.abs(self._values)
         with np.errstate(divide="ignore"):
-            return np.log(np.abs(self._values))
+            return np.log(ln_abs, out=ln_abs)
 
 
 def _summed(dim: int, exponents: np.ndarray, values: np.ndarray) -> FourierSeries:
@@ -708,8 +724,14 @@ def read_coefficients(path) -> FourierSeries:
             first += len(block)
     if dim is None:
         raise ValueError(f"{path}: no coefficient lines")
+    # Each rebinding frees the blocks it joins, so they never sit beside both
+    # columns; the columns of a file in index order become the series' own.
+    exponents = np.concatenate(exponents)
+    values = np.concatenate(values)
+    series = FourierSeries.__new__(FourierSeries)
     try:
-        return FourierSeries.from_arrays(dim, np.concatenate(exponents), np.concatenate(values))
+        series._store(dim, exponents, values, owned=True)
+        return series
     except _DuplicateIndex as exc:
         raise ValueError(f"{path}:{_line_of_row(path, exc.row)}: {exc}") from None
 

@@ -136,6 +136,19 @@ class TestNorms:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command", [["norms"], ["interp", "--m", "2..4"], ["interp", "--m", "2..4", "--tm"]]
+    )
+    def test_modulus_past_the_float_range_exits_2_naming_its_index(self, tmp_path, capsys, command):
+        # No overflow warning on the way: pyproject.toml makes it an error.
+        coeffs = tmp_path / "huge.jsonl"
+        coeffs.write_text('{"k": [0], "re": 3.262434762922911e+307, "im": 1.7678421313306858e+308}\n')
+        out = tmp_path / "o"
+        assert main([*command, "--input", str(coeffs), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: coefficient at index [0] has a modulus past the float range")
+        assert not out.exists()
+
     def test_family_past_cap_exits_4_and_writes_nothing(self, tmp_path, monkeypatch):
         # (2 * 5 + 1)^2 = 121 modes against a cap of 120.
         monkeypatch.setenv("QTORUS_GRID_CAP", "120")

@@ -157,6 +157,16 @@ class TestBuildProfile:
         prof = build_profile(FourierSeries(1, {}), 4)
         assert all(v == NEG for v in prof.ln_m)
 
+    def test_modulus_past_the_float_range_refused_naming_its_index(self):
+        huge = complex(3.262434762922911e307, 1.7678421313306858e308)
+        s = FourierSeries(2, {(1, 0): 1.0, (0, -2): huge})
+        message = r"^coefficient at index \[0, -2\] has a modulus past the float range"
+        for profile in (lambda: build_profile(s, 3), lambda: m_j(s, 0), lambda: m_j(s, 1)):
+            with pytest.raises(ValueError, match=message):
+                profile()
+        # An order that leaves the mode out (k_p = 0 in every direction) still has a value.
+        assert m_j(FourierSeries(1, {(0,): huge, (1,): 1.0}), 1) == 0.0
+
     def test_scaling_shifts_uniformly(self):
         rng = np.random.default_rng(3)
         s = random_series(rng, 2, max_modes=12, radius=4)

@@ -22,6 +22,7 @@ from qtorus import (
     GridCapError,
     PolyPoint,
     augmented_interpolant,
+    build_profile,
     eval_batch,
     eval_grid,
     eval_laurent,
@@ -709,6 +710,20 @@ class TestFromArrays:
         with pytest.raises(ValueError, match="2\\*\\*62"):  # 2**62 + 1 rounds to 2**62 as a float
             FourierSeries.from_arrays(2, [[2**62 + 1, 0.0]], [1.0])
 
+    def test_never_shares_an_input_array(self, tmp_path):
+        # Already in index order and nothing to prune, so no gather or prune copies.
+        k, v = np.array([[-1], [0], [3]]), np.array([1.0, 2.0j, 3.0])
+        view = k[:]
+        k.flags.writeable = v.flags.writeable = False
+        series = FourierSeries.from_arrays(1, k, v)
+        k.flags.writeable = v.flags.writeable = True
+        k[0, 0], view[1, 0], v[0] = 5, 7, 9.0
+        assert series == FourierSeries(1, {(-1,): 1.0, (0,): 2.0j, (3,): 3.0})
+        mapped = np.lib.format.open_memmap(tmp_path / "k.npy", mode="w+", dtype=np.int64, shape=(3, 1))
+        mapped[:] = [[-1], [0], [3]]
+        series = FourierSeries.from_arrays(1, mapped, [1.0, 2.0, 3.0])
+        assert mapped.flags.writeable and not np.shares_memory(series._exponents, mapped)
+
     @pytest.mark.parametrize("entry", [2**62 + 1, -(2**62) - 1, 2**63, 2**70])
     def test_index_beyond_bound_rejected(self, entry):
         with pytest.raises(ValueError, match="2\\*\\*62"):
@@ -718,6 +733,15 @@ class TestFromArrays:
 
 def write_lines(path, lines):
     path.write_text("".join(line + "\n" for line in lines))
+    return path
+
+
+def forty_thousand_modes(path):
+    """A seeded n = 1 spectrum of 4*10^4 modes, written in index order."""
+    rng = np.random.default_rng(40000)
+    k = rng.choice(np.arange(-100000, 100001), size=40000, replace=False)
+    values = rng.normal(size=40000) + 1j * rng.normal(size=40000)
+    write_coefficients(FourierSeries.from_arrays(1, k[:, None], values), path)
     return path
 
 
@@ -735,6 +759,8 @@ class TestCoefficientFormat:
             max_size=30,
         ),
     )
+    # |c| overflows to inf: kept, and no overflow warning from the prune.
+    @example(1, [([0, 0, 0], complex(3.262434762922911e307, 1.7678421313306858e308))])
     def test_writer_bytes_equal_json_dumps(self, dim, modes):
         series = FourierSeries(dim, {tuple(k[:dim]): c for k, c in modes})
         with tempfile.TemporaryDirectory() as tmp:
@@ -820,26 +846,82 @@ class TestCoefficientFormat:
         with pytest.raises(ValueError, match="split.jsonl:1: invalid JSON"):
             read_coefficients(path)
 
-    def test_duplicate_named_at_its_second_line(self, tmp_path):
+    @pytest.mark.parametrize("third, fourth", [(7, 2), (5, 5)])  # shuffled, in index order
+    def test_duplicate_named_at_its_second_line(self, tmp_path, third, fourth):
         path = write_lines(
             tmp_path / "dup.jsonl",
-            ['{"k": [2], "re": 1.0, "im": 0.0}', "", '{"k": [7], "re": 1.0, "im": 0.0}']
-            + ['{"k": [2], "re": 1e-310, "im": 0.0}', '{"k": [7], "re": 1.0, "im": 0.0}'],
+            ['{"k": [2], "re": 1.0, "im": 0.0}', "", f'{{"k": [{third}], "re": 1.0, "im": 0.0}}']
+            + [f'{{"k": [{fourth}], "re": 1e-310, "im": 0.0}}', '{"k": [7], "re": 1.0, "im": 0.0}'],
         )
         with mock.patch.object(series_module, "READ_BLOCK", 2):
-            with pytest.raises(ValueError, match=r"dup.jsonl:4: duplicate index \[2\]"):
+            with pytest.raises(ValueError, match=rf"dup.jsonl:4: duplicate index \[{fourth}\]"):
                 read_coefficients(path)
 
     def test_empty_file_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no coefficient lines"):
             read_coefficients(write_lines(tmp_path / "empty.jsonl", ["", "  "]))
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ("4611686018427387905", "index entries must be integers with |k_p| <= 2**62"),
+            ("-4611686018427387905", "index entries must be integers with |k_p| <= 2**62"),
+            ("9223372036854775808", "index entries must be integers with |k_p| <= 2**62"),
+            ("-9223372036854775809", "index entries must be integers with |k_p| <= 2**62"),
+            ("true", "index entries must be JSON integers"),
+            ("1.0", "index entries must be JSON integers"),
+        ],
+    )
+    def test_bad_index_entry_keeps_its_exact_text(self, tmp_path, entry, message):
+        # 2**62 + 1, -(2**62) - 1, past int64 on both sides, a bool and a float.
+        path = write_lines(
+            tmp_path / "bad.jsonl",
+            ['{"k": [1, 1], "re": 1.0, "im": 0.0}', "", f'{{"k": [2, {entry}], "re": 1.0, "im": 0.0}}'],
+        )
+        with pytest.raises(ValueError) as info:
+            read_coefficients(path)
+        assert str(info.value) == f"{path}:3: {message}"
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_shuffled_file_reads_as_its_index_order_copy(self, tmp_path, dim):
+        # Two full blocks and a short last one, with blank lines between modes.
+        rng = np.random.default_rng(dim)
+        count = 2 * series_module.READ_BLOCK + 37
+        k = rng.choice(np.arange(-(10**5), 10**5), size=(count, dim), replace=False)
+        series = FourierSeries.from_arrays(dim, k, rng.normal(size=count) + 1j * rng.normal(size=count))
+        ordered = tmp_path / "ordered.jsonl"
+        write_coefficients(series, ordered)
+        lines = ordered.read_text().splitlines()
+        shuffled = [lines[i] for i in rng.permutation(count)]
+        for at in sorted(rng.integers(0, count, size=5), reverse=True):
+            shuffled.insert(int(at), "")
+        for path in (ordered, write_lines(tmp_path / "shuffled.jsonl", shuffled)):
+            back = read_coefficients(path)
+            assert back == series
+            assert bits(back.coeffs.values()) == bits(series.coeffs.values())
+            assert loop_read_coefficients(path) == (dim, dict(series.coeffs))
+
+    def test_read_and_profile_peaks_per_mode(self, tmp_path):
+        # Each peak counts the series itself, 24 bytes a mode at n = 1.  The
+        # reader's blocks, joined columns and sorted copies once peaked at
+        # ~91 bytes a mode, the profile's masked copies and per-order
+        # temporaries at ~74.
+        path = forty_thousand_modes(tmp_path / "big.jsonl")
+        tracemalloc.start()
+        try:
+            series = read_coefficients(path)
+            read_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            build_profile(series, 40)
+            profile_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        per_mode = 64
+        assert read_peak < per_mode * series.n_modes, read_peak
+        assert profile_peak < per_mode * series.n_modes, profile_peak
+
     def test_reading_peaks_below_the_line_reader(self, tmp_path):
-        rng = np.random.default_rng(40000)
-        k = rng.choice(np.arange(-100000, 100001), size=40000, replace=False)
-        values = rng.normal(size=40000) + 1j * rng.normal(size=40000)
-        path = tmp_path / "big.jsonl"
-        write_coefficients(FourierSeries.from_arrays(1, k[:, None], values), path)
+        path = forty_thousand_modes(tmp_path / "big.jsonl")
         peaks = []
         for read in (read_coefficients, loop_read_coefficients):
             tracemalloc.start()
