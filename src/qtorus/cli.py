@@ -388,15 +388,18 @@ def cmd_interp(args: argparse.Namespace) -> dict:
     m_grid = args._m_grid
     series = _load_series(args)
     n = series.dim
-    # The sizes that need n: the largest grid, all grids (summed until past the cap), the samples.
+    # The sizes that need n and K: the largest grid, the samples, then all grids and the
+    # sampled terms of all folds (min(K, m^n) modes at most each), summed until past the cap.
     check_power(m_grid[-1], n, "points of the --m grid in dimension n")
-    limit, nodes = _cap(), 0
+    check_size(args.samples * n, "sample components (--samples x n)")
+    limit, nodes, terms = _cap(), 0, 0
     for m in m_grid:
         nodes += m**n
-        if nodes > limit:
+        terms += args.samples * min(series.n_modes, m**n)
+        if nodes > limit or terms > limit:
             break
     check_size(nodes, f"grid points summed over --m {m_grid[0]}..{m}")
-    check_size(args.samples * n, "sample components (--samples x n)")
+    check_size(terms, f"sampled terms (--samples x fold modes) summed over --m {m_grid[0]}..{m}")
     # Fixed default angle; irrational multiple of pi so z0^m never lands
     # exactly on the degenerate locus for the m values in use.
     z0 = args._z0 or PolyPoint(tuple(cmath.exp(0.7j) for _ in range(n)))

@@ -40,6 +40,7 @@ from .series import (
     Record,
     _count,
     _grid_indices,
+    _modulus,
     _product,
     _read_only,
     _real,
@@ -211,10 +212,10 @@ def _augment(series: FourierSeries, m: int, z0: PolyPoint, engine: str):
     moved = np.where(covered, terms - _terms(z, tables, series._values), terms)
     residual = complex(moved.sum())
     denom = complex(_grid_factor(z[None, :], m)[0])
-    degenerate = abs(denom) < DEGENERATE_Z0_TOL * series.dim
+    degenerate = bool(_modulus(np.array(denom)) < DEGENERATE_Z0_TOL * series.dim)
     correction = 0j if degenerate else residual / denom
     aug = AugmentedInterpolant(base, m, engine, z0, correction, degenerate)
-    return aug, abs(denom * correction - residual), covered
+    return aug, float(_modulus(np.array(denom * correction - residual))), covered
 
 
 def augmented_interpolant(
@@ -284,8 +285,8 @@ def interpolation_audit(
         error -= eval_grid(FourierSeries.from_arrays(series.dim, missed, series._values[~covered]), m)
     return InterpolationAudit(
         interpolant=aug,
-        max_grid_error=float(np.max(np.abs(error))),
-        z0_error=float(z0_err),
+        max_grid_error=float(np.max(_modulus(error))),
+        z0_error=z0_err,
         tolerance=1e-9 * (1.0 + series.abs_sum()),
         uncovered_modes=_read_only(missed)[0],
     )
@@ -347,9 +348,7 @@ def bound_audit(
         base_vals, corr_vals = interpolant._parts(points)
         lhs = base_vals + corr_vals
 
-    lhs_max = float(np.max(np.abs(lhs)))
-    base_max = float(np.max(np.abs(base_vals)))
-    corr_max = float(np.max(np.abs(corr_vals)))
+    lhs_max, base_max, corr_max = (float(np.max(_modulus(v))) for v in (lhs, base_vals, corr_vals))
 
     ln_t = math.log(t)
     r = np.arange(1, m + 1)

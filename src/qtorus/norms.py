@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .logspace import NEG_INF, log_sum_exp
-from .series import FourierSeries, Record, _count, _real
+from .series import FourierSeries, Record, _count, _modulus, _real
 
 #: How far (in ln) a coefficient may pass its bound before :func:`coefficient_bound_audit` flags it.
 BOUND_TOL = 1e-9
@@ -86,45 +86,32 @@ def _pure_direction_ln_m(series: FourierSeries, orders) -> list[float]:
     k_p != 0 (with 2 ln|c| itself, not a masked copy, when no k_p is 0).
     Each order's terms (2j) ln|k_p| + 2 ln|c|, one product and one sum, are
     made in one buffer of K values, reused, so the working memory is a few
-    arrays of K values, whatever the orders.  A coefficient whose modulus
-    is past the float range (2 ln|c| = +inf) is refused, naming its index,
-    by the first order whose sum takes it in.
+    arrays of K values, whatever the orders.  Every |c| is finite, since a
+    series refuses a coefficient whose modulus is past the float range.
     """
-    two_ln_c = series._log_abs_values
+    two_ln_c = _modulus(series._values)
+    np.log(two_ln_c, out=two_ln_c)
     two_ln_c *= 2.0
-    past = np.flatnonzero(two_ln_c == np.inf)
     directions = []
     for p in range(series.dim):
         k_p = series._exponents[:, p]
         mask = slice(None) if k_p.all() else k_p != 0
         ln_k = k_p[mask].astype(float)
         ln_k = np.log(np.abs(ln_k, out=ln_k), out=ln_k)
-        directions.append((ln_k, two_ln_c[mask], past[k_p[past] != 0]))
+        directions.append((ln_k, two_ln_c[mask]))
     buf = np.empty(series.n_modes)
     out = []
     for j in orders:
         if j == 0:
-            _refuse_past_float_range(series, past)
             out.append(0.5 * log_sum_exp(two_ln_c))
             continue
         best = NEG_INF
-        for ln_k, two_ln_c_p, past_p in directions:
-            _refuse_past_float_range(series, past_p)
+        for ln_k, two_ln_c_p in directions:
             terms = np.multiply(ln_k, 2.0 * j, out=buf[: len(ln_k)])
             terms += two_ln_c_p
             best = max(best, 0.5 * log_sum_exp(terms))
         out.append(best)
     return out
-
-
-def _refuse_past_float_range(series: FourierSeries, rows: np.ndarray) -> None:
-    """ValueError naming the first of ``rows``, modes whose modulus is past the float range."""
-    if rows.size:
-        i = rows[0]
-        raise ValueError(
-            f"coefficient at index {series._exponents[i].tolist()} has a modulus past the "
-            f"float range: {complex(series._values[i])!r}"
-        )
 
 
 def m_j(series: FourierSeries, j: int) -> float:
@@ -197,14 +184,14 @@ def coefficient_bound_audit(
     ln_mj = profile.ln_m[j]
     violations = []
     checked = 0
-    for k, c in zip(map(tuple, series._exponents.tolist()), series._values.tolist()):
+    for k, modulus in zip(map(tuple, series._exponents.tolist()), _modulus(series._values).tolist()):
         if all(x == 0 for x in k):
             continue
         checked += 1
         alpha = _audit_alpha(k, j)
         denom = sum(a * math.log(abs(kp)) for a, kp in zip(alpha, k) if a > 0)
         ln_bound = ln_mj - denom
-        ln_coeff = math.log(abs(c))
+        ln_coeff = math.log(modulus)
         if ln_coeff > ln_bound + BOUND_TOL:
             violations.append(
                 BoundViolation(index=k, alpha=alpha, ln_coeff=ln_coeff, ln_bound=ln_bound)

@@ -97,6 +97,18 @@ def _real(name: str, value, floor=None, strict: bool = False) -> float:
     return float(value)
 
 
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """|z| per entry of a complex array: the one modulus of the package.
+
+    It is libm's hypot, which the builtin ``abs`` of a complex also calls,
+    so the two agree bit for bit.  ``np.abs`` of a complex may differ from
+    it in the last bit, by an amount that depends on numpy's SIMD level.  A
+    modulus past the float range is inf, without a warning.
+    """
+    with np.errstate(over="ignore"):
+        return np.hypot(z.real, z.imag)
+
+
 def _read_only(*arrays: np.ndarray) -> tuple:
     """``arrays``, each made read-only: the one freezer of report columns, series and caches."""
     for array in arrays:
@@ -192,7 +204,8 @@ class FourierSeries:
     array of distinct rows sorted lexicographically (first column primary)
     and ``_values`` the read-only (K,) complex coefficients.  Every series
     is built by :meth:`from_arrays`, which checks that the coefficients are
-    finite (``ValueError`` otherwise), prunes those below
+    finite, with a modulus within the float range (``ValueError``
+    otherwise), prunes those below
     :data:`PRUNE_THRESHOLD`, sorts, and rejects duplicate or non-integer
     indices and entries beyond |k_p| <= 2^62.  ``FourierSeries(dim, coeffs)``
     takes a mapping from index tuples to coefficients instead; ``coeffs`` is
@@ -200,7 +213,7 @@ class FourierSeries:
     """
 
     def __init__(self, dim: int, coeffs: Mapping):
-        self._store(dim, list(coeffs), list(coeffs.values()), owned=True)
+        self._store(dim, list(coeffs), list(coeffs.values()))
 
     @classmethod
     def from_arrays(cls, dim: int, exponents, values) -> "FourierSeries":
@@ -215,38 +228,40 @@ class FourierSeries:
         series._store(dim, exponents, values)
         return series
 
-    def _store(self, dim: int, exponents, values, owned: bool = False) -> None:
+    def _store(self, dim: int, exponents, values) -> None:
         """Check, sort and prune ``exponents`` and ``values`` into this series.
 
-        Arrays that need no gather and no prune are copied, so a caller's
-        array is never shared or frozen, unless ``owned``: made for this
-        series alone, as the lists of ``__init__`` and the reader's joined
-        columns are.
+        One :func:`_modulus` pass, freed before the sort, refuses the first
+        coefficient that is not finite or has a modulus past the float range
+        and marks those to prune.  Arrays that need no gather and no prune
+        are copied, so a caller's array is never shared or frozen.
         """
         dim = _count("dim", dim)
         k = _index_array(exponents, dim)
         v = np.asarray(values, dtype=complex)
         if v.shape != (len(k),):
             raise ValueError(f"need one value per index row, got {v.shape} for {len(k)} rows")
-        bad = np.flatnonzero(~np.isfinite(v))
+        modulus = _modulus(v)
+        bad = np.flatnonzero(~(modulus <= sys.float_info.max))  # NaN or inf
         if bad.size:
             i = bad[0]
-            raise ValueError(f"coefficient at index {k[i].tolist()} is not finite: {complex(v[i])!r}")
+            what = "is not finite" if not cmath.isfinite(v[i]) else "has a modulus past the float range"
+            raise ValueError(f"coefficient at index {k[i].tolist()} {what}: {complex(v[i])!r}")
+        keep = modulus >= PRUNE_THRESHOLD
+        del modulus
         order = np.lexsort(k.T[::-1])
         gathered = bool(np.any(order[1:] < order[:-1]))  # only the identity increases
         if gathered:
-            k, v = k[order], v[order]
+            k, v, keep = k[order], v[order], keep[order]
         repeat = np.flatnonzero(np.all(k[1:] == k[:-1], axis=1)) + 1
         if repeat.size:
             # The sort is stable, so each repeat is a later occurrence; report
             # the one that comes first in the input.
             j = repeat[np.argmin(order[repeat])]
             raise _DuplicateIndex(k[j].tolist(), int(order[j]))
-        with np.errstate(over="ignore"):  # a modulus past the float range is inf, kept
-            keep = np.hypot(v.real, v.imag) >= PRUNE_THRESHOLD  # libm's hypot, as abs(c) is
         if not keep.all():
             k, v = k[keep], v[keep]
-        elif not (gathered or owned):
+        elif not gathered:
             k, v = k.copy(), v.copy()
         _read_only(k, v)
         object.__setattr__(self, "dim", dim)
@@ -290,13 +305,12 @@ class FourierSeries:
         return int(np.abs(self._exponents).max())
 
     def abs_sum(self) -> float:
-        """sum_k |c_k| (finite by construction), computed once per series."""
+        """sum_k |c_k| in index order, once per series; never raises, inf past the float range."""
         return self._abs_sum
 
     @cached_property
     def _abs_sum(self) -> float:
-        # The builtin abs, not np.abs, which may differ in the last bit.
-        return float(sum(map(abs, self._values.tolist())))
+        return float(sum(_modulus(self._values).tolist()))
 
     def _terms_at(self, point: "PolyPoint") -> np.ndarray:
         """The terms c_k z^k at ``point``, one per mode, kept for the last point asked.
@@ -337,13 +351,6 @@ class FourierSeries:
             np.unique(self._exponents[:, p], return_inverse=True)
             for p in range(self.dim)
         )
-
-    @property
-    def _log_abs_values(self) -> np.ndarray:
-        """ln|c_k| per mode, a new array at each use, which the caller may overwrite."""
-        ln_abs = np.abs(self._values)
-        with np.errstate(divide="ignore"):
-            return np.log(ln_abs, out=ln_abs)
 
 
 def _summed(dim: int, exponents: np.ndarray, values: np.ndarray) -> FourierSeries:
@@ -497,7 +504,7 @@ class PolyPoint(Record):
         return len(self.z)
 
     def on_torus(self) -> bool:
-        return all(abs(abs(v) - 1.0) <= TORUS_TOL for v in self.z)
+        return bool(np.all(np.abs(_modulus(np.array(self.z)) - 1.0) <= TORUS_TOL))
 
 
 def eval_laurent(series: FourierSeries, p: PolyPoint) -> complex:
@@ -724,13 +731,12 @@ def read_coefficients(path) -> FourierSeries:
             first += len(block)
     if dim is None:
         raise ValueError(f"{path}: no coefficient lines")
-    # Each rebinding frees the blocks it joins, so they never sit beside both
-    # columns; the columns of a file in index order become the series' own.
+    # Each rebinding frees the blocks it joins, so they never sit beside both columns.
     exponents = np.concatenate(exponents)
     values = np.concatenate(values)
     series = FourierSeries.__new__(FourierSeries)
     try:
-        series._store(dim, exponents, values, owned=True)
+        series._store(dim, exponents, values)
         return series
     except _DuplicateIndex as exc:
         raise ValueError(f"{path}:{_line_of_row(path, exc.row)}: {exc}") from None

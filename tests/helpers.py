@@ -15,7 +15,7 @@ import numpy as np
 
 from qtorus import FourierSeries, PolyPoint
 from qtorus.logspace import NEG_INF, log_sum_exp
-from qtorus.series import PRUNE_THRESHOLD, TWO_PI, Record
+from qtorus.series import PRUNE_THRESHOLD, TWO_PI, Record, _modulus
 
 
 #: Values that are not an integer >= 1, each refused where a count is read.
@@ -48,13 +48,34 @@ def fields(value):
     return value
 
 
+def builtin_modulus(c: complex) -> float:
+    """The builtin ``abs(c)``, with inf where it raises OverflowError (a modulus past the float range).
+
+    A NaN part without an infinite one gives NaN first: CPython's abs
+    returns NaN there without clearing errno, so an ERANGE left by an
+    earlier overflow (say in libm's hypot) makes it raise OverflowError.
+    """
+    if cmath.isnan(c) and not cmath.isinf(c):
+        return math.nan
+    try:
+        return abs(c)
+    except OverflowError:
+        return math.inf
+
+
+def builtin_sup(values: np.ndarray) -> float:
+    """max |v| over ``values`` by :func:`builtin_modulus`; NaN when some modulus is NaN, as np.max."""
+    moduli = list(map(builtin_modulus, values.ravel().tolist()))
+    return math.nan if any(map(math.isnan, moduli)) else max(moduli)
+
+
 def dict_series_coeffs(dim: int, coeffs) -> dict:
     """The normalized coefficient dict of a series, one mode at a time.
 
     The oracle for ``FourierSeries.from_arrays`` and the dict constructor:
     each index must be ``dim`` entries equal to integers, each coefficient
-    finite (``ValueError`` otherwise); coefficients below PRUNE_THRESHOLD
-    are dropped and the keys sorted.
+    finite with a finite modulus (``ValueError`` otherwise); coefficients
+    below PRUNE_THRESHOLD are dropped and the keys sorted.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -71,6 +92,8 @@ def dict_series_coeffs(dim: int, coeffs) -> dict:
         c = complex(raw_c)
         if not cmath.isfinite(c):
             raise ValueError(f"coefficient at index {index} is not finite: {c!r}")
+        if builtin_modulus(c) == math.inf:
+            raise ValueError(f"coefficient at index {index} has a modulus past the float range: {c!r}")
         if abs(c) >= PRUNE_THRESHOLD:
             clean[tuple(index)] = c
     return dict(sorted(clean.items()))
@@ -154,7 +177,7 @@ def derivative_l2_norm(series: FourierSeries, alpha) -> float:
         return NEG_INF
 
     K = series._exponents
-    ln_c = series._log_abs_values
+    ln_c = np.log(_modulus(series._values))
     active = [p for p in range(series.dim) if alpha[p] > 0]
     if active:
         mask = np.all(K[:, active] != 0, axis=1)
@@ -481,6 +504,7 @@ def rng_annulus_sups(interpolant, t, n_samples, seed) -> tuple:
     CPython keeps the same across versions) and draws once per job.  Here
     they are drawn one by one through ``random.Random(seed).uniform``:
     n_samples x n moduli in [1/t, t], then as many phases in [0, 2 pi).
+    Each |v| is the builtin ``abs``, the library's one modulus.
     """
     rng = random.Random(seed)
     shape = (n_samples, interpolant.base.dim)
@@ -490,4 +514,4 @@ def rng_annulus_sups(interpolant, t, n_samples, seed) -> tuple:
     with np.errstate(over="ignore", invalid="ignore"):
         base, correction = interpolant._parts(moduli * np.exp(1j * phases))
         augmented = base + correction
-    return tuple(float(np.max(np.abs(v))) for v in (augmented, base, correction))
+    return tuple(map(builtin_sup, (augmented, base, correction)))

@@ -670,9 +670,37 @@ class TestInterp:
         assert capsys.readouterr().err.startswith("error: 1000002 sample components")
         assert not out.exists()
         monkeypatch.undo()
+        # One mode, so one sampled term per sample and m: 2 x 50 terms, and
+        # the 2 x 50 sample components, are within a cap of 100.
         monkeypatch.setenv("QTORUS_GRID_CAP", "100")
+        args = ["interp", "--family", "analytic:a=1:K=0", "--n", "2", "--m", "2..3"]
         assert main([*args, "--samples", "51", "--out", str(out)]) == 4
         assert main([*args, "--samples", "50", "--out", str(out)]) == 0
+
+    def test_sampled_terms_past_cap_exit_4_before_any_work(self, tmp_path, monkeypatch, capsys):
+        # 10^6 samples of the 2001-mode fold at m = 2 are 2*10^6 sampled
+        # terms, past the default cap, though each other size is within it.
+        monkeypatch.delenv("QTORUS_GRID_CAP", raising=False)
+        for name in ("interpolation_audit", "bound_audit", "build_profile"):
+            monkeypatch.setattr(cli_module, name, _must_not_run)
+        out = tmp_path / "out"
+        args = ["interp", "--family", "analytic:a=1:K=1000", "--m", "2..200"]
+        assert main([*args, "--samples", "1000000", "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            "error: 2000000 sampled terms (--samples x fold modes) summed over --m 2..2"
+            " exceed the cap of 1000000 (QTORUS_GRID_CAP)\n"
+        )
+        assert not out.exists()
+        monkeypatch.undo()
+        # K = 1: 3 modes, so min(3, m) = 2 and 3 fold modes at m = 2, 3: 5 terms a sample.
+        monkeypatch.setenv("QTORUS_GRID_CAP", "20")
+        args = ["interp", "--family", "analytic:a=1:K=1", "--m", "2..3", "--Jmax", "4"]
+        assert main([*args, "--samples", "5", "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            "error: 25 sampled terms (--samples x fold modes) summed over --m 2..3"
+            " exceed the cap of 20 (QTORUS_GRID_CAP)\n"
+        )
+        assert main([*args, "--samples", "4", "--out", str(out)]) == 0
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_samples_below_one_exits_2_before_reading(self, tmp_path, monkeypatch, capsys, samples):
@@ -855,7 +883,9 @@ class TestPlan:
     @pytest.mark.parametrize("cap, code", [("13", 0), ("12", 4)])
     def test_grid_work_of_the_whole_m_range_is_capped(self, tmp_path, monkeypatch, capsys, cap, code):
         # n = 2, --m 2..3: 4 + 9 = 13 grid points over the job, each grid
-        # (at most 9), the 9 modes, 3 orders and 8 sample components below 12.
+        # (at most 9), the 9 modes, 3 orders and 2 sample components below
+        # 12.  One sample of min(9, m^2) fold modes is 13 sampled terms too:
+        # past a cap of 12 with the grid points, which are named first.
         monkeypatch.setenv("QTORUS_GRID_CAP", cap)
         audits = []
 
@@ -866,7 +896,7 @@ class TestPlan:
         monkeypatch.setattr(cli_module, "interpolation_audit", counted)
         out = tmp_path / "out"
         args = ["interp", "--family", "analytic:a=1:K=1", "--n", "2", "--m", "2..3", "--Jmax", "2"]
-        assert main([*args, "--samples", "4", "--out", str(out)]) == code
+        assert main([*args, "--samples", "1", "--out", str(out)]) == code
         if code:
             assert capsys.readouterr().err == (
                 "error: 13 grid points summed over --m 2..3 exceed the cap of 12 (QTORUS_GRID_CAP)\n"
@@ -877,12 +907,13 @@ class TestPlan:
 
     def test_grid_work_sum_stops_past_the_cap(self, tmp_path, monkeypatch, capsys):
         # Every grid of --m 2..1000000 at n = 1 is within the default cap, but
-        # the job's ~5e11 grid points are not: the sum stops at m = 1414.
+        # the job's ~5e11 grid points are not: the sum stops at m = 1414.  One
+        # sample of the 3 modes keeps the sampled terms below the grid points.
         monkeypatch.delenv("QTORUS_GRID_CAP", raising=False)
         for name in ("interpolation_audit", "bound_audit", "build_profile"):
             monkeypatch.setattr(cli_module, name, _must_not_run)
         out = tmp_path / "out"
-        args = ["interp", "--family", "analytic:a=1:K=1", "--m", "2..1000000"]
+        args = ["interp", "--family", "analytic:a=1:K=1", "--m", "2..1000000", "--samples", "1"]
         assert main([*args, "--out", str(out)]) == 4
         assert capsys.readouterr().err == (
             "error: 1000404 grid points summed over --m 2..1414 exceed the cap of 1000000"
@@ -913,6 +944,8 @@ class TestPlan:
         [
             ("x", "--z0 needs comma-separated complex numbers, got 'x'"),
             ("2", "--z0 components must have modulus 1"),
+            # Its modulus is past the float range, where the builtin abs raises OverflowError.
+            ("1.5e308+1.5e308j", "--z0 components must have modulus 1"),
             ("nan", "--z0 components must be finite, got 'nan'"),
             ("0", "--z0 components must be nonzero, got '0'"),
         ],

@@ -269,6 +269,15 @@ class TestAugmentedInterpolant:
         with pytest.raises(ValueError):
             augmented_interpolant(s, 2, PolyPoint((1.2,)))
 
+    def test_z0_error_past_the_float_range_is_inf(self):
+        # At the node z0 = (1, 1) the fold is degenerate, and the residual is
+        # the two uncovered modes' sum, 1.3e308 (1 + i): its modulus is past
+        # the float range, so the builtin abs would raise OverflowError.
+        s = FourierSeries(2, {(1, 2): 1.3e308, (2, 1): 1.3e308j})
+        audit = interpolation_audit(s, 2, PolyPoint((1.0, 1.0)), engine="diagonal")
+        assert audit.interpolant.degenerate_z0
+        assert audit.z0_error == math.inf
+
     def test_correction_vanishes_on_grid(self):
         for n, m in [(1, 9), (2, 6), (3, 4)]:
             assert np.max(np.abs(_grid_factor(grid_array(n, m), m))) < 1e-12

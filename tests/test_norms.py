@@ -157,15 +157,22 @@ class TestBuildProfile:
         prof = build_profile(FourierSeries(1, {}), 4)
         assert all(v == NEG for v in prof.ln_m)
 
-    def test_modulus_past_the_float_range_refused_naming_its_index(self):
+    def test_modulus_past_the_float_range_refused_at_construction(self):
+        # No series holds such a mode, so no profile meets one: the series
+        # refuses it, also where no order's norm would take it in (k_p = 0).
         huge = complex(3.262434762922911e307, 1.7678421313306858e308)
-        s = FourierSeries(2, {(1, 0): 1.0, (0, -2): huge})
         message = r"^coefficient at index \[0, -2\] has a modulus past the float range"
-        for profile in (lambda: build_profile(s, 3), lambda: m_j(s, 0), lambda: m_j(s, 1)):
-            with pytest.raises(ValueError, match=message):
-                profile()
-        # An order that leaves the mode out (k_p = 0 in every direction) still has a value.
-        assert m_j(FourierSeries(1, {(0,): huge, (1,): 1.0}), 1) == 0.0
+        with pytest.raises(ValueError, match=message):
+            FourierSeries(2, {(1, 0): 1.0, (0, -2): huge})
+        with pytest.raises(ValueError, match=r"^coefficient at index \[0\] has a modulus"):
+            FourierSeries(1, {(0,): huge, (1,): 1.0})
+
+    def test_moduli_just_under_the_float_max_give_finite_orders(self):
+        near_max = complex(1.2711610061536462e308, 1.2711610061536462e308)
+        s = FourierSeries(2, {(1, 0): near_max, (0, -2): near_max, (0, 0): 1.0})
+        prof = build_profile(s, 6)
+        assert all(math.isfinite(v) for v in prof.ln_m)
+        assert prof.ln_m[0] == pytest.approx(0.5 * math.log(2.0) + math.log(abs(near_max)))
 
     def test_scaling_shifts_uniformly(self):
         rng = np.random.default_rng(3)

@@ -21,6 +21,7 @@ from qtorus import (
     FourierSeries,
     GridCapError,
     PolyPoint,
+    alias_fold,
     augmented_interpolant,
     build_profile,
     eval_batch,
@@ -33,6 +34,7 @@ from qtorus import (
 from helpers import (
     brute_eval,
     brute_eval_scale,
+    builtin_modulus,
     dict_series_coeffs,
     grid_nodes,
     json_write_coefficients,
@@ -42,6 +44,55 @@ from helpers import (
     torus_eval,
     torus_point,
 )
+
+
+#: A coefficient with finite parts whose modulus is past the float range.
+HUGE = complex(3.262434762922911e307, 1.7678421313306858e308)
+
+#: Parts whose modulus is within a few ulps of the float max.
+HALF_MAX_MODULUS = sys.float_info.max / math.sqrt(2.0)
+
+#: Real and imaginary parts for the modulus property: any float (subnormals,
+#: signed zeros, inf and NaN included), and parts near the float max.
+MODULUS_PARTS = (
+    st.floats()
+    | st.floats(1e307, sys.float_info.max)
+    | st.sampled_from(
+        (5e-324, -5e-324, -0.0, HALF_MAX_MODULUS, math.nextafter(HALF_MAX_MODULUS, math.inf))
+    )
+)
+
+def read_huge(tmp_path):
+    path = tmp_path / "huge.jsonl"
+    path.write_text(
+        '{"k": [1], "re": 1.0, "im": 0.0}\n'
+        '{"k": [0], "re": 3.262434762922911e+307, "im": 1.7678421313306858e+308}\n'
+    )
+    return read_coefficients(path)
+
+
+#: Per way of building a series: (index, value) of the coefficient it
+#: refuses, and the build.  The value is a residue sum for the fold, a sum
+#: for ``+`` and a product for ``*``.
+PAST_FLOAT_RANGE = {
+    "dict": ([0, -2], HUGE, lambda tmp: FourierSeries(2, {(1, 0): 1.0, (0, -2): HUGE})),
+    # The first such coefficient in input order is named, not in index order.
+    "from_arrays": (
+        [3], HUGE, lambda tmp: FourierSeries.from_arrays(1, [[5], [3], [-1]], [1, HUGE, HUGE])
+    ),
+    "read_coefficients": ([0], HUGE, read_huge),
+    "alias_fold": (
+        [0],
+        complex(1.3e308, 1.3e308),
+        lambda tmp: alias_fold(FourierSeries(1, {(0,): 1.3e308, (2,): 1.3e308j}), 2),
+    ),
+    "add": (
+        [1],
+        complex(1.3e308, 1.3e308),
+        lambda tmp: FourierSeries(1, {(1,): 1.3e308}) + FourierSeries(1, {(1,): 1.3e308j}),
+    ),
+    "mul": ([0], complex(1.5e308, 1.5e308), lambda tmp: FourierSeries(1, {(0,): 1e308}) * (1.5 + 1.5j)),
+}
 
 
 def bits(values) -> bytes:
@@ -532,6 +583,45 @@ class TestSeriesConstruction:
         with pytest.raises(AttributeError):
             s.dim = 3
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(MODULUS_PARTS, MODULUS_PARTS), min_size=1, max_size=12))
+    @example([(5e-324, -0.0), (-0.0, -0.0), (0.0, 5e-324), (2.2250738585072014e-308, 1e-310)])
+    @example([(HALF_MAX_MODULUS, HALF_MAX_MODULUS), (1.7976931348623157e308, 1e292)])
+    @example([(math.inf, math.nan), (math.nan, -math.inf), (math.nan, 1.0), (-math.inf, 0.0)])
+    def test_modulus_is_the_builtin_abs(self, parts):
+        # The builtin abs raises OverflowError where the modulus is past the float range.
+        z = np.array([complex(re, im) for re, im in parts])
+        got = series_module._modulus(z).tolist()
+        assert [x.hex() for x in got] == [builtin_modulus(c).hex() for c in z.tolist()]
+
+    @pytest.mark.parametrize("index, value, build", PAST_FLOAT_RANGE.values(), ids=PAST_FLOAT_RANGE)
+    def test_modulus_past_the_float_range_refused_by_every_builder(self, tmp_path, index, value, build):
+        # Both parts finite, the modulus is not: every way of building a series refuses it.
+        message = f"coefficient at index {index} has a modulus past the float range: {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(tmp_path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.complex_numbers(max_magnitude=sys.float_info.max, allow_nan=False, allow_infinity=False)
+            | st.sampled_from((HUGE, complex(HALF_MAX_MODULUS, HALF_MAX_MODULUS), 1e-310)),
+            max_size=8,
+        )
+    )
+    def test_abs_sum_never_raises(self, values):
+        # Each |c_k| of a series is finite, so the sum is, unless the moduli
+        # add up past the float range; either way nothing raises.
+        got = outcome(lambda: FourierSeries.from_arrays(1, [[k] for k in range(len(values))], values))
+        if got[0] == "rejected":
+            assert got[1] is ValueError and any(builtin_modulus(c) == math.inf for c in values)
+            return
+        moduli = [abs(c) for c in got[1].coeffs.values()]
+        assert got[1].abs_sum().hex() == float(sum(moduli)).hex()
+        # Scaled by 2^-4, so the exact sum of at most 8 moduli cannot overflow fsum.
+        if math.fsum(x * 2**-4 for x in moduli) <= sys.float_info.max * 2**-5:
+            assert math.isfinite(got[1].abs_sum())
+
     def test_abs_sum_is_the_builtin_sum_once(self):
         rng = np.random.default_rng(3)
         s = random_series(rng, 2, max_modes=400, radius=30)
@@ -594,8 +684,8 @@ def coefficient_rows(draw):
     """(dim, rows, values): candidate index rows and coefficients for a series.
 
     Rows may repeat, have the wrong length, or hold integral, non-integral
-    and non-finite floats; values include NaN, infinities, -0.0 and moduli
-    at the 1e-300 pruning threshold.
+    and non-finite floats; values include NaN, infinities, -0.0, moduli
+    at the 1e-300 pruning threshold and a modulus past the float range.
     """
     dim = draw(st.integers(1, 3))
     integral = st.integers(-6, 6) | st.integers(-6, 6).map(float) | st.just(-0.0)
@@ -626,7 +716,7 @@ def coefficient_rows(draw):
         tiny,
     )
     if draw(st.booleans()):
-        value = value | st.sampled_from((math.nan, complex(1.0, math.inf), -math.inf))
+        value = value | st.sampled_from((math.nan, complex(1.0, math.inf), -math.inf, HUGE))
     values = [draw(value) for _ in rows]
     return dim, rows, values
 
@@ -754,13 +844,13 @@ class TestCoefficientFormat:
         st.lists(
             st.tuples(
                 st.lists(st.integers(-(2**62), 2**62), min_size=3, max_size=3),
-                st.complex_numbers(allow_nan=False, allow_infinity=False),
+                st.complex_numbers(
+                    max_magnitude=sys.float_info.max, allow_nan=False, allow_infinity=False
+                ),
             ),
             max_size=30,
         ),
     )
-    # |c| overflows to inf: kept, and no overflow warning from the prune.
-    @example(1, [([0, 0, 0], complex(3.262434762922911e307, 1.7678421313306858e308))])
     def test_writer_bytes_equal_json_dumps(self, dim, modes):
         series = FourierSeries(dim, {tuple(k[:dim]): c for k, c in modes})
         with tempfile.TemporaryDirectory() as tmp:
