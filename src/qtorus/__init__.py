@@ -32,7 +32,6 @@ from .associated import (
     CarlemanReport,
     DegenerateProfileError,
     LemmaReport,
-    TrendConfig,
     WitnessSeries,
     build_table,
     carleman_diagnostic,

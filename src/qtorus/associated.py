@@ -79,6 +79,13 @@ TAIL_THRESHOLD = 1e-3
 #: Saturated grid fraction above which :func:`carleman_diagnostic` abstains.
 SATURATION_FRACTION = 0.5
 
+#: Least-squares slope of d_m against ln m above which the witness's fallback rule
+#: reads "divergent-trend".
+SLOPE_THRESHOLD = 0.05
+
+#: rmse ratio by which one growth model of -ln tau must beat the other to win.
+FIT_MARGIN = 0.9
+
 #: Candidate window of the tau kernel, relative to the largest |term| a query
 #: can reach.  Rounding moves a float term by at most 2^-52 of that bound, so
 #: the window is 2^12 times wider than any rounding it has to absorb.
@@ -90,25 +97,6 @@ _X_BLOCK = 2**12
 
 class DegenerateProfileError(ValueError):
     """Some ln M_j = -inf: tau vanishes identically and t_m is meaningless."""
-
-
-class TrendConfig(Record):
-    """The thresholds of the asymptotic-trend classifiers that the CLI sets.
-
-    The statements being checked are asymptotic; these cutoffs make them
-    decidable at desk scale and are deliberately configuration, not math.
-    Each field is a finite real (:func:`~qtorus.series._real`), stored as a float.
-    """
-
-    slope_threshold: float = 0.05      # least-squares slope of d_m vs ln m
-    fit_margin: float = 0.9            # rmse ratio for a growth model to win
-
-    def __post_init__(self):
-        for name, value in list(vars(self).items()):
-            object.__setattr__(self, name, _real(name, value))
-
-
-DEFAULT_TREND = TrendConfig()
 
 
 def _require_nondegenerate(profile: DerivativeNormProfile) -> None:
@@ -195,8 +183,8 @@ def _legendre(profile: DerivativeNormProfile, ln_r, start: int = 0):
     equal float terms and the value is the term there, bit for bit what a
     full scan over j gives.  An ln M_j = -inf with j >= start makes every
     term at that j -inf, so its first index is the argmin for every r.  The
-    lower hull of the points (j - start, ln M_j) is built once per profile
-    and ``start`` and kept on the profile.
+    lower hull of the points (j - start, ln M_j) is built at every call: at
+    O(J), 0.41 ms for J = 2000, it is not worth state kept on the profile.
     """
     ln_r = np.asarray(ln_r, dtype=float)
     tail = profile.ln_m_array()[start:]
@@ -204,9 +192,7 @@ def _legendre(profile: DerivativeNormProfile, ln_r, start: int = 0):
     if vanishing.size:
         arg = np.full(ln_r.shape, vanishing[0], dtype=np.int64)
     else:
-        if start not in profile._hulls:
-            profile._hulls[start] = _lower_hull(list(profile.ln_m[start:]))
-        arg = _hull_argmin(tail, *profile._hulls[start], ln_r)
+        arg = _hull_argmin(tail, *_lower_hull(list(profile.ln_m[start:])), ln_r)
     values = tail[arg]
     values -= arg * ln_r
     arg += start
@@ -357,19 +343,19 @@ def _fit_line(x: np.ndarray, y: np.ndarray) -> TrendFit:
     return TrendFit(slope=slope, intercept=intercept, rmse=rmse)
 
 
-def _pick_growth_model(r: np.ndarray, w: np.ndarray, margin: float):
+def _pick_growth_model(r: np.ndarray, w: np.ndarray):
     """Compare w ~ a*r + b against w ~ a*sqrt(r) + b.
 
     Returns (fit_linear, fit_sqrt, winner) with winner in
-    {"linear", "sqrt", None}; None when neither model beats the other by the
-    rmse margin or a winning slope is not positive.
+    {"linear", "sqrt", None}; None when neither model beats the other by
+    :data:`FIT_MARGIN` or a winning slope is not positive.
     """
     fit_lin = _fit_line(r, w)
     fit_sqrt = _fit_line(np.sqrt(r), w)
     winner = None
-    if fit_lin.rmse < margin * fit_sqrt.rmse and fit_lin.slope > 0:
+    if fit_lin.rmse < FIT_MARGIN * fit_sqrt.rmse and fit_lin.slope > 0:
         winner = "linear"
-    elif fit_sqrt.rmse < margin * fit_lin.rmse and fit_sqrt.slope > 0:
+    elif fit_sqrt.rmse < FIT_MARGIN * fit_lin.rmse and fit_sqrt.slope > 0:
         winner = "sqrt"
     return fit_lin, fit_sqrt, winner
 
@@ -419,13 +405,7 @@ def _running_min_with_argmin(values: np.ndarray):
     return best, arg
 
 
-def witness(
-    profile: DerivativeNormProfile,
-    n: int,
-    m_grid,
-    normalize: bool = True,
-    config: TrendConfig = DEFAULT_TREND,
-) -> WitnessSeries:
+def witness(profile: DerivativeNormProfile, n: int, m_grid, normalize: bool = True) -> WitnessSeries:
     """Compute ln t_m, ln theta(m) and classify the divergence of d_m.
 
     With ``normalize=True`` (default) the profile is first shifted so that
@@ -482,7 +462,7 @@ def witness(
     r_fit = np.flatnonzero(~sat_full) + 1.0
     del sat_full
     trend = _classify_structural(
-        m_vals[top], ln_m_top, ln_t[top], argmin_r[top], arg_sat[top], r_fit, neg_ln_tau, n, config
+        m_vals[top], ln_m_top, ln_t[top], argmin_r[top], arg_sat[top], r_fit, neg_ln_tau, n
     )
     d = m_vals.astype(float) ** (1.0 / (n + 1)) * ln_t
     columns = _read_only(m_vals, ln_t, ln_theta, d, ln_theta > 0, argmin_r, arg_sat)
@@ -490,7 +470,7 @@ def witness(
     return WitnessSeries(n, *columns, int(np.count_nonzero(ln_t < ln_theta)), shift, *trend)
 
 
-def _classify_structural(m_top, ln_m_top, ln_t_top, argmin_top, sat_top, r_fit, neg_ln_tau, n, config):
+def _classify_structural(m_top, ln_m_top, ln_t_top, argmin_top, sat_top, r_fit, neg_ln_tau, n):
     if m_top.size < 3:
         return "inconclusive", math.nan, None, None
     slope_d = _fit_line(ln_m_top, m_top.astype(float) ** (1.0 / (n + 1)) * ln_t_top).slope
@@ -504,7 +484,7 @@ def _classify_structural(m_top, ln_m_top, ln_t_top, argmin_top, sat_top, r_fit, 
     # normalization shift land in the intercept, so transients cannot flip
     # the fit the way they bend ln t_m itself at desk scale.
     if r_fit.size >= MIN_FIT_POINTS:
-        fit_lin, fit_sqrt, best = _pick_growth_model(r_fit, neg_ln_tau, config.fit_margin)
+        fit_lin, fit_sqrt, best = _pick_growth_model(r_fit, neg_ln_tau)
         if best == "linear":
             return "divergent-trend", slope_d, fit_lin, fit_sqrt
         if best == "sqrt":
@@ -518,7 +498,7 @@ def _classify_structural(m_top, ln_m_top, ln_t_top, argmin_top, sat_top, r_fit, 
     if interior and np.all(ln_t_top > 0):
         return "divergent-trend", slope_d, fit_lin, fit_sqrt
 
-    label = "divergent-trend" if slope_d > config.slope_threshold else "bounded-trend"
+    label = "divergent-trend" if slope_d > SLOPE_THRESHOLD else "bounded-trend"
     return label, slope_d, fit_lin, fit_sqrt
 
 
@@ -555,10 +535,7 @@ def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def carleman_diagnostic(
-    profile: DerivativeNormProfile,
-    r_max: float,
-    points_per_decade: int = 64,
-    config: TrendConfig = DEFAULT_TREND,
+    profile: DerivativeNormProfile, r_max: float, points_per_decade: int = 64
 ) -> CarlemanReport:
     """Integrate -ln tau(r) / r^2 on [1, r_max] and classify the trend.
 
@@ -588,7 +565,7 @@ def carleman_diagnostic(
     keep = ~saturated
     fit_lin = fit_sqrt = best = None
     if int(np.sum(keep)) >= MIN_FIT_POINTS:
-        fit_lin, fit_sqrt, best = _pick_growth_model(grid[keep], neg[keep], config.fit_margin)
+        fit_lin, fit_sqrt, best = _pick_growth_model(grid[keep], neg[keep])
 
     if sat_fraction > SATURATION_FRACTION:
         verdict = "inconclusive"

@@ -31,10 +31,11 @@ import numpy as np
 
 from . import __version__
 from .associated import (
-    DEFAULT_TREND,
+    FIT_MARGIN,
+    MIN_FIT_POINTS,
     SATURATION_FRACTION,
+    SLOPE_THRESHOLD,
     DegenerateProfileError,
-    TrendConfig,
     _ln,
     build_table,
     carleman_diagnostic,
@@ -351,12 +352,17 @@ def _fit_payload(fit) -> dict | None:
 
 
 def cmd_verdict(args: argparse.Namespace) -> dict:
-    config = TrendConfig(slope_threshold=args.slope_threshold, fit_margin=args.fit_margin)
     profile = _load_profile(args)
-    report = carleman_diagnostic(profile, args.rmax, config=config)
-    wit = witness(profile, profile.dim, args._m_grid, config=config)
+    report = carleman_diagnostic(profile, args.rmax)
+    wit = witness(profile, profile.dim, args._m_grid)
+    cutoffs = {
+        "slope_threshold": SLOPE_THRESHOLD,
+        "fit_margin": FIT_MARGIN,
+        "saturation_fraction": SATURATION_FRACTION,
+        "min_fit_points": MIN_FIT_POINTS,
+    }
     payload = {
-        "effective": _effective(profile),
+        "effective": {**_effective(profile), **cutoffs},
         "carleman": {
             "verdict": report.verdict,
             "saturated_fraction": report.saturated_fraction,
@@ -387,6 +393,10 @@ def cmd_verdict(args: argparse.Namespace) -> dict:
 def cmd_interp(args: argparse.Namespace) -> dict:
     m_grid = args._m_grid
     series = _load_series(args)
+    # Past the float range every tolerance 1e-9 (1 + sum |c_k|) is inf, and a fold's residue sum can be.
+    if not math.isfinite(series.abs_sum()):
+        source = f"--input {args.input}" if args.input else f"--family {args.family}"
+        raise ValueError(f"{source}: the coefficient moduli sum past the float range")
     n = series.dim
     # The sizes that need n and K: the largest grid, the samples, then all grids and the
     # sampled terms of all folds (min(K, m^n) modes at most each), summed until past the cap.
@@ -497,14 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(p_verdict)
     _add_m(p_verdict)
     p_verdict.add_argument("--rmax", type=int, default=1000)
-    p_verdict.add_argument(
-        "--slope-threshold", type=float, default=DEFAULT_TREND.slope_threshold,
-        help="witness slope cutoff (fallback rule)",
-    )
-    p_verdict.add_argument(
-        "--fit-margin", type=float, default=DEFAULT_TREND.fit_margin,
-        help="rmse ratio a growth model must beat to win",
-    )
     p_verdict.set_defaults(_func=cmd_verdict)
 
     p_interp = sub.add_parser("interp", help="interpolation and bound audits")

@@ -25,7 +25,6 @@ plain fold.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 
@@ -55,30 +54,25 @@ from .series import (
 DEGENERATE_Z0_TOL = 1e-12
 
 
-@functools.lru_cache(maxsize=1)
 def _unit_draws(seed: int, count: int) -> np.ndarray:
-    """The first ``count`` values of ``random.Random(seed).random()``, read-only.
+    """The first ``count`` values of ``random.Random(seed).random()``.
 
-    CPython keeps this stream the same across versions for an integer
-    seed.  The one cached result serves every m of an interp job, whose
-    seed and sample count do not change.
+    CPython keeps this stream the same across versions for an integer seed.
     """
-    return _read_only(np.fromiter(iter(random.Random(seed).random, None), dtype=float, count=count))[0]
+    return np.fromiter(iter(random.Random(seed).random, None), dtype=float, count=count)
 
 
-@functools.lru_cache(maxsize=1)
 def _annulus_points(seed: int, n_samples: int, n: int, t: float) -> np.ndarray:
-    """The (n_samples, n) sample points of :func:`bound_audit` on 1/t <= |z_p| <= t, read-only.
+    """The (n_samples, n) sample points of :func:`bound_audit` on 1/t <= |z_p| <= t.
 
     Moduli in [1/t, t], then phases, each as random.Random.uniform forms
     it, low + (high - low) * u: the seeded reports depend on this draw
-    order.  The one cached result serves every m of an interp job with a
-    fixed t; with ``--tm`` each m has its own t and builds its own points.
+    order.
     """
     u = _unit_draws(seed, 2 * n_samples * n).reshape(2, n_samples, n)
     moduli = 1.0 / t + (t - 1.0 / t) * u[0]
     phases = 2.0 * math.pi * u[1]
-    return _read_only(moduli * np.exp(1j * phases))[0]
+    return moduli * np.exp(1j * phases)
 
 
 def _targets(exponents: np.ndarray, m: int, engine: str):
@@ -239,7 +233,8 @@ class InterpolationAudit(Record):
     ``interpolant`` is the augmented interpolant that was audited (its
     ``m``, ``engine`` and ``degenerate_z0`` describe it), ready for
     :func:`bound_audit`.  ``tolerance`` is the alias-engine acceptance level
-    1e-9 * (1 + sum|c_k|); ``grid_ok`` reports both errors against it.
+    1e-9 * (1 + sum|c_k|); ``grid_ok`` reports both errors against it, and
+    is False when it is inf (the moduli sum past the float range).
     ``uncovered_modes`` is the read-only (U, n) int64 array of the diagonal
     engine's unreachable indices, in index order (no rows for alias).
     """
@@ -252,7 +247,8 @@ class InterpolationAudit(Record):
 
     @property
     def grid_ok(self) -> bool:
-        return self.max_grid_error <= self.tolerance and self.z0_error <= self.tolerance
+        tol = self.tolerance
+        return math.isfinite(tol) and self.max_grid_error <= tol and self.z0_error <= tol
 
 
 def interpolation_audit(
@@ -331,11 +327,9 @@ def bound_audit(
 
     The samples are the first 2 * n_samples * n values of
     ``random.Random(seed).random()``, moduli then phases, mapped as
-    ``random.Random.uniform`` maps them, so reports are byte-reproducible:
-    CPython keeps this stream the same across versions.  It is drawn once
-    for every call with the same seed and sample count (for instance every
-    m of an interp job), and the points once for every call that also has
-    the same t (:func:`_annulus_points`).
+    ``random.Random.uniform`` maps them (:func:`_annulus_points`), so
+    reports are byte-reproducible: CPython keeps this stream the same
+    across versions.
     """
     t = _real("t", t, 1, strict=True)
     n_samples, seed = _count("n_samples", n_samples), _count("seed", seed, least=0)

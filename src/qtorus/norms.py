@@ -32,7 +32,6 @@ O(sum_j C(j+n-1, n-1) K).
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 import numpy as np
 
@@ -61,15 +60,6 @@ class DerivativeNormProfile(Record):
     @property
     def j_max(self) -> int:
         return len(self.ln_m) - 1
-
-    @cached_property
-    def _hulls(self) -> dict:
-        """Lower hulls of ln M_j from each start index, filled in by the tau kernel.
-
-        cached_property writes straight into __dict__, so a frozen profile
-        can hold it.
-        """
-        return {}
 
     def ln_m_array(self) -> np.ndarray:
         return np.asarray(self.ln_m, dtype=float)

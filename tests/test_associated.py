@@ -12,7 +12,6 @@ from qtorus import (
     DerivativeNormProfile,
     FamilySpec,
     FourierSeries,
-    TrendConfig,
     build_profile,
     build_table,
     carleman_diagnostic,
@@ -40,6 +39,7 @@ from helpers import (
     NOT_COUNTS,
     dense_fold_weights,
     dense_log_tau,
+    fields,
     refused_count,
     supporting_line_profile,
 )
@@ -437,12 +437,6 @@ class TestWitness:
 
 
 class TestCarleman:
-    @pytest.mark.parametrize("field", TrendConfig._fields)
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_non_finite_config_field_refused_naming_it(self, field, value):
-        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value!r}$"):
-            TrendConfig(**{field: value})
-
     def test_factorial_quasianalytic(self):
         report = carleman_diagnostic(factorial_profile(200), 100)
         assert report.verdict == "quasianalytic-trend"
@@ -553,7 +547,7 @@ class TestLegendreKernel:
                     assert got_values.tobytes() == values.tobytes()
                     assert np.array_equal(got_arg, arg)
 
-    def test_hull_built_once_per_profile_and_start(self, monkeypatch):
+    def test_folds_build_only_the_shifted_hull(self, monkeypatch):
         built = []
         lower_hull = associated_module._lower_hull
 
@@ -562,14 +556,6 @@ class TestLegendreKernel:
             return lower_hull(a)
 
         monkeypatch.setattr(associated_module, "_lower_hull", counted)
-        prof = factorial_profile(60)
-        for r in range(1, 50):
-            log_tau(prof, float(r))
-            log_tau_shifted(prof, float(r))
-            t_m(prof, r, 1)
-        assert built == [61, 58]
-        log_tau(factorial_profile(60), 2.0)
-        assert built == [61, 58, 61]
         # The fold weights are the tau~ kernel's plus the three head terms
         # j < 3, so t_m, theta and the witness build only the hull from j = 3.
         for fold in (lambda p: t_m(p, 40, 1), lambda p: theta(p, 40, 1),
@@ -581,6 +567,41 @@ class TestLegendreKernel:
         for j_max in (0, 1, 2):
             t_m_sequence(factorial_profile(j_max), 40, 1)
         assert built == []
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p: log_tau(p, 7.5),
+            lambda p: log_tau_shifted(p, 7.5),
+            lambda p: t_m(p, 40, 1),
+            lambda p: theta(p, 40, 1),
+            lambda p: build_table(p, range(1, 50)),
+            lambda p: witness(p, 1, range(2, 41)),
+            lambda p: carleman_diagnostic(p, 300),
+        ],
+        ids=["log_tau", "log_tau_shifted", "t_m", "theta", "build_table", "witness",
+             "carleman_diagnostic"],
+    )
+    def test_calls_leave_no_state_on_the_profile(self, monkeypatch, call):
+        # A profile holds its fields and nothing a call computed: a second
+        # call builds the same hulls again and gives the same bits.
+        built = []
+        lower_hull = associated_module._lower_hull
+
+        def counted(a):
+            built.append(len(a))
+            return lower_hull(a)
+
+        monkeypatch.setattr(associated_module, "_lower_hull", counted)
+        prof = factorial_profile(60, s=1.5)
+        first = fields(call(prof))
+        assert vars(prof) == {"dim": 1, "ln_m": factorial_profile(60, s=1.5).ln_m}
+        once = list(built)
+        assert once
+        second = fields(call(prof))
+        assert built == once + once
+        np.testing.assert_equal(second, first)
+        assert vars(prof) == {"dim": 1, "ln_m": factorial_profile(60, s=1.5).ln_m}
 
     @settings(max_examples=150, deadline=None)
     @given(kernel_cases())

@@ -24,8 +24,8 @@ import qtorus.associated as associated_module
 import qtorus.cli as cli_module
 import qtorus.interpolate as interpolate_module
 import qtorus.series as series_module
-from qtorus import write_coefficients
-from qtorus.families import gen_series, parse_family_spec
+from qtorus import build_profile, carleman_diagnostic, witness, write_coefficients
+from qtorus.families import gen_profile, gen_series, parse_family_spec
 from qtorus.cli import (
     _finite_or_null,
     _json_chunks,
@@ -380,7 +380,14 @@ class TestVerdict:
         verdict = json.loads((out / "verdict.json").read_text())
         assert verdict["overall"] == "inconclusive"
         assert verdict["carleman"]["saturation_flag"] is True
-        assert verdict["effective"] == {"j_max": 200, "dim": 1}
+        assert verdict["effective"] == {
+            "j_max": 200,
+            "dim": 1,
+            "slope_threshold": 0.05,
+            "fit_margin": 0.9,
+            "saturation_fraction": 0.5,
+            "min_fit_points": 8,
+        }
 
     def test_undefined_slope_written_as_null(self, tmp_path):
         # Three m values leave too few points for the witness slope (NaN).
@@ -393,16 +400,6 @@ class TestVerdict:
         verdict = read_strict_json(out / "verdict.json")
         assert verdict["witness"]["slope_d_vs_log_m"] is None
 
-
-    @pytest.mark.parametrize("flag", ["--slope-threshold", "--fit-margin"])
-    def test_non_finite_threshold_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys, flag):
-        monkeypatch.setattr(cli_module, "gen_profile", _must_not_run)
-        field = flag[2:].replace("-", "_")
-        out = tmp_path / "out"
-        args = ["verdict", "--family", "profile:rule=factorial:s=1.5:Jmax=200", "--m", "2..400"]
-        assert main([*args, "--rmax", "2000", flag, "nan", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: {field} must be finite, got nan\n"
-        assert not out.exists()
 
     def test_rmax_past_the_float_range_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -433,6 +430,44 @@ class TestVerdict:
             for row in read_data_rows(table)[1:]:  # after the column names
                 for cell in row.split(","):
                     float(cell)
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            ["--family", "profile:rule=factorial:s=1:Jmax=120"],
+            ["--family", "profile:rule=factorial:s=2:Jmax=120"],
+            ["--family", "profile:rule=factorial:s=0.5:Jmax=120"],
+            ["--family", "profile:rule=constant:Jmax=120"],
+            ["--family", "gevrey:s=2:K=40", "--Jmax", "40"],
+        ],
+        ids=["factorial-s1", "factorial-s2", "factorial-s0.5", "constant", "gevrey"],
+    )
+    def test_effective_records_the_cutoffs_the_library_applies(self, tmp_path, family):
+        # No flag sets a cutoff: the artifact records the module constants,
+        # and its verdicts are the library's on the same profile.
+        out = tmp_path / "out"
+        assert main(["verdict", *family, "--rmax", "500", "--m", "2..60", "--out", str(out)]) == 0
+        verdict = read_strict_json(out / "verdict.json")
+        spec = parse_family_spec(family[1])
+        if spec.kind == "profile":
+            profile = gen_profile(spec)
+        else:
+            profile = build_profile(gen_series(spec), int(family[3]))
+        assert verdict["effective"] == {
+            "j_max": profile.j_max,
+            "dim": profile.dim,
+            "slope_threshold": associated_module.SLOPE_THRESHOLD,
+            "fit_margin": associated_module.FIT_MARGIN,
+            "saturation_fraction": associated_module.SATURATION_FRACTION,
+            "min_fit_points": associated_module.MIN_FIT_POINTS,
+        }
+        report = carleman_diagnostic(profile, 500)
+        wit = witness(profile, profile.dim, range(2, 61))
+        assert verdict["carleman"]["verdict"] == verdict["overall"] == report.verdict
+        assert verdict["carleman"]["saturation_flag"] is bool(
+            report.saturated_fraction > associated_module.SATURATION_FRACTION
+        )
+        assert verdict["witness"]["classification"] == wit.classification
 
 
 @pytest.mark.parametrize("command", ["verdict", "tau"])
@@ -489,27 +524,6 @@ class TestInterp:
             assert entry["grid_ok"] is True
             assert entry["max_grid_error"] < entry["tolerance"]
         assert len(read_data_rows(out / "interp_sup.csv")) == 8
-
-    def test_annulus_points_built_once_per_t(self, tmp_path, monkeypatch):
-        # A fixed --t job samples every m at the same points, built once;
-        # --tm samples each m on its own D(t_m).
-        built = []
-        annulus_points = interpolate_module._annulus_points
-
-        def spy(seed, n_samples, n, t):
-            built.append((t, annulus_points(seed, n_samples, n, t)))
-            return built[-1][1]
-
-        monkeypatch.setattr(interpolate_module, "_annulus_points", spy)
-        argv = ["interp", "--family", "analytic:a=1:K=3", "--n", "2", "--m", "2..4", "--samples", "16"]
-        assert main([*argv, "--t", "1.5", "--out", str(tmp_path / "fixed")]) == 0
-        assert [t for t, _ in built] == [1.5] * 3
-        assert all(points is built[0][1] for _, points in built)
-        built.clear()
-        assert main([*argv, "--tm", "--out", str(tmp_path / "tm")]) == 0
-        report = json.loads((tmp_path / "tm" / "interp_report.json").read_text())
-        assert [t for t, _ in built] == [row["t"] for row in report["per_m"]]
-        assert built[0][0] != built[1][0] and built[0][1] is not built[1][1]
 
     def test_tolerance_is_the_mode_at_a_time_abs_sum(self, tmp_path):
         coeffs = tmp_path / "f.jsonl"
@@ -702,6 +716,35 @@ class TestInterp:
         )
         assert main([*args, "--samples", "4", "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize(
+        "lines, engine",
+        [
+            (['{"k": [1, 2], "re": 1.3e308, "im": 0.0}', '{"k": [2, 1], "re": 0.0, "im": 1.3e308}'],
+             "diagonal"),
+            (['{"k": [1], "re": 1.3e308, "im": 0.0}', '{"k": [3], "re": 1.3e308, "im": 0.0}'],
+             "alias"),
+        ],
+        ids=["diagonal-grid", "alias-residue"],
+    )
+    def test_moduli_summing_past_the_float_range_exit_2_before_any_fold(
+        self, tmp_path, monkeypatch, capsys, lines, engine
+    ):
+        # Each modulus is finite, their sum is not: every tolerance would be
+        # inf (which every error passed) and a residue sum could overflow.
+        for name in ("rescale_to_class", "build_profile", "interpolation_audit", "bound_audit"):
+            monkeypatch.setattr(cli_module, name, _must_not_run)
+        coeffs = tmp_path / "f.jsonl"
+        coeffs.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        argv = ["interp", "--input", str(coeffs), "--engine", engine, "--m", "2..3"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --input {coeffs}: the coefficient moduli sum past the float range\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_samples_below_one_exits_2_before_reading(self, tmp_path, monkeypatch, capsys, samples):
         monkeypatch.setattr(cli_module, "read_coefficients", _must_not_run)
@@ -820,7 +863,7 @@ COMMANDS = {
 ECHO_KEYS = {
     "norms": {"family", "input", "jmax", "n", "seed"},
     "tau": {"family", "input", "jmax", "n", "seed", "m", "rmax"},
-    "verdict": {"family", "input", "jmax", "n", "seed", "m", "rmax", "slope_threshold", "fit_margin"},
+    "verdict": {"family", "input", "jmax", "n", "seed", "m", "rmax"},
     "interp": {"family", "input", "jmax", "n", "seed", "m", "samples", "t", "tm", "z0", "engine"},
 }
 
@@ -977,6 +1020,8 @@ class TestParser:
         "command, flag",
         [
             ("verdict", "--tail-threshold=0.5"),
+            ("verdict", "--fit-margin=0.9"),
+            ("verdict", "--slope-threshold=0.05"),
             ("norms", "--m=2..3"),
             ("norms", "--samples=8"),
             ("tau", "--samples=8"),
@@ -989,6 +1034,22 @@ class TestParser:
             main([command, *COMMANDS[command][0], flag, "--out", str(out)])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--slope-threshold", "0.05"), ("--fit-margin", "0.9")])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_trend_cutoff_flags_are_gone_from_every_command(
+        self, tmp_path, monkeypatch, capsys, command, flag, value
+    ):
+        # The cutoffs are constants: no command takes them, nor a flag they
+        # abbreviate, and the refusal comes before any input is read.
+        for name in ("read_coefficients", "gen_series", "gen_profile"):
+            monkeypatch.setattr(cli_module, name, _must_not_run)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, *COMMANDS[command][0], flag, value, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", COMMANDS)
@@ -1419,6 +1480,45 @@ class TestFreshProcess:
         proc = run_fresh("-m", "qtorus.cli", *argv)
         assert proc.returncode == 0, proc.stderr
         assert (out / "profile.csv").read_bytes() == in_process
+
+    def test_jobs_run_in_one_process_carry_no_state(self, tmp_path):
+        # The c11 jobs and two interp jobs on one seed and sample count, run
+        # through main() in one process, forwards and then backwards: each
+        # gives the same bytes both times, so nothing one job leaves behind
+        # (a cache, a draw) changes another.  The interp jobs also give the
+        # bytes of a job in a process of its own.
+        coeffs = tmp_path / "coeffs.jsonl"
+        write_coefficients(random_series(np.random.default_rng(5), 2, max_modes=15, radius=4), coeffs)
+        interp = ["interp", "--family", "analytic:a=1:K=3", "--n", "2", "--m", "2..4",
+                  "--seed", "5", "--samples", "16"]
+        jobs = {
+            "norms": ["norms", "--family", "gevrey:s=2:K=40", "--Jmax", "12"],
+            "tau": ["tau", "--family", "profile:rule=factorial:s=1:Jmax=60", "--rmax", "30",
+                    "--m", "2..25"],
+            "verdict": ["verdict", "--family", "profile:rule=factorial:s=2:Jmax=80", "--rmax", "200",
+                        "--m", "2..120"],
+            "interp": ["interp", "--input", str(coeffs), "--m", "2..5", "--samples", "64",
+                       "--seed", "11"],
+            "interp-t": [*interp, "--t", "1.5"],
+            "interp-tm": [*interp, "--tm"],
+        }
+
+        def artifacts(name):
+            out = tmp_path / name
+            found = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            shutil.rmtree(out)
+            return found
+
+        passes = []
+        for order in (list(jobs), list(reversed(jobs))):
+            for name in order:
+                assert main([*jobs[name], "--out", str(tmp_path / name)]) == 0
+            passes.append({name: artifacts(name) for name in order})
+        assert passes[0] == passes[1]
+        for name in ("interp-t", "interp-tm"):
+            proc = run_fresh("-m", "qtorus.cli", *jobs[name], "--out", str(tmp_path / name))
+            assert proc.returncode == 0, proc.stderr
+            assert artifacts(name) == passes[0][name]
 
     @pytest.mark.parametrize(
         "argv, env, code, error",

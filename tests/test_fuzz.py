@@ -104,13 +104,7 @@ SHARED = {"--n": ints, "--Jmax": ints, "--seed": ints}
 OPTIONS = {
     "norms": SHARED,
     "tau": {**SHARED, "--m": m_ranges, "--rmax": ints},
-    "verdict": {
-        **SHARED,
-        "--m": m_ranges,
-        "--rmax": ints,
-        "--slope-threshold": floats,
-        "--fit-margin": floats,
-    },
+    "verdict": {**SHARED, "--m": m_ranges, "--rmax": ints},
     "interp": {
         **SHARED,
         "--m": m_ranges,

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import qtorus.interpolate as interpolate_module
 from qtorus import (
     FourierSeries,
+    InterpolationAudit,
     PolyPoint,
     alias_fold,
     augmented_interpolant,
@@ -277,6 +278,10 @@ class TestAugmentedInterpolant:
         audit = interpolation_audit(s, 2, PolyPoint((1.0, 1.0)), engine="diagonal")
         assert audit.interpolant.degenerate_z0
         assert audit.z0_error == math.inf
+        # Its moduli also sum past the float range, so the tolerance is inf,
+        # which no error can pass: inf <= inf must not read as exact.
+        assert audit.tolerance == math.inf
+        assert audit.grid_ok is False
 
     def test_correction_vanishes_on_grid(self):
         for n, m in [(1, 9), (2, 6), (3, 4)]:
@@ -304,6 +309,29 @@ class TestAugmentedInterpolant:
 
 
 class TestInterpolationAudit:
+    @pytest.mark.parametrize(
+        "grid_error, z0_error, tolerance, ok",
+        [
+            (0.0, 0.0, 1e-9, True),
+            (1e-9, 1e-9, 1e-9, True),
+            (2e-9, 0.0, 1e-9, False),
+            (0.0, math.inf, 1e-9, False),
+            (0.0, 0.0, math.inf, False),
+            (math.inf, math.inf, math.inf, False),
+            (0.0, 0.0, math.nan, False),
+        ],
+        ids=["exact", "at-tolerance", "grid-past", "z0-inf", "tolerance-inf", "all-inf",
+             "tolerance-nan"],
+    )
+    def test_grid_ok_needs_a_finite_tolerance_both_errors_meet(
+        self, grid_error, z0_error, tolerance, ok
+    ):
+        base = interpolation_audit(FourierSeries(1, {(1,): 1.0}), 2, PolyPoint((1j,)))
+        audit = InterpolationAudit(
+            base.interpolant, grid_error, z0_error, tolerance, base.uncovered_modes
+        )
+        assert audit.grid_ok is ok
+
     def test_alias_exact_n2(self):
         rng = np.random.default_rng(53)
         s = random_series(rng, 2, max_modes=30)
@@ -479,9 +507,8 @@ class TestBoundAudit:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_samples_are_stdlib_random_uniform_draws(self, n):
         # The sups match, bit for bit, those over the samples the stdlib's
-        # random.Random(seed).uniform gives, for one seed at several t (the
-        # cached draw is reused across t) and after another seed has
-        # replaced the cached draw.
+        # random.Random(seed).uniform gives, for one seed at several t and
+        # for other seeds between them.
         s = random_series(np.random.default_rng(73 + n), n, max_modes=12, radius=4)
         prof = build_profile(s, 8)
         aug = augmented_interpolant(s, 5, random_torus_point(np.random.default_rng(79), n))
@@ -517,17 +544,22 @@ class TestUnitDraws:
             "0x1.28b2f3a47e100p-4",
         ]
 
-    def test_read_only_and_cached(self):
-        draws = _unit_draws(11, 40)
-        assert not draws.flags.writeable
-        with pytest.raises(ValueError):
-            draws[0] = 0.5
-        assert _unit_draws(11, 40) is draws
-
-    def test_annulus_points_read_only_and_cached_per_t(self):
+    def test_annulus_points_lie_in_the_annulus(self):
         points = _annulus_points(11, 20, 2, 1.25)
-        assert points.shape == (20, 2) and not points.flags.writeable
+        assert points.shape == (20, 2)
         moduli = np.abs(points)
         assert np.all((moduli >= 1 / 1.25 - 1e-15) & (moduli <= 1.25 + 1e-15))
-        assert _annulus_points(11, 20, 2, 1.25) is points
-        assert _annulus_points(11, 20, 2, 1.5) is not points
+
+    @pytest.mark.parametrize(
+        "draw",
+        [lambda: _unit_draws(11, 40), lambda: _annulus_points(11, 20, 2, 1.25)],
+        ids=["unit_draws", "annulus_points"],
+    )
+    def test_each_call_returns_a_fresh_array(self, draw):
+        # Nothing is kept between calls: writing into one result leaves the
+        # next call's draw as it was.
+        first = draw()
+        want = first.tobytes()
+        first[...] = 0.5
+        second = draw()
+        assert second is not first and second.tobytes() == want

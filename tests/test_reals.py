@@ -19,7 +19,6 @@ from qtorus import (
     FamilySpec,
     FourierSeries,
     PolyPoint,
-    TrendConfig,
     augmented_interpolant,
     bound_audit,
     carleman_diagnostic,
@@ -40,8 +39,6 @@ CASES = [
     ("log_tau", "r", 1, False, lambda v: log_tau(PROFILE, v), LEGENDRE),
     ("log_tau_shifted", "r", 1, False, lambda v: log_tau_shifted(PROFILE, v), LEGENDRE),
     ("carleman_diagnostic", "r_max", 2, False, lambda v: carleman_diagnostic(PROFILE, v), LEGENDRE),
-    ("TrendConfig", "slope_threshold", None, False, lambda v: TrendConfig(slope_threshold=v), []),
-    ("TrendConfig", "fit_margin", None, False, lambda v: TrendConfig(fit_margin=v), []),
     ("bound_audit", "t", 1, True, lambda v: bound_audit(AUG, PROFILE, v),
      [(interpolate_module, "_annulus_points"), (interpolate_module, "_legendre")]),
     ("FamilySpec(analytic)", "decay a", 0, True,

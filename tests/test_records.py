@@ -15,8 +15,15 @@ import numpy as np
 import pytest
 
 import qtorus
-from qtorus import DerivativeNormProfile, FamilySpec, TrendConfig
-from qtorus.associated import RESIDUAL_THRESHOLD, SATURATION_FRACTION, TAIL_THRESHOLD
+from qtorus import DerivativeNormProfile, FamilySpec
+from qtorus.associated import (
+    FIT_MARGIN,
+    MIN_FIT_POINTS,
+    RESIDUAL_THRESHOLD,
+    SATURATION_FRACTION,
+    SLOPE_THRESHOLD,
+    TAIL_THRESHOLD,
+)
 from qtorus.series import Record
 
 RECORDS = sorted(Record.__subclasses__(), key=lambda cls: cls.__name__)
@@ -68,7 +75,7 @@ def outcome(fn):
 def test_every_exported_record_is_covered_and_no_class_is_a_dataclass():
     exported = [obj for obj in vars(qtorus).values() if inspect.isclass(obj)]
     assert {c for c in exported if issubclass(c, Record)} <= set(RECORDS)
-    assert len(RECORDS) == 15
+    assert len(RECORDS) == 14
     for cls in [*exported, *RECORDS]:
         assert not dataclasses.is_dataclass(cls), cls
 
@@ -125,25 +132,27 @@ class TestAgainstDataclass:
 
 
 def test_defaults_match_the_dataclass():
-    assert repr(TrendConfig()) == repr(twin(TrendConfig)())
-    assert TrendConfig() == TrendConfig(0.05, 0.9)
-    assert (RESIDUAL_THRESHOLD, TAIL_THRESHOLD, SATURATION_FRACTION) == (0.1, 1e-3, 0.5)
-    assert TrendConfig(fit_margin=0.8).fit_margin == 0.8
     fields = {"kind": "profile", "rule": "constant", "j_max": 1}
     record = FamilySpec(**fields)
     assert (record.dim, record.radius, record.decay, record.exponent) == (1, None, None, None)
     assert record == FamilySpec(**fields, dim=1, radius=None)
     assert repr(record) == repr(twin(FamilySpec)(**fields))
     assert hash(record) == hash(twin(FamilySpec)(**fields))
+    assert FamilySpec(**fields, dim=3).dim == 3
 
 
-def test_post_init_normalises_and_cached_property_writes():
+def test_trend_cutoffs_are_constants():
+    cutoffs = (SLOPE_THRESHOLD, FIT_MARGIN, SATURATION_FRACTION, MIN_FIT_POINTS)
+    assert cutoffs == (0.05, 0.9, 0.5, 8)
+    assert (RESIDUAL_THRESHOLD, TAIL_THRESHOLD) == (0.1, 1e-3)
+
+
+def test_post_init_normalises():
     point = qtorus.PolyPoint((7, -1.5))
     assert point.z == (7 + 0j, -1.5 + 0j) and all(type(v) is complex for v in point.z)
     assert repr(point) == repr(twin(qtorus.PolyPoint)((7, -1.5)))
     profile = DerivativeNormProfile(1, [0, -1, -2, -3])
     assert profile.ln_m == (0.0, -1.0, -2.0, -3.0)
-    assert profile._hulls is profile._hulls  # cached in __dict__
     assert profile == DerivativeNormProfile(1, (0.0, -1.0, -2.0, -3.0))
 
 
