@@ -56,7 +56,7 @@ import numpy as np
 
 from .logspace import NEG_INF
 from .norms import DerivativeNormProfile, shift_profile
-from .series import Record, _count, _read_only, _real
+from .series import Record, _count, _grid, _read_only, _real
 
 LN_HALF = math.log(0.5)
 
@@ -293,10 +293,7 @@ class AssociatedTable(Record):
 
 def build_table(profile: DerivativeNormProfile, r_grid) -> AssociatedTable:
     """Tabulate ln tau(r) and ln tau~(r) and estimate the identity threshold (:func:`_r0`)."""
-    grid = np.array(r_grid, dtype=float)
-    ends = grid.ndim == 1 and grid.size and 1 <= grid[0] <= grid[-1] < math.inf
-    if not ends or not np.all(np.diff(grid) > 0):  # a NaN fails both comparisons
-        raise ValueError("r_grid must be a nonempty, strictly increasing 1-D grid of finite r >= 1")
+    grid = _grid("r_grid", r_grid)
     if profile.j_max < 3:
         raise ValueError("shifted associated function needs j_max >= 3")
     ln_r = _ln(grid)
@@ -419,16 +416,7 @@ def witness(profile: DerivativeNormProfile, n: int, m_grid, normalize: bool = Tr
     bounded away from 1) or like sqrt(r) (t_m -> 1).  Saturated argmin scans
     in the top half of the grid make the label "inconclusive".
     """
-    if isinstance(m_grid, range):  # np.asarray would make a Python int per entry first
-        m_grid = np.arange(m_grid.start, m_grid.stop, m_grid.step)
-    given = np.asarray(m_grid)
-    with np.errstate(invalid="ignore"):  # a NaN or too large m casts to some int
-        m_vals = given.astype(np.int64)
-    if given.ndim != 1 or not given.size or not np.array_equal(m_vals, given):
-        raise ValueError("m grid must be a nonempty 1-D sequence of integers")
-    del m_grid, given
-    if m_vals[0] < 1 or np.any(np.diff(m_vals) <= 0):
-        raise ValueError("m grid must be strictly increasing with m >= 1")
+    m_vals = _grid("m_grid", m_grid, integers=True)
     n = _count("n", n)
     if profile.j_max < 3:
         raise ValueError("witness needs j_max >= 3")
@@ -617,17 +605,14 @@ def lemma_check(t_grid, h_values) -> LemmaReport:
 
     ``t_grid`` must be increasing with finite t >= 1; ``h_values`` finite, with h / t > 0.
     """
-    t = np.asarray(t_grid, dtype=float)
+    t = _grid("t_grid", t_grid)
     h = np.asarray(h_values, dtype=float)
-    if t.ndim != 1 or t.shape != h.shape or t.size < 4:
+    if t.shape != h.shape or t.size < 4:
         raise ValueError("need matching 1-d grids with at least 4 points")
-    for name, values in (("t_grid", t), ("h_values", h)):
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"{name} entries must be finite")
+    if not np.all(np.isfinite(h)):
+        raise ValueError("h_values entries must be finite")
     if np.any(h <= 0):
         raise ValueError("h must be positive on the grid")
-    if np.any(np.diff(t) <= 0) or t[0] < 1.0:
-        raise ValueError("t grid must be increasing with t >= 1")
 
     s = _ln(t)
     envelope = h / t                      # h~(s) e^{-s} evaluated on the grid

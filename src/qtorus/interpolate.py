@@ -203,8 +203,9 @@ def _augment(series: FourierSeries, m: int, z0: PolyPoint, engine: str):
     z = np.array(z0.z)
     tables = [np.unique(target[:, p], return_inverse=True) for p in range(series.dim)]
     terms = series._terms_at(z0)
-    moved = np.where(covered, terms - _terms(z, tables, series._values), terms)
-    residual = complex(moved.sum())
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range: inf or nan
+        moved = np.where(covered, terms - _terms(z, tables, series._values), terms)
+        residual = complex(moved.sum())
     denom = complex(_grid_factor(z[None, :], m)[0])
     degenerate = bool(_modulus(np.array(denom)) < DEGENERATE_Z0_TOL * series.dim)
     correction = 0j if degenerate else residual / denom
@@ -275,10 +276,12 @@ def interpolation_audit(
     uncovered modes only.
     """
     aug, z0_err, covered = _augment(series, m, z0, engine)
-    error = _product(_node_factor(series.dim, m), aug.correction)
     missed = series._exponents[~covered]
-    if len(missed):
-        error -= eval_grid(FourierSeries.from_arrays(series.dim, missed, series._values[~covered]), m)
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range: inf or nan, not grid_ok
+        error = _product(_node_factor(series.dim, m), aug.correction)
+        if len(missed):
+            uncovered = FourierSeries.from_arrays(series.dim, missed, series._values[~covered])
+            error -= eval_grid(uncovered, m)
     return InterpolationAudit(
         interpolant=aug,
         max_grid_error=float(np.max(_modulus(error))),

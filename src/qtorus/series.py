@@ -97,6 +97,24 @@ def _real(name: str, value, floor=None, strict: bool = False) -> float:
     return float(value)
 
 
+def _grid(name: str, values, integers: bool = False) -> np.ndarray:
+    """The one grid check: ``values`` as a new, strictly increasing 1-D array of entries >= 1.
+
+    float64 with finite entries, or int64 when ``integers``; else a ValueError naming ``name``.
+    """
+    if isinstance(values, range):  # np.arange makes no Python int per entry
+        values = np.arange(values.start, values.stop, values.step)
+    raw = np.asarray(values)  # which reads a bool among a list's numbers as 0 or 1
+    hidden = isinstance(values, (list, tuple)) and not {bool, np.bool_}.isdisjoint(map(type, values))
+    if raw.ndim == 1 and raw.size and raw.dtype.kind in "iuf" and not hidden:
+        with np.errstate(invalid="ignore"):  # a NaN, inf or too large entry casts to some int
+            grid = raw.astype(np.int64 if integers else float)
+        if (grid == raw).all() and 1 <= grid[0] and grid[-1] < math.inf and np.all(grid[1:] > grid[:-1]):
+            return grid  # a NaN fails every comparison
+    kind = "integers" if integers else "finite numbers"
+    raise ValueError(f"{name} must be a nonempty, strictly increasing 1-D grid of {kind} >= 1")
+
+
 def _modulus(z: np.ndarray) -> np.ndarray:
     """|z| per entry of a complex array: the one modulus of the package.
 
@@ -546,8 +564,12 @@ def _grid_size(n: int, m: int) -> int:
 
 
 def _roots(m: int) -> np.ndarray:
-    """e^{2 pi i r/m} for r = 0..m, one cmath.exp each."""
-    return np.array([cmath.exp(TWO_PI * 1j * r / m) for r in range(m + 1)])
+    """e^{2 pi i r/m} for r = 0..m, by numpy's complex exp of 1j * (2 pi r / m).
+
+    Each root has the bits of ``cmath.exp(TWO_PI * 1j * r / m)``; the tests
+    check that for m = 1..2000, 4096, 9999 and 65536.
+    """
+    return np.exp(1j * (TWO_PI * np.arange(m + 1) / m))
 
 
 def _grid_indices(n: int, m: int) -> np.ndarray:

@@ -136,6 +136,15 @@ class TestNorms:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_part_past_the_float_range_exits_2_naming_its_line(self, tmp_path, capsys):
+        # A 400-digit JSON integer decodes to an int that no float holds.
+        coeffs = tmp_path / "big.jsonl"
+        coeffs.write_text('{"k": [1], "re": 1' + "0" * 399 + ', "im": 0.0}\n')
+        out = tmp_path / "o"
+        assert main(["norms", "--input", str(coeffs), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {coeffs}:1: re and im must be finite numbers\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command", [["norms"], ["interp", "--m", "2..4"], ["interp", "--m", "2..4", "--tm"]]
     )

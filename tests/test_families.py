@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -171,6 +172,21 @@ class TestGenProfile:
     def test_constant_rule(self):
         spec = FamilySpec(kind="profile", rule="constant", j_max=20)
         assert all(v == 0.0 for v in gen_profile(spec).ln_m)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: gen_profile(FamilySpec("analytic", radius=2, decay=1.0)), ValueError,
+         "gen_profile needs a synthetic-profile spec"),
+        (lambda: gen_profile(FamilySpec("gevrey", radius=2, exponent=2.0)), ValueError,
+         "gen_profile needs a synthetic-profile spec"),
+    ],
+    ids=["analytic-spec", "gevrey-spec"],
+)
+def test_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestRescaleToClass:

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -308,6 +309,21 @@ class TestAugmentedInterpolant:
         assert aug.eval(z0) == pytest.approx(eval_laurent(s, z0), abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: augmented_interpolant(FourierSeries(2, {(1, 0): 1.0}), 2, PolyPoint((1j,))),
+         ValueError, "z0 dimension mismatch"),
+        (lambda: interpolation_audit(FourierSeries(1, {(1,): 1.0}), 2, PolyPoint((1j, 1j)), "diagonal"),
+         ValueError, "z0 dimension mismatch"),
+    ],
+    ids=["augment-z0-dim", "audit-z0-dim"],
+)
+def test_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
 class TestInterpolationAudit:
     @pytest.mark.parametrize(
         "grid_error, z0_error, tolerance, ok",
@@ -331,6 +347,18 @@ class TestInterpolationAudit:
             base.interpolant, grid_error, z0_error, tolerance, base.uncovered_modes
         )
         assert audit.grid_ok is ok
+
+    @pytest.mark.parametrize("engine", ["diagonal", "alias"])
+    def test_moduli_past_the_float_range_give_no_warning(self, engine):
+        # The suite turns a RuntimeWarning into an error.  An inf correction
+        # times a node factor with a zero real part used to warn in the grid
+        # error (diagonal), and the residual sum overflowed with a warning
+        # (alias).
+        s = FourierSeries(2, {(1, 2): 1.3e308, (2, 1): 1.3e308j})
+        audit = interpolation_audit(s, 2, PolyPoint((cmath.exp(0.7j),) * 2), engine=engine)
+        assert not audit.grid_ok
+        assert not math.isfinite(audit.max_grid_error)
+        assert audit.tolerance == math.inf
 
     def test_alias_exact_n2(self):
         rng = np.random.default_rng(53)

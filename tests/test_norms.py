@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from qtorus import (
     m_j,
     shift_profile,
 )
+from qtorus.logspace import log_sum_exp
 from helpers import compositions, derivative_l2_norm, random_series
 
 NEG = float("-inf")
@@ -212,6 +214,33 @@ class TestCompositions:
             assert len(got) == expected
             assert len(set(got)) == expected
             assert all(sum(a) == total for a in got)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: DerivativeNormProfile(1, (0.0, math.nan)), ValueError,
+         "ln_m entries must be finite or -inf"),
+        (lambda: DerivativeNormProfile(1, (math.inf, 0.0)), ValueError,
+         "ln_m entries must be finite or -inf"),
+        (lambda: coefficient_bound_audit(FourierSeries(1, {(1,): 1.0}),
+                                         DerivativeNormProfile(1, (0.0, 0.0, 0.0)), 3),
+         ValueError, "profile too shallow: need j_max >= j"),
+        (lambda: log_sum_exp([0.0, math.inf]), ValueError,
+         "log_sum_exp input must be finite or -inf"),
+        (lambda: log_sum_exp([NEG, math.nan]), ValueError,
+         "log_sum_exp input must be finite or -inf"),
+    ],
+    ids=["profile-nan", "profile-inf", "audit-j-past-j_max", "lse-inf", "lse-nan"],
+)
+def test_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("values", [[], [NEG], [NEG, NEG, NEG]])
+def test_log_sum_exp_of_no_mass_is_minus_inf(values):
+    assert log_sum_exp(values) == NEG
 
 
 class TestCoefficientBoundAudit:

@@ -95,6 +95,49 @@ PAST_FLOAT_RANGE = {
 }
 
 
+def read_line(tmp_path, line):
+    path = tmp_path / "c.jsonl"
+    path.write_text(line + "\n")
+    return read_coefficients(path)
+
+
+def delete_dim():
+    del FourierSeries(1, {}).dim
+
+
+#: (call on a scratch directory, exception, its message with {path} for the file read).
+REFUSALS = {
+    "value-count": (lambda tmp: FourierSeries.from_arrays(1, [[1], [2]], [1.0]), ValueError,
+                    "need one value per index row, got (1,) for 2 rows"),
+    "del": (lambda tmp: delete_dim(), AttributeError,
+            "FourierSeries is immutable; cannot delete 'dim'"),
+    "add-non-series": (lambda tmp: FourierSeries(1, {}) + 1, TypeError,
+                       "unsupported operand type(s) for +: 'FourierSeries' and 'int'"),
+    "add-other-dim": (lambda tmp: FourierSeries(1, {}) + FourierSeries(2, {}), ValueError,
+                      "dimension mismatch"),
+    "empty-point": (lambda tmp: PolyPoint(()), ValueError, "need at least one component"),
+    "empty-index": (lambda tmp: read_line(tmp, '{"k": [], "re": 1.0, "im": 0.0}'), ValueError,
+                    "{path}:1: empty index"),
+    "re-past-the-float-range": (
+        lambda tmp: read_line(tmp, '{"k": [1], "re": 1' + "0" * 399 + ', "im": 0.0}'), ValueError,
+        "{path}:1: re and im must be finite numbers"),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSALS))
+def test_refusals(tmp_path, name):
+    call, error, message = REFUSALS[name]
+    text = message.format(path=tmp_path / "c.jsonl")
+    with pytest.raises(error, match=f"^{re.escape(text)}$"):
+        call(tmp_path)
+
+
+def test_equality_with_a_non_series_or_another_dimension_is_false():
+    one = FourierSeries(1, {(0,): 1.0})
+    assert one.__eq__(1.0) is NotImplemented
+    assert one != 1.0 and one != FourierSeries(2, {(0, 0): 1.0})
+
+
 def bits(values) -> bytes:
     return np.array(list(values), dtype=complex).tobytes()
 
@@ -531,6 +574,12 @@ class TestGridPoints:
         for n, max_m in ((1, 200), (2, 40), (3, 12)):
             for m in range(1, max_m + 1):
                 assert grid_array(n, m).tobytes() == grid_nodes(n, m).tobytes(), (n, m)
+
+    def test_roots_have_the_bits_of_cmath_exp(self):
+        # numpy's complex exp of 1j * (2 pi r / m) against one cmath.exp per root.
+        for m in [*range(1, 2001), 4096, 9999, 65536]:
+            want = np.array([cmath.exp(series_module.TWO_PI * 1j * r / m) for r in range(m + 1)])
+            assert series_module._roots(m).tobytes() == want.tobytes(), m
 
     def test_rejects_nonpositive_sizes(self):
         for n, m in ((0, 3), (2, 0)):
