@@ -56,7 +56,7 @@ import numpy as np
 
 from .logspace import NEG_INF
 from .norms import DerivativeNormProfile, shift_profile
-from .series import Record, _count, _grid, _read_only, _real
+from .series import Record, _count, _grid, _read_only, _real, _reals, check_size
 
 LN_HALF = math.log(0.5)
 
@@ -417,6 +417,7 @@ def witness(profile: DerivativeNormProfile, n: int, m_grid, normalize: bool = Tr
     in the top half of the grid make the label "inconclusive".
     """
     m_vals = _grid("m_grid", m_grid, integers=True)
+    check_size(int(m_vals[-1]), "radii r = 1..max(m_grid)")  # the r column _fold_weights makes
     n = _count("n", n)
     if profile.j_max < 3:
         raise ValueError("witness needs j_max >= 3")
@@ -603,10 +604,14 @@ class LemmaReport(Record):
 def lemma_check(t_grid, h_values) -> LemmaReport:
     """Run the decay/integrability check on a tabulated function h(t).
 
-    ``t_grid`` must be increasing with finite t >= 1; ``h_values`` finite, with h / t > 0.
+    ``t_grid`` is a grid (``series._grid``); ``h_values`` are real numbers by the
+    grids' element-type rule (``series._reals``), finite, with h / t > 0.
     """
     t = _grid("t_grid", t_grid)
-    h = np.asarray(h_values, dtype=float)
+    h = _reals(h_values)
+    if h is None:
+        raise ValueError("h_values must be real numbers")
+    h = np.asarray(h, dtype=float)
     if t.shape != h.shape or t.size < 4:
         raise ValueError("need matching 1-d grids with at least 4 points")
     if not np.all(np.isfinite(h)):

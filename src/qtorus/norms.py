@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from .logspace import NEG_INF, log_sum_exp
+from .logspace import NEG_INF, _log_sum_exp_in_place
 from .series import FourierSeries, Record, _count, _modulus, _real
 
 #: How far (in ln) a coefficient may pass its bound before :func:`coefficient_bound_audit` flags it.
@@ -75,9 +75,11 @@ def _pure_direction_ln_m(series: FourierSeries, orders) -> list[float]:
     Keeps 2 ln|c| and, per direction p, ln|k_p| over the modes with
     k_p != 0 (with 2 ln|c| itself, not a masked copy, when no k_p is 0).
     Each order's terms (2j) ln|k_p| + 2 ln|c|, one product and one sum, are
-    made in one buffer of K values, reused, so the working memory is a few
-    arrays of K values, whatever the orders.  Every |c| is finite, since a
-    series refuses a coefficient whose modulus is past the float range.
+    made in one buffer of K values, reused, and the log-sum-exp reduces
+    that buffer in place (for j = 0 a copy of 2 ln|c| in it), so the
+    working memory is n + 2 arrays of at most K values, whatever the
+    orders.  Every |c| is finite, since a series refuses a coefficient
+    whose modulus is past the float range.
     """
     two_ln_c = _modulus(series._values)
     np.log(two_ln_c, out=two_ln_c)
@@ -93,13 +95,14 @@ def _pure_direction_ln_m(series: FourierSeries, orders) -> list[float]:
     out = []
     for j in orders:
         if j == 0:
-            out.append(0.5 * log_sum_exp(two_ln_c))
+            buf[:] = two_ln_c
+            out.append(0.5 * _log_sum_exp_in_place(buf))
             continue
         best = NEG_INF
         for ln_k, two_ln_c_p in directions:
             terms = np.multiply(ln_k, 2.0 * j, out=buf[: len(ln_k)])
             terms += two_ln_c_p
-            best = max(best, 0.5 * log_sum_exp(terms))
+            best = max(best, 0.5 * _log_sum_exp_in_place(terms))
         out.append(best)
     return out
 

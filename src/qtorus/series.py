@@ -97,16 +97,34 @@ def _real(name: str, value, floor=None, strict: bool = False) -> float:
     return float(value)
 
 
+def _reals(values) -> np.ndarray | None:
+    """``values`` as an array of a real dtype (int, uint or float), or None.
+
+    The element-type rule of every sequence of numbers: None for a bool
+    entry (in an array, or among a list's or tuple's items, where
+    ``np.asarray`` reads it as 0 or 1), strings, complex and object entries
+    (``[1, 10**400]``) and ragged nesting.
+    """
+    try:
+        raw = np.asarray(values)
+    except ValueError:  # ragged: numpy's "inhomogeneous shape"
+        return None
+    hidden = isinstance(values, (list, tuple)) and not {bool, np.bool_}.isdisjoint(map(type, values))
+    return raw if raw.dtype.kind in "iuf" and not hidden else None
+
+
 def _grid(name: str, values, integers: bool = False) -> np.ndarray:
     """The one grid check: ``values`` as a new, strictly increasing 1-D array of entries >= 1.
 
-    float64 with finite entries, or int64 when ``integers``; else a ValueError naming ``name``.
+    float64 with finite entries, or int64 when ``integers``; else a ValueError
+    naming ``name``.  A grid longer than the cap is a :class:`GridCapError`.
     """
-    if isinstance(values, range):  # np.arange makes no Python int per entry
+    if isinstance(values, range):  # sized before np.arange, which makes no Python int per entry
+        check_size(len(values), f"entries of {name}")
         values = np.arange(values.start, values.stop, values.step)
-    raw = np.asarray(values)  # which reads a bool among a list's numbers as 0 or 1
-    hidden = isinstance(values, (list, tuple)) and not {bool, np.bool_}.isdisjoint(map(type, values))
-    if raw.ndim == 1 and raw.size and raw.dtype.kind in "iuf" and not hidden:
+    raw = _reals(values)
+    if raw is not None and raw.ndim == 1 and raw.size:
+        check_size(raw.size, f"entries of {name}")
         with np.errstate(invalid="ignore"):  # a NaN, inf or too large entry casts to some int
             grid = raw.astype(np.int64 if integers else float)
         if (grid == raw).all() and 1 <= grid[0] and grid[-1] < math.inf and np.all(grid[1:] > grid[:-1]):
@@ -214,6 +232,22 @@ def _index_array(exponents, dim: int) -> np.ndarray:
     return k.astype(np.int64, copy=False)
 
 
+def _increasing(k: np.ndarray) -> bool:
+    """True when the rows of ``k`` strictly increase, first column primary.
+
+    One pass per column, from the last to the first, of entry comparisons
+    into boolean arrays, so no difference is taken and nothing overflows:
+    row i + 1 follows row i when it is greater in column p, or equal there
+    and following in the columns after p.
+    """
+    after, before = k[1:], k[:-1]
+    follows = np.zeros(len(after), dtype=bool)  # equal rows do not follow
+    for p in range(k.shape[1] - 1, -1, -1):
+        follows &= after[:, p] == before[:, p]
+        follows |= after[:, p] > before[:, p]
+    return bool(follows.all())
+
+
 class FourierSeries:
     """Finite series  f = sum_k c_k z^k  with multi-indices k in Z^dim.
 
@@ -251,8 +285,11 @@ class FourierSeries:
 
         One :func:`_modulus` pass, freed before the sort, refuses the first
         coefficient that is not finite or has a modulus past the float range
-        and marks those to prune.  Arrays that need no gather and no prune
-        are copied, so a caller's array is never shared or frozen.
+        and marks those to prune.  Rows already in strictly increasing
+        order (:func:`_increasing`), as :func:`write_coefficients` writes
+        them, are sorted and distinct, so they skip the sort, the gather and
+        the duplicate scan; unless some are pruned they are copied, so a
+        caller's array is never shared or frozen.
         """
         dim = _count("dim", dim)
         k = _index_array(exponents, dim)
@@ -267,19 +304,19 @@ class FourierSeries:
             raise ValueError(f"coefficient at index {k[i].tolist()} {what}: {complex(v[i])!r}")
         keep = modulus >= PRUNE_THRESHOLD
         del modulus
-        order = np.lexsort(k.T[::-1])
-        gathered = bool(np.any(order[1:] < order[:-1]))  # only the identity increases
-        if gathered:
+        ordered = _increasing(k)
+        if not ordered:  # then the sort moves some row, unless a row repeats (refused)
+            order = np.lexsort(k.T[::-1])
             k, v, keep = k[order], v[order], keep[order]
-        repeat = np.flatnonzero(np.all(k[1:] == k[:-1], axis=1)) + 1
-        if repeat.size:
-            # The sort is stable, so each repeat is a later occurrence; report
-            # the one that comes first in the input.
-            j = repeat[np.argmin(order[repeat])]
-            raise _DuplicateIndex(k[j].tolist(), int(order[j]))
+            repeat = np.flatnonzero(np.all(k[1:] == k[:-1], axis=1)) + 1
+            if repeat.size:
+                # The sort is stable, so each repeat is a later occurrence; report
+                # the one that comes first in the input.
+                j = repeat[np.argmin(order[repeat])]
+                raise _DuplicateIndex(k[j].tolist(), int(order[j]))
         if not keep.all():
             k, v = k[keep], v[keep]
-        elif not gathered:
+        elif ordered:
             k, v = k.copy(), v.copy()
         _read_only(k, v)
         object.__setattr__(self, "dim", dim)

@@ -3,8 +3,11 @@
 A grid is a nonempty, strictly increasing 1-D sequence of finite numbers
 >= 1; ``witness``'s m grid holds integers (an integral float passes).  A
 bool entry, a string, complex or object entry, NaN, +-inf, an empty or 2-D
-grid, an entry below 1 or a repeat is a ``ValueError`` naming the
-argument, raised before any kernel, fold or integral runs.
+grid, a ragged nesting, an entry below 1 or a repeat is a ``ValueError``
+naming the argument, raised before any kernel, fold or integral runs.  A grid
+longer than ``QTORUS_GRID_CAP`` is a ``GridCapError``, and so is a witness m
+grid whose largest m is past the cap (its r column has that many radii).
+``lemma_check``'s ``h_values`` follow the grids' element-type rule.
 """
 
 import math
@@ -14,7 +17,8 @@ import numpy as np
 import pytest
 
 import qtorus.associated as associated_module
-from qtorus import DerivativeNormProfile, build_table, lemma_check, witness
+import qtorus.series as series_module
+from qtorus import DerivativeNormProfile, GridCapError, build_table, lemma_check, witness
 from qtorus.series import _grid
 from helpers import fields
 
@@ -43,6 +47,7 @@ NOT_GRIDS = [
     ("complex", [1, 2, 3, 4 + 0j]),
     ("empty", []),
     ("2-D", [[1, 2], [3, 4]]),
+    ("ragged", [[1, 2], [3]]),
     ("scalar", 5),
     ("nan", [1.0, 2.0, math.nan, 4.0]),
     ("nan-first", [math.nan, 2.0, 3.0, 4.0]),
@@ -110,3 +115,46 @@ def test_grid_is_a_new_array_of_its_dtype(integers, dtype):
 def test_real_grid_keeps_fractions_and_large_entries():
     grid = _grid("r_grid", [1, 1.5, 2**63, 1e300])
     assert grid.tolist() == [1.0, 1.5, 2.0**63, 1e300]
+
+
+#: h_values refused by the element-type rule of the grids.
+NOT_H_VALUES = [
+    ("strings-and-bool", ["1", "2", "3", True]),
+    ("bool-among-floats", [True, 2.0, 3.0, 4.0]),
+    ("bool-array", np.array([True, True, True, True])),
+    ("strings", ["1", "2", "3", "4"]),
+    ("complex", [1.0, 2.0, 3.0, 4 + 0j]),
+    ("huge-int", [1, 2, 3, 10**400]),
+    ("ragged", [[1.0, 2.0], [3.0]]),
+]
+
+
+@pytest.mark.parametrize("value", [v for _, v in NOT_H_VALUES], ids=[r for r, _ in NOT_H_VALUES])
+def test_h_values_refused_before_any_work(monkeypatch, value):
+    for attr in ("_cumulative_trapezoid", "_fit_line"):
+        monkeypatch.setattr(associated_module, attr, _must_not_run)
+    with pytest.raises(ValueError, match="^h_values must be real numbers$"):
+        lemma_check([1.0, 10.0, 100.0, 1000.0], value)
+
+
+@pytest.mark.parametrize("kind", [range, np.arange, lambda *a: list(range(*a))], ids=["range", "array", "list"])
+@pytest.mark.parametrize(
+    "call, name", [(c[3], c[1]) for c in CASES], ids=[c[0] for c in CASES]
+)
+def test_grid_longer_than_the_cap_refused(monkeypatch, call, name, kind):
+    monkeypatch.setenv("QTORUS_GRID_CAP", "1000")
+    grid = kind(1, 5001)
+    with monkeypatch.context() as patched:
+        # A range is sized before it becomes an array.
+        patched.setattr(series_module.np, "arange", _must_not_run)
+        with pytest.raises(GridCapError, match=rf"^5000 entries of {name} exceed the cap of 1000 \(QTORUS_GRID_CAP\)$"):
+            call(grid)
+    assert build_table(PROFILE, range(1, 1001)).r_grid.size == 1000  # at the cap
+
+
+@pytest.mark.parametrize("cap, m_grid", [("1000", [2, 1001]), ("1000000", [2, 10**9])])
+def test_witness_refuses_an_r_column_past_the_cap(monkeypatch, cap, m_grid):
+    monkeypatch.setenv("QTORUS_GRID_CAP", cap)
+    monkeypatch.setattr(associated_module, "_fold_weights", _must_not_run)
+    with pytest.raises(GridCapError, match=rf"^{m_grid[-1]} radii r = 1\.\.max\(m_grid\) exceed the cap of {cap} "):
+        witness(PROFILE, 1, m_grid)

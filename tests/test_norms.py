@@ -243,6 +243,20 @@ def test_log_sum_exp_of_no_mass_is_minus_inf(values):
     assert log_sum_exp(values) == NEG
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-800.0, 800.0) | st.just(NEG), max_size=40))
+@example([NEG, 3.5, NEG])
+def test_log_sum_exp_leaves_its_argument_and_keeps_its_bits(values):
+    arr = np.array(values, dtype=float)
+    before = arr.tobytes()
+    got = log_sum_exp(arr)
+    assert arr.tobytes() == before
+    # The shifted-copy reduction that the in-place one replaced.
+    hi = max(values, default=NEG)
+    want = NEG if hi == NEG else hi + math.log(float(np.sum(np.exp(arr - hi))))
+    assert got == want
+
+
 class TestCoefficientBoundAudit:
     def test_unit_mode_no_violation(self):
         s = FourierSeries(1, {(1,): 1.0})

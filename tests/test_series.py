@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import os
 import platform
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qtorus.series as series_module
-from qtorus.series import check_power, check_size
+from qtorus.series import _DuplicateIndex, check_power, check_size
 from qtorus import (
     FourierSeries,
     GridCapError,
@@ -870,6 +871,77 @@ class TestFromArrays:
         assert FourierSeries(1, {(2**62,): 1.0, (-(2**62),): 1.0}).n_modes == 2
 
 
+@st.composite
+def index_orders(draw):
+    """(dim, k, values): int64 index rows, in index order or shuffled, and their coefficients.
+
+    Entries are a few small integers and +-2^62, +-(2^62 - 1), so leading
+    columns tie often; rows repeat unless they are made distinct.  Some
+    coefficients are below the pruning threshold.
+    """
+    dim = draw(st.integers(1, 4))
+    entry = st.integers(-2, 2) | st.sampled_from((-(2**62), -(2**62) + 1, 2**62 - 1, 2**62))
+    rows = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=1, max_size=16))
+    if draw(st.booleans()):
+        rows = list(map(list, dict.fromkeys(map(tuple, rows))))
+    k = np.array(rows, dtype=np.int64).reshape(len(rows), dim)
+    if draw(st.booleans()):
+        k = k[np.lexsort(k.T[::-1])]
+    else:
+        k = k[draw(st.permutations(range(len(k))))]
+    coefficient = st.sampled_from((1.0, -2.5j, complex(3.0, -4.0), 1e-310))
+    values = draw(st.lists(coefficient, min_size=len(k), max_size=len(k)))
+    return dim, k, np.array(values, dtype=complex)
+
+
+def built_or_refused(build):
+    """The series ``build`` returns, or (type, message, row) of the ValueError it raises."""
+    try:
+        return build()
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "row", None)
+
+
+class TestIndexOrder:
+    """Rows that already strictly increase skip the sort; any other input takes it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(index_orders())
+    @example((1, np.array([[2**62], [2**62]]), np.array([1.0, 1.0 + 0j])))
+    @example((2, np.array([[-(2**62), 2**62], [-(2**62), 2**62 - 1]]), np.ones(2, dtype=complex)))
+    def test_same_series_or_repeat_as_through_the_sort(self, case):
+        dim, k, values = case
+        order = np.lexsort(k.T[::-1])
+        strict = np.array_equal(order, np.arange(len(k))) and not np.all(k[1:] == k[:-1], axis=1).any()
+        assert series_module._increasing(k) is strict
+        rows = k.tolist()
+        repeat = next((i for i, row in enumerate(rows) if row in rows[:i]), None)  # the first repeat
+        lines = [json.dumps({"k": row, "re": c.real, "im": c.imag}) for row, c in zip(rows, values.tolist())]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_lines(Path(tmp) / "s.jsonl", lines)
+            refusals = (None, None)
+            if repeat is not None:
+                duplicate = f"duplicate index {k[repeat].tolist()}"
+                refusals = (_DuplicateIndex, duplicate, repeat), (ValueError, f"{path}:{repeat + 1}: {duplicate}", None)
+            builds = (lambda: FourierSeries.from_arrays(dim, k, values), lambda: read_coefficients(path))
+            for build, refusal in zip(builds, refusals):
+                got = built_or_refused(build)
+                with mock.patch.object(series_module, "_increasing", lambda rows: False):
+                    want = built_or_refused(build)
+                if repeat is None:
+                    assert got._exponents.dtype == np.int64
+                    assert got._exponents.tobytes() == want._exponents.tobytes()
+                    assert got._values.tobytes() == want._values.tobytes()
+                else:
+                    assert got == want == refusal
+
+    def test_a_file_in_index_order_is_read_without_a_sort(self, tmp_path):
+        path = forty_thousand_modes(tmp_path / "big.jsonl")
+        with mock.patch.object(series_module.np, "lexsort", side_effect=AssertionError("sorted")):
+            series = read_coefficients(path)
+        assert series == FourierSeries(1, dict(loop_read_coefficients(path)[1]))
+
+
 def write_lines(path, lines):
     path.write_text("".join(line + "\n" for line in lines))
     return path
@@ -1044,7 +1116,8 @@ class TestCoefficientFormat:
         # Each peak counts the series itself, 24 bytes a mode at n = 1.  The
         # reader's blocks, joined columns and sorted copies once peaked at
         # ~91 bytes a mode, the profile's masked copies and per-order
-        # temporaries at ~74.
+        # temporaries at ~74; the sort of rows already in index order and
+        # the log-sum-exp's shifted copy at ~58 and ~57.
         path = forty_thousand_modes(tmp_path / "big.jsonl")
         tracemalloc.start()
         try:
@@ -1055,7 +1128,7 @@ class TestCoefficientFormat:
             profile_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        per_mode = 64
+        per_mode = 52
         assert read_peak < per_mode * series.n_modes, read_peak
         assert profile_peak < per_mode * series.n_modes, profile_peak
 
