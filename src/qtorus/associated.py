@@ -231,7 +231,9 @@ def _fold_weights(profile: DerivativeNormProfile, r_max: int):
     zero at r = 1).  So sat_full, an argmax of w_full at j_max, is a strict
     shifted win with argmax j_max, or, if J < 3, a head argmax at j_max.
     w_full >= w_shifted exactly, which prefix minima keep: ln t_m >= ln theta(m).
+    An r_max past the cap is a :class:`GridCapError` before any column is made.
     """
+    check_size(r_max, "radii r = 1..r_max")
     j_max = profile.j_max
     ln_m = profile.ln_m_array()
     ln_r = _ln(range(1, r_max + 1))
@@ -254,7 +256,10 @@ def _fold_weights(profile: DerivativeNormProfile, r_max: int):
 
 
 def t_m_sequence(profile: DerivativeNormProfile, m_max: int, n: int) -> np.ndarray:
-    """ln t_m for m = 1..m_max, from one pass over r = 1..m_max."""
+    """ln t_m for m = 1..m_max, from one pass over r = 1..m_max.
+
+    An m_max past the cap is a :class:`GridCapError` (:func:`_fold_weights`).
+    """
     m_max, n = _count("m_max", m_max), _count("n", n)
     _require_nondegenerate(profile)
     w_full = _fold_weights(profile, m_max)[0]
@@ -268,7 +273,10 @@ def t_m(profile: DerivativeNormProfile, m: int, n: int) -> float:
 
 
 def theta(profile: DerivativeNormProfile, m: int, n: int) -> float:
-    """ln theta(m) = min over integer r in [1, m] of -ln(tau~(r)) / (n r)."""
+    """ln theta(m) = min over integer r in [1, m] of -ln(tau~(r)) / (n r).
+
+    An m past the cap is a :class:`GridCapError` (:func:`_fold_weights`).
+    """
     m, n = _count("m", m), _count("n", n)
     if profile.j_max < 3:
         raise ValueError("theta needs j_max >= 3")
@@ -417,7 +425,6 @@ def witness(profile: DerivativeNormProfile, n: int, m_grid, normalize: bool = Tr
     in the top half of the grid make the label "inconclusive".
     """
     m_vals = _grid("m_grid", m_grid, integers=True)
-    check_size(int(m_vals[-1]), "radii r = 1..max(m_grid)")  # the r column _fold_weights makes
     n = _count("n", n)
     if profile.j_max < 3:
         raise ValueError("witness needs j_max >= 3")
@@ -531,11 +538,13 @@ def carleman_diagnostic(
     Quasianalytic-type profiles show -ln tau growing linearly in r (the
     partial integrals grow like ln R); profiles with stretched-exponential
     coefficient decay show sqrt-type growth (the integrals Cauchy-converge).
+    A grid of more points than the cap is a :class:`GridCapError`.
     """
     r_max = _real("r_max", r_max, 2)
     points_per_decade = _count("points_per_decade", points_per_decade)
     _require_nondegenerate(profile)
     n_points = max(2, int(math.ceil(points_per_decade * math.log10(r_max))) + 1)
+    check_size(n_points, "points of the Carleman grid")
     exponents = np.linspace(0.0, math.log10(r_max), n_points)  # r = 10^e, log-spaced from 1
     grid = np.fromiter(map(_exp10, exponents), dtype=float, count=n_points)
     ln_tau, arg = _legendre(profile, _ln(grid))

@@ -96,9 +96,13 @@ def gen_series(spec: FamilySpec) -> FourierSeries:
 
 
 def gen_profile(spec: FamilySpec) -> DerivativeNormProfile:
-    """Fill ln M_j from a closed-form rule up to j_max."""
+    """Fill ln M_j from a closed-form rule up to j_max.
+
+    j_max + 1 orders past the cap is a :class:`GridCapError` before any is made.
+    """
     if spec.kind != "profile":
         raise ValueError("gen_profile needs a synthetic-profile spec")
+    check_size(spec.j_max + 1, "profile orders (j_max + 1)")
     s = 1.0 if spec.exponent is None else spec.exponent
     if spec.rule == "factorial":
         vals = tuple(s * math.lgamma(j + 1) for j in range(spec.j_max + 1))

@@ -46,6 +46,7 @@ from .series import (
     _roots,
     _summed,
     _terms,
+    check_size,
     eval_batch,
     eval_grid,
 )
@@ -332,11 +333,13 @@ def bound_audit(
     ``random.Random(seed).random()``, moduli then phases, mapped as
     ``random.Random.uniform`` maps them (:func:`_annulus_points`), so
     reports are byte-reproducible: CPython keeps this stream the same
-    across versions.
+    across versions.  An m, or n_samples x n sample components, past the
+    cap is a :class:`GridCapError` before anything is drawn.
     """
     t = _real("t", t, 1, strict=True)
     n_samples, seed = _count("n_samples", n_samples), _count("seed", seed, least=0)
-    n, m = interpolant.base.dim, interpolant.m
+    n, m = interpolant.base.dim, check_size(interpolant.m, "radii r = 1..m")
+    check_size(n_samples * n, "sample components (n_samples x n)")
     points = _annulus_points(seed, n_samples, n, t)
 
     # For large t^m a sampled value leaves the float range.  It is kept as

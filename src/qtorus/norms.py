@@ -36,7 +36,7 @@ import math
 import numpy as np
 
 from .logspace import NEG_INF, _log_sum_exp_in_place
-from .series import FourierSeries, Record, _count, _modulus, _real
+from .series import FourierSeries, Record, _count, _modulus, _real, check_size
 
 #: How far (in ln) a coefficient may pass its bound before :func:`coefficient_bound_audit` flags it.
 BOUND_TOL = 1e-9
@@ -113,8 +113,9 @@ def m_j(series: FourierSeries, j: int) -> float:
 
 
 def build_profile(series: FourierSeries, j_max: int) -> DerivativeNormProfile:
-    """Cache ln M_j for j = 0..j_max."""
+    """Cache ln M_j for j = 0..j_max; j_max + 1 past the cap is a :class:`GridCapError`."""
     j_max = _count("j_max", j_max, least=0)
+    check_size(j_max + 1, "profile orders (j_max + 1)")
     vals = tuple(_pure_direction_ln_m(series, range(j_max + 1)))
     return DerivativeNormProfile(dim=series.dim, ln_m=vals)
 

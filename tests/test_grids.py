@@ -6,7 +6,8 @@ bool entry, a string, complex or object entry, NaN, +-inf, an empty or 2-D
 grid, a ragged nesting, an entry below 1 or a repeat is a ``ValueError``
 naming the argument, raised before any kernel, fold or integral runs.  A grid
 longer than ``QTORUS_GRID_CAP`` is a ``GridCapError``, and so is a witness m
-grid whose largest m is past the cap (its r column has that many radii).
+grid whose largest m is past the cap (its r column, which
+``associated._fold_weights`` checks, has that many radii).
 ``lemma_check``'s ``h_values`` follow the grids' element-type rule.
 """
 
@@ -155,6 +156,8 @@ def test_grid_longer_than_the_cap_refused(monkeypatch, call, name, kind):
 @pytest.mark.parametrize("cap, m_grid", [("1000", [2, 1001]), ("1000000", [2, 10**9])])
 def test_witness_refuses_an_r_column_past_the_cap(monkeypatch, cap, m_grid):
     monkeypatch.setenv("QTORUS_GRID_CAP", cap)
-    monkeypatch.setattr(associated_module, "_fold_weights", _must_not_run)
-    with pytest.raises(GridCapError, match=rf"^{m_grid[-1]} radii r = 1\.\.max\(m_grid\) exceed the cap of {cap} "):
+    # _fold_weights checks the r column before it builds ln r.
+    for attr in ("_ln", "_legendre"):
+        monkeypatch.setattr(associated_module, attr, _must_not_run)
+    with pytest.raises(GridCapError, match=rf"^{m_grid[-1]} radii r = 1\.\.r_max exceed the cap of {cap} "):
         witness(PROFILE, 1, m_grid)
