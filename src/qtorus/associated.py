@@ -543,7 +543,10 @@ def carleman_diagnostic(
     r_max = _real("r_max", r_max, 2)
     points_per_decade = _count("points_per_decade", points_per_decade)
     _require_nondegenerate(profile)
-    n_points = max(2, int(math.ceil(points_per_decade * math.log10(r_max))) + 1)
+    try:
+        n_points = max(2, int(math.ceil(points_per_decade * math.log10(r_max))) + 1)
+    except OverflowError:  # points_per_decade, or its product, past the float range
+        n_points = math.inf
     check_size(n_points, "points of the Carleman grid")
     exponents = np.linspace(0.0, math.log10(r_max), n_points)  # r = 10^e, log-spaced from 1
     grid = np.fromiter(map(_exp10, exponents), dtype=float, count=n_points)

@@ -70,32 +70,18 @@ def _config_echo(args: argparse.Namespace) -> dict:
     return {"version": __version__, **{k: v for k, v in vars(args).items() if not k.startswith("_")}}
 
 
-#: Leaf types that are never a non-finite float.
-_NO_FLOAT = frozenset({int, bool, str, type(None)})
-
-
 def _finite_or_null(value):
-    """The payload with every NaN or infinite float replaced by None (JSON null).
-
-    A list or tuple whose items are all such leaves, or all finite floats,
-    is returned as it is after one pass over the item types; so is a list
-    of such lists (``uncovered_modes``), without a call per inner list.
-    """
+    """The payload with every NaN or infinite float replaced by None (JSON null); an array passes as it is."""
     if isinstance(value, float):
         return value if math.isfinite(value) else None
     if isinstance(value, dict):
         return {k: _finite_or_null(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        kinds = set(map(type, value))
-        if kinds <= _NO_FLOAT or (kinds == {float} and all(map(math.isfinite, value))):
-            return value
-        if kinds == {list} and _NO_FLOAT.issuperset(map(type, itertools.chain(*value))):
-            return value
         return [_finite_or_null(v) for v in value]
     return value
 
 
-def _json_chunks(value, depth: int = 2):
+def _json_chunks(value, depth: int):
     """The text of ``json.dumps(value, sort_keys=True, allow_nan=False)``, in pieces.
 
     The dicts and lists (or tuples) of the outer ``depth`` levels are
@@ -103,10 +89,16 @@ def _json_chunks(value, depth: int = 2):
     keys in sorted order, which is json's text for str keys, the only keys
     an artifact has; every other item is one json.dumps call, which runs
     the C encoder.  That encoder holds every token of its input as a str
-    until it joins them, so this way only one inner item's tokens (one
-    per-m report of ``interp_report.json``) are alive at a time.
+    until it joins them, so this way only one item's tokens are alive at a
+    time.  An int array is written :data:`READ_BLOCK` rows at a time, each
+    block as the repr of its nested list, which is json's text.
     """
-    if depth and isinstance(value, dict):
+    if isinstance(value, np.ndarray) and value.dtype.kind == "i":
+        yield "["
+        for start in range(0, len(value), READ_BLOCK):
+            yield (", " if start else "") + repr(value[start : start + READ_BLOCK].tolist())[1:-1]
+        yield "]"
+    elif depth and isinstance(value, dict):
         yield "{"
         for i, (key, item) in enumerate(sorted(value.items())):
             yield (", " if i else "") + json.dumps(key) + ": "
@@ -124,8 +116,8 @@ def _json_chunks(value, depth: int = 2):
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    """One line of strict JSON with sorted keys, then a newline, streamed by :func:`_json_chunks`."""
-    _atomic_write(path, itertools.chain(_json_chunks(_finite_or_null(payload)), ["\n"]))
+    """One line of strict JSON with sorted keys, then a newline, from ``_json_chunks(payload, 3)``."""
+    _atomic_write(path, itertools.chain(_json_chunks(_finite_or_null(payload), 3), ["\n"]))
 
 
 #: The str.format field that prints a CSV cell of each column dtype kind.
@@ -393,10 +385,6 @@ def cmd_verdict(args: argparse.Namespace) -> dict:
 def cmd_interp(args: argparse.Namespace) -> dict:
     m_grid = args._m_grid
     series = _load_series(args)
-    # Past the float range every tolerance 1e-9 (1 + sum |c_k|) is inf, and a fold's residue sum can be.
-    if not math.isfinite(series.abs_sum()):
-        source = f"--input {args.input}" if args.input else f"--family {args.family}"
-        raise ValueError(f"{source}: the coefficient moduli sum past the float range")
     n = series.dim
     # The sizes that need n and K: the largest grid, the samples, then all grids and the
     # sampled terms of all folds (min(K, m^n) modes at most each), summed until past the cap.
@@ -443,7 +431,7 @@ def cmd_interp(args: argparse.Namespace) -> dict:
                 "tolerance": audit.tolerance,
                 "grid_ok": audit.grid_ok,
                 "degenerate_z0": audit.interpolant.degenerate_z0,
-                "uncovered_modes": audit.uncovered_modes.tolist(),
+                "uncovered_modes": audit.uncovered_modes,
                 "sup_augmented": bounds.lhs_max,
                 "empirical_cf": bounds.empirical_cf,
                 "empirical_c1": bounds.empirical_c1,

@@ -189,9 +189,8 @@ def _augment(series: FourierSeries, m: int, z0: PolyPoint, engine: str):
     in, and a mode the fold leaves in place (target = k) adds exactly 0.
     The residual therefore carries no rounding from the modes the fold does
     not move, which are most of the sum when the fold nearly interpolates
-    at z0.  The correction is the
-    residual over the denominator, and the error at z0 is
-    |denominator * correction - residual|.
+    at z0.  The correction is the residual over the denominator, and the
+    error at z0 is |denominator * correction - residual|.
     """
     if engine not in ("diagonal", "alias"):
         raise ValueError(f"unknown engine {engine!r} (expected 'diagonal' or 'alias')")
@@ -235,8 +234,8 @@ class InterpolationAudit(Record):
     ``interpolant`` is the augmented interpolant that was audited (its
     ``m``, ``engine`` and ``degenerate_z0`` describe it), ready for
     :func:`bound_audit`.  ``tolerance`` is the alias-engine acceptance level
-    1e-9 * (1 + sum|c_k|); ``grid_ok`` reports both errors against it, and
-    is False when it is inf (the moduli sum past the float range).
+    1e-9 * (1 + sum|c_k|), finite as every series' sum is; ``grid_ok``
+    reports both errors against it, so a NaN or inf error is not ok.
     ``uncovered_modes`` is the read-only (U, n) int64 array of the diagonal
     engine's unreachable indices, in index order (no rows for alias).
     """
@@ -249,8 +248,7 @@ class InterpolationAudit(Record):
 
     @property
     def grid_ok(self) -> bool:
-        tol = self.tolerance
-        return math.isfinite(tol) and self.max_grid_error <= tol and self.z0_error <= tol
+        return self.max_grid_error <= self.tolerance and self.z0_error <= self.tolerance
 
 
 def interpolation_audit(

@@ -175,11 +175,13 @@ def check_size(count: int, what: str) -> int:
     """``count``, or :class:`GridCapError` naming ``what`` when it exceeds the cap.
 
     The one size check: grid points, family modes, profile orders, samples.
-    Sizes that are powers go through :func:`check_power`.
+    Sizes that are powers go through :func:`check_power`.  A count of 20
+    digits or more is shown to 3, one past the float range (inf too) as such.
     """
     limit = _cap()
     if count > limit:
-        raise _past_cap(str(count), what, limit)
+        shown = f"{count:.3g}" if count <= sys.float_info.max else "more than 1.8e+308"
+        raise _past_cap(str(count) if count < 10**20 else shown, what, limit)
     return count
 
 
@@ -197,11 +199,11 @@ def check_power(base: int, exponent: int, what: str) -> int:
     return check_size(base**exponent, what)
 
 
-class _DuplicateIndex(ValueError):
-    """Two rows of an exponent array are equal; ``row`` is the later one's position."""
+class _BadRow(ValueError):
+    """A refusal that belongs to one row of the input; ``row`` is its position there."""
 
-    def __init__(self, index: list, row: int):
-        super().__init__(f"duplicate index {index}")
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
         self.row = row
 
 
@@ -256,10 +258,10 @@ class FourierSeries:
     array of distinct rows sorted lexicographically (first column primary)
     and ``_values`` the read-only (K,) complex coefficients.  Every series
     is built by :meth:`from_arrays`, which checks that the coefficients are
-    finite, with a modulus within the float range (``ValueError``
-    otherwise), prunes those below
-    :data:`PRUNE_THRESHOLD`, sorts, and rejects duplicate or non-integer
-    indices and entries beyond |k_p| <= 2^62.  ``FourierSeries(dim, coeffs)``
+    finite, with moduli and a sum of moduli within the float range
+    (``ValueError`` otherwise), prunes those below :data:`PRUNE_THRESHOLD`,
+    sorts, and rejects duplicate or non-integer indices and entries beyond
+    |k_p| <= 2^62.  ``FourierSeries(dim, coeffs)``
     takes a mapping from index tuples to coefficients instead; ``coeffs`` is
     that mapping as a read-only view, derived on first use.
     """
@@ -272,9 +274,9 @@ class FourierSeries:
         """The series with coefficient ``values[i]`` at index ``exponents[i]``.
 
         ``exponents`` is (K, dim) integers in any order (integral floats are
-        accepted), ``values`` (K,) complex.  A repeated index raises
-        ``ValueError``, whether or not its coefficients would be pruned.
-        The series never shares memory with the arrays passed in.
+        accepted), ``values`` (K,) complex.  A refused row (see the class),
+        a repeated index even if pruned, raises ``ValueError`` naming its
+        index.  The series never shares memory with the arrays passed in.
         """
         series = cls.__new__(cls)
         series._store(dim, exponents, values)
@@ -283,13 +285,15 @@ class FourierSeries:
     def _store(self, dim: int, exponents, values) -> None:
         """Check, sort and prune ``exponents`` and ``values`` into this series.
 
-        One :func:`_modulus` pass, freed before the sort, refuses the first
-        coefficient that is not finite or has a modulus past the float range
-        and marks those to prune.  Rows already in strictly increasing
-        order (:func:`_increasing`), as :func:`write_coefficients` writes
-        them, are sorted and distinct, so they skip the sort, the gather and
-        the duplicate scan; unless some are pruned they are copied, so a
-        caller's array is never shared or frozen.
+        One :func:`_modulus` pass refuses the first coefficient that is not
+        finite or has a modulus past the float range and marks those to
+        prune.  The kept moduli are summed one by one in index order
+        (``np.cumsum``) before the gather: the first row that takes the sum
+        past the float range is refused, else it is :meth:`abs_sum`.  Each
+        refusal of a row is a :class:`_BadRow`.  Rows already in strictly
+        increasing order (:func:`_increasing`), as :func:`write_coefficients`
+        writes them, skip the sort, the gather and the duplicate scan; unless
+        some are pruned they are copied, so a caller's array is never shared.
         """
         dim = _count("dim", dim)
         k = _index_array(exponents, dim)
@@ -301,19 +305,28 @@ class FourierSeries:
         if bad.size:
             i = bad[0]
             what = "is not finite" if not cmath.isfinite(v[i]) else "has a modulus past the float range"
-            raise ValueError(f"coefficient at index {k[i].tolist()} {what}: {complex(v[i])!r}")
+            raise _BadRow(f"coefficient at index {k[i].tolist()} {what}: {complex(v[i])!r}", int(i))
         keep = modulus >= PRUNE_THRESHOLD
-        del modulus
+        modulus[~keep] = 0.0  # a pruned modulus adds nothing to the sum
         ordered = _increasing(k)
+        order = None if ordered else np.lexsort(k.T[::-1])
+        with np.errstate(over="ignore"):  # past the float range: inf, refused below
+            running = np.cumsum(modulus if ordered else modulus[order])
+        del modulus
+        abs_sum = float(running[-1]) if running.size else 0.0
+        if abs_sum > sys.float_info.max:
+            first = np.argmax(running > sys.float_info.max)
+            i = int(first if ordered else order[first])
+            raise _BadRow(f"coefficient at index {k[i].tolist()} takes the sum of moduli past the float range", i)
+        del running
         if not ordered:  # then the sort moves some row, unless a row repeats (refused)
-            order = np.lexsort(k.T[::-1])
             k, v, keep = k[order], v[order], keep[order]
             repeat = np.flatnonzero(np.all(k[1:] == k[:-1], axis=1)) + 1
             if repeat.size:
                 # The sort is stable, so each repeat is a later occurrence; report
                 # the one that comes first in the input.
                 j = repeat[np.argmin(order[repeat])]
-                raise _DuplicateIndex(k[j].tolist(), int(order[j]))
+                raise _BadRow(f"duplicate index {k[j].tolist()}", int(order[j]))
         if not keep.all():
             k, v = k[keep], v[keep]
         elif ordered:
@@ -322,6 +335,7 @@ class FourierSeries:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_exponents", k)
         object.__setattr__(self, "_values", v)
+        object.__setattr__(self, "_abs_sum", abs_sum)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"FourierSeries is immutable; cannot set {name!r}")
@@ -360,12 +374,8 @@ class FourierSeries:
         return int(np.abs(self._exponents).max())
 
     def abs_sum(self) -> float:
-        """sum_k |c_k| in index order, once per series; never raises, inf past the float range."""
+        """sum_k |c_k|, added one by one in index order when the series was built; always finite."""
         return self._abs_sum
-
-    @cached_property
-    def _abs_sum(self) -> float:
-        return float(sum(_modulus(self._values).tolist()))
 
     def _terms_at(self, point: "PolyPoint") -> np.ndarray:
         """The terms c_k z^k at ``point``, one per mode, kept for the last point asked.
@@ -684,8 +694,8 @@ def _columns(objects: list, dim: int | None):
 
     Each object must have exactly the fields k, re and im: k a non-empty
     list of JSON integers (no bools, no floats) of the length ``dim`` (the
-    first object's, when ``dim`` is None) and re, im JSON numbers giving a
-    finite coefficient.  Raises ``ValueError`` naming the first rule broken.
+    first object's, when ``dim`` is None) and re, im JSON numbers.  Raises
+    ``ValueError`` naming the first rule broken.
     """
     if set(map(type, objects)) != {dict}:
         raise ValueError("expected a JSON object")
@@ -716,8 +726,6 @@ def _columns(objects: list, dim: int | None):
         values.imag = im
     except OverflowError as exc:
         raise ValueError("re and im must be finite numbers") from exc
-    if not np.all(np.isfinite(values)):
-        raise ValueError("coefficient is not finite")
     return dim, exponents, values
 
 
@@ -768,9 +776,9 @@ def read_coefficients(path) -> FourierSeries:
     One object per mode and line: ``{"k": [k1, ..., kn], "re": <number>,
     "im": <number>}``, with exactly these fields.  k holds JSON integers
     (no bools, no floats) with |k_p| <= 2^62; re and im are JSON numbers
-    (not bools or strings) and the coefficient is finite.  The dimension is
-    the first line's; blank lines are skipped; a duplicate index is an
-    error.  Every error is a ``ValueError`` naming ``path:line``.
+    (not bools or strings).  The dimension is the first line's; blank lines
+    are skipped.  What :meth:`FourierSeries.from_arrays` refuses is refused
+    too.  Every error is a ``ValueError`` naming ``path:line``.
 
     Lines are decoded :data:`READ_BLOCK` at a time into columns; only a
     block that fails is decoded again line by line, to name the line.
@@ -794,11 +802,9 @@ def read_coefficients(path) -> FourierSeries:
     # Each rebinding frees the blocks it joins, so they never sit beside both columns.
     exponents = np.concatenate(exponents)
     values = np.concatenate(values)
-    series = FourierSeries.__new__(FourierSeries)
     try:
-        series._store(dim, exponents, values)
-        return series
-    except _DuplicateIndex as exc:
+        return FourierSeries.from_arrays(dim, exponents, values)
+    except _BadRow as exc:
         raise ValueError(f"{path}:{_line_of_row(path, exc.row)}: {exc}") from None
 
 

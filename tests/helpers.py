@@ -74,8 +74,9 @@ def dict_series_coeffs(dim: int, coeffs) -> dict:
 
     The oracle for ``FourierSeries.from_arrays`` and the dict constructor:
     each index must be ``dim`` entries equal to integers, each coefficient
-    finite with a finite modulus (``ValueError`` otherwise); coefficients
-    below PRUNE_THRESHOLD are dropped and the keys sorted.
+    finite with a finite modulus, and the kept moduli, added one by one in
+    index order, must have a finite sum (``ValueError`` otherwise);
+    coefficients below PRUNE_THRESHOLD are dropped and the keys sorted.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -96,7 +97,13 @@ def dict_series_coeffs(dim: int, coeffs) -> dict:
             raise ValueError(f"coefficient at index {index} has a modulus past the float range: {c!r}")
         if abs(c) >= PRUNE_THRESHOLD:
             clean[tuple(index)] = c
-    return dict(sorted(clean.items()))
+    clean = dict(sorted(clean.items()))
+    total = 0.0
+    for k, c in clean.items():
+        total += abs(c)
+        if total == math.inf:
+            raise ValueError(f"coefficient at index {list(k)} takes the sum of moduli past the float range")
+    return clean
 
 
 def json_write_coefficients(series: FourierSeries, path) -> None:
@@ -483,17 +490,6 @@ def joined_write_svg(path, xs, ys, title, x_label, y_label, header_lines=()) -> 
         "</svg>",
     ]
     Path(path).write_text("\n".join(svg) + "\n", encoding="utf-8", newline="")
-
-
-def loop_finite_or_null(value):
-    """``cli._finite_or_null`` with no fast path: every container is rebuilt item by item."""
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, dict):
-        return {k: loop_finite_or_null(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [loop_finite_or_null(v) for v in value]
-    return value
 
 
 def rng_annulus_sups(interpolant, t, n_samples, seed) -> tuple:

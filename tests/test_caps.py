@@ -134,3 +134,18 @@ def test_verdict_past_the_carleman_cap_exits_4(tmp_path, capsys):
         "error: 1281 points of the Carleman grid exceed the cap of 1000 (QTORUS_GRID_CAP)\n"
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "points_per_decade, r_max, shown",
+    [
+        (10**400, 10.0, "more than 1.8e+308"),  # no float holds points_per_decade
+        (2**1023, 1e300, "more than 1.8e+308"),  # the product overflows
+        (10**300, 2.0, "3.01e+299"),
+    ],
+    ids=["points_per_decade-past-the-float-range", "product-past-the-float-range", "300-digit-count"],
+)
+def test_carleman_grid_past_the_float_range_refused_in_short(points_per_decade, r_max, shown):
+    text = f"{shown} points of the Carleman grid exceed the cap of {CAP} (QTORUS_GRID_CAP)"
+    with pytest.raises(GridCapError, match=f"^{re.escape(text)}$"):
+        carleman_diagnostic(PROFILE, r_max, points_per_decade=points_per_decade)

@@ -38,7 +38,6 @@ from qtorus.series import _atomic_write
 from helpers import (
     joined_write_csv,
     joined_write_svg,
-    loop_finite_or_null,
     loop_read_coefficients,
     loop_svg_points,
     loop_write_csv,
@@ -148,14 +147,14 @@ class TestNorms:
     @pytest.mark.parametrize(
         "command", [["norms"], ["interp", "--m", "2..4"], ["interp", "--m", "2..4", "--tm"]]
     )
-    def test_modulus_past_the_float_range_exits_2_naming_its_index(self, tmp_path, capsys, command):
+    def test_modulus_past_the_float_range_exits_2_naming_its_line(self, tmp_path, capsys, command):
         # No overflow warning on the way: pyproject.toml makes it an error.
         coeffs = tmp_path / "huge.jsonl"
         coeffs.write_text('{"k": [0], "re": 3.262434762922911e+307, "im": 1.7678421313306858e+308}\n')
         out = tmp_path / "o"
         assert main([*command, "--input", str(coeffs), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: coefficient at index [0] has a modulus past the float range")
+        assert err.startswith(f"error: {coeffs}:1: coefficient at index [0] has a modulus past the float range")
         assert not out.exists()
 
     def test_family_past_cap_exits_4_and_writes_nothing(self, tmp_path, monkeypatch):
@@ -726,20 +725,20 @@ class TestInterp:
         assert main([*args, "--samples", "4", "--out", str(out)]) == 0
 
     @pytest.mark.parametrize(
-        "lines, engine",
+        "lines, engine, index",
         [
             (['{"k": [1, 2], "re": 1.3e308, "im": 0.0}', '{"k": [2, 1], "re": 0.0, "im": 1.3e308}'],
-             "diagonal"),
+             "diagonal", "[2, 1]"),
             (['{"k": [1], "re": 1.3e308, "im": 0.0}', '{"k": [3], "re": 1.3e308, "im": 0.0}'],
-             "alias"),
+             "alias", "[3]"),
         ],
         ids=["diagonal-grid", "alias-residue"],
     )
     def test_moduli_summing_past_the_float_range_exit_2_before_any_fold(
-        self, tmp_path, monkeypatch, capsys, lines, engine
+        self, tmp_path, monkeypatch, capsys, lines, engine, index
     ):
-        # Each modulus is finite, their sum is not: every tolerance would be
-        # inf (which every error passed) and a residue sum could overflow.
+        # Each modulus is finite, their sum is not: the reader refuses the
+        # line at which the sum in index order passes the float range.
         for name in ("rescale_to_class", "build_profile", "interpolation_audit", "bound_audit"):
             monkeypatch.setattr(cli_module, name, _must_not_run)
         coeffs = tmp_path / "f.jsonl"
@@ -750,7 +749,7 @@ class TestInterp:
             warnings.simplefilter("error")
             assert main([*argv, "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            f"error: --input {coeffs}: the coefficient moduli sum past the float range\n"
+            f"error: {coeffs}:2: coefficient at index {index} takes the sum of moduli past the float range\n"
         )
         assert not out.exists()
 
@@ -1373,32 +1372,16 @@ class TestFiniteOrNull:
             "g": "text",
         }
 
-    def test_float_free_and_finite_lists_returned_unchanged(self):
-        ints = [3, -1, 2**70]
-        mixed = [1, True, "x", None]
-        finite = [1.0, -0.0, 1e-300]
-        for value in (ints, mixed, finite, tuple(ints)):
-            assert _finite_or_null(value) is value
-        modes = [[1, 2], [3, 4]]
+    def test_finite_lists_kept_and_an_int_array_returned_as_it_is(self):
+        for value in ([3, -1, 2**70], [1, True, "x", None], [1.0, -0.0, 1e-300], (3, -1)):
+            assert _finite_or_null(value) == list(value)
+        modes = np.array([[1, 2], [3, 4]])
         assert _finite_or_null({"uncovered_modes": modes})["uncovered_modes"] is modes
 
     def test_non_finite_float_two_list_levels_deep_becomes_null(self):
         assert _finite_or_null([[1, 2], [3, math.nan]]) == [[1, 2], [3, None]]
         assert _finite_or_null([[1], [[math.inf]]]) == [[1], [[None]]]
         assert _finite_or_null({"a": [[0], [-math.inf, 2]]}) == {"a": [[0], [None, 2]]}
-
-    def test_interp_report_bytes_match_the_item_by_item_rebuild(self, tmp_path, monkeypatch):
-        # A diagonal n = 2 job leaves modes uncovered at every m.
-        argv = ["interp", "--family", "analytic:a=1:K=6", "--n", "2", "--m", "3..6",
-                "--engine", "diagonal", "--samples", "8"]
-        report = tmp_path / "out" / "interp_report.json"
-        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
-        fast = report.read_bytes()
-        report.unlink()
-        monkeypatch.setattr(cli_module, "_finite_or_null", loop_finite_or_null)
-        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
-        assert report.read_bytes() == fast
-        assert all(row["uncovered_modes"] for row in json.loads(fast)["per_m"])
 
 
 #: JSON-like values: every leaf json.dumps takes, NaN and inf among the
@@ -1425,17 +1408,29 @@ class TestJsonChunks:
         want = json.dumps(value, sort_keys=True, allow_nan=False)
         assert "".join(_json_chunks(value, depth)) == want
 
-    def test_interp_report_encoded_one_per_m_report_at_a_time(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("rows, n", [(0, 2), (1, 1), (2, 3), (7, 2)])
+    def test_int_array_text_equals_json_dumps_of_its_list(self, monkeypatch, rows, n):
+        monkeypatch.setattr(cli_module, "READ_BLOCK", 2)
+        modes = (np.arange(rows * n, dtype=np.int64).reshape(rows, n) - 3) * (2**60 + 1)
+        pieces = list(_json_chunks(modes, 0))
+        assert "".join(pieces) == json.dumps(modes.tolist())
+        assert len(pieces) == 2 + math.ceil(rows / 2)  # the brackets and one piece a block
+        payload = {"per_m": [{"uncovered_modes": modes, "m": 3}]}
+        want = json.dumps({"per_m": [{"uncovered_modes": modes.tolist(), "m": 3}]}, sort_keys=True)
+        assert "".join(_json_chunks(payload, 3)) == want
+
+    def test_interp_report_encoded_one_field_at_a_time(self, tmp_path, monkeypatch):
         # The C encoder's token list is the memory: no json.dumps call may
-        # take more than one per-m report of a multi-m job.
+        # take a dict, a list or an array, so it holds one field's tokens at
+        # a time, and uncovered_modes goes out a block of rows at a time.
         argv = ["interp", "--family", "analytic:a=1:K=6", "--n", "2", "--m", "3..6",
                 "--engine", "diagonal", "--samples", "8", "--out", str(tmp_path / "out")]
-        dumped = []
+        encoded = []
         dumps = json.dumps
 
-        def spy(*args, **kwargs):
-            dumped.append(dumps(*args, **kwargs))
-            return dumped[-1]
+        def spy(value, *args, **kwargs):
+            encoded.append(value)
+            return dumps(value, *args, **kwargs)
 
         monkeypatch.setattr(json, "dumps", spy)
         assert main(argv) == 0
@@ -1443,8 +1438,8 @@ class TestJsonChunks:
         text = (tmp_path / "out" / "interp_report.json").read_text(encoding="utf-8")
         report = json.loads(text)
         assert text == json.dumps(report, sort_keys=True, allow_nan=False) + "\n"
-        largest = max(len(json.dumps(row, sort_keys=True)) for row in report["per_m"])
-        assert max(map(len, dumped)) == largest
+        assert all(row["uncovered_modes"] for row in report["per_m"])
+        assert encoded and not any(isinstance(v, (dict, list, tuple, np.ndarray)) for v in encoded)
 
 
 def run_fresh(*args: str, env: dict | None = None) -> subprocess.CompletedProcess:

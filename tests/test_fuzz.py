@@ -1,8 +1,9 @@
 """Fuzz gate for the CLI: argv values of the right argparse type, malformed JSONL.
 
 Whatever the values, ``main`` exits 0, 2, 3 or 4; a nonzero exit prints
-exactly one ``error:`` line to stderr and leaves --out unwritten.  The size
-cap is small, so huge sizes exit 4 before any work is done.
+exactly one ``error:`` line to stderr and leaves --out unwritten, and exit 0
+prints nothing there.  The size cap is small, so huge sizes exit 4 before
+any work is done.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import contextlib
 import io
 import json
 import os
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -89,11 +91,16 @@ malformed_lines = st.sampled_from(
 
 @st.composite
 def jsonl_files(draw):
-    """Lines of a coefficient file: valid lines of one dimension, and malformed ones."""
+    """Lines of a coefficient file: valid lines of one dimension, and malformed ones.
+
+    A valid line's real part may be near the float max, so that each modulus
+    is finite and two of them sum past it.
+    """
+    near_max = st.floats(sys.float_info.max / 2, sys.float_info.max)
     valid = st.builds(
         lambda k, re_, im: json.dumps({"k": k, "re": re_, "im": im}),
         st.lists(st.integers(-6, 6), min_size=(dim := draw(st.integers(1, 3))), max_size=dim),
-        st.floats(-1e3, 1e3),
+        st.floats(-1e3, 1e3) | near_max | near_max.map(float.__neg__),
         st.floats(-1e3, 1e3),
     )
     return draw(st.lists(st.one_of(valid, valid, malformed_lines), max_size=8))
@@ -153,9 +160,11 @@ def run_main(argv, lines, cap):
 
 #: Explicit cases: --samples below 1, a non-finite --t, samples past the
 #: float range (t^64 at the default --m), a malformed cap, a huge --n, a
-#: family box of 3^100000 modes at the default cap, a huge --rmax and a
-#: verdict --rmax past the float range.
+#: family box of 3^100000 modes at the default cap, a huge --rmax, a
+#: verdict --rmax past the float range, two moduli that sum past it and one
+#: modulus near it.
 ONE_MODE = ['{"k": [1], "re": 1, "im": 0}']
+NEAR_MAX = ['{"k": [1], "re": 1.5e308, "im": 0}', '{"k": [-1], "re": -1.5e308, "im": 1}']
 FAMILY = "--family=analytic:a=1:K=2"
 
 
@@ -171,6 +180,8 @@ FAMILY = "--family=analytic:a=1:K=2"
 @example(case=(["norms", "--family=analytic:a=1:K=1", "--n=100000"], None), cap="1000000")
 @example(case=(["tau", FAMILY, "--rmax=1000000000"], None), cap=CAP)
 @example(case=(["verdict", FAMILY, "--m=2..3", f"--rmax={10**400}"], None), cap=CAP)
+@example(case=(["interp", "--samples=1", "--m=2..3"], NEAR_MAX), cap=CAP)
+@example(case=(["norms"], NEAR_MAX[:1]), cap=CAP)
 def test_main_exits_with_a_contract_code_and_one_error_line(case, cap):
     argv, lines = case
     code, err, wrote = run_main(argv, lines, cap)
@@ -179,3 +190,5 @@ def test_main_exits_with_a_contract_code_and_one_error_line(case, cap):
         assert err.count("error:") == 1
         assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
         assert not wrote
+    else:
+        assert err == ""

@@ -271,17 +271,18 @@ class TestAugmentedInterpolant:
         with pytest.raises(ValueError):
             augmented_interpolant(s, 2, PolyPoint((1.2,)))
 
-    def test_z0_error_past_the_float_range_is_inf(self):
-        # At the node z0 = (1, 1) the fold is degenerate, and the residual is
-        # the two uncovered modes' sum, 1.3e308 (1 + i): its modulus is past
-        # the float range, so the builtin abs would raise OverflowError.
-        s = FourierSeries(2, {(1, 2): 1.3e308, (2, 1): 1.3e308j})
-        audit = interpolation_audit(s, 2, PolyPoint((1.0, 1.0)), engine="diagonal")
+    @pytest.mark.parametrize("engine", ["diagonal", "alias"])
+    def test_z0_error_past_the_float_range_is_inf(self, engine):
+        # z0 = e^{i 10^-13} is 10^-13 from the one node of m = 1, so the fold
+        # is degenerate; but z0^k, k ~ pi 10^13, is near -1, so the mode the
+        # fold moves to index 0 leaves a residual of about -2.6e308: past the
+        # float range, though the series' one modulus, its sum, is not.
+        s = FourierSeries(1, {(31415926535898,): 1.3e308})
+        audit = interpolation_audit(s, 1, PolyPoint((cmath.exp(1e-13j),)), engine=engine)
         assert audit.interpolant.degenerate_z0
         assert audit.z0_error == math.inf
-        # Its moduli also sum past the float range, so the tolerance is inf,
-        # which no error can pass: inf <= inf must not read as exact.
-        assert audit.tolerance == math.inf
+        # The tolerance is finite, as every series' sum is, and inf is past it.
+        assert audit.tolerance == 1e-9 * (1.0 + 1.3e308)
         assert audit.grid_ok is False
 
     def test_correction_vanishes_on_grid(self):
@@ -332,14 +333,12 @@ class TestInterpolationAudit:
             (1e-9, 1e-9, 1e-9, True),
             (2e-9, 0.0, 1e-9, False),
             (0.0, math.inf, 1e-9, False),
-            (0.0, 0.0, math.inf, False),
-            (math.inf, math.inf, math.inf, False),
+            (math.nan, 0.0, 1e-9, False),
             (0.0, 0.0, math.nan, False),
         ],
-        ids=["exact", "at-tolerance", "grid-past", "z0-inf", "tolerance-inf", "all-inf",
-             "tolerance-nan"],
+        ids=["exact", "at-tolerance", "grid-past", "z0-inf", "grid-nan", "tolerance-nan"],
     )
-    def test_grid_ok_needs_a_finite_tolerance_both_errors_meet(
+    def test_grid_ok_needs_both_errors_within_the_tolerance(
         self, grid_error, z0_error, tolerance, ok
     ):
         base = interpolation_audit(FourierSeries(1, {(1,): 1.0}), 2, PolyPoint((1j,)))
@@ -349,16 +348,16 @@ class TestInterpolationAudit:
         assert audit.grid_ok is ok
 
     @pytest.mark.parametrize("engine", ["diagonal", "alias"])
-    def test_moduli_past_the_float_range_give_no_warning(self, engine):
-        # The suite turns a RuntimeWarning into an error.  An inf correction
-        # times a node factor with a zero real part used to warn in the grid
-        # error (diagonal), and the residual sum overflowed with a warning
-        # (alias).
-        s = FourierSeries(2, {(1, 2): 1.3e308, (2, 1): 1.3e308j})
+    def test_residual_past_the_float_range_gives_no_warning(self, engine):
+        # The suite turns a RuntimeWarning into an error.  Both folds move
+        # (3, 3) to (1, 1) at m = 2, and |z0^(3,3) - z0^(1,1)| = 2 sin 1.4 at
+        # z0 = e^{0.7i} (1, 1): the residual, ~3.3e308, overflows without a
+        # warning, and so do the inf correction times the node factors.
+        s = FourierSeries(2, {(3, 3): 1.7e308})
         audit = interpolation_audit(s, 2, PolyPoint((cmath.exp(0.7j),) * 2), engine=engine)
         assert not audit.grid_ok
         assert not math.isfinite(audit.max_grid_error)
-        assert audit.tolerance == math.inf
+        assert audit.tolerance == 1e-9 * (1.0 + 1.7e308)
 
     def test_alias_exact_n2(self):
         rng = np.random.default_rng(53)

@@ -170,7 +170,9 @@ class TestBuildProfile:
             FourierSeries(1, {(0,): huge, (1,): 1.0})
 
     def test_moduli_just_under_the_float_max_give_finite_orders(self):
-        near_max = complex(1.2711610061536462e308, 1.2711610061536462e308)
+        # Two moduli of ~max / 2, whose sum is within the float range and
+        # whose squares are not.
+        near_max = complex(6.3e307, 6.3e307)
         s = FourierSeries(2, {(1, 0): near_max, (0, -2): near_max, (0, 0): 1.0})
         prof = build_profile(s, 6)
         assert all(math.isfinite(v) for v in prof.ln_m)

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -17,12 +19,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qtorus.series as series_module
-from qtorus.series import _DuplicateIndex, check_power, check_size
+from qtorus.series import _BadRow, check_power, check_size
 from qtorus import (
+    PRUNE_THRESHOLD,
     FourierSeries,
     GridCapError,
     PolyPoint,
     alias_fold,
+    diagonal_fold,
     augmented_interpolant,
     build_profile,
     eval_batch,
@@ -30,6 +34,7 @@ from qtorus import (
     eval_laurent,
     grid_array,
     read_coefficients,
+    rescale_to_class,
     write_coefficients,
 )
 from helpers import (
@@ -63,36 +68,69 @@ MODULUS_PARTS = (
     )
 )
 
-def read_huge(tmp_path):
-    path = tmp_path / "huge.jsonl"
-    path.write_text(
-        '{"k": [1], "re": 1.0, "im": 0.0}\n'
-        '{"k": [0], "re": 3.262434762922911e+307, "im": 1.7678421313306858e+308}\n'
-    )
+def read_lines(tmp_path, *lines):
+    path = tmp_path / "c.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
     return read_coefficients(path)
 
 
-#: Per way of building a series: (index, value) of the coefficient it
-#: refuses, and the build.  The value is a residue sum for the fold, a sum
-#: for ``+`` and a product for ``*``.
+#: Lines of a coefficient file: a modulus past the float range, and the two
+#: moduli of ``FourierSeries(2, {(1, 2): 1.3e308, (2, 1): 1.3e308j})``,
+#: which are finite but sum past it.
+HUGE_LINE = '{"k": [0], "re": 3.262434762922911e+307, "im": 1.7678421313306858e+308}'
+ONE_LINE = '{"k": [1], "re": 1.0, "im": 0.0}'
+SUM_LINES = ('{"k": [1, 2], "re": 1.3e308, "im": 0.0}', '{"k": [2, 1], "re": 0.0, "im": 1.3e308}')
+
+#: Moduli whose sum in index order rounds to the float max: 0.75 * 2^970
+#: is below half an ulp of max, so each addition rounds back to max.  The
+#: folds at m = 2 add the two small ones first, into one residue, and
+#: 1.5 * 2^970 + max rounds past the float range.
+ROUNDING = {(0,): 0.75 * 2.0**970, (1,): sys.float_info.max, (2,): 0.75 * 2.0**970}
+
+MODULUS = "has a modulus past the float range: " + repr(HUGE)
+SUM = "takes the sum of moduli past the float range"
+
+#: Per way of building a series: the build, the line of the file it reads
+#: (None for the library) and the refusal, which names the row's index.
+#: The first coefficient past the float range in input order is named, and
+#: the row at which the sum of moduli in index order first passes it.  A
+#: fold's residue sum or diagonal slot sum is no larger than the moduli it
+#: adds, so only rounding takes a fold past a finite sum; and
+#: rescale_to_class scales by c <= 1, which no build can take past it
+#: (:meth:`test_rescale_to_class_keeps_the_sum_finite`).
 PAST_FLOAT_RANGE = {
-    "dict": ([0, -2], HUGE, lambda tmp: FourierSeries(2, {(1, 0): 1.0, (0, -2): HUGE})),
-    # The first such coefficient in input order is named, not in index order.
-    "from_arrays": (
-        [3], HUGE, lambda tmp: FourierSeries.from_arrays(1, [[5], [3], [-1]], [1, HUGE, HUGE])
+    "modulus-dict": (lambda tmp: FourierSeries(2, {(1, 0): 1.0, (0, -2): HUGE}), None, f"[0, -2] {MODULUS}"),
+    "modulus-from_arrays": (
+        lambda tmp: FourierSeries.from_arrays(1, [[5], [3], [-1]], [1, HUGE, HUGE]), None, f"[3] {MODULUS}"
     ),
-    "read_coefficients": ([0], HUGE, read_huge),
-    "alias_fold": (
-        [0],
-        complex(1.3e308, 1.3e308),
-        lambda tmp: alias_fold(FourierSeries(1, {(0,): 1.3e308, (2,): 1.3e308j}), 2),
-    ),
-    "add": (
-        [1],
-        complex(1.3e308, 1.3e308),
+    "modulus-read-ordered": (lambda tmp: read_lines(tmp, HUGE_LINE, ONE_LINE), 1, f"[0] {MODULUS}"),
+    "modulus-read-shuffled": (lambda tmp: read_lines(tmp, ONE_LINE, HUGE_LINE), 2, f"[0] {MODULUS}"),
+    "modulus-add": (
         lambda tmp: FourierSeries(1, {(1,): 1.3e308}) + FourierSeries(1, {(1,): 1.3e308j}),
+        None,
+        f"[1] has a modulus past the float range: {complex(1.3e308, 1.3e308)!r}",
     ),
-    "mul": ([0], complex(1.5e308, 1.5e308), lambda tmp: FourierSeries(1, {(0,): 1e308}) * (1.5 + 1.5j)),
+    "modulus-mul": (
+        lambda tmp: FourierSeries(1, {(0,): 1e308}) * (1.5 + 1.5j),
+        None,
+        f"[0] has a modulus past the float range: {complex(1.5e308, 1.5e308)!r}",
+    ),
+    "sum-dict": (lambda tmp: FourierSeries(2, {(1, 2): 1.3e308, (2, 1): 1.3e308j}), None, f"[2, 1] {SUM}"),
+    "sum-from_arrays": (
+        lambda tmp: FourierSeries.from_arrays(2, [[2, 1], [1, 2]], [1.3e308j, 1.3e308]), None, f"[2, 1] {SUM}"
+    ),
+    "sum-read-ordered": (lambda tmp: read_lines(tmp, *SUM_LINES), 2, f"[2, 1] {SUM}"),
+    "sum-read-shuffled": (lambda tmp: read_lines(tmp, *SUM_LINES[::-1]), 1, f"[2, 1] {SUM}"),
+    "sum-add": (
+        lambda tmp: FourierSeries(2, {(1, 2): 1.3e308}) + FourierSeries(2, {(2, 1): 1.3e308j}),
+        None,
+        f"[2, 1] {SUM}",
+    ),
+    "sum-mul": (
+        lambda tmp: FourierSeries(2, {(1, 2): 0.65e308, (2, 1): 0.65e308j}) * 2, None, f"[2, 1] {SUM}"
+    ),
+    "sum-alias_fold": (lambda tmp: alias_fold(FourierSeries(1, ROUNDING), 2), None, f"[1] {SUM}"),
+    "sum-diagonal_fold": (lambda tmp: diagonal_fold(FourierSeries(1, ROUNDING), 2), None, f"[1] {SUM}"),
 }
 
 
@@ -552,6 +590,22 @@ class TestGridPoints:
         with pytest.raises(GridCapError, match=r"^11 widgets exceed the cap of 10 "):
             check_size(11, "widgets")
 
+    @pytest.mark.parametrize(
+        "count, shown",
+        [
+            (10**20 - 1, "99999999999999999999"),
+            (10**20, "1e+20"),
+            (3 * 10**299 + 7, "3e+299"),
+            (10**400, "more than 1.8e+308"),
+            (math.inf, "more than 1.8e+308"),
+        ],
+        ids=["19-digits", "20-digits", "300-digits", "past-the-float-range", "inf"],
+    )
+    def test_check_size_shows_a_large_count_in_short(self, monkeypatch, count, shown):
+        monkeypatch.setenv("QTORUS_GRID_CAP", "10")
+        with pytest.raises(GridCapError, match=f"^{re.escape(shown)} widgets exceed the cap of 10 "):
+            check_size(count, "widgets")
+
     def test_check_power_refuses_without_building_the_power(self, monkeypatch):
         monkeypatch.setenv("QTORUS_GRID_CAP", "8")
         assert check_power(2, 3, "widgets") == 8
@@ -644,12 +698,24 @@ class TestSeriesConstruction:
         got = series_module._modulus(z).tolist()
         assert [x.hex() for x in got] == [builtin_modulus(c).hex() for c in z.tolist()]
 
-    @pytest.mark.parametrize("index, value, build", PAST_FLOAT_RANGE.values(), ids=PAST_FLOAT_RANGE)
-    def test_modulus_past_the_float_range_refused_by_every_builder(self, tmp_path, index, value, build):
-        # Both parts finite, the modulus is not: every way of building a series refuses it.
-        message = f"coefficient at index {index} has a modulus past the float range: {value!r}"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            build(tmp_path)
+    @pytest.mark.parametrize("build, line, refusal", PAST_FLOAT_RANGE.values(), ids=PAST_FLOAT_RANGE)
+    def test_past_the_float_range_refused_by_every_builder(self, tmp_path, build, line, refusal):
+        # Both parts finite, the modulus is not; or each modulus finite, their
+        # sum is not: every way of building a series refuses it, naming the row.
+        message = f"coefficient at index {refusal}"
+        if line is not None:
+            message = f"{tmp_path / 'c.jsonl'}:{line}: {message}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build(tmp_path)
+
+    def test_rescale_to_class_keeps_the_sum_finite(self):
+        series = FourierSeries(1, ROUNDING)
+        assert series.abs_sum() == sys.float_info.max
+        rescaled = rescale_to_class(series)
+        assert rescaled.scale < 1.0
+        assert rescaled.series.abs_sum() <= series.abs_sum()
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -659,18 +725,22 @@ class TestSeriesConstruction:
             max_size=8,
         )
     )
-    def test_abs_sum_never_raises(self, values):
-        # Each |c_k| of a series is finite, so the sum is, unless the moduli
-        # add up past the float range; either way nothing raises.
-        got = outcome(lambda: FourierSeries.from_arrays(1, [[k] for k in range(len(values))], values))
-        if got[0] == "rejected":
-            assert got[1] is ValueError and any(builtin_modulus(c) == math.inf for c in values)
-            return
-        moduli = [abs(c) for c in got[1].coeffs.values()]
-        assert got[1].abs_sum().hex() == float(sum(moduli)).hex()
-        # Scaled by 2^-4, so the exact sum of at most 8 moduli cannot overflow fsum.
-        if math.fsum(x * 2**-4 for x in moduli) <= sys.float_info.max * 2**-5:
-            assert math.isfinite(got[1].abs_sum())
+    def test_abs_sum_is_finite_or_refused_naming_the_row(self, values):
+        # The kept moduli are added one by one in index order: the sum is
+        # finite, or the row that first takes it past the float range is named.
+        got = built_or_refused(lambda: FourierSeries.from_arrays(1, [[k] for k in range(len(values))], values))
+        moduli = [builtin_modulus(c) for c in values]
+        running = list(itertools.accumulate(x if x >= PRUNE_THRESHOLD else 0.0 for x in moduli))
+        if math.inf in moduli:
+            row = moduli.index(math.inf)
+            message = f"coefficient at index [{row}] has a modulus past the float range: {complex(values[row])!r}"
+            assert got == (_BadRow, message, row)
+        elif running and running[-1] == math.inf:
+            row = running.index(math.inf)
+            assert got == (_BadRow, f"coefficient at index [{row}] {SUM}", row)
+        else:
+            assert got.abs_sum().hex() == (running[-1] if running else 0.0).hex()
+            assert math.isfinite(got.abs_sum())
 
     def test_abs_sum_is_the_builtin_sum_once(self):
         rng = np.random.default_rng(3)
@@ -798,7 +868,7 @@ class TestFromArrays:
         if want[0] == "ok":
             self.assert_same(got[1], want[1])
         else:
-            assert got[1] is ValueError
+            assert issubclass(got[1], ValueError)
 
         repeated = len(set(map(tuple, rows))) < len(rows)
         got = outcome(lambda: FourierSeries.from_arrays(dim, rows, values))
@@ -922,7 +992,7 @@ class TestIndexOrder:
             refusals = (None, None)
             if repeat is not None:
                 duplicate = f"duplicate index {k[repeat].tolist()}"
-                refusals = (_DuplicateIndex, duplicate, repeat), (ValueError, f"{path}:{repeat + 1}: {duplicate}", None)
+                refusals = (_BadRow, duplicate, repeat), (ValueError, f"{path}:{repeat + 1}: {duplicate}", None)
             builds = (lambda: FourierSeries.from_arrays(dim, k, values), lambda: read_coefficients(path))
             for build, refusal in zip(builds, refusals):
                 got = built_or_refused(build)
@@ -965,8 +1035,9 @@ class TestCoefficientFormat:
         st.lists(
             st.tuples(
                 st.lists(st.integers(-(2**62), 2**62), min_size=3, max_size=3),
+                # 30 moduli of at most max / 32 cannot sum past the float range.
                 st.complex_numbers(
-                    max_magnitude=sys.float_info.max, allow_nan=False, allow_infinity=False
+                    max_magnitude=sys.float_info.max / 32, allow_nan=False, allow_infinity=False
                 ),
             ),
             max_size=30,
