@@ -55,13 +55,8 @@ import math
 import numpy as np
 
 from .logspace import NEG_INF
-from .norms import DerivativeNormProfile, shift_profile
+from .norms import CLASS_MARGIN, LN_HALF, DerivativeNormProfile, shift_profile
 from .series import Record, _count, _grid, _read_only, _real, _reals, check_size
-
-LN_HALF = math.log(0.5)
-
-#: Relative margin used when rescaling into the normalization M_3 < 1/2.
-CLASS_MARGIN = 1e-6
 
 #: Fewest unsaturated grid points a growth-model fit is made from.
 MIN_FIT_POINTS = 8
@@ -86,6 +81,8 @@ SLOPE_THRESHOLD = 0.05
 #: rmse ratio by which one growth model of -ln tau must beat the other to win.
 FIT_MARGIN = 0.9
 
+_LN10 = math.log(10.0)
+
 #: Candidate window of the tau kernel, relative to the largest |term| a query
 #: can reach.  Rounding moves a float term by at most 2^-52 of that bound, so
 #: the window is 2^12 times wider than any rounding it has to absorb.
@@ -107,14 +104,6 @@ def _require_nondegenerate(profile: DerivativeNormProfile) -> None:
 def _ln(grid) -> np.ndarray:
     """math.log of each entry: numpy's vector log may differ from it by an ulp, by SIMD level."""
     return np.fromiter(map(math.log, grid), dtype=float, count=len(grid))
-
-
-def _exp10(e: float) -> float:
-    """libm's 10^e, as :func:`_ln` is libm's log, or the largest float where that overflows."""
-    try:
-        return math.pow(10.0, e)
-    except OverflowError:
-        return float(np.finfo(float).max)
 
 
 def _lower_hull(a: list) -> tuple[np.ndarray, np.ndarray]:
@@ -255,16 +244,38 @@ def _fold_weights(profile: DerivativeNormProfile, r_max: int):
     return w_full, w_shift, sat_full, ln_r
 
 
+def _running_min_with_argmin(values: np.ndarray):
+    """Prefix minima of ``values``, computed in place, and the first index realizing each."""
+    best = np.minimum.accumulate(values, out=values)
+    fresh = np.concatenate(([best[0] < math.inf], best[1:] < best[:-1]))  # ties keep the first
+    arg = np.arange(best.size)
+    arg[~fresh] = -1
+    np.maximum.accumulate(arg, out=arg)
+    arg[0] = 0
+    return best, arg
+
+
+def _prefix_minima(profile: DerivativeNormProfile, r_max: int, n: int):
+    """(ln_t, arg, ln_theta, w_full, sat_full, ln_r) for m = 1..r_max from one fold pass.
+
+    ln_t and ln_theta are the prefix minima of w_full / (n r) and w_shifted / (n r),
+    arg[m - 1] + 1 the first r realizing ln t_m; the rest is :func:`_fold_weights`'s.
+    """
+    w_full, w_shift, sat_full, ln_r = _fold_weights(profile, r_max)
+    nr = n * np.arange(1, r_max + 1, dtype=float)
+    ln_theta = np.minimum.accumulate(np.divide(w_shift, nr, out=w_shift), out=w_shift)
+    ln_t, arg = _running_min_with_argmin(np.divide(w_full, nr, out=nr))
+    return ln_t, arg, ln_theta, w_full, sat_full, ln_r
+
+
 def t_m_sequence(profile: DerivativeNormProfile, m_max: int, n: int) -> np.ndarray:
-    """ln t_m for m = 1..m_max, from one pass over r = 1..m_max.
+    """ln t_m for m = 1..m_max: the prefix minima over r of -ln(r^3 tau(r)) / (n r).
 
     An m_max past the cap is a :class:`GridCapError` (:func:`_fold_weights`).
     """
     m_max, n = _count("m_max", m_max), _count("n", n)
     _require_nondegenerate(profile)
-    w_full = _fold_weights(profile, m_max)[0]
-    r = np.arange(1, m_max + 1, dtype=float)
-    return np.minimum.accumulate(w_full / (n * r))
+    return _prefix_minima(profile, m_max, n)[0]
 
 
 def t_m(profile: DerivativeNormProfile, m: int, n: int) -> float:
@@ -273,7 +284,7 @@ def t_m(profile: DerivativeNormProfile, m: int, n: int) -> float:
 
 
 def theta(profile: DerivativeNormProfile, m: int, n: int) -> float:
-    """ln theta(m) = min over integer r in [1, m] of -ln(tau~(r)) / (n r).
+    """ln theta(m) = min over integer r in [1, m] of -ln(tau~(r)) / (n r), a prefix minimum.
 
     An m past the cap is a :class:`GridCapError` (:func:`_fold_weights`).
     """
@@ -281,9 +292,7 @@ def theta(profile: DerivativeNormProfile, m: int, n: int) -> float:
     if profile.j_max < 3:
         raise ValueError("theta needs j_max >= 3")
     _require_nondegenerate(profile)
-    w_shift = _fold_weights(profile, m)[1]
-    r = np.arange(1, m + 1, dtype=float)
-    return float(np.min(w_shift / (n * r)))
+    return float(_prefix_minima(profile, m, n)[2][-1])
 
 
 # ---------------------------------------------------------------------------
@@ -399,17 +408,6 @@ class WitnessSeries(Record):
     fit_sqrt: TrendFit | None
 
 
-def _running_min_with_argmin(values: np.ndarray):
-    """Prefix minima of ``values``, computed in place, and the first index realizing each."""
-    best = np.minimum.accumulate(values, out=values)
-    fresh = np.concatenate(([best[0] < math.inf], best[1:] < best[:-1]))  # ties keep the first
-    arg = np.arange(best.size)
-    arg[~fresh] = -1
-    np.maximum.accumulate(arg, out=arg)
-    arg[0] = 0
-    return best, arg
-
-
 def witness(profile: DerivativeNormProfile, n: int, m_grid, normalize: bool = True) -> WitnessSeries:
     """Compute ln t_m, ln theta(m) and classify the divergence of d_m.
 
@@ -435,15 +433,10 @@ def witness(profile: DerivativeNormProfile, n: int, m_grid, normalize: bool = Tr
         shift = LN_HALF + math.log1p(-CLASS_MARGIN) - profile.ln_m[3]
     work = shift_profile(profile, shift) if shift != 0.0 else profile
 
-    r_max = int(m_vals[-1])
-    w_full, w_shift, sat_full, ln_r = _fold_weights(work, r_max)
-    nr = n * np.arange(1, r_max + 1, dtype=float)
+    ln_t, arg, ln_theta, w_full, sat_full, ln_r = _prefix_minima(work, int(m_vals[-1]), n)
     idx = m_vals - 1
     # Each r-length array goes once its m entries or fit points are taken, one by one.
-    ln_theta = np.minimum.accumulate(np.divide(w_shift, nr, out=w_shift), out=w_shift)[idx]
-    del w_shift
-    ln_t, arg = _running_min_with_argmin(np.divide(w_full, nr, out=nr))  # at m = 1..r_max
-    del nr
+    ln_theta = ln_theta[idx]
     ln_t = ln_t[idx]
     arg = arg[idx]
     top = slice(m_vals.size // 2, None)  # the trend is read from the upper half of the m grid
@@ -505,6 +498,7 @@ def _classify_structural(m_top, ln_m_top, ln_t_top, argmin_top, sat_top, r_fit, 
 class CarlemanReport(Record):
     """Partial integrals of -ln tau(r) / r^2 plus growth-model fits.
 
+    The columns are on :func:`carleman_diagnostic`'s grid, evenly spaced in ln r.
     ``verdict`` is one of {"quasianalytic-trend", "non-quasianalytic-trend",
     "inconclusive"}.  Saturated grid points (tau minimizer at j_max) carry a
     truncation artifact -ln tau ~ j_max ln r; they are excluded from the fits
@@ -525,9 +519,17 @@ class CarlemanReport(Record):
     verdict: str
 
 
-def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    steps = 0.5 * (y[1:] + y[:-1]) * np.diff(x)
-    return np.concatenate(([0.0], np.cumsum(steps)))
+def _log_trapezoid(s: np.ndarray, envelope: np.ndarray):
+    """Partial integrals of h(t) / t^2 dt = envelope ds, s = ln t, by the trapezoid rule in s.
+
+    ``envelope`` is h / t on the grid ``s``.  Returns (partial, last_inc,
+    prev_inc): the increments of the last two decades, whose cuts are the
+    first grid s at or past s[-1] - ln 10 and s[-1] - 2 ln 10.
+    """
+    steps = 0.5 * (envelope[1:] + envelope[:-1]) * np.diff(s)
+    partial = np.concatenate(([0.0], np.cumsum(steps)))
+    last, prev = np.searchsorted(s, [s[-1] - _LN10, s[-1] - 2.0 * _LN10])  # both <= len(s) - 1
+    return partial, float(partial[-1] - partial[last]), float(partial[last] - partial[prev])
 
 
 def carleman_diagnostic(
@@ -535,6 +537,10 @@ def carleman_diagnostic(
 ) -> CarlemanReport:
     """Integrate -ln tau(r) / r^2 on [1, r_max] and classify the trend.
 
+    The grid is evenly spaced in x = ln r, about ``points_per_decade`` points
+    a decade; ``r_grid`` is libm's exp of each x but the last, which is r_max.
+    The integral, of -ln tau(r) / r dx, is :func:`_log_trapezoid`'s, as in
+    :func:`lemma_check`.
     Quasianalytic-type profiles show -ln tau growing linearly in r (the
     partial integrals grow like ln R); profiles with stretched-exponential
     coefficient decay show sqrt-type growth (the integrals Cauchy-converge).
@@ -548,20 +554,13 @@ def carleman_diagnostic(
     except OverflowError:  # points_per_decade, or its product, past the float range
         n_points = math.inf
     check_size(n_points, "points of the Carleman grid")
-    exponents = np.linspace(0.0, math.log10(r_max), n_points)  # r = 10^e, log-spaced from 1
-    grid = np.fromiter(map(_exp10, exponents), dtype=float, count=n_points)
-    ln_tau, arg = _legendre(profile, _ln(grid))
+    x = np.linspace(0.0, math.log(r_max), n_points)
+    grid = np.append(np.fromiter(map(math.exp, x[:-1]), dtype=float, count=n_points - 1), r_max)
+    ln_tau, arg = _legendre(profile, x)
     saturated = arg == profile.j_max
     neg = -ln_tau
-    with np.errstate(over="ignore"):
-        # r^2 past the float range is inf, and neg / inf = 0 is the
-        # integrand's limit there.
-        integrand = neg / grid**2
-    partial = _cumulative_trapezoid(integrand, grid)
+    partial, last_decade, _ = _log_trapezoid(x, neg / grid)
     sat_fraction = float(np.mean(saturated))
-
-    cut = np.searchsorted(grid, grid[-1] / 10.0)
-    last_decade = float(partial[-1] - partial[cut])  # cut is at most len(grid) - 1
 
     keep = ~saturated
     fit_lin = fit_sqrt = best = None
@@ -617,7 +616,8 @@ def lemma_check(t_grid, h_values) -> LemmaReport:
     """Run the decay/integrability check on a tabulated function h(t).
 
     ``t_grid`` is a grid (``series._grid``); ``h_values`` are real numbers by the
-    grids' element-type rule (``series._reals``), finite, with h / t > 0.
+    grids' element-type rule (``series._reals``), finite, with h / t > 0.  The
+    integrals are :func:`_log_trapezoid`'s, as in :func:`carleman_diagnostic`.
     """
     t = _grid("t_grid", t_grid)
     h = _reals(h_values)
@@ -649,14 +649,9 @@ def lemma_check(t_grid, h_values) -> LemmaReport:
     convex = bool(np.all(second >= -1e-9 * scale[1:-1]))
     hypothesis_ok = increasing and convex
 
-    partial = _cumulative_trapezoid(envelope, s)  # = integral of h/t^2 dt
-    ln10 = math.log(10.0)
-    last_cut = np.searchsorted(s, s[-1] - ln10)
-    prev_cut = np.searchsorted(s, s[-1] - 2.0 * ln10)
-    last_inc = float(partial[-1] - partial[last_cut])  # both cuts are at most len(s) - 1
-    prev_inc = float(partial[last_cut] - partial[prev_cut])
+    partial, last_inc, prev_inc = _log_trapezoid(s, envelope)
 
-    if s[-1] - s[0] < 2.0 * ln10:
+    if s[-1] - s[0] < 2.0 * _LN10:
         verdict = "inconclusive"
     elif last_inc < TAIL_THRESHOLD:
         verdict = "convergent"

@@ -81,17 +81,21 @@ def _finite_or_null(value):
     return value
 
 
+#: ``json.dumps(value, sort_keys=True, allow_nan=False)``, from one encoder built once.
+_encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
+
+
 def _json_chunks(value, depth: int):
     """The text of ``json.dumps(value, sort_keys=True, allow_nan=False)``, in pieces.
 
     The dicts and lists (or tuples) of the outer ``depth`` levels are
     written piece by piece, with json's ", " and ": " separators and the
     keys in sorted order, which is json's text for str keys, the only keys
-    an artifact has; every other item is one json.dumps call, which runs
-    the C encoder.  That encoder holds every token of its input as a str
-    until it joins them, so this way only one item's tokens are alive at a
-    time.  An int array is written :data:`READ_BLOCK` rows at a time, each
-    block as the repr of its nested list, which is json's text.
+    an artifact has; every other item is one :data:`_encode` call, which
+    runs the C encoder.  That encoder holds every token of its input as a
+    str until it joins them, so this way only one item's tokens are alive
+    at a time.  An int array is written :data:`READ_BLOCK` rows at a time,
+    each block as the repr of its nested list, which is json's text.
     """
     if isinstance(value, np.ndarray) and value.dtype.kind == "i":
         yield "["
@@ -101,7 +105,7 @@ def _json_chunks(value, depth: int):
     elif depth and isinstance(value, dict):
         yield "{"
         for i, (key, item) in enumerate(sorted(value.items())):
-            yield (", " if i else "") + json.dumps(key) + ": "
+            yield (", " if i else "") + _encode(key) + ": "
             yield from _json_chunks(item, depth - 1)
         yield "}"
     elif depth and isinstance(value, (list, tuple)):
@@ -112,7 +116,7 @@ def _json_chunks(value, depth: int):
             yield from _json_chunks(item, depth - 1)
         yield "]"
     else:
-        yield json.dumps(value, sort_keys=True, allow_nan=False)
+        yield _encode(value)
 
 
 def _write_json(path: Path, payload: dict) -> None:

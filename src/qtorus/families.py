@@ -13,9 +13,8 @@ import math
 
 import numpy as np
 
-from .associated import CLASS_MARGIN
 from .logspace import NEG_INF
-from .norms import DerivativeNormProfile, m_j
+from .norms import CLASS_MARGIN, DerivativeNormProfile, m_j
 from .series import FourierSeries, Record, _count, _real, check_power, check_size
 
 _KINDS = ("analytic", "gevrey", "profile")

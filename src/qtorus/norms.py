@@ -120,6 +120,11 @@ def build_profile(series: FourierSeries, j_max: int) -> DerivativeNormProfile:
     return DerivativeNormProfile(dim=series.dim, ln_m=vals)
 
 
+#: ``witness`` and ``rescale_to_class`` normalize to M_3 = e^LN_HALF (1 - CLASS_MARGIN).
+LN_HALF = math.log(0.5)
+CLASS_MARGIN = 1e-6
+
+
 def shift_profile(profile: DerivativeNormProfile, delta: float) -> DerivativeNormProfile:
     """The profile of the rescaled function e^delta * f: every ln M_j shifts by delta."""
     delta = _real("delta", delta)

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import json
 import math
 import random
 import re
+from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
@@ -389,6 +391,69 @@ def dense_fold_weights(profile, r_max):
     else:
         w_shift = np.full(r_max, -np.inf)
     return w_full, w_shift, arg_full == j_max
+
+
+def dense_prefix_minima(profile, m_max, n):
+    """(ln_t, argmin_r, ln_theta) for m = 1..m_max from :func:`dense_fold_weights`.
+
+    ln t_m and ln theta(m) are the prefix minima (``np.minimum.accumulate``)
+    of w / (n r); argmin_r is the first r whose value equals ln t_m.
+    """
+    w_full, w_shift, _ = dense_fold_weights(profile, m_max)
+    nr = n * np.arange(1, m_max + 1, dtype=float)
+    values = w_full / nr
+    ln_t = np.minimum.accumulate(values)
+    first = {}
+    for r, value in enumerate(values.tolist(), start=1):
+        first.setdefault(value, r)
+    return ln_t, np.array([first[v] for v in ln_t.tolist()]), np.minimum.accumulate(w_shift / nr)
+
+
+@functools.lru_cache(maxsize=16)
+def _exact_hull(ln_m: tuple):
+    """Vertices (j, ln M_j) of the lower convex hull of the float ln M_j, in rational arithmetic."""
+    hull = []
+    for j, v in enumerate(ln_m):
+        q = (j, Fraction(v))
+        # Drop the last vertex while it lies on or above the chord to q.
+        while len(hull) >= 2 and (
+            (hull[-1][1] - hull[-2][1]) * (q[0] - hull[-1][0])
+            >= (q[1] - hull[-1][1]) * (hull[-1][0] - hull[-2][0])
+        ):
+            hull.pop()
+        hull.append(q)
+    return hull
+
+
+def exact_carleman_integral(profile, x_lo, x_hi, dps=40):
+    """int_{x_lo}^{x_hi} -ln tau(e^x) e^{-x} dx, x = ln r, to ``dps`` digits with mpmath.
+
+    It is int -ln tau(r) / r^2 dr over [e^x_lo, e^x_hi].  -ln tau(e^x) =
+    max_j (j x - ln M_j) is piecewise linear in x: hull vertex j of the
+    points (j, ln M_j) attains it for x between the slopes of its two hull
+    edges.  On that piece (j x - ln M_j) e^{-x} has the antiderivative
+    F_j = -(j x + j - ln M_j) e^{-x}, so the integral is a sum over the
+    pieces.  The hull and its slopes are exact rationals of the float ln M_j
+    (finite); only the slopes, the bounds and F_j are rounded, at ``dps``.
+    """
+    import mpmath
+
+    hull = _exact_hull(profile.ln_m)
+    with mpmath.workdps(dps):
+        def mp(q):
+            return mpmath.mpf(q.numerator) / q.denominator
+
+        slopes = [mp((b - a) / (k - i)) for (i, a), (k, b) in zip(hull, hull[1:])]
+        lows = [-mpmath.inf, *slopes]
+        highs = [*slopes, mpmath.inf]
+        x_lo, x_hi = mpmath.mpf(x_lo), mpmath.mpf(x_hi)
+        total = mpmath.mpf(0)
+        for (j, ln_mj), low, high in zip(hull, lows, highs):
+            a, b = max(x_lo, low), min(x_hi, high)
+            if a < b:
+                ln_mj = mp(ln_mj)
+                total += (j * a + j - ln_mj) * mpmath.exp(-a) - (j * b + j - ln_mj) * mpmath.exp(-b)
+        return total
 
 
 def loop_write_csv(path, header_lines, names, rows) -> None:

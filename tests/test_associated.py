@@ -1,10 +1,11 @@
+import functools
 import math
 import sys
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qtorus import (
@@ -15,10 +16,12 @@ from qtorus import (
     build_profile,
     build_table,
     carleman_diagnostic,
+    gen_profile,
     gen_series,
     lemma_check,
     log_tau,
     log_tau_shifted,
+    parse_family_spec,
     shift_profile,
     t_m,
     t_m_sequence,
@@ -39,6 +42,8 @@ from helpers import (
     NOT_COUNTS,
     dense_fold_weights,
     dense_log_tau,
+    dense_prefix_minima,
+    exact_carleman_integral,
     fields,
     refused_count,
     supporting_line_profile,
@@ -420,6 +425,27 @@ class TestWitness:
             witness(factorial_profile(30), value, [2, 3, 4])
 
 
+#: (family spec, Jmax, relative tolerance of the final partial integral).
+#: The trapezoid rule in ln r lands within 1.8e-4 of the exact integral on
+#: the factorial and gevrey rows and within 8.7e-3 on the analytic one, whose
+#: -ln tau bends sharply at the support radius K = 300.
+CARLEMAN_PROFILES = [
+    *((f"profile:rule=factorial:s={s}:Jmax=2000", 2000, 2e-4) for s in (0.8, 1, 1.5, 2, 2.5)),
+    ("profile:rule=factorial:s=1:Jmax=200", 200, 2e-4),
+    ("gevrey:s=1.5:K=2000", 60, 2e-4),
+    ("analytic:a=0.05:K=300", 400, 1e-2),
+]
+CARLEMAN_R_MAX = [10.0, 1e3, 1e5, 1e8]
+
+
+@functools.lru_cache(maxsize=None)
+def carleman_profile(spec, j_max):
+    family = parse_family_spec(spec)
+    if family.kind == "profile":
+        return gen_profile(family)
+    return build_profile(gen_series(family), j_max)
+
+
 class TestCarleman:
     def test_factorial_quasianalytic(self):
         report = carleman_diagnostic(factorial_profile(200), 100)
@@ -466,12 +492,52 @@ class TestCarleman:
             carleman_diagnostic(factorial_profile(10), 100, value)
 
     def test_r_max_at_the_largest_float(self):
-        # 10^log10(r_max) rounds past the float range here; the grid ends at
-        # the largest float and the integrand there is 0.
+        # In x = ln r the integrand -ln tau / r stays finite up to the
+        # largest float: no r^2 is formed, so nothing overflows.
         r_max = int(sys.float_info.max)
         report = carleman_diagnostic(factorial_profile(10), r_max)
         assert report.r_grid[-1] == sys.float_info.max
         assert all(map(math.isfinite, report.partial_integral))
+
+    @pytest.mark.parametrize("r_max", [2.0, 10.0, 2e5, 1e8, 1e308, sys.float_info.max])
+    def test_grid_ends_at_r_max(self, r_max):
+        # libm's exp(ln 2e5) is 200000.00000000006; the last point is r_max itself.
+        report = carleman_diagnostic(factorial_profile(10), r_max)
+        assert report.r_grid[-1] == r_max
+        assert np.all(np.diff(report.r_grid) > 0)
+
+    def test_exact_hull_sum_against_quadrature(self):
+        # ln M_j = j (j - 1) / 8 puts every point on the hull, with edge slopes
+        # j / 4; lifting ln M_6 by 1/2 drops it, and its two edges merge into
+        # one of slope 11/8.  So -ln tau is smooth between multiples of 1/8
+        # in x, where mpmath.quad is exact to its working precision.
+        mpmath = pytest.importorskip("mpmath")
+        ln_m = [j * (j - 1) / 8 + (0.5 if j == 6 else 0.0) for j in range(13)]
+        prof = DerivativeNormProfile(dim=1, ln_m=tuple(ln_m))
+        with mpmath.workdps(30):
+            def integrand(x):
+                return max(j * x - v for j, v in enumerate(ln_m)) * mpmath.exp(-x)
+
+            want = mpmath.quad(integrand, mpmath.linspace(0, 4, 33))
+            got = exact_carleman_integral(prof, 0.0, 4.0, dps=30)
+            assert abs(got / want - 1) < 1e-25
+
+    @pytest.mark.parametrize("r_max", CARLEMAN_R_MAX)
+    @pytest.mark.parametrize("spec, j_max, final_tol", CARLEMAN_PROFILES,
+                             ids=[f"{spec}-J{j}" for spec, j, _ in CARLEMAN_PROFILES])
+    def test_integrals_against_the_exact_hull_sum(self, spec, j_max, final_tol, r_max):
+        # The exact integral is a sum over the hull pieces in x = ln r
+        # (helpers.exact_carleman_integral).  The last decade is compared on
+        # the interval the report integrates: from the first grid x at or
+        # past ln r_max - ln 10 to ln r_max.
+        prof = carleman_profile(spec, j_max)
+        report = carleman_diagnostic(prof, r_max)
+        x = np.linspace(0.0, math.log(r_max), report.r_grid.size)
+        cut = np.searchsorted(x, x[-1] - math.log(10.0))
+        final = float(exact_carleman_integral(prof, 0.0, x[-1]))
+        decade = float(exact_carleman_integral(prof, x[cut], x[-1]))
+        assert report.partial_integral[-1] == pytest.approx(final, rel=final_tol)
+        assert report.last_decade_increment == pytest.approx(decade, rel=2e-4)
 
     def test_fully_saturated_grid_fits_nothing(self):
         # ln M_j - j ln r is smallest at j = j_max for every r >= 1, so no
@@ -510,6 +576,33 @@ def kernel_cases(draw):
         ln_m[k] = NEG_INF
     profile = DerivativeNormProfile(dim=1, ln_m=tuple(ln_m.tolist()))
     return profile, draw(st.integers(2, 400))
+
+
+class TestPrefixMinima:
+    """ln t_m, ln theta(m) and their argmin from one fold pass, against the dense scan."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(kernel_cases(), st.integers(1, 3))
+    @example((constant_profile(2), 50), 1)  # w_full(1) = -0.0 from the head terms
+    @example((constant_profile(40), 60), 2)
+    @example((factorial_profile(300, s=1.5), 400), 1)
+    def test_bit_identical_to_the_dense_prefix_minima(self, case, n):
+        prof, m_max = case
+        assume(not prof.is_degenerate())
+        want_t, want_arg, want_theta = dense_prefix_minima(prof, m_max, n)
+        assert np.array_equal(bits(t_m_sequence(prof, m_max, n)), bits(want_t))
+        for m in sorted({1, 2, m_max}):
+            assert bits(t_m(prof, m, n)) == bits(want_t[m - 1])
+        if prof.j_max < 3:
+            with pytest.raises(ValueError):
+                theta(prof, m_max, n)
+            return
+        for m in sorted({1, 2, m_max}):
+            assert bits(theta(prof, m, n)) == bits(want_theta[m - 1])
+        wit = witness(prof, n, range(1, m_max + 1), normalize=False)
+        assert np.array_equal(bits(wit.ln_t), bits(want_t))
+        assert np.array_equal(bits(wit.ln_theta), bits(want_theta))
+        assert np.array_equal(wit.argmin_r, want_arg)
 
 
 class TestLegendreKernel:
@@ -630,8 +723,11 @@ class TestLegendreKernel:
             with pytest.raises(DegenerateProfileError):
                 t_m(prof, 3, 1)
             return
+        # The Carleman kernel runs at x = ln r, evenly spaced; r is libm's exp of x but at r_max.
         report = carleman_diagnostic(prof, r_max)
-        want_grid, want_arg = dense_log_tau(prof, _ln(report.r_grid))
+        x = np.linspace(0.0, math.log(r_max), report.r_grid.size)
+        assert np.array_equal(bits(report.r_grid), bits([*map(math.exp, x[:-1]), r_max]))
+        want_grid, want_arg = dense_log_tau(prof, x)
         assert np.array_equal(bits(report.neg_ln_tau), bits(-want_grid))
         assert np.array_equal(report.saturated, want_arg == j_max)
 

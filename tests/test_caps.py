@@ -66,7 +66,7 @@ CASES = [
     ("build_table", lambda v: partial(build_table, PROFILE, range(1, v + 1)), CAP,
      "1001 entries of r_grid", [(np, "arange"), (associated_module, "_legendre")]),
     ("lemma_check", lambda v: partial(lemma_check, range(1, v + 1), [2.0] * v), CAP,
-     "1001 entries of t_grid", [(np, "arange"), (associated_module, "_cumulative_trapezoid")]),
+     "1001 entries of t_grid", [(np, "arange"), (associated_module, "_log_trapezoid")]),
     # At r_max = 10 the grid has points_per_decade + 1 points.
     ("carleman_diagnostic", lambda v: partial(carleman_diagnostic, PROFILE, 10.0, points_per_decade=v),
      CAP - 1, "1001 points of the Carleman grid", [(np, "linspace"), (associated_module, "_legendre")]),

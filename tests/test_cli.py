@@ -1420,19 +1420,20 @@ class TestJsonChunks:
         assert "".join(_json_chunks(payload, 3)) == want
 
     def test_interp_report_encoded_one_field_at_a_time(self, tmp_path, monkeypatch):
-        # The C encoder's token list is the memory: no json.dumps call may
-        # take a dict, a list or an array, so it holds one field's tokens at
-        # a time, and uncovered_modes goes out a block of rows at a time.
+        # The C encoder's token list is the memory: no call of the shared
+        # encoder may take a dict, a list or an array, so it holds one
+        # field's tokens at a time, and uncovered_modes goes out a block of
+        # rows at a time.
         argv = ["interp", "--family", "analytic:a=1:K=6", "--n", "2", "--m", "3..6",
                 "--engine", "diagonal", "--samples", "8", "--out", str(tmp_path / "out")]
         encoded = []
-        dumps = json.dumps
+        encode = cli_module._encode
 
-        def spy(value, *args, **kwargs):
+        def spy(value):
             encoded.append(value)
-            return dumps(value, *args, **kwargs)
+            return encode(value)
 
-        monkeypatch.setattr(json, "dumps", spy)
+        monkeypatch.setattr(cli_module, "_encode", spy)
         assert main(argv) == 0
         monkeypatch.undo()
         text = (tmp_path / "out" / "interp_report.json").read_text(encoding="utf-8")

@@ -33,7 +33,7 @@ CASES = [
      ["_fold_weights", "_legendre"]),
     ("build_table", "r_grid", False, lambda v: build_table(PROFILE, v), ["_legendre"]),
     ("lemma_check", "t_grid", False, lambda v: lemma_check(v, H_VALUES),
-     ["_cumulative_trapezoid", "_fit_line"]),
+     ["_log_trapezoid", "_fit_line"]),
 ]
 
 #: Grids refused for every grid argument.  Each has four entries where it
@@ -132,7 +132,7 @@ NOT_H_VALUES = [
 
 @pytest.mark.parametrize("value", [v for _, v in NOT_H_VALUES], ids=[r for r, _ in NOT_H_VALUES])
 def test_h_values_refused_before_any_work(monkeypatch, value):
-    for attr in ("_cumulative_trapezoid", "_fit_line"):
+    for attr in ("_log_trapezoid", "_fit_line"):
         monkeypatch.setattr(associated_module, attr, _must_not_run)
     with pytest.raises(ValueError, match="^h_values must be real numbers$"):
         lemma_check([1.0, 10.0, 100.0, 1000.0], value)
